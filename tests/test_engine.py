@@ -1,8 +1,12 @@
 """Session engine tests against hand-computed constant-trace oracles."""
 
+import hashlib
+import json
+
 import pytest
 
 from relaysim import (
+    METHODS,
     ConfigurationError,
     JitterConfig,
     RouterConfig,
@@ -161,6 +165,32 @@ def test_seed_changes_ts_run():
     a = run_session(topo, _small_hetero_cfg(seed=3)).report
     b = run_session(topo, _small_hetero_cfg(seed=4)).report
     assert a.to_json() != b.to_json()
+
+
+# sha256 of each method's report, less the estimator twin's name, and of
+# every record's (seq, ts, ta, to, path_id, fate) on one small unpruned
+# hetero session; a change to the session loop must keep them bit for bit
+GOLDEN_DIGESTS = {
+    "drt-bf": "d7940746957653528c010f9100ac29bf40e65d17249c887885e5e88910466ce1",
+    "drt-wm": "c682db9516bd1dbd5d0eac58993a4027ce29b84cabcea7e58a0441f94599ac42",
+    "vcr-wm": "d148d03e4c761359c3951bcfb869da85c7c644492eb85d6d7206826759a2dfda",
+    "via-bf": "028ed78198e6abb7675b4702556072a350ddb42cde3be35a03fb758d04b8fc35",
+    "via-wm": "b89c8faa94f9f4839523cded4114bed56b66e5845f65d1481f57aab5218a3ae6",
+}
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_golden_digests(method):
+    template = SessionConfig(
+        endpoint="e0", user="u0", packet_count=1500, interval_ms=10.0,
+        warmup_ms=20_000.0, seed=7, router=RouterConfig(prune=False))
+    res = run_session(hetero_topology(5, 40_000.0), method_config(template, method),
+                      method=method)
+    report = res.report.to_dict()
+    del report["estimator_implementation"]
+    rows = [(r.seq, r.ts, r.ta, r.to, r.path_id, r.fate) for r in res.records]
+    blob = json.dumps([report, rows], sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_DIGESTS[method]
 
 
 def test_method_config_specializes():
