@@ -65,7 +65,6 @@ from .traces import (
     generate_synthetic,
     ingest_trace,
     load_topology,
-    sample_latency,
     save_topology,
 )
 
@@ -123,7 +122,6 @@ __all__ = [
     "generate_synthetic",
     "ingest_trace",
     "load_topology",
-    "sample_latency",
     "save_topology",
     "__version__",
 ]

@@ -49,7 +49,6 @@ import os
 import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 from .engine import (
@@ -57,7 +56,7 @@ from .engine import (
     ROUTER_KINDS,
     RouterConfig,
     SessionConfig,
-    derive_cell_seed,
+    cell_config,
     run_session,
     summarize_cells,
 )
@@ -312,12 +311,7 @@ def _resolve_methods(doc: dict, args: argparse.Namespace) -> list[tuple[str, str
 
 def _run_cell(job: tuple) -> tuple[tuple[int, str], MetricsReport]:
     s_idx, m_idx, label, router_kind, jitter_kind, topology, cfg = job
-    cell_cfg = replace(
-        cfg,
-        router=replace(cfg.router, kind=router_kind),
-        jitter=replace(cfg.jitter, kind=jitter_kind),
-        seed=derive_cell_seed(cfg.seed, s_idx, m_idx),
-    )
+    cell_cfg = cell_config(cfg, s_idx, m_idx, router_kind, jitter_kind)
     return (s_idx, label), run_session(topology, cell_cfg, method=label).report
 
 

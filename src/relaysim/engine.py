@@ -8,9 +8,11 @@ emits it at To. Feedback flows back to the path scheduler over the reverse
 direct link; plan updates reach the sender after the forward direct one-way
 delay and apply only to packets generated after adoption.
 
-Event order is a single queue sorted by (time, kind, tie) with kind order
-arrival < feedback < control < generation, so runs are deterministic and
-reports are byte-identical for identical (config, topology, seed).
+Events wait in a single queue sorted by (time, kind, tie) with kind order
+arrival < feedback < control. Packet i is generated at its tick Ts as soon as
+no queued event is earlier; a queued event at the same time goes first. So
+runs are deterministic and reports are byte-identical for identical (config,
+topology, seed).
 
 The session tail: after the last event, both jitter managers flush whatever
 they still hold; flushed packets count as delivered with To = end time.
@@ -39,7 +41,7 @@ from .routing import (
 )
 from .traces import Topology
 
-EV_ARRIVAL, EV_FEEDBACK, EV_CONTROL, EV_GEN = 0, 1, 2, 3
+EV_ARRIVAL, EV_FEEDBACK, EV_CONTROL = 0, 1, 2
 
 ROUTER_KINDS = ("direct", "via_ucb1", "vcroute_ts")
 
@@ -116,11 +118,7 @@ class _PathTickCache:
         key = (src, dst)
         arr = self._links.get(key)
         if arr is None:
-            trace = self._topology.trace(src, dst)
-            idx = np.maximum(
-                np.searchsorted(trace.timestamps_ms, self._ticks, side="right") - 1, 0
-            )
-            arr = trace.latencies_ms[idx]
+            arr = self._topology.trace(src, dst).at(self._ticks)
             self._links[key] = arr
         return arr
 
@@ -215,9 +213,8 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
     plan = RoutingPlan(cfg.endpoint, cfg.user, initial_path, version=1, issued_at_ms=t0)
     active_path = initial_path
     adopted_version = 1
-    warm = router.warm_order()
 
-    records: list[PacketRecord | None] = [None] * n
+    records: list[PacketRecord] = []
     delivered_latencies: list[float] = []
     path_changes: list[tuple[float, int, int]] = []
     overhead_sum = 0.0
@@ -234,13 +231,19 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
         heappush(heap, (t, kind, ctr, a, b))
         ctr += 1
 
-    if n > 0:
-        push(t0, EV_GEN, 0, 0.0)
+    gen_times = ticks.tolist()
+    gen = 0  # next seq to generate
     end_time = t0
 
-    uninitialized = getattr(router, "uninitialized_ids", None)
-
-    while heap:
+    while gen < n or heap:
+        if gen < n and (not heap or gen_times[gen] < heap[0][0]):
+            t = gen_times[gen]
+            path_id = router.path_for(gen, active_path)
+            ta = t + cache.at(path_id, gen)
+            records.append(PacketRecord(gen, t, ta, None, path_id, "in_flight"))
+            push(ta, EV_ARRIVAL, gen, 0.0)
+            gen += 1
+            continue
         t, kind, _, a, b = heappop(heap)
         end_time = t
         if kind == EV_ARRIVAL:
@@ -284,29 +287,11 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
                     control_messages += 1
                     path_changes.append((t, old_path, selected))
                     push(t + delay, EV_CONTROL, plan.version, selected)
-        elif kind == EV_CONTROL:
+        else:  # EV_CONTROL
             version = int(a)
             if version > adopted_version:
                 adopted_version = version
                 active_path = int(b)
-        else:  # EV_GEN
-            seq = int(a)
-            if seq < len(warm):
-                path_id = warm[seq]
-            else:
-                pending = uninitialized() if uninitialized is not None else []
-                if pending:
-                    # a candidate arm still has no reward (its warm packet was
-                    # dropped); keep cycling those arms until every posterior
-                    # is initialized
-                    path_id = pending[seq % len(pending)]
-                else:
-                    path_id = active_path
-            ta = t + cache.at(path_id, seq)
-            records[seq] = PacketRecord(seq, t, ta, None, path_id, "in_flight")
-            push(ta, EV_ARRIVAL, seq, 0.0)
-            if seq + 1 < n:
-                push(t + cfg.interval_ms, EV_GEN, seq + 1, 0.0)
 
     for em in jm.flush(end_time):
         erec = records[em.seq]
@@ -315,8 +300,9 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
         delivered_latencies.append(em.out - erec.ts)
         tail_flushed += 1
 
-    for rec in records:
-        assert rec is None or rec.fate != "in_flight"
+    lost = [rec.seq for rec in records if rec.fate == "in_flight"]
+    if lost:
+        raise RuntimeError(f"{len(lost)} packets neither played out nor dropped, first seq {lost[0]}")
 
     method_label = method or f"{router_kind}+{cfg.jitter.kind}"
     report = build_report(
@@ -351,20 +337,34 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
                        "update_on_drop": cfg.jitter.update_on_drop},
         },
     )
-    return SessionResult(report, [r for r in records if r is not None])
+    return SessionResult(report, records)
 
 
-def method_config(cfg: SessionConfig, method: str) -> SessionConfig:
-    """Specialize a template config to one named method."""
+def _method_kinds(method: str) -> tuple[str, str]:
     try:
-        router_kind, jitter_kind = METHODS[method]
+        return METHODS[method]
     except KeyError:
         raise ValidationError(f"unknown method {method!r}; known: {sorted(METHODS)}") from None
+
+
+def _with_kinds(cfg: SessionConfig, router_kind: str, jitter_kind: str) -> SessionConfig:
     return replace(
         cfg,
         router=replace(cfg.router, kind=router_kind),
         jitter=replace(cfg.jitter, kind=jitter_kind),
     )
+
+
+def method_config(cfg: SessionConfig, method: str) -> SessionConfig:
+    """Specialize a template config to one named method."""
+    return _with_kinds(cfg, *_method_kinds(method))
+
+
+def cell_config(cfg: SessionConfig, s_idx: int, m_idx: int,
+                router_kind: str, jitter_kind: str) -> SessionConfig:
+    """Specialize a template config to one matrix cell, kinds and seed."""
+    return replace(_with_kinds(cfg, router_kind, jitter_kind),
+                   seed=derive_cell_seed(cfg.seed, s_idx, m_idx))
 
 
 def derive_cell_seed(base_seed: int, session_index: int, method_index: int) -> int:
@@ -396,8 +396,7 @@ def run_matrix(
     cells: dict[tuple[int, str], MetricsReport] = {}
     for s_idx, (topology, cfg) in enumerate(sessions):
         for m_idx, method in enumerate(methods):
-            cell_cfg = method_config(cfg, method)
-            cell_cfg = replace(cell_cfg, seed=derive_cell_seed(cfg.seed, s_idx, m_idx))
+            cell_cfg = cell_config(cfg, s_idx, m_idx, *_method_kinds(method))
             result = run_session(topology, cell_cfg, method=method)
             cells[(s_idx, method)] = result.report
     return summarize_cells(cells, len(sessions), methods)

@@ -123,9 +123,7 @@ def warmup_stats(
     for path in paths:
         total = np.zeros(ticks.size)
         for src, dst in path.links():
-            trace = topology.trace(src, dst)
-            idx = np.maximum(np.searchsorted(trace.timestamps_ms, ticks, side="right") - 1, 0)
-            total += trace.latencies_ms[idx]
+            total += topology.trace(src, dst).at(ticks)
         stats.append(
             PathStats(
                 path_id=path.path_id,

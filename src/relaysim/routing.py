@@ -14,6 +14,9 @@ plus a fixed direct policy:
 Plan updates are gated: a new plan is issued only when the selected path
 differs from the current one, and takes effect at the sender only after the
 control-message delay.
+
+The session engine uses only these router members: ``needs_feedback``,
+``path_for`` (each new packet's path), ``observe``, ``ready`` and ``select``.
 """
 
 from __future__ import annotations
@@ -196,8 +199,8 @@ class DirectRouter:
     def __init__(self, direct_path_id: int = 0) -> None:
         self._path_id = direct_path_id
 
-    def warm_order(self) -> list[int]:
-        return []
+    def path_for(self, seq: int, active_path: int) -> int:
+        return active_path
 
     def ready(self) -> bool:
         return True
@@ -240,14 +243,11 @@ class ThompsonRouter:
             self._arms[pid] = GaussianArmPosterior(pid, mu=mu0, tau=tau0, tau0=tau0)
         self._rng = rng
 
-    def warm_order(self) -> list[int]:
-        return []
+    def path_for(self, seq: int, active_path: int) -> int:
+        return active_path
 
     def ready(self) -> bool:
         return True
-
-    def uninitialized_ids(self) -> list[int]:
-        return []
 
     def observe(self, path_id: int, reward: float) -> None:
         self._arms[path_id] = ts_update(self._arms[path_id], [reward])
@@ -272,16 +272,22 @@ class Ucb1Router:
             raise ValidationError("exploration constant must be nonnegative")
         self._ids = sorted(path_ids)
         self._arms = {pid: Ucb1Arm(pid) for pid in self._ids}
+        self._unrewarded = list(self._ids)
         self._c = c
 
-    def warm_order(self) -> list[int]:
-        return list(self._ids)
+    def path_for(self, seq: int, active_path: int) -> int:
+        """Forced round: packet seq < k takes the seq-th of the k arms, then
+        packets cycle through the arms still without a reward, if any."""
+        if seq < len(self._ids):
+            return self._ids[seq]
+        if self._unrewarded:  # arms never lose rewards: only shrinks
+            self._unrewarded = [pid for pid in self._unrewarded if self._arms[pid].n == 0]
+            if self._unrewarded:
+                return self._unrewarded[seq % len(self._unrewarded)]
+        return active_path
 
     def ready(self) -> bool:
         return all(arm.n > 0 for arm in self._arms.values())
-
-    def uninitialized_ids(self) -> list[int]:
-        return [pid for pid in self._ids if self._arms[pid].n == 0]
 
     def observe(self, path_id: int, reward: float) -> None:
         self._arms[path_id].observe(reward)

@@ -90,9 +90,10 @@ class LatencyTrace:
             idx = 0
         return float(self.latencies_ms[idx])
 
-
-def sample_latency(trace: LatencyTrace, t_ms: float) -> float:
-    return trace.sample(t_ms)
+    def at(self, times_ms: np.ndarray) -> np.ndarray:
+        """Zero-order-hold lookup at every time in an array."""
+        idx = np.searchsorted(self.timestamps_ms, times_ms, side="right") - 1
+        return self.latencies_ms[np.maximum(idx, 0)]
 
 
 def ingest_trace(path: str | Path, unit: str = "one-way") -> LatencyTrace:

@@ -3,20 +3,30 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from relaysim import (
     METHODS,
     ConfigurationError,
     JitterConfig,
+    Node,
     RouterConfig,
     SessionConfig,
     ValidationError,
     method_config,
     run_matrix,
     run_session,
+    Topology,
 )
-from scenarios import burst_direct_topology, constant_pair_topology, hetero_topology
+from relaysim import engine
+from relaysim.engine import cell_config, derive_cell_seed
+from scenarios import (
+    burst_direct_topology,
+    constant_pair_topology,
+    constant_trace,
+    hetero_topology,
+)
 
 WARMUP = 60_000.0
 
@@ -84,6 +94,46 @@ def test_record_timeline():
         assert rec.seq == i
         assert rec.ts == WARMUP + i * 10.0
         assert rec.to >= rec.ta >= rec.ts
+
+
+def test_ticks_exact_at_non_dyadic_cadence():
+    # 20/3 ms has no exact binary form, so adding it once per packet drifts
+    # from warmup + seq*interval, which the playout buffer's slots use
+    n, interval = 100, 20 / 3
+    cfg = SessionConfig(endpoint="e0", user="u0", packet_count=n, interval_ms=interval,
+                        warmup_ms=WARMUP, jitter=JitterConfig(kind="watermark"))
+    res = run_session(constant_pair_topology(), cfg)
+    assert [r.ts for r in res.records] == (WARMUP + np.arange(n) * interval).tolist()
+
+
+def test_event_at_a_tick_goes_before_generation():
+    # UCB1 forced round over the direct path (40 ms) and e0->r0->u0 (50 ms).
+    # Packet 0's transmit feedback is back at tick 8 (40 ms out, 40 ms
+    # back). Observed first, only arm 1 lacks a reward and packet 8 takes
+    # it; generated first, packet 8 would take arm 8 % 2 = 0.
+    links = {("e0", "u0"): 40.0, ("u0", "e0"): 40.0, ("e0", "r0"): 25.0, ("r0", "u0"): 25.0}
+    topo = Topology([Node("e0", "endpoint"), Node("u0", "user"), Node("r0", "relay")],
+                    {link: constant_trace(*link, ms, 700_000.0) for link, ms in links.items()})
+    cfg = SessionConfig(endpoint="e0", user="u0", packet_count=20, interval_ms=10.0,
+                        warmup_ms=WARMUP, router=RouterConfig(kind="via_ucb1", prune=False))
+    paths = [rec.path_id for rec in run_session(topo, cfg).records]
+    assert paths[:9] == [0, 1, 0, 1, 0, 1, 0, 1, 1]
+
+
+def test_lost_packet_raises(monkeypatch):
+    # a jitter manager that loses a held packet breaks conservation; the
+    # check must be an exception, not an assert that python -O strips
+    build = engine.build_jitter_manager
+
+    def leaky_build(*args):
+        manager = build(*args)
+        flush = manager.flush
+        manager.flush = lambda end_time: flush(end_time)[:-1]
+        return manager
+
+    monkeypatch.setattr(engine, "build_jitter_manager", leaky_build)
+    with pytest.raises(RuntimeError, match="first seq 99"):
+        run_session(constant_pair_topology(), _direct_cfg("watermark"))
 
 
 def test_report_config_echo():
@@ -201,6 +251,9 @@ def test_method_config_specializes():
     assert base.router.kind == "direct"  # template untouched
     with pytest.raises(ValidationError, match="unknown method"):
         method_config(base, "ecmp")
+    cell = cell_config(base, 2, 3, "vcroute_ts", "buffer")
+    assert (cell.router.kind, cell.jitter.kind) == ("vcroute_ts", "buffer")
+    assert cell.seed == derive_cell_seed(base.seed, 2, 3)
 
 
 def test_run_matrix_reductions():

@@ -202,7 +202,7 @@ def test_plan_update_gating():
 
 def test_direct_router_is_inert():
     r = DirectRouter(0)
-    assert r.ready() and r.warm_order() == [] and r.needs_feedback is None
+    assert r.ready() and r.path_for(0, 3) == 3 and r.needs_feedback is None
     r.observe(0, 100.0)
     assert r.select() == 0
 
@@ -210,7 +210,7 @@ def test_direct_router_is_inert():
 def test_thompson_router_state():
     rng = np.random.default_rng(0)
     router = ThompsonRouter([(0, 100.0, 0.01), (2, 150.0, 0.01)], rng)
-    assert router.ready() and router.warm_order() == []
+    assert router.ready() and router.path_for(0, 2) == 2
     assert router.needs_feedback == "e2e"
     router.observe(2, 140.0)
     assert router.arm(2).pulls == 1
@@ -225,13 +225,17 @@ def test_thompson_router_state():
 
 def test_ucb1_router_state():
     router = Ucb1Router([4, 1, 2], c=10.0)
-    assert router.warm_order() == [1, 2, 4]
+    # forced round: each arm once in path_id order, whatever the active path
+    assert [router.path_for(seq, 9) for seq in range(3)] == [1, 2, 4]
     assert not router.ready()
-    assert router.uninitialized_ids() == [1, 2, 4]
     assert router.needs_feedback == "transmit"
-    for pid in (1, 2, 4):
+    # no reward yet: cycle the unrewarded arms, indexed by seq
+    assert [router.path_for(seq, 9) for seq in range(3, 6)] == [1, 2, 4]
+    router.observe(2, 102.0)
+    assert [router.path_for(seq, 9) for seq in range(6, 9)] == [1, 4, 1]
+    for pid in (1, 4):
         router.observe(pid, 100.0 + pid)
-    assert router.ready() and router.uninitialized_ids() == []
+    assert router.ready() and router.path_for(9, 9) == 9
     assert router.select() in (1, 2, 4)
     with pytest.raises(ValidationError):
         Ucb1Router([])

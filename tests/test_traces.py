@@ -17,7 +17,6 @@ from relaysim import (
 )
 from relaysim.traces import (
     SPIKE_FACTOR_RANGE,
-    sample_latency,
     synth_link_samples,
     trace_summary,
     write_trace_csv,
@@ -33,7 +32,8 @@ def test_zero_order_hold_boundaries():
     assert trace.sample(2499.0) == 104.5
     assert trace.sample(2500.0) == 90.0
     assert trace.sample(1e9) == 90.0       # after the last sample: last value
-    assert sample_latency(trace, 500.0) == 100.0
+    times = [-5.0, 0.0, 999.99, 1000.0, 2499.0, 2500.0, 1e9]
+    assert trace.at(np.array(times)).tolist() == [trace.sample(t) for t in times]
 
 
 def test_single_sample_trace_is_constant():
