@@ -1,8 +1,9 @@
 """Build the optional compiled estimator kernel.
 
 The package works without it (a pure-Python twin is selected at import time),
-so any compiler failure downgrades to a source-only install instead of
-aborting.
+so a missing Cython downgrades to a source-only install instead of aborting.
+Only the ImportError is caught: with Cython present, a failure to cythonize or
+compile the kernel still aborts the build.
 """
 
 from setuptools import setup

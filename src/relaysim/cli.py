@@ -21,7 +21,7 @@ Experiment manifest (JSON, schema_version 1)::
         "regime": "stationary-gaussian"
       },
       "pairs": [["e0", "u0"]],            # directed endpoint -> user streams
-      "methods": ["drt-bf", "drt-wm", "via-bf", "via-wm", "vcr-wm"],
+      "methods": ["drt-bf", "drt-wm", "via-bf", "via-wm", "vcr-wm"],  # or router+jitter
       "defaults": {                       # all keys optional
         "packets": 60000, "interval_ms": 10.0, "warmup_ms": 60000.0,
         "seed": 0, "loss_threshold": null,
@@ -49,6 +49,7 @@ import os
 import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 from .engine import (
@@ -57,11 +58,12 @@ from .engine import (
     RouterConfig,
     SessionConfig,
     cell_config,
+    method_kinds,
     run_session,
     summarize_cells,
 )
 from .errors import ConfigurationError, TraceParseError, ValidationError
-from .jitter import JitterConfig
+from .jitter import JITTER_KINDS, JitterConfig
 from .paths import path_count, required_links
 from .reports import MetricsReport, write_summary_csv
 from .traces import (
@@ -83,9 +85,6 @@ EXIT_RUNTIME = 4
 OUT_DIR_ENV = "RELAYSIM_OUT_DIR"
 EXPERIMENT_SCHEMA_VERSION = 1
 
-_ROUTER_KEYS = {"c", "confidence", "prune"}
-_JITTER_KEYS = {"window_ms", "bin_ms", "percentile", "loss_cost_ms",
-                "initial_lag_ms", "max_lag_ms", "update_on_drop"}
 _DEFAULT_KEYS = {"packets", "interval_ms", "warmup_ms", "seed",
                  "loss_threshold", "router", "jitter"}
 
@@ -239,80 +238,77 @@ def _experiment_topology(doc: dict, manifest_dir: Path) -> Topology:
     return _synthetic_topology(relays, duration_ms, step_ms, spec)
 
 
+def _pick(flag, manifest_value, fallback):
+    if flag is not None:
+        return flag
+    if manifest_value is not None:
+        return manifest_value
+    return fallback
+
+
+def _section(cls, name: str, given: dict, flags: dict):
+    """Build a RouterConfig/JitterConfig from a manifest section.
+
+    Its keys, defaults and casts are the dataclass fields, all but ``kind``.
+    """
+    defaults = {f.name: f.default for f in fields(cls) if f.name != "kind"}
+    unknown = set(given) - set(defaults)
+    if unknown:
+        raise ValidationError(f"unknown {name} keys {sorted(unknown)}")
+    return cls(**{key: type(default)(_pick(flags.get(key), given.get(key), default))
+                  for key, default in defaults.items()})
+
+
 def _template_config(doc: dict, args: argparse.Namespace, endpoint: str, user: str) -> SessionConfig:
     d = dict(doc.get("defaults", {}))
     unknown = set(d) - _DEFAULT_KEYS
     if unknown:
         raise ValidationError(f"unknown defaults keys {sorted(unknown)}")
-    rd = dict(d.get("router", {}))
-    jd = dict(d.get("jitter", {}))
-    if set(rd) - _ROUTER_KEYS:
-        raise ValidationError(f"unknown router keys {sorted(set(rd) - _ROUTER_KEYS)}")
-    if set(jd) - _JITTER_KEYS:
-        raise ValidationError(f"unknown jitter keys {sorted(set(jd) - _JITTER_KEYS)}")
-
-    def pick(flag, manifest_value, fallback):
-        if flag is not None:
-            return flag
-        if manifest_value is not None:
-            return manifest_value
-        return fallback
-
-    router = RouterConfig(
-        kind="direct",
-        c=float(rd.get("c", 1.0)),
-        confidence=float(pick(args.confidence, rd.get("confidence"), 0.95)),
-        prune=bool(rd.get("prune", True)),
-    )
-    jitter = JitterConfig(
-        kind="watermark",
-        window_ms=float(pick(args.window_ms, jd.get("window_ms"), 2000.0)),
-        bin_ms=float(jd.get("bin_ms", 1.0)),
-        percentile=float(pick(args.percentile, jd.get("percentile"), 0.95)),
-        loss_cost_ms=float(jd.get("loss_cost_ms", 100.0)),
-        initial_lag_ms=float(jd.get("initial_lag_ms", 0.0)),
-        max_lag_ms=float(jd.get("max_lag_ms", 10000.0)),
-        update_on_drop=bool(jd.get("update_on_drop", True)),
-    )
+    router = _section(RouterConfig, "router", dict(d.get("router", {})),
+                      {"confidence": args.confidence})
+    jitter = _section(JitterConfig, "jitter", dict(d.get("jitter", {})),
+                      {"window_ms": args.window_ms, "percentile": args.percentile})
     threshold = d.get("loss_threshold")
     return SessionConfig(
         endpoint=endpoint,
         user=user,
-        packet_count=int(pick(args.packets, d.get("packets"), 60_000)),
-        interval_ms=float(pick(args.interval_ms, d.get("interval_ms"), 10.0)),
+        packet_count=int(_pick(args.packets, d.get("packets"), 60_000)),
+        interval_ms=float(_pick(args.interval_ms, d.get("interval_ms"), 10.0)),
         warmup_ms=float(d.get("warmup_ms", 60_000.0)),
-        seed=int(pick(args.seed, d.get("seed"), 0)),
+        seed=int(_pick(args.seed, d.get("seed"), 0)),
         router=router,
         jitter=jitter,
         loss_threshold=None if threshold is None else float(threshold),
     )
 
 
-def _resolve_methods(doc: dict, args: argparse.Namespace) -> list[tuple[str, str, str]]:
-    """Returns (label, router_kind, jitter_kind) triples."""
+def _resolve_methods(doc: dict, args: argparse.Namespace) -> list[str]:
+    """Method labels to run, each checked by ``engine.method_kinds``."""
     if args.router or args.jitter:
-        router_kind = args.router or "direct"
-        jitter_kind = args.jitter or "watermark"
-        return [(f"{router_kind}+{jitter_kind}", router_kind, jitter_kind)]
+        return [f"{args.router or RouterConfig.kind}+{args.jitter or JitterConfig.kind}"]
     if args.methods:
-        names = [m.strip() for m in args.methods.split(",") if m.strip()]
+        labels = [m.strip() for m in args.methods.split(",") if m.strip()]
     else:
-        names = list(doc.get("methods", list(METHODS)))
-    if not names:
+        labels = list(doc.get("methods", list(METHODS)))
+    if not labels:
         raise ValidationError("method list is empty")
-    triples = []
-    for name in names:
-        if name not in METHODS:
-            raise ValidationError(f"unknown method {name!r}; known: {sorted(METHODS)}")
-        router_kind, jitter_kind = METHODS[name]
-        triples.append((name, router_kind, jitter_kind))
-    return triples
+    for label in labels:
+        method_kinds(label)
+    return labels
 
 
-def _run_cell(job: tuple) -> tuple[tuple[int, str], MetricsReport]:
-    s_idx, m_idx, label, router_kind, jitter_kind, topology, cfg = job
-    cell_cfg = cell_config(cfg, s_idx, m_idx, router_kind, jitter_kind)
-    return (s_idx, label), run_session(topology, cell_cfg, method=label).report
+_cell_topology: Topology | None = None  # the topology cells run on, per process
+
+
+def _set_cell_topology(topology: Topology | None) -> None:
+    global _cell_topology
+    _cell_topology = topology
+
+
+def _run_cell(job: tuple[int, int, str, SessionConfig]) -> tuple[tuple[int, str], MetricsReport]:
+    s_idx, m_idx, label, cfg = job
+    cell_cfg = cell_config(cfg, s_idx, m_idx, label)
+    return (s_idx, label), run_session(_cell_topology, cell_cfg, method=label).report
 
 
 def _print_matrix(labels: list[str], method_mean: dict, method_loss: dict,
@@ -343,30 +339,31 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir = _resolve_out_dir(args.out, doc.get("output_dir"), manifest_dir)
     topology = _experiment_topology(doc, manifest_dir)
     pairs = [(str(e), str(u)) for e, u in doc["pairs"]]
-    triples = _resolve_methods(doc, args)
-    labels = [t[0] for t in triples]
+    labels = _resolve_methods(doc, args)
     sessions = [_template_config(doc, args, e, u) for e, u in pairs]
+    work = [
+        (s_idx, m_idx, label, cfg)
+        for s_idx, cfg in enumerate(sessions)
+        for m_idx, label in enumerate(labels)
+    ]
 
     jobs = args.jobs
     if jobs is None:
-        jobs = max(1, min(len(pairs), os.cpu_count() or 1))
+        jobs = max(1, min(len(work), os.cpu_count() or 1))
     if jobs < 1:
         return _usage_error("--jobs must be >= 1")
 
-    work = [
-        (s_idx, m_idx, label, router_kind, jitter_kind, topology, cfg)
-        for s_idx, cfg in enumerate(sessions)
-        for m_idx, (label, router_kind, jitter_kind) in enumerate(triples)
-    ]
-    cells: dict[tuple[int, str], MetricsReport] = {}
     if jobs == 1:
-        for job in work:
-            key, report = _run_cell(job)
-            cells[key] = report
+        _set_cell_topology(topology)
+        try:
+            cells = dict(map(_run_cell, work))
+        finally:
+            _set_cell_topology(None)
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for key, report in pool.map(_run_cell, work):
-                cells[key] = report
+        # each worker gets the topology once, not with every cell
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_set_cell_topology,
+                                 initargs=(topology,)) as pool:
+            cells = dict(pool.map(_run_cell, work))
 
     matrix = summarize_cells(cells, len(sessions), labels)
 
@@ -441,14 +438,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--packets", type=int)
     p_run.add_argument("--interval-ms", type=float)
     p_run.add_argument("--router", choices=ROUTER_KINDS,
-                       help="run a single custom method with this router")
-    p_run.add_argument("--jitter", choices=("watermark", "buffer"),
-                       help="run a single custom method with this jitter manager")
-    p_run.add_argument("--methods", help="comma-separated subset of the named methods")
+                       help="run the single method ROUTER+JITTER with this router")
+    p_run.add_argument("--jitter", choices=JITTER_KINDS,
+                       help="run the single method ROUTER+JITTER with this jitter manager")
+    p_run.add_argument("--methods",
+                       help="comma-separated method names or router+jitter labels")
     p_run.add_argument("--percentile", type=float)
     p_run.add_argument("--window-ms", type=float)
     p_run.add_argument("--confidence", type=float)
-    p_run.add_argument("--jobs", type=int, help="parallel worker processes")
+    p_run.add_argument("--jobs", type=int,
+                       help="parallel worker processes (default: min(cells, CPUs))")
     p_run.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV})")
     p_run.set_defaults(func=cmd_run)
     return parser

@@ -20,7 +20,7 @@ they still hold; flushed packets count as delivered with To = end time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from heapq import heappop, heappush
 from typing import Sequence
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ValidationError
 from .estimator import IMPLEMENTATION
-from .jitter import JitterConfig, Packet, build_jitter_manager
+from .jitter import JITTER_KINDS, JitterConfig, Packet, build_jitter_manager
 from .paths import RelayPath, enumerate_paths, prune_topk, warmup_stats
 from .reports import MetricsReport, build_report
 from .routing import (
@@ -170,21 +170,15 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
     relays = _resolve_relays(topology, cfg)
     all_paths = enumerate_paths(cfg.endpoint, cfg.user, relays)
     router_kind = cfg.router.kind
-    needs_feedback = router_kind != "direct"
-
-    if router_kind == "direct":
-        candidate_paths = [all_paths[0]]
-    else:
-        candidate_paths = all_paths
-    _check_coverage(topology, candidate_paths, needs_feedback, cfg.endpoint, cfg.user)
 
     # candidate set and warm stats
     if router_kind == "direct":
+        _check_coverage(topology, all_paths[:1], False, cfg.endpoint, cfg.user)
         topk_ids = [0]
         initial_path = 0
         router = DirectRouter(0)
-        rng = None
     else:
+        _check_coverage(topology, all_paths, True, cfg.endpoint, cfg.user)
         stats = warmup_stats(all_paths, topology, cfg.warmup_ms, cfg.interval_ms)
         if cfg.router.prune:
             topk_ids = prune_topk(stats, cfg.router.confidence)
@@ -208,7 +202,7 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
     cache = _PathTickCache(topology, all_paths, ticks)
     jm = build_jitter_manager(cfg.jitter, cfg.interval_ms)
     direct_fwd = topology.trace(cfg.endpoint, cfg.user)
-    direct_rev = topology.trace(cfg.user, cfg.endpoint) if needs_feedback else None
+    direct_rev = topology.trace(cfg.user, cfg.endpoint) if router.needs_feedback else None
 
     plan = RoutingPlan(cfg.endpoint, cfg.user, initial_path, version=1, issued_at_ms=t0)
     active_path = initial_path
@@ -218,8 +212,6 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
     delivered_latencies: list[float] = []
     path_changes: list[tuple[float, int, int]] = []
     overhead_sum = 0.0
-    plan_updates = 0
-    control_messages = 0
     dropped_late = 0
     tail_flushed = 0
 
@@ -253,18 +245,14 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
             if was_dropped:
                 rec.fate = "dropped_late"
                 dropped_late += 1
-                if router.needs_feedback == "e2e":
-                    # a dropped packet never plays out, but its lateness at
-                    # arrival is known and is the reward signal that lets the
-                    # scheduler learn a probed path is slow; without it the
-                    # posterior of a bad path never updates (every probe gets
-                    # dropped) and exploration is never suppressed
-                    avail = t + direct_rev.sample(t)
-                    push(avail, EV_FEEDBACK, rec.path_id, t - rec.ts)
-            if router.needs_feedback == "transmit":
-                send_at = t
-                avail = send_at + direct_rev.sample(send_at)
-                push(avail, EV_FEEDBACK, rec.path_id, t - rec.ts)
+            # the transmit reward, or the e2e reward of a dropped packet: it
+            # never plays out, but its lateness at arrival is known and is the
+            # signal that lets the scheduler learn a probed path is slow;
+            # without it the posterior of a bad path never updates (every
+            # probe gets dropped) and exploration is never suppressed
+            if (router.needs_feedback == "transmit"
+                    or (was_dropped and router.needs_feedback == "e2e")):
+                push(t + direct_rev.sample(t), EV_FEEDBACK, rec.path_id, t - rec.ts)
             for em in emissions:
                 erec = records[em.seq]
                 erec.to = em.out
@@ -283,8 +271,6 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
                 if issued:
                     delay = direct_fwd.sample(t)
                     overhead_sum += delay
-                    plan_updates += 1
-                    control_messages += 1
                     path_changes.append((t, old_path, selected))
                     push(t + delay, EV_CONTROL, plan.version, selected)
         else:  # EV_CONTROL
@@ -318,36 +304,34 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
         delivered_latencies=delivered_latencies,
         dropped_late=dropped_late,
         tail_flushed=tail_flushed,
-        plan_update_count=plan_updates,
+        plan_update_count=len(path_changes),
         path_changes=path_changes,
-        control_messages=control_messages,
+        control_messages=len(path_changes),
         overhead_sum_ms=overhead_sum,
         candidate_paths=len(all_paths),
         topk_paths=topk_ids,
         estimator_implementation=IMPLEMENTATION,
         loss_threshold=cfg.loss_threshold,
-        config={
-            "router": {"kind": router_kind, "c": cfg.router.c,
-                       "confidence": cfg.router.confidence, "prune": cfg.router.prune},
-            "jitter": {"kind": cfg.jitter.kind, "window_ms": cfg.jitter.window_ms,
-                       "bin_ms": cfg.jitter.bin_ms, "percentile": cfg.jitter.percentile,
-                       "loss_cost_ms": cfg.jitter.loss_cost_ms,
-                       "initial_lag_ms": cfg.jitter.initial_lag_ms,
-                       "max_lag_ms": cfg.jitter.max_lag_ms,
-                       "update_on_drop": cfg.jitter.update_on_drop},
-        },
+        config={"router": asdict(cfg.router), "jitter": asdict(cfg.jitter)},
     )
     return SessionResult(report, records)
 
 
-def _method_kinds(method: str) -> tuple[str, str]:
-    try:
-        return METHODS[method]
-    except KeyError:
-        raise ValidationError(f"unknown method {method!r}; known: {sorted(METHODS)}") from None
+def method_kinds(label: str) -> tuple[str, str]:
+    """(router kind, jitter kind) of a METHODS name or a ``router+jitter`` label."""
+    if label in METHODS:
+        return METHODS[label]
+    router_kind, _, jitter_kind = str(label).partition("+")
+    if router_kind in ROUTER_KINDS and jitter_kind in JITTER_KINDS:
+        return router_kind, jitter_kind
+    raise ValidationError(
+        f"unknown method {label!r}; known: {sorted(METHODS)} or router+jitter "
+        f"with router in {list(ROUTER_KINDS)} and jitter in {list(JITTER_KINDS)}")
 
 
-def _with_kinds(cfg: SessionConfig, router_kind: str, jitter_kind: str) -> SessionConfig:
+def method_config(cfg: SessionConfig, method: str) -> SessionConfig:
+    """Specialize a template config to one method label (see method_kinds)."""
+    router_kind, jitter_kind = method_kinds(method)
     return replace(
         cfg,
         router=replace(cfg.router, kind=router_kind),
@@ -355,16 +339,9 @@ def _with_kinds(cfg: SessionConfig, router_kind: str, jitter_kind: str) -> Sessi
     )
 
 
-def method_config(cfg: SessionConfig, method: str) -> SessionConfig:
-    """Specialize a template config to one named method."""
-    return _with_kinds(cfg, *_method_kinds(method))
-
-
-def cell_config(cfg: SessionConfig, s_idx: int, m_idx: int,
-                router_kind: str, jitter_kind: str) -> SessionConfig:
+def cell_config(cfg: SessionConfig, s_idx: int, m_idx: int, label: str) -> SessionConfig:
     """Specialize a template config to one matrix cell, kinds and seed."""
-    return replace(_with_kinds(cfg, router_kind, jitter_kind),
-                   seed=derive_cell_seed(cfg.seed, s_idx, m_idx))
+    return replace(method_config(cfg, label), seed=derive_cell_seed(cfg.seed, s_idx, m_idx))
 
 
 def derive_cell_seed(base_seed: int, session_index: int, method_index: int) -> int:
@@ -396,7 +373,7 @@ def run_matrix(
     cells: dict[tuple[int, str], MetricsReport] = {}
     for s_idx, (topology, cfg) in enumerate(sessions):
         for m_idx, method in enumerate(methods):
-            cell_cfg = cell_config(cfg, s_idx, m_idx, *_method_kinds(method))
+            cell_cfg = cell_config(cfg, s_idx, m_idx, method)
             result = run_session(topology, cell_cfg, method=method)
             cells[(s_idx, method)] = result.report
     return summarize_cells(cells, len(sessions), methods)

@@ -57,9 +57,12 @@ class Emission:
     out: float  # emission (playout hand-off) time, ms
 
 
+JITTER_KINDS = ("watermark", "buffer")
+
+
 @dataclass
 class JitterConfig:
-    kind: str = "watermark"  # or "buffer"
+    kind: str = "watermark"  # one of JITTER_KINDS
     window_ms: float = 2000.0
     bin_ms: float = 1.0
     percentile: float = 0.95
@@ -89,7 +92,6 @@ class WatermarkReorderer:
         self._update_on_drop = update_on_drop
         self._wm = float("-inf")
         self._pending: list[tuple[float, int, float]] = []  # (ts, seq, arrival)
-        self.emitted_count = 0
         self.dropped_count = 0
 
     @property
@@ -126,7 +128,6 @@ class WatermarkReorderer:
         while self._pending and self._pending[0][0] < self._wm:
             ts, seq, arrival = heappop(self._pending)
             out.append(Emission(seq, ts, arrival, now))
-        self.emitted_count += len(out)
         return out, False
 
     def flush(self, end_time: float) -> list[Emission]:
@@ -135,7 +136,6 @@ class WatermarkReorderer:
         while self._pending:
             ts, seq, arrival = heappop(self._pending)
             out.append(Emission(seq, ts, arrival, end_time))
-        self.emitted_count += len(out)
         return out
 
 
@@ -152,7 +152,6 @@ class PlayoutBuffer:
         self,
         estimator: JitterEstimator,
         interval_ms: float,
-        first_seq: int = 0,
         update_on_drop: bool = True,
     ) -> None:
         if interval_ms <= 0:
@@ -160,12 +159,11 @@ class PlayoutBuffer:
         self._est = estimator
         self._update_on_drop = update_on_drop
         self._interval = interval_ms
-        self._next_seq = first_seq
+        self._next_seq = 0
         self._buffer: dict[int, Packet] = {}
         self._ts_base: float | None = None  # ts of seq 0, learned from arrivals
-        self._max_seen = first_seq - 1
+        self._max_seen = -1
         self._last_out = float("-inf")
-        self.emitted_count = 0
         self.dropped_count = 0
 
     @property
@@ -204,9 +202,7 @@ class PlayoutBuffer:
         if packet.seq in self._buffer:
             raise ValueError(f"duplicate seq {packet.seq}")
         self._buffer[packet.seq] = packet
-        out = self._sweep(now)
-        self.emitted_count += len(out)
-        return out, False
+        return self._sweep(now), False
 
     def _sweep(self, now: float) -> list[Emission]:
         target = self._est.transit_target()
@@ -246,7 +242,6 @@ class PlayoutBuffer:
             out.append(Emission(pkt.seq, pkt.ts, pkt.arrival, t_out))
             self._last_out = t_out
         self._buffer.clear()
-        self.emitted_count += len(out)
         return out
 
 

@@ -5,7 +5,8 @@ import re
 
 import pytest
 
-from relaysim import METHODS, load_topology
+from relaysim import METHODS, SessionConfig, Topology, load_topology, run_matrix
+from relaysim import cli
 from relaysim.cli import main
 
 
@@ -163,6 +164,54 @@ def test_run_single_custom_method(synth_dir, tmp_path):
     assert rep["jitter_kind"] == "buffer"
 
 
+def test_cli_cells_equal_run_matrix(synth_dir, tmp_path):
+    # the CLI's cell runner and run_matrix are separate; their report bytes
+    # must not drift apart
+    topology = load_topology(synth_dir / "topology.json")
+    seed = json.loads((synth_dir / "experiment.json").read_text())["defaults"]["seed"]
+    template = SessionConfig(endpoint="e0", user="u0", packet_count=300, seed=seed)
+    named, custom = tmp_path / "named", tmp_path / "custom"
+    assert _run(synth_dir, named, "--jobs", "2") == 0
+    assert _run(synth_dir, custom, "--router", "vcroute_ts", "--jitter", "buffer") == 0
+    for out, labels in ((named, list(METHODS)), (custom, ["vcroute_ts+buffer"])):
+        matrix = run_matrix([(topology, template)], labels)
+        for label in labels:
+            written = (out / f"s0_{label.replace('+', '_')}.json").read_text()
+            assert written == matrix.cells[(0, label)].to_json()
+
+
+def test_run_pool_gets_topology_once(synth_dir, tmp_path, monkeypatch):
+    seen = {}
+
+    class InlinePool:
+        """Runs the pool's initializer and cells in this process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            seen["workers"] = max_workers
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            cli._set_cell_topology(None)
+
+        def map(self, fn, jobs):
+            jobs = list(jobs)
+            seen["jobs"] = jobs
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    assert _run(synth_dir, tmp_path / "res") == 0
+    assert seen["workers"] == 3  # min(cells, CPUs), not min(pairs, CPUs)
+    assert len(seen["jobs"]) == len(METHODS)
+    assert not any(isinstance(x, Topology) for job in seen["jobs"] for x in job)
+    assert _run(synth_dir, tmp_path / "serial", "--methods", "drt-bf") == 0
+    assert seen["workers"] == 3  # one cell runs serially, without a pool
+    assert cli._cell_topology is None
+
+
 def test_run_seed_flag_overrides(synth_dir, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert _run(synth_dir, a, "--jobs", "1", "--methods", "vcr-wm") == 0
@@ -207,6 +256,34 @@ def test_run_manifest_errors(tmp_path, capsys):
     assert attempt({**base, "methods": ["bogus"]}) == 3
     assert attempt({**base, "defaults": {"packet_count": 10}}) == 3
     assert "error:" in capsys.readouterr().err
+    for section, bad in (("router", "kind"), ("jitter", "kind"), ("router", "window_ms"),
+                         ("jitter", "bogus")):
+        defaults = {**base["defaults"], section: {bad: 1}}
+        assert attempt({**base, "defaults": defaults}) == 3
+        assert f"unknown {section} keys ['{bad}']" in capsys.readouterr().err
+
+
+def test_run_manifest_sections_cast_like_the_dataclasses(tmp_path):
+    manifest = tmp_path / "exp.json"
+    manifest.write_text(json.dumps({
+        "schema_version": 1,
+        "synthetic": {"relays": 0, "duration_ms": 15000.0, "step_ms": 100.0},
+        "pairs": [["e0", "u0"]], "methods": ["drt-wm"],
+        "defaults": {"packets": 20, "warmup_ms": 5000.0,
+                     "router": {"c": 2, "prune": 0},
+                     "jitter": {"window_ms": 2000, "max_lag_ms": 900}},
+    }))
+    assert main(["run", str(manifest), "--out", str(tmp_path / "o"),
+                 "--percentile", "0.9"]) == 0
+    text = (tmp_path / "o" / "s0_drt-wm.json").read_text()
+    assert '"window_ms": 2000.0' in text
+    config = json.loads(text)["config"]
+    assert config["router"] == {"kind": "direct", "c": 2.0, "confidence": 0.95,
+                                "prune": False}
+    assert config["jitter"] == {"kind": "watermark", "window_ms": 2000.0, "bin_ms": 1.0,
+                                "percentile": 0.9, "loss_cost_ms": 100.0,
+                                "initial_lag_ms": 0.0, "max_lag_ms": 900.0,
+                                "update_on_drop": True}
 
 
 def test_run_jobs_usage_error(synth_dir, tmp_path):

@@ -20,7 +20,7 @@ from relaysim import (
     Topology,
 )
 from relaysim import engine
-from relaysim.engine import cell_config, derive_cell_seed
+from relaysim.engine import cell_config, derive_cell_seed, method_kinds
 from scenarios import (
     burst_direct_topology,
     constant_pair_topology,
@@ -146,6 +146,17 @@ def test_report_config_echo():
     assert rep.config["router"]["kind"] == "direct"
     assert rep.estimator_implementation in ("cython", "python")
     assert rep.feedback_delay_model == "reverse-direct-oneway"
+    # every field of the cell's router and jitter config is echoed as set
+    template = SessionConfig(
+        endpoint="e0", user="u0", packet_count=20, warmup_ms=WARMUP,
+        router=RouterConfig(c=2.5, confidence=0.9, prune=False),
+        jitter=JitterConfig(window_ms=1500.0, bin_ms=2.0, percentile=0.9,
+                            loss_cost_ms=50.0, initial_lag_ms=5.0, max_lag_ms=900.0,
+                            update_on_drop=False))
+    cell = cell_config(template, 0, 1, "direct+buffer")
+    echo = run_session(constant_pair_topology(), cell).report.config
+    assert RouterConfig(**echo["router"]) == cell.router
+    assert JitterConfig(**echo["jitter"]) == cell.jitter
 
 
 def test_loss_threshold_flag():
@@ -251,9 +262,28 @@ def test_method_config_specializes():
     assert base.router.kind == "direct"  # template untouched
     with pytest.raises(ValidationError, match="unknown method"):
         method_config(base, "ecmp")
-    cell = cell_config(base, 2, 3, "vcroute_ts", "buffer")
+    cell = cell_config(base, 2, 3, "vcroute_ts+buffer")
     assert (cell.router.kind, cell.jitter.kind) == ("vcroute_ts", "buffer")
     assert cell.seed == derive_cell_seed(base.seed, 2, 3)
+
+
+def test_method_kinds_resolves_names_and_labels():
+    for name, kinds in METHODS.items():
+        assert method_kinds(name) == kinds
+    assert method_kinds("vcroute_ts+buffer") == ("vcroute_ts", "buffer")
+    assert method_kinds("direct+watermark") == ("direct", "watermark")
+    base = _direct_cfg("watermark")
+    for bad in ("ospf+buffer", "direct+", "+buffer", "direct+buffer+x", "bogus"):
+        with pytest.raises(ValidationError) as exc:
+            method_kinds(bad)
+        message = str(exc.value)
+        assert message.startswith(f"unknown method {bad!r}; known: ")
+        for resolve in (lambda: method_config(base, bad),
+                        lambda: cell_config(base, 0, 0, bad),
+                        lambda: run_matrix([(constant_pair_topology(), base)], [bad])):
+            with pytest.raises(ValidationError) as again:
+                resolve()
+            assert str(again.value) == message
 
 
 def test_run_matrix_reductions():
@@ -270,6 +300,19 @@ def test_run_matrix_reductions():
     again = run_matrix(sessions, ["drt-bf", "drt-wm"])
     for key, rep in mat.cells.items():
         assert again.cells[key].to_json() == rep.to_json()
+
+
+def test_run_matrix_custom_label():
+    sessions = [(constant_pair_topology(), _direct_cfg("watermark", n=50))]
+    mat = run_matrix(sessions, ["drt-bf", "direct+buffer"])
+    custom = mat.cells[(0, "direct+buffer")]
+    assert (custom.method, custom.router_kind, custom.jitter_kind) == (
+        "direct+buffer", "direct", "buffer")
+    assert custom.seed == derive_cell_seed(0, 0, 1)
+    # the direct router draws nothing, so only the label and seed differ
+    named = mat.cells[(0, "drt-bf")].to_dict()
+    assert {k: v for k, v in custom.to_dict().items() if named[k] != v} == {
+        "method": "direct+buffer", "seed": custom.seed}
 
 
 def test_run_matrix_validation():
