@@ -1,9 +1,12 @@
 # cython: boundscheck=False, wraparound=False, cdivision=True
 """Compiled twin of ``_estimator_py.JitterEstimator``.
 
-Every arithmetic expression mirrors the pure-Python module operation for
-operation so both implementations return bit-identical float64 results.
-Change one, change both.
+Both implementations must return identical float64 outputs (every lag,
+transit target and window count). They need not take the same steps: this
+kernel recomputes a cumulative sum per quantile query and a full cost array
+for the argmin, while the pure twin keeps incremental quantile pointers. A
+change to the estimator's rules goes into both. This kernel has not been
+compiled or checked against the pure twin since the reorder-depth change.
 """
 
 from libc.stdlib cimport free, malloc, realloc

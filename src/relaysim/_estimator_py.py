@@ -1,8 +1,12 @@
 """Pure-Python windowed jitter/transit estimator.
 
-This is the reference twin of the compiled kernel in ``_estimator_cy.pyx``.
-Both must produce bit-identical float64 results: every arithmetic expression
-here is mirrored there operation for operation. Change one, change both.
+This is the twin of the compiled kernel in ``_estimator_cy.pyx``. The two
+must return identical float64 outputs (every lag, transit target and window
+count), not mirror each other's steps: this twin keeps incremental quantile
+pointers over its histograms, the compiled one recomputes a cumulative sum
+per query. The compiled twin has not been built or checked against this one
+since the reorder-depth change. A change to the estimator's rules goes into
+both.
 
 State per stream, over a sliding window of recent arrivals:
 
@@ -47,13 +51,20 @@ watermark straight over the run's remaining stragglers.
 The transit quantile (upper bin edge) backs the playout buffer's target
 delay; the lag backs the watermark reorderer. Sharing one window keeps the
 two jitter managers driven by the same measurement process.
+
+No query sums a whole histogram. Both histograms are int lists, and each
+quantile keeps a pointer ``(q, cum)`` with ``cum`` the count in bins
+``0..q``; a count change at a bin ``<= q`` bumps ``cum``, and a query walks
+the pointer from where the last one left it to the first bin whose
+cumulative count reaches ``percentile * total``. The cost argmin starts from
+the bin of the current lag, since no bin at or under the lag can beat the
+``max(lag, .)`` ratchet, and scans upward only while the distance past the
+lag is below the best cost so far: at most ``loss_cost_ms / bin_ms`` bins.
 """
 
 from __future__ import annotations
 
 from collections import deque
-
-import numpy as np
 
 # reordering-episode guard: the episode ends after this much orderly time,
 # and a transit is held as reorder-depth evidence for this long.
@@ -62,11 +73,30 @@ import numpy as np
 DISORDER_GUARD_MS = 100.0
 
 
+def _walk(bins: list[int], q: int, cum: int, need: float) -> tuple[int, int]:
+    """Move a quantile pointer to the first bin whose cumulative count reaches
+    ``need``, the bin ``searchsorted(cumsum(bins), need, "left")`` finds.
+
+    ``cum`` is the count in bins ``0..q``; ``need`` is positive and at most
+    the total count. Python compares int and float exactly.
+    """
+    if cum >= need:
+        while cum - bins[q] >= need:
+            cum -= bins[q]
+            q -= 1
+    else:
+        while cum < need:
+            q += 1
+            cum += bins[q]
+    return q, cum
+
+
 class JitterEstimator:
     __slots__ = (
         "window_ms", "bin_ms", "percentile", "loss_cost_ms", "initial_lag_ms",
         "max_lag_ms", "_nbins", "_jitter_bins", "_transit_bins",
-        "_jitter_total", "_transit_total", "_jitter_max", "_transit_max",
+        "_jitter_total", "_transit_total", "_jitter_q", "_jitter_cum",
+        "_transit_q", "_transit_cum",
         "_window", "_has_prev", "_prev_ts", "_prev_arrival", "_last_arrival",
         "_latest_ts", "_lag", "_jitter_lag", "_depth", "_deep",
         "_last_in_order", "_disorder", "_last_ooo_arrival",
@@ -94,18 +124,21 @@ class JitterEstimator:
         self.initial_lag_ms = float(initial_lag_ms)
         self.max_lag_ms = float(max_lag_ms)
         self._nbins = int(max_lag_ms / bin_ms) + 1
-        self._jitter_bins = np.zeros(self._nbins, dtype=np.int64)
-        self._transit_bins = np.zeros(self._nbins, dtype=np.int64)
+        self._jitter_bins = [0] * self._nbins
+        self._transit_bins = [0] * self._nbins
         self._jitter_total = 0
         self._transit_total = 0
-        self._jitter_max = -1
-        self._transit_max = -1
+        # quantile pointers: the count in bins 0..q (q = -1: no bin yet)
+        self._jitter_q = -1
+        self._jitter_cum = 0
+        self._transit_q = -1
+        self._transit_cum = 0
         self._window: deque[tuple[float, int, int]] = deque()
         self._has_prev = False
         self._prev_ts = 0.0
         self._prev_arrival = 0.0
-        self._last_arrival = -np.inf
-        self._latest_ts = -np.inf
+        self._last_arrival = float("-inf")
+        self._latest_ts = float("-inf")
         self._lag = min(float(initial_lag_ms), float(max_lag_ms))
         self._jitter_lag = self._lag
         self._depth = 0.0
@@ -114,7 +147,7 @@ class JitterEstimator:
         self._deep: deque[tuple[float, float]] = deque()
         self._last_in_order = True
         self._disorder = False
-        self._last_ooo_arrival = -np.inf
+        self._last_ooo_arrival = float("-inf")
 
     @property
     def lag_ms(self) -> float:
@@ -153,23 +186,18 @@ class JitterEstimator:
 
     def _evict(self, now: float) -> None:
         cutoff = now - self.window_ms
-        while self._window and self._window[0][0] < cutoff:
-            _, jbin, tbin = self._window.popleft()
+        window = self._window
+        while window and window[0][0] < cutoff:
+            _, jbin, tbin = window.popleft()
             if jbin >= 0:
                 self._jitter_bins[jbin] -= 1
                 self._jitter_total -= 1
-                if jbin == self._jitter_max and self._jitter_bins[jbin] == 0:
-                    m = self._jitter_max
-                    while m >= 0 and self._jitter_bins[m] == 0:
-                        m -= 1
-                    self._jitter_max = m
+                if jbin <= self._jitter_q:
+                    self._jitter_cum -= 1
             self._transit_bins[tbin] -= 1
             self._transit_total -= 1
-            if tbin == self._transit_max and self._transit_bins[tbin] == 0:
-                m = self._transit_max
-                while m >= 0 and self._transit_bins[m] == 0:
-                    m -= 1
-                self._transit_max = m
+            if tbin <= self._transit_q:
+                self._transit_cum -= 1
 
     def update(self, ts: float, arrival: float) -> float:
         """Observe one arrival; returns the refreshed lag estimate."""
@@ -186,16 +214,16 @@ class JitterEstimator:
             jbin = self._bin_of(jitter)
             self._jitter_bins[jbin] += 1
             self._jitter_total += 1
-            if jbin > self._jitter_max:
-                self._jitter_max = jbin
+            if jbin <= self._jitter_q:
+                self._jitter_cum += 1
         else:
             jbin = -1
         transit = arrival - ts
         tbin = self._bin_of(transit)
         self._transit_bins[tbin] += 1
         self._transit_total += 1
-        if tbin > self._transit_max:
-            self._transit_max = tbin
+        if tbin <= self._transit_q:
+            self._transit_cum += 1
         self._window.append((arrival, jbin, tbin))
 
         if in_order:
@@ -222,9 +250,9 @@ class JitterEstimator:
         if self._jitter_total == 0:
             jitter_lag = self.initial_lag_ms
         elif not self._disorder:
-            jitter_lag = self._jitter_quantile()
+            jitter_lag = self._jitter_quantile() * self.bin_ms
         else:
-            jitter_lag = max(self._jitter_lag, self._cost_argmin(self._jitter_lag))
+            jitter_lag = self._cost_argmin(self._jitter_lag)
         if jitter_lag > self.max_lag_ms:
             jitter_lag = self.max_lag_ms
         self._jitter_lag = jitter_lag
@@ -233,21 +261,52 @@ class JitterEstimator:
         self._lag = lag
         return lag
 
-    def _jitter_quantile(self) -> float:
-        # lower bin edge of the smallest bin whose cumulative count covers
-        # percentile * total
-        cs = np.cumsum(self._jitter_bins[: self._jitter_max + 1])
-        need = self.percentile * self._jitter_total
-        idx = int(np.searchsorted(cs, need, side="left"))
-        return idx * self.bin_ms
+    def _jitter_quantile(self) -> int:
+        """Smallest bin whose cumulative jitter count covers percentile * total."""
+        q, cum = _walk(self._jitter_bins, self._jitter_q, self._jitter_cum,
+                       self.percentile * self._jitter_total)
+        self._jitter_q, self._jitter_cum = q, cum
+        return q
 
     def _cost_argmin(self, lag: float) -> float:
-        cs = np.cumsum(self._jitter_bins[: self._jitter_max + 1])
-        i_ms = np.arange(self._jitter_max + 1, dtype=np.float64) * self.bin_ms
-        costs = np.maximum(i_ms - lag, 0.0) + self.loss_cost_ms * (
-            1.0 - cs / self._jitter_total
-        )
-        return int(np.argmin(costs)) * self.bin_ms
+        """The ratchet: max(lag, first minimizer of the cost over the bins).
+
+        cost(i) = max(0, i*bin - lag) + loss_cost * (1 - F(i)). Up to the
+        last bin k with k*bin <= lag the cost is nonincreasing, so that
+        prefix's minimum is cost(k) and any minimizer there leaves the lag
+        as it is. Past k, only a nonempty bin can lower the cost, and once
+        i*bin - lag alone reaches the best cost no later bin can beat it.
+        """
+        bins = self._jitter_bins
+        b = self.bin_ms
+        loss = self.loss_cost_ms
+        total = self._jitter_total
+        k = int(lag / b)
+        while (k + 1) * b <= lag:
+            k += 1
+        while k * b > lag:
+            k -= 1
+        q, cum = self._jitter_q, self._jitter_cum
+        if k > q:
+            count = cum + sum(bins[q + 1:k + 1])
+        else:
+            count = cum - sum(bins[k + 1:q + 1])
+        best = loss * (1.0 - count / total)
+        argmin = -1
+        i = k
+        while count < total:
+            i += 1
+            over = i * b - lag
+            if over >= best:
+                break
+            n = bins[i]
+            if n:
+                count += n
+                cost = over + loss * (1.0 - count / total)
+                if cost < best:
+                    best = cost
+                    argmin = i
+        return lag if argmin < 0 else argmin * b
 
     def transit_target(self) -> float:
         """Upper bin edge of the windowed transit quantile at ``percentile``.
@@ -257,7 +316,7 @@ class JitterEstimator:
         """
         if self._transit_total == 0:
             return self.initial_lag_ms
-        cs = np.cumsum(self._transit_bins[: self._transit_max + 1])
-        need = self.percentile * self._transit_total
-        idx = int(np.searchsorted(cs, need, side="left"))
-        return (idx + 1) * self.bin_ms
+        q, cum = _walk(self._transit_bins, self._transit_q, self._transit_cum,
+                       self.percentile * self._transit_total)
+        self._transit_q, self._transit_cum = q, cum
+        return (q + 1) * self.bin_ms

@@ -58,7 +58,7 @@ from .engine import (
     RouterConfig,
     SessionConfig,
     cell_config,
-    method_kinds,
+    check_method_labels,
     run_session,
     summarize_cells,
 )
@@ -283,7 +283,7 @@ def _template_config(doc: dict, args: argparse.Namespace, endpoint: str, user: s
 
 
 def _resolve_methods(doc: dict, args: argparse.Namespace) -> list[str]:
-    """Method labels to run, each checked by ``engine.method_kinds``."""
+    """Method labels to run, checked by ``engine.check_method_labels``."""
     if args.router or args.jitter:
         return [f"{args.router or RouterConfig.kind}+{args.jitter or JitterConfig.kind}"]
     if args.methods:
@@ -292,8 +292,7 @@ def _resolve_methods(doc: dict, args: argparse.Namespace) -> list[str]:
         labels = list(doc.get("methods", list(METHODS)))
     if not labels:
         raise ValidationError("method list is empty")
-    for label in labels:
-        method_kinds(label)
+    check_method_labels(labels)
     return labels
 
 
@@ -385,6 +384,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         json.dumps(effective, indent=2, sort_keys=True) + "\n"
     )
     ordered = []
+    warnings = []
     for s_idx in range(len(sessions)):
         for label in labels:
             report = cells[(s_idx, label)]
@@ -392,15 +392,14 @@ def cmd_run(args: argparse.Namespace) -> int:
             report.write_json(out_dir / f"{stem}.json")
             report.write_cdf_csv(out_dir / f"{stem}_cdf.csv")
             ordered.append(report)
+            if report.loss_threshold_exceeded:
+                warnings.append(
+                    f"warning: s{s_idx} {report.method} loss rate "
+                    f"{report.loss_rate:.4f} exceeds threshold {report.loss_threshold}")
     write_summary_csv(ordered, out_dir / "summary.csv")
 
-    for report in ordered:
-        if report.loss_threshold_exceeded:
-            print(
-                f"warning: s{ordered.index(report)} {report.method} loss rate "
-                f"{report.loss_rate:.4f} exceeds threshold {report.loss_threshold}",
-                file=sys.stderr,
-            )
+    for warning in warnings:
+        print(warning, file=sys.stderr)
     _print_matrix(labels, matrix.method_mean_ms, matrix.method_loss, matrix.reductions)
     print(f"\nwrote {len(ordered)} report cells to {out_dir}")
     return EXIT_OK

@@ -329,6 +329,17 @@ def method_kinds(label: str) -> tuple[str, str]:
         f"with router in {list(ROUTER_KINDS)} and jitter in {list(JITTER_KINDS)}")
 
 
+def check_method_labels(labels: Sequence[str]) -> None:
+    """Reject an unknown label (see method_kinds) or one given twice: cells
+    are keyed by (session, label), so a repeat would overwrite its twin."""
+    seen = set()
+    for label in labels:
+        method_kinds(label)
+        if label in seen:
+            raise ValidationError(f"method {label!r} given more than once")
+        seen.add(label)
+
+
 def method_config(cfg: SessionConfig, method: str) -> SessionConfig:
     """Specialize a template config to one method label (see method_kinds)."""
     router_kind, jitter_kind = method_kinds(method)
@@ -370,6 +381,7 @@ def run_matrix(
     """
     if not sessions or not methods:
         raise ValidationError("need at least one session and one method")
+    check_method_labels(methods)
     cells: dict[tuple[int, str], MetricsReport] = {}
     for s_idx, (topology, cfg) in enumerate(sessions):
         for m_idx, method in enumerate(methods):

@@ -155,6 +155,34 @@ def test_run_methods_subset(synth_dir, tmp_path):
         "s0_drt-bf.json", "s0_drt-wm.json"]
 
 
+def test_run_rejects_repeated_methods(synth_dir, tmp_path, capsys):
+    # cells are keyed by (session, label): a repeat would run twice and
+    # write once
+    assert _run(synth_dir, tmp_path / "flag", "--methods", "drt-bf,drt-wm,drt-bf") == 3
+    assert "method 'drt-bf' given more than once" in capsys.readouterr().err
+    doc = json.loads((synth_dir / "experiment.json").read_text())
+    doc.update(topology=str(synth_dir / "topology.json"), methods=["drt-wm", "drt-wm"])
+    manifest = tmp_path / "exp.json"
+    manifest.write_text(json.dumps(doc))
+    assert main(["run", str(manifest), "--packets", "300",
+                 "--out", str(tmp_path / "doc")]) == 3
+    assert "method 'drt-wm' given more than once" in capsys.readouterr().err
+    assert not (tmp_path / "flag").exists() and not (tmp_path / "doc").exists()
+
+
+def test_run_loss_warnings_name_the_session(synth_dir, tmp_path, capsys):
+    doc = json.loads((synth_dir / "experiment.json").read_text())
+    doc["topology"] = str(synth_dir / "topology.json")
+    doc["defaults"]["loss_threshold"] = 0.01
+    manifest = tmp_path / "exp.json"
+    manifest.write_text(json.dumps(doc))
+    assert main(["run", str(manifest), "--packets", "300", "--jobs", "1",
+                 "--out", str(tmp_path / "res")]) == 0
+    warnings = [l for l in capsys.readouterr().err.splitlines() if l.startswith("warning:")]
+    # one pair: every cell is session 0, whatever its place in the output
+    assert [w.split()[1:3] for w in warnings] == [["s0", m] for m in METHODS]
+
+
 def test_run_single_custom_method(synth_dir, tmp_path):
     res = tmp_path / "res"
     assert _run(synth_dir, res, "--jobs", "1", "--router", "direct",

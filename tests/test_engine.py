@@ -323,3 +323,10 @@ def test_run_matrix_validation():
     with pytest.raises(ValidationError, match="unknown method"):
         run_matrix([(constant_pair_topology(), _direct_cfg("watermark", n=10))],
                    ["drt-bf", "bogus"])
+
+
+def test_run_matrix_rejects_repeated_labels():
+    # cells are keyed by (session, label): a repeat would run twice, keep one
+    with pytest.raises(ValidationError, match="'drt-bf' given more than once"):
+        run_matrix([(constant_pair_topology(), _direct_cfg("watermark", n=10))],
+                   ["drt-bf", "drt-wm", "drt-bf"])

@@ -1,5 +1,6 @@
 """Windowed jitter/transit estimator: quantiles, episodes, and the twins."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -10,6 +11,9 @@ import pytest
 
 from relaysim import IMPLEMENTATION, JitterEstimator
 from relaysim import _estimator_py
+
+from estimator_reference import ReferenceEstimator
+from wm_reference import bursty_packets
 
 
 def feed_cadenced(est, jitters, interval=10.0, first_transit=5.0, first_ts=0.0):
@@ -290,6 +294,94 @@ def _mixed_stream(n, seed):
     arrival = ts_axis + transit
     order = np.argsort(arrival, kind="stable")
     return [(float(ts_axis[i]), float(arrival[i])) for i in order]
+
+
+# ------------------------------------------ pure twin vs the cumsum oracle
+#
+# The pure twin answers its quantile and cost-argmin queries from incremental
+# pointers; ReferenceEstimator recomputes them from a cumulative sum on every
+# query. While the compiled twin cannot be built this is the only check of
+# the pure twin's arithmetic.
+
+def _assert_matches_reference(stream, **kwargs):
+    est = _estimator_py.JitterEstimator(**kwargs)
+    ref = ReferenceEstimator(**kwargs)
+    for ts, arrival in stream:
+        assert est.update(ts, arrival) == ref.update(ts, arrival)
+        assert est.transit_target() == ref.transit_target()
+        assert est.n_window == ref.n_window
+        assert (est.jitter_lag_ms, est.reorder_depth_ms, est.disorder) == (
+            ref.jitter_lag_ms, ref.reorder_depth_ms, ref.disorder)
+    return est
+
+
+@pytest.fixture(scope="module")
+def bursty_streams():
+    return [[(p.ts, p.arrival) for p in bursty_packets(np.random.default_rng(seed), 1500)]
+            for seed in (17, 18)]
+
+
+@pytest.mark.parametrize("bin_ms", [0.1, 0.5, 1.0, 3.0])
+def test_pure_twin_matches_reference(bursty_streams, bin_ms):
+    for percentile, loss_cost_ms, window_ms in itertools.product(
+            (0.5, 0.9, 0.95, 1.0), (10.0, 100.0, 400.0), (500.0, 2000.0)):
+        for stream in bursty_streams:
+            _assert_matches_reference(stream, bin_ms=bin_ms, percentile=percentile,
+                                      loss_cost_ms=loss_cost_ms, window_ms=window_ms)
+
+
+def test_pure_twin_matches_reference_at_the_lag_clamp(bursty_streams):
+    for stream in bursty_streams:
+        est = _assert_matches_reference(stream, percentile=1.0, loss_cost_ms=400.0,
+                                        max_lag_ms=50.0)
+        assert est.lag_ms <= 50.0 and est.transit_target() <= 51.0
+
+
+def test_window_empties_and_refills():
+    # rising transits leave both median pointers high (jitter 100, transit
+    # 105). A gap longer than the window then evicts every sample; the first
+    # arrival after it adds the drop (jitter 301) and the next ones low
+    # samples, so the pointers walk back down over the emptied bins
+    stream = [(0.0, 5.0), (10.0, 115.0), (20.0, 225.0), (30.0, 335.0),
+              (2000.0, 2004.0), (2010.0, 2014.0), (2020.0, 2025.0)]
+    est = _assert_matches_reference(stream[:4], window_ms=1000.0, percentile=0.5)
+    assert (est.lag_ms, est.transit_target()) == (100.0, 106.0)
+    est = _assert_matches_reference(stream, window_ms=1000.0, percentile=0.5)
+    assert est.n_window == 3 and est.n_jitter_samples == 3
+    assert (est.lag_ms, est.transit_target()) == (1.0, 5.0)
+
+
+def _episode(jitters, straggler_ts, **kwargs):
+    """In-order arrivals with the given jitter samples at a 10 ms cadence,
+    then one straggler generated at `straggler_ts`, which opens a reordering
+    episode: its lag is the ratchet's cost argmin over those samples."""
+    ts, arrival = 0.0, 5.0
+    stream = [(ts, arrival)]
+    for j in jitters:
+        ts += 10.0
+        arrival += 10.0 + j
+        stream.append((ts, arrival))
+    stream.append((straggler_ts, arrival))
+    return _assert_matches_reference(stream, window_ms=1e9, percentile=0.5, **kwargs)
+
+
+def test_cost_argmin_past_the_lag():
+    # jitter {0, 0, 30, 30}: the median holds the lag at 0 until the
+    # straggler; then cost(0) = 100 * 2/4 = 50 > cost(30) = 30 + 0
+    est = _episode([0.0, 0.0, 30.0, 30.0], 35.0, loss_cost_ms=100.0)
+    assert est.disorder and est.reorder_depth_ms == 0.0
+    assert est.jitter_lag_ms == 30.0
+
+
+def test_cost_argmin_tie_keeps_the_lag():
+    # jitter {0, 0, 50, 50}: cost(50) = 50 + 0 ties cost(0) = 100 * 2/4, and
+    # the first minimum, under the lag, wins
+    est = _episode([0.0, 0.0, 50.0, 50.0], 35.0, loss_cost_ms=100.0)
+    assert est.disorder and est.reorder_depth_ms == 0.0
+    assert est.jitter_lag_ms == 0.0
+    # one more unit of loss cost breaks the tie toward 50
+    est = _episode([0.0, 0.0, 50.0, 50.0], 35.0, loss_cost_ms=101.0)
+    assert est.jitter_lag_ms == 50.0
 
 
 @pytest.mark.skipif(IMPLEMENTATION != "cython", reason="compiled kernel not built")
