@@ -174,10 +174,6 @@ class PlayoutBuffer:
     def pending_count(self) -> int:
         return len(self._buffer)
 
-    def _slot_ts(self, seq: int) -> float:
-        assert self._ts_base is not None
-        return self._ts_base + seq * self._interval
-
     def on_arrival(self, packet: Packet, now: float) -> tuple[list[Emission], bool]:
         if now != packet.arrival:
             raise ValueError("now must equal the packet arrival time")
@@ -224,8 +220,10 @@ class PlayoutBuffer:
                 self._next_seq += 1
             elif self._next_seq <= self._max_seen:
                 # missing slot: blocks successors until its own deadline passes
-                # (strict, matching the late-arrival drop rule)
-                if now > self._slot_ts(self._next_seq) + target:
+                # (strict, matching the late-arrival drop rule); its ts is
+                # inferred from the base the first arrival set
+                slot_ts = self._ts_base + self._next_seq * self._interval
+                if now > slot_ts + target:
                     self._next_seq += 1
                 else:
                     break

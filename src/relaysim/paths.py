@@ -78,7 +78,6 @@ def enumerate_paths(endpoint: str, user: str, relays: Sequence[str]) -> list[Rel
         for r2 in relays:
             if r1 != r2:
                 paths.append(RelayPath(len(paths), (endpoint, r1, r2, user)))
-    assert len(paths) == path_count(len(relays))
     return paths
 
 
@@ -159,5 +158,6 @@ def prune_topk(stats: Sequence[PathStats], confidence: float = 0.95) -> list[int
         lowers[s.path_id] = s.mean_ms - half
         min_upper = min(min_upper, s.mean_ms + half)
     kept = sorted(pid for pid, lo in lowers.items() if lo <= min_upper)
-    assert kept, "pruning must keep at least the best path"
+    if not kept:
+        raise RuntimeError("pruning must keep at least the best path")
     return kept

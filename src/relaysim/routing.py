@@ -11,6 +11,14 @@ plus a fixed direct policy:
 * UCB1 adapted to minimization: index = mean - c*sqrt(2*ln(N)/n), argmin wins,
   after a forced round that pulls every arm once.
 
+``ts_update``/``ts_select`` and ``Ucb1Arm``/``ucb1_select`` are the
+primitives (Agrawal & Goyal, AISTATS 2013; Auer et al., Machine Learning
+2002). The two routers run the same arithmetic on flat per-arm state, where
+a feedback costs the update of the one arm that changed plus one pass over
+the arms. ``ThompsonRouter`` owns its generator and draws its normals ahead
+in blocks; its picks equal ``ts_select``'s on a fresh generator of the same
+seed.
+
 Plan updates are gated: a new plan is issued only when the selected path
 differs from the current one, and takes effect at the sender only after the
 control-message delay.
@@ -44,8 +52,8 @@ class GaussianArmPosterior(_ArmFields):
     """Posterior over one path's mean latency, observation precision known.
 
     An immutable record: ``ts_update`` returns a new one. It is a tuple
-    underneath because one is rebuilt on every feedback, where a frozen
-    dataclass's construction costs more than the update arithmetic.
+    underneath because a loop over ``ts_update`` rebuilds one per reward,
+    where a frozen dataclass's construction costs more than the arithmetic.
     """
 
     __slots__ = ()
@@ -100,9 +108,8 @@ def ts_select(arms: Sequence[GaussianArmPosterior], rng: np.random.Generator) ->
         if pid < prev:
             raise ValidationError("arms must be sorted by path_id")
         prev = pid
-    # plain loop over a standard-normal vector: candidate sets are small and
-    # this sits on the per-feedback hot path, where building ndarrays per
-    # call dominates the cost
+    # plain loop over a standard-normal vector: candidate sets are small,
+    # and building ndarrays per call would cost more than the loop
     z = rng.standard_normal(len(arms))
     best_id = arms[0].path_id
     best = math.inf
@@ -221,10 +228,19 @@ class ThompsonRouter:
     on wildly different paths reorder heavily, the receive-side waiting they
     cause leaks into every arm's first end-to-end reward, and the posteriors
     come out confidently wrong and overlapping.
+
+    The state is flat, one entry per arm in path id order: ``observe``
+    recomputes only the entry of the arm it updates, with ``ts_update``'s
+    arithmetic and ``ts_select``'s predictive sd. The router owns its
+    generator and draws standard normals ahead, ``DRAW_BLOCK`` selections at
+    a time. A (B, k) block holds the same numbers as B sequential k-vectors,
+    so the picks equal ``ts_select``'s on a fresh generator of the same seed.
     """
 
     kind = "vcroute_ts"
     needs_feedback = "e2e"
+
+    DRAW_BLOCK = 64  # selections per standard-normal draw
 
     def __init__(
         self,
@@ -233,15 +249,25 @@ class ThompsonRouter:
     ) -> None:
         if not priors:
             raise ValidationError("empty candidate set")
-        self._ids = sorted(pid for pid, _, _ in priors)
+        ordered = sorted(priors, key=lambda prior: prior[0])
+        self._ids = [pid for pid, _, _ in ordered]
         if len(set(self._ids)) != len(self._ids):
             raise ValidationError("duplicate path ids in priors")
-        self._arms: dict[int, GaussianArmPosterior] = {}
-        for pid, mu0, tau0 in priors:
+        for _, mu0, tau0 in ordered:
             if not math.isfinite(mu0):
                 raise ValidationError(f"prior mean must be finite, got {mu0!r}")
-            self._arms[pid] = GaussianArmPosterior(pid, mu=mu0, tau=tau0, tau0=tau0)
+            if tau0 <= 0:
+                raise ValidationError("precisions must be positive")
+        self._index = {pid: i for i, pid in enumerate(self._ids)}
+        self._tau = [tau0 for _, _, tau0 in ordered]
+        self._tau0 = list(self._tau)
+        self._pulls = [0] * len(ordered)
+        self._mu = np.array([mu0 for _, mu0, _ in ordered], dtype=np.float64)
+        self._sd = np.array([math.sqrt(1.0 / tau + 1.0 / tau0)
+                             for tau, tau0 in zip(self._tau, self._tau0)])
         self._rng = rng
+        self._z = np.empty((0, len(ordered)))
+        self._row = 0
 
     def path_for(self, seq: int, active_path: int) -> int:
         return active_path
@@ -250,17 +276,43 @@ class ThompsonRouter:
         return True
 
     def observe(self, path_id: int, reward: float) -> None:
-        self._arms[path_id] = ts_update(self._arms[path_id], [reward])
+        if not 0.0 < reward < math.inf:  # also false for nan
+            raise ValidationError(f"rewards must be positive and finite, got {reward!r}")
+        i = self._index[path_id]
+        tau = self._tau[i]
+        tau0 = self._tau0[i]
+        # ts_update for a batch of one, then ts_select's sd expression
+        new_tau = tau + tau0
+        self._mu[i] = (tau * self._mu.item(i) + tau0 * reward) / new_tau
+        self._sd[i] = math.sqrt(1.0 / new_tau + 1.0 / tau0)
+        self._tau[i] = new_tau
+        self._pulls[i] += 1
 
     def select(self) -> int:
-        return ts_select([self._arms[pid] for pid in self._ids], self._rng)
+        r = self._row
+        if r == len(self._z):
+            self._z = self._rng.standard_normal((self.DRAW_BLOCK, len(self._ids)))
+            r = 0
+        self._row = r + 1
+        # ts_select's draw mu + sd * z per arm; argmin keeps the first
+        # minimum, the lowest path id
+        return self._ids[int((self._mu + self._sd * self._z[r]).argmin())]
 
     def arm(self, path_id: int) -> GaussianArmPosterior:
-        return self._arms[path_id]
+        i = self._index[path_id]
+        return GaussianArmPosterior(path_id, mu=self._mu.item(i), tau=self._tau[i],
+                                    tau0=self._tau0[i], pulls=self._pulls[i])
 
 
 class Ucb1Router:
-    """UCB1 over the candidate set, rewarded with transmitting latency."""
+    """UCB1 over the candidate set, rewarded with transmitting latency.
+
+    The state is flat, one entry per arm in path id order, plus the total of
+    pulls and the count of arms never pulled, so ``ready`` is a counter
+    test. ``observe`` applies ``Ucb1Arm.observe``'s arithmetic and ``select``
+    ``ucb1_select``'s index, in a Python loop over lists: at 1 to 17 arms a
+    numpy expression's per-call dispatch costs more than the arithmetic.
+    """
 
     kind = "via_ucb1"
     needs_feedback = "transmit"
@@ -271,8 +323,13 @@ class Ucb1Router:
         if c < 0:
             raise ValidationError("exploration constant must be nonnegative")
         self._ids = sorted(path_ids)
-        self._arms = {pid: Ucb1Arm(pid) for pid in self._ids}
-        self._unrewarded = list(self._ids)
+        if len(set(self._ids)) != len(self._ids):
+            raise ValidationError("duplicate path ids")
+        self._index = {pid: i for i, pid in enumerate(self._ids)}
+        self._mean = [0.0] * len(self._ids)
+        self._n = [0] * len(self._ids)
+        self._total = 0
+        self._unpulled = len(self._ids)
         self._c = c
 
     def path_for(self, seq: int, active_path: int) -> int:
@@ -280,20 +337,36 @@ class Ucb1Router:
         packets cycle through the arms still without a reward, if any."""
         if seq < len(self._ids):
             return self._ids[seq]
-        if self._unrewarded:  # arms never lose rewards: only shrinks
-            self._unrewarded = [pid for pid in self._unrewarded if self._arms[pid].n == 0]
-            if self._unrewarded:
-                return self._unrewarded[seq % len(self._unrewarded)]
+        if self._unpulled:
+            unrewarded = [pid for pid, n in zip(self._ids, self._n) if n == 0]
+            return unrewarded[seq % len(unrewarded)]
         return active_path
 
     def ready(self) -> bool:
-        return all(arm.n > 0 for arm in self._arms.values())
+        return not self._unpulled
 
     def observe(self, path_id: int, reward: float) -> None:
-        self._arms[path_id].observe(reward)
+        if not 0.0 < reward < math.inf:  # also false for nan
+            raise ValidationError(f"rewards must be positive and finite, got {reward!r}")
+        i = self._index[path_id]
+        n = self._n[i] + 1
+        self._n[i] = n
+        self._mean[i] += (reward - self._mean[i]) / n
+        self._total += 1
+        if n == 1:
+            self._unpulled -= 1
 
     def select(self) -> int:
-        return ucb1_select([self._arms[pid] for pid in self._ids], self._c)
+        if self._unpulled:
+            return self._ids[self._n.index(0)]
+        # ucb1_select's index per arm; min keeps the first minimum, the
+        # lowest path id
+        c = self._c
+        two_log_total = 2.0 * math.log(self._total)
+        index = [mean - c * math.sqrt(two_log_total / n)
+                 for mean, n in zip(self._mean, self._n)]
+        return self._ids[index.index(min(index))]
 
     def arm(self, path_id: int) -> Ucb1Arm:
-        return self._arms[path_id]
+        i = self._index[path_id]
+        return Ucb1Arm(path_id, self._mean[i], self._n[i])

@@ -85,7 +85,9 @@ class LatencyTrace:
 
     def sample(self, t_ms: float) -> float:
         """Zero-order-hold lookup at time t_ms."""
-        idx = int(np.searchsorted(self.timestamps_ms, t_ms, side="right")) - 1
+        # the array method: np.searchsorted's dispatch costs more than the
+        # search on this per-feedback path
+        idx = int(self.timestamps_ms.searchsorted(t_ms, "right")) - 1
         if idx < 0:
             idx = 0
         return float(self.latencies_ms[idx])

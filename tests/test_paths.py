@@ -215,3 +215,10 @@ def test_prune_validation():
         prune_topk([PathStats(0, 1, 100.0, 5.0)])
     with pytest.raises(ValidationError):
         PathStats(0, -1, 100.0, 5.0)
+
+
+def test_prune_raises_when_nothing_survives():
+    # a nan mean fails every overlap comparison, so no path survives; the
+    # check is a raise, which python -O keeps
+    with pytest.raises(RuntimeError, match="at least the best path"):
+        prune_topk([PathStats(0, 10, float("nan"), 5.0)])

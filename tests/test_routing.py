@@ -221,6 +221,12 @@ def test_thompson_router_state():
         ThompsonRouter([(0, 1.0, 1.0), (0, 2.0, 1.0)], rng)
     with pytest.raises(ValidationError):
         ThompsonRouter([(0, float("nan"), 1.0)], rng)
+    with pytest.raises(ValidationError):
+        ThompsonRouter([(0, 1.0, 0.0)], rng)
+    for bad in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValidationError):
+            router.observe(0, bad)
+    assert router.arm(0).pulls == 0
 
 
 def test_ucb1_router_state():
@@ -241,6 +247,11 @@ def test_ucb1_router_state():
         Ucb1Router([])
     with pytest.raises(ValidationError):
         Ucb1Router([1], c=-1.0)
+    with pytest.raises(ValidationError):
+        Ucb1Router([1, 2, 1])
+    with pytest.raises(ValidationError):
+        router.observe(1, float("nan"))
+    assert router.arm(1).n == 1
 
 
 def test_thompson_converges_on_stationary_arms():
@@ -296,3 +307,126 @@ def test_ucb1_trajectory_pinned():
     state = [(a.path_id, a.mean.hex(), a.n) for a in arms]
     assert _trajectory_digest(picks, state) == (
         "873f3c80ae398d8fa3408046e966a62adcc4f57001f486db081afa450e4b2659")
+
+
+@pytest.mark.parametrize("k", [1, 3, 17])
+def test_block_normal_draws_equal_sequential_draws(k):
+    # ThompsonRouter draws a (DRAW_BLOCK, k) block where ts_select draws one
+    # k-vector per call; its picks equal the primitive's only while the two
+    # produce the same numbers, block after block
+    blocked = np.random.default_rng(2024 + k)
+    sequential = np.random.default_rng(2024 + k)
+    for _ in range(3):
+        block = blocked.standard_normal((ThompsonRouter.DRAW_BLOCK, k))
+        rows = np.array([sequential.standard_normal(k)
+                         for _ in range(ThompsonRouter.DRAW_BLOCK)])
+        assert np.array_equal(block, rows)
+    # and the draws after the blocks stay aligned
+    assert np.array_equal(blocked.standard_normal(k), sequential.standard_normal(k))
+    assert blocked.standard_normal() == sequential.standard_normal()
+
+
+def _router_priors(k):
+    # non-contiguous ids given out of order, distinct means and precisions
+    rng = np.random.default_rng(40 + k)
+    ids = rng.permutation(np.arange(0, 3 * k, 3)).tolist()
+    return [(pid, float(rng.uniform(90.0, 130.0)), float(rng.uniform(0.0005, 0.05)))
+            for pid in ids]
+
+
+def _router_rewards(k, steps, seed):
+    means = np.random.default_rng(seed).uniform(100.0, 115.0, k)
+    return np.maximum(
+        np.random.default_rng(seed + 1).normal(means, 40.0, (steps, k)), 0.1).tolist()
+
+
+@pytest.mark.parametrize("k", [1, 3, 17])
+def test_thompson_router_equals_primitives(k):
+    priors = _router_priors(k)
+    ids = sorted(pid for pid, _, _ in priors)
+    col = {pid: j for j, pid in enumerate(ids)}
+    rewards = _router_rewards(k, 5000, 60 + k)
+
+    router = ThompsonRouter(priors, np.random.default_rng(77))
+    router_picks = []
+    for row in rewards:
+        pid = router.select()
+        router_picks.append(pid)
+        router.observe(pid, row[col[pid]])
+
+    arms = {pid: GaussianArmPosterior(pid, mu=mu0, tau=tau0, tau0=tau0)
+            for pid, mu0, tau0 in priors}
+    sel = np.random.default_rng(77)
+    picks = []
+    for row in rewards:
+        pid = ts_select([arms[i] for i in ids], sel)
+        picks.append(pid)
+        arms[pid] = ts_update(arms[pid], [row[col[pid]]])
+
+    assert router_picks == picks
+    if k > 1:
+        assert len(set(picks)) > 1  # the run explores, so every arm's state moves
+    for pid in ids:
+        got, want = router.arm(pid), arms[pid]
+        assert (got.path_id, got.mu.hex(), got.tau.hex(), got.tau0.hex(), got.pulls) == (
+            want.path_id, want.mu.hex(), want.tau.hex(), want.tau0.hex(), want.pulls)
+
+
+@pytest.mark.parametrize("k", [1, 3, 17])
+def test_ucb1_router_equals_primitives(k):
+    ids = [pid for pid, _, _ in _router_priors(k)]  # out of order
+    col = {pid: j for j, pid in enumerate(sorted(ids))}
+    rewards = _router_rewards(k, 5000 + k, 80 + k)
+    forced, rest = rewards[:k], rewards[k:]
+
+    router = Ucb1Router(ids, c=40.0)
+    arms = {pid: Ucb1Arm(pid) for pid in sorted(ids)}
+    # the forced round, rewarded out of id order
+    for pid, row in zip(ids, forced):
+        router.observe(pid, row[col[pid]])
+        arms[pid].observe(row[col[pid]])
+    assert router.ready()
+
+    router_picks = []
+    for row in rest:
+        pid = router.select()
+        router_picks.append(pid)
+        router.observe(pid, row[col[pid]])
+    picks = []
+    for row in rest:
+        pid = ucb1_select([arms[i] for i in sorted(ids)], 40.0)
+        picks.append(pid)
+        arms[pid].observe(row[col[pid]])
+
+    assert router_picks == picks
+    if k > 1:
+        assert len(set(picks)) > 1
+    for pid in ids:
+        got, want = router.arm(pid), arms[pid]
+        assert (got.path_id, got.mean.hex(), got.n) == (want.path_id, want.mean.hex(), want.n)
+
+
+def test_ucb1_router_tie_breaks_to_lowest_id():
+    router = Ucb1Router([7, 3], c=5.0)
+    router.observe(7, 100.0)
+    router.observe(3, 100.0)
+    assert router.select() == 3
+
+
+@pytest.mark.parametrize("order", [
+    [2, 4, 5, 9],           # id order
+    [9, 5, 4, 2],           # reversed
+    [9, 9, 2, 5, 2, 4],     # out of order, with arms rewarded twice
+])
+def test_ucb1_router_ready_counts_rewarded_arms(order):
+    ids = [5, 2, 9, 4]
+    router = Ucb1Router(ids)
+    assert not router.ready()
+    last_first_reward = max(order.index(pid) for pid in ids)
+    for step, pid in enumerate(order + [2, 9, 5]):
+        router.observe(pid, 100.0 + step)
+        assert router.ready() == all(router.arm(i).n > 0 for i in ids)
+        # false until the last arm's first reward, true from then on
+        assert router.ready() == (step >= last_first_reward)
+        # before then, the first unrewarded arm in id order
+        assert router.select() == ucb1_select([router.arm(i) for i in sorted(ids)])
