@@ -1,12 +1,10 @@
-"""Pure-Python windowed jitter/transit estimator.
+"""Windowed jitter/transit estimator, pure Python.
 
-This is the twin of the compiled kernel in ``_estimator_cy.pyx``. The two
-must return identical float64 outputs (every lag, transit target and window
-count), not mirror each other's steps: this twin keeps incremental quantile
-pointers over its histograms, the compiled one recomputes a cumulative sum
-per query. The compiled twin has not been built or checked against this one
-since the reorder-depth change. A change to the estimator's rules goes into
-both.
+This is the one estimator: ``relaysim.estimator`` re-exports it, and
+``tests/estimator_reference.py`` is its oracle, an independent model that
+recomputes every quantile from a cumulative sum per query where this one
+keeps incremental pointers. The two must return identical float64 outputs
+(every lag, transit target and window count).
 
 State per stream, over a sliding window of recent arrivals:
 
