@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from relaysim import (
 )
 from relaysim import engine
 from relaysim.engine import cell_config, derive_cell_seed, method_kinds
+from relaysim.reports import write_summary_csv
 from scenarios import (
     burst_direct_topology,
     constant_pair_topology,
@@ -252,6 +254,39 @@ def test_golden_digests(method):
     rows = [(r.seq, r.ts, r.ta, r.to, r.path_id, r.fate) for r in res.records]
     blob = json.dumps([report, rows], sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_DIGESTS[method]
+
+
+# sha256 of the three files a report is written to (to_json, the CDF CSV and
+# a one-row summary CSV), byte for byte as the CLI writes them: each method
+# on the golden scenario, and vcr-wm pruned at a 20/3 ms cadence with a loss
+# threshold, so loss_threshold_exceeded is not null
+FILE_DIGESTS = {
+    "drt-bf": "4eb02606cbd2d7db5d0fee972dee51b7a9d265f04b573cfe2824ad34639d3b51",
+    "drt-wm": "e62b5ea972b740698ae2724aa0e470d2c800f1d5f361503d701cdd08d0516deb",
+    "vcr-wm": "41974bdf7c6a0d25f72f70c6c92188034853df790b7e36c580da114a42d02e78",
+    "via-bf": "595124bd4ce59e599933fb999f7f8ae2ac1996007ae689884f9d14ff92922eea",
+    "via-wm": "bb2304a450dec20cc305f6103a3517cf73b928a036ed693ca6b18e82efd52c56",
+    "vcr-wm-20/3ms": "04eec76a7a90bbd04a74c7f52850a01979c09e2bf913b327fd57e37d9958d9e3",
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILE_DIGESTS))
+def test_report_file_digests(case, tmp_path):
+    method, _, variant = case.partition("-20/3")
+    template = SessionConfig(
+        endpoint="e0", user="u0", packet_count=1500, interval_ms=10.0,
+        warmup_ms=20_000.0, seed=7, router=RouterConfig(prune=False))
+    if variant:
+        template = replace(template, interval_ms=20 / 3, loss_threshold=0.01,
+                           router=RouterConfig(prune=True))
+    report = run_session(hetero_topology(5, 40_000.0), method_config(template, method),
+                         method=method).report
+    report.write_cdf_csv(tmp_path / "cdf.csv")
+    write_summary_csv([report], tmp_path / "summary.csv")
+    digest = hashlib.sha256(report.to_json().encode())
+    digest.update((tmp_path / "cdf.csv").read_bytes())
+    digest.update((tmp_path / "summary.csv").read_bytes())
+    assert digest.hexdigest() == FILE_DIGESTS[case]
 
 
 def test_method_config_specializes():
