@@ -20,14 +20,13 @@ they still hold; flushed packets count as delivered with To = end time.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .estimator import IMPLEMENTATION
 from .jitter import JITTER_KINDS, JitterConfig, Packet, build_jitter_manager
 from .paths import RelayPath, enumerate_paths, prune_topk, warmup_stats
 from .reports import MetricsReport, build_report
@@ -209,11 +208,8 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
     adopted_version = 1
 
     records: list[PacketRecord] = []
-    delivered_latencies: list[float] = []
     path_changes: list[tuple[float, int, int]] = []
     overhead_sum = 0.0
-    dropped_late = 0
-    tail_flushed = 0
 
     heap: list[tuple[float, int, int, float, float]] = []
     ctr = 0
@@ -244,7 +240,6 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
             emissions, was_dropped = jm.on_arrival(Packet(seq, rec.ts, t), t)
             if was_dropped:
                 rec.fate = "dropped_late"
-                dropped_late += 1
             # the transmit reward, or the e2e reward of a dropped packet: it
             # never plays out, but its lateness at arrival is known and is the
             # signal that lets the scheduler learn a probed path is slow;
@@ -257,7 +252,6 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
                 erec = records[em.seq]
                 erec.to = em.out
                 erec.fate = "delivered"
-                delivered_latencies.append(em.out - erec.ts)
                 if router.needs_feedback == "e2e":
                     send_at = em.out if em.out > t else t
                     avail = send_at + direct_rev.sample(send_at)
@@ -283,36 +277,38 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
         erec = records[em.seq]
         erec.to = em.out
         erec.fate = "flushed"
-        delivered_latencies.append(em.out - erec.ts)
-        tail_flushed += 1
 
-    lost = [rec.seq for rec in records if rec.fate == "in_flight"]
+    # read the report's counts and latencies off the records, and check
+    # conservation and emission order (exceptions survive python -O)
+    latencies: list[float] = []
+    lost: list[int] = []
+    early: list[int] = []
+    dropped_late = tail_flushed = 0
+    for rec in records:
+        if rec.fate == "dropped_late":
+            dropped_late += 1
+        elif rec.fate == "in_flight":
+            lost.append(rec.seq)
+        else:
+            tail_flushed += rec.fate == "flushed"
+            if rec.to < rec.ta:
+                early.append(rec.seq)
+            latencies.append(rec.to - rec.ts)
     if lost:
         raise RuntimeError(f"{len(lost)} packets neither played out nor dropped, first seq {lost[0]}")
+    if early:
+        raise RuntimeError(f"{len(early)} packets emitted before arrival, first seq {early[0]}")
 
-    method_label = method or f"{router_kind}+{cfg.jitter.kind}"
     report = build_report(
-        method=method_label,
-        router_kind=router_kind,
-        jitter_kind=cfg.jitter.kind,
-        endpoint=cfg.endpoint,
-        user=cfg.user,
-        seed=cfg.seed,
-        packet_count=n,
-        interval_ms=cfg.interval_ms,
-        warmup_ms=cfg.warmup_ms,
-        delivered_latencies=delivered_latencies,
+        cfg,
+        method=method or f"{router_kind}+{cfg.jitter.kind}",
+        latencies=latencies,
         dropped_late=dropped_late,
         tail_flushed=tail_flushed,
-        plan_update_count=len(path_changes),
         path_changes=path_changes,
-        control_messages=len(path_changes),
         overhead_sum_ms=overhead_sum,
         candidate_paths=len(all_paths),
         topk_paths=topk_ids,
-        estimator_implementation=IMPLEMENTATION,
-        loss_threshold=cfg.loss_threshold,
-        config={"router": asdict(cfg.router), "jitter": asdict(cfg.jitter)},
     )
     return SessionResult(report, records)
 

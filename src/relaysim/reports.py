@@ -1,8 +1,9 @@
 """Session metrics: loss, latency distribution, plan churn, overhead.
 
+A report is derived from a session's packet records and its config alone.
 Reports serialize to JSON (full, including the CDF) and to CSV (summary row
 plus a separate CDF table). Serialization is deterministic: identical inputs
-produce byte-identical files.
+produce byte-identical files. ``to_dict`` returns a copy sharing nothing.
 """
 
 from __future__ import annotations
@@ -10,11 +11,16 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
+
+from .estimator import IMPLEMENTATION
+
+if TYPE_CHECKING:
+    from .engine import SessionConfig
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -28,24 +34,21 @@ def percentile_nearest_rank(sorted_values: np.ndarray, q: float) -> float:
         raise ValueError("no values")
     if not (0 < q <= 1):
         raise ValueError("q must be in (0, 1]")
-    rank = math.ceil(q * n)
-    if rank < 1:
-        rank = 1
-    return float(sorted_values[rank - 1])
+    return float(sorted_values[math.ceil(q * n) - 1])
 
 
 def compute_cdf(latencies: Sequence[float]) -> list[tuple[float, float]]:
     """Empirical CDF over delivered latencies: (value, cumulative fraction).
 
-    One row per distinct latency, ascending; the last fraction is 1.0.
-    Empty input gives an empty table.
+    One row per distinct latency, ascending (``np.unique`` sorts); the last
+    fraction is 1.0. Empty input gives an empty table.
     """
-    arr = np.sort(np.asarray(latencies, dtype=np.float64))
+    arr = np.asarray(latencies, dtype=np.float64)
     if arr.size == 0:
         return []
     values, counts = np.unique(arr, return_counts=True)
     fractions = np.cumsum(counts) / arr.size
-    return [(float(v), float(f)) for v, f in zip(values, fractions)]
+    return list(zip(values.tolist(), fractions.tolist()))
 
 
 @dataclass
@@ -85,9 +88,11 @@ class MetricsReport:
     cdf: list[tuple[float, float]] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["path_changes"] = [list(row) for row in self.path_changes]
         d["cdf"] = [list(row) for row in self.cdf]
+        d["topk_paths"] = list(self.topk_paths)
+        d["config"] = {name: dict(section) for name, section in self.config.items()}
         return d
 
     def to_json(self) -> str:
@@ -100,15 +105,7 @@ class MetricsReport:
         return path
 
     def write_cdf_csv(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["schema_version", REPORT_SCHEMA_VERSION])
-            writer.writerow(["latency_ms", "cumulative_fraction"])
-            for value, frac in self.cdf:
-                writer.writerow([repr(value), repr(frac)])
-        return path
+        return _write_csv(path, ["latency_ms", "cumulative_fraction"], self.cdf)
 
 
 SUMMARY_FIELDS = [
@@ -120,61 +117,57 @@ SUMMARY_FIELDS = [
 
 
 def write_summary_csv(reports: Sequence[MetricsReport], path: str | Path) -> Path:
+    rows = ([getattr(report, k) for k in SUMMARY_FIELDS] for report in reports)
+    return _write_csv(path, SUMMARY_FIELDS, rows)
+
+
+def _write_csv(path: str | Path, header: list[str], rows: Iterable[Sequence]) -> Path:
+    """A CSV led by the schema version row and ``header``; the csv module
+    writes a float as its repr, so values round-trip exactly."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["schema_version", REPORT_SCHEMA_VERSION])
-        writer.writerow(SUMMARY_FIELDS)
-        for report in reports:
-            d = report.to_dict()
-            writer.writerow([d[k] if not isinstance(d[k], float) else repr(d[k]) for k in SUMMARY_FIELDS])
+        writer.writerow(header)
+        writer.writerows(rows)
     return path
 
 
 def build_report(
+    cfg: SessionConfig,
     *,
     method: str,
-    router_kind: str,
-    jitter_kind: str,
-    endpoint: str,
-    user: str,
-    seed: int,
-    packet_count: int,
-    interval_ms: float,
-    warmup_ms: float,
-    delivered_latencies: Sequence[float],
+    latencies: Sequence[float],
     dropped_late: int,
     tail_flushed: int,
-    plan_update_count: int,
     path_changes: list[tuple[float, int, int]],
-    control_messages: int,
     overhead_sum_ms: float,
     candidate_paths: int,
     topk_paths: Sequence[int],
-    estimator_implementation: str,
-    loss_threshold: float | None,
-    config: dict,
 ) -> MetricsReport:
-    arr = np.sort(np.asarray(delivered_latencies, dtype=np.float64))
+    """``latencies``: To - Ts of each delivered or flushed packet, any order;
+    each plan update in ``path_changes`` sent one control message."""
+    arr = np.sort(np.asarray(latencies, dtype=np.float64))
     if arr.size:
         mean = float(np.mean(arr))
         p10, p50, p90, p99 = (percentile_nearest_rank(arr, q) for q in PERCENTILE_KEYS)
         lat_max = float(arr[-1])
     else:
         mean = p10 = p50 = p90 = p99 = lat_max = 0.0
-    loss_rate = dropped_late / packet_count if packet_count > 0 else 0.0
+    n = cfg.packet_count
+    loss_rate = dropped_late / n if n > 0 else 0.0
     return MetricsReport(
         schema_version=REPORT_SCHEMA_VERSION,
         method=method,
-        router_kind=router_kind,
-        jitter_kind=jitter_kind,
-        endpoint=endpoint,
-        user=user,
-        seed=seed,
-        packet_count=packet_count,
-        interval_ms=interval_ms,
-        warmup_ms=warmup_ms,
+        router_kind=cfg.router.kind,
+        jitter_kind=cfg.jitter.kind,
+        endpoint=cfg.endpoint,
+        user=cfg.user,
+        seed=cfg.seed,
+        packet_count=n,
+        interval_ms=cfg.interval_ms,
+        warmup_ms=cfg.warmup_ms,
         delivered=int(arr.size),
         dropped_late=dropped_late,
         tail_flushed=tail_flushed,
@@ -185,17 +178,18 @@ def build_report(
         latency_p90_ms=p90,
         latency_p99_ms=p99,
         latency_max_ms=lat_max,
-        plan_update_count=plan_update_count,
+        plan_update_count=len(path_changes),
         path_changes=path_changes,
-        control_messages=control_messages,
-        overhead_per_packet_ms=overhead_sum_ms / packet_count if packet_count > 0 else 0.0,
+        control_messages=len(path_changes),
+        overhead_per_packet_ms=overhead_sum_ms / n if n > 0 else 0.0,
         candidate_paths=candidate_paths,
         topk_paths=list(topk_paths),
         feedback_delay_model="reverse-direct-oneway",
         control_delay_model="forward-direct-oneway",
-        estimator_implementation=estimator_implementation,
-        loss_threshold=loss_threshold,
-        loss_threshold_exceeded=(loss_rate > loss_threshold) if loss_threshold is not None else None,
-        config=config,
-        cdf=compute_cdf(delivered_latencies),
+        estimator_implementation=IMPLEMENTATION,
+        loss_threshold=cfg.loss_threshold,
+        loss_threshold_exceeded=(loss_rate > cfg.loss_threshold
+                                 if cfg.loss_threshold is not None else None),
+        config={"router": asdict(cfg.router), "jitter": asdict(cfg.jitter)},
+        cdf=compute_cdf(arr),
     )

@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,20 +126,72 @@ def test_event_at_a_tick_goes_before_generation():
     assert paths[:9] == [0, 1, 0, 1, 0, 1, 0, 1, 1]
 
 
+_build = engine.build_jitter_manager
+
+
+def _leaky_build(*args):
+    """A jitter manager that loses the last packet it holds at the flush."""
+    manager = _build(*args)
+    flush = manager.flush
+    manager.flush = lambda end_time: flush(end_time)[:-1]
+    return manager
+
+
+def _early_build(*args):
+    """A jitter manager that plays every packet out 1 ms before it arrives."""
+    manager = _build(*args)
+    on_arrival = manager.on_arrival
+
+    def early(packet, now):
+        emissions, dropped = on_arrival(packet, now)
+        return [replace(em, out=em.arrival - 1.0) for em in emissions], dropped
+
+    manager.on_arrival = early
+    return manager
+
+
 def test_lost_packet_raises(monkeypatch):
     # a jitter manager that loses a held packet breaks conservation; the
     # check must be an exception, not an assert that python -O strips
-    build = engine.build_jitter_manager
-
-    def leaky_build(*args):
-        manager = build(*args)
-        flush = manager.flush
-        manager.flush = lambda end_time: flush(end_time)[:-1]
-        return manager
-
-    monkeypatch.setattr(engine, "build_jitter_manager", leaky_build)
+    monkeypatch.setattr(engine, "build_jitter_manager", _leaky_build)
     with pytest.raises(RuntimeError, match="first seq 99"):
         run_session(constant_pair_topology(), _direct_cfg("watermark"))
+
+
+def test_early_emission_raises(monkeypatch):
+    # packets 0..98 play out when the next one arrives, so all are early
+    # here; the flushed last packet plays out at its own arrival
+    monkeypatch.setattr(engine, "build_jitter_manager", _early_build)
+    with pytest.raises(RuntimeError,
+                       match="^99 packets emitted before arrival, first seq 0$"):
+        run_session(constant_pair_topology(), _direct_cfg("watermark"))
+
+
+def test_invariants_hold_under_python_O():
+    # both checks must survive python -O, which strips assert statements
+    script = """
+import sys
+import test_engine as t
+from scenarios import constant_pair_topology
+assert False, "asserts are on"
+for build in (t._leaky_build, t._early_build):
+    t.engine.build_jitter_manager = build
+    try:
+        t.run_session(constant_pair_topology(), t._direct_cfg("watermark"))
+    except RuntimeError as exc:
+        print(exc)
+    else:
+        sys.exit(f"{build.__name__}: no RuntimeError")
+"""
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          cwd=here, env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [
+        "1 packets neither played out nor dropped, first seq 99",
+        "99 packets emitted before arrival, first seq 0",
+    ]
 
 
 def test_report_config_echo():

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from relaysim import compute_cdf, percentile_nearest_rank
+from relaysim import JitterConfig, SessionConfig, compute_cdf, percentile_nearest_rank
 from relaysim.reports import build_report, write_summary_csv
 
 
@@ -35,17 +35,16 @@ def test_compute_cdf():
     assert cdf[-1][1] == 1.0
 
 
-def _report(**kw):
+def _report(seed=1, loss_threshold=None, **kw):
+    cfg = SessionConfig(endpoint="e0", user="u0", packet_count=10, interval_ms=10.0,
+                        warmup_ms=1000.0, seed=seed, loss_threshold=loss_threshold,
+                        jitter=JitterConfig(kind="watermark"))
     args = dict(
-        method="drt-wm", router_kind="direct", jitter_kind="watermark",
-        endpoint="e0", user="u0", seed=1, packet_count=10, interval_ms=10.0,
-        warmup_ms=1000.0, delivered_latencies=[60.0, 60.0, 50.0],
-        dropped_late=2, tail_flushed=1, plan_update_count=0, path_changes=[],
-        control_messages=0, overhead_sum_ms=0.0, candidate_paths=1,
-        topk_paths=[0], estimator_implementation="python",
-        loss_threshold=None, config={})
+        method="drt-wm", latencies=[60.0, 60.0, 50.0], dropped_late=2,
+        tail_flushed=1, path_changes=[], overhead_sum_ms=0.0, candidate_paths=1,
+        topk_paths=[0])
     args.update(kw)
-    return build_report(**args)
+    return build_report(cfg, **args)
 
 
 def test_build_report_basics():
@@ -82,3 +81,15 @@ def test_csv_writers_deterministic(tmp_path):
     c1 = rep.write_cdf_csv(tmp_path / "c1.csv")
     c2 = rep.write_cdf_csv(tmp_path / "c2.csv")
     assert c1.read_bytes() == c2.read_bytes()
+
+
+def test_to_dict_is_an_independent_copy():
+    rep = _report(path_changes=[(100.0, 0, 3)], topk_paths=[0, 2])
+    before = rep.to_json()
+    d = rep.to_dict()
+    d["config"]["router"]["kind"] = "vcroute_ts"
+    d["config"]["jitter"].clear()
+    d["topk_paths"].append(9)
+    d["path_changes"][0][1] = 7
+    d["cdf"][0][0] = -1.0
+    assert rep.to_json() == before
