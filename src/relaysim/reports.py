@@ -34,7 +34,8 @@ def percentile_nearest_rank(sorted_values: np.ndarray, q: float) -> float:
         raise ValueError("no values")
     if not (0 < q <= 1):
         raise ValueError("q must be in (0, 1]")
-    return float(sorted_values[math.ceil(q * n) - 1])
+    rank = math.ceil(q * n)  # >= 1 for q in (0, 1] and n >= 1
+    return float(sorted_values[rank - 1])
 
 
 def compute_cdf(latencies: Sequence[float]) -> list[tuple[float, float]]:
