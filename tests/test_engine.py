@@ -15,6 +15,7 @@ from relaysim import (
     METHODS,
     ConfigurationError,
     JitterConfig,
+    LatencyTrace,
     Node,
     RouterConfig,
     SessionConfig,
@@ -124,6 +125,49 @@ def test_event_at_a_tick_goes_before_generation():
                         warmup_ms=WARMUP, router=RouterConfig(kind="via_ucb1", prune=False))
     paths = [rec.path_id for rec in run_session(topo, cfg).records]
     assert paths[:9] == [0, 1, 0, 1, 0, 1, 0, 1, 1]
+
+
+class _ScriptedRouter:
+    """Transmit feedback; picks path 0 at the first feedback, then path 1."""
+
+    needs_feedback = "transmit"
+
+    def __init__(self, path_ids, c=1.0):
+        self._picks = 0
+
+    def path_for(self, seq, active_path):
+        return active_path
+
+    def ready(self):
+        return True
+
+    def observe(self, path_id, reward):
+        pass
+
+    def select(self):
+        self._picks += 1
+        return 0 if self._picks == 1 else 1
+
+
+def test_stale_plan_is_not_adopted(monkeypatch):
+    # e0->r0->u0 (30 ms) beats the direct 500 ms in warmup, so path 1 is
+    # the initial plan. Packet 0's feedback is back at +40 and selects the
+    # direct path; its control message takes 500 ms. Packet 1's feedback at
+    # +50 selects path 1 again; the direct link is 5 ms by then, so that
+    # newer plan lands at +55, first. The older plan, landing at +540, must
+    # be ignored: every packet stays on path 1.
+    switch = WARMUP + 45.0
+    fwd = LatencyTrace("e0", "u0", [0.0, switch], [500.0, 5.0])
+    links = {("u0", "e0"): 10.0, ("e0", "r0"): 15.0, ("r0", "u0"): 15.0}
+    traces = {link: constant_trace(*link, ms, 700_000.0) for link, ms in links.items()}
+    traces[("e0", "u0")] = fwd
+    topo = Topology([Node("e0", "endpoint"), Node("u0", "user"), Node("r0", "relay")], traces)
+    monkeypatch.setattr(engine, "Ucb1Router", _ScriptedRouter)
+    cfg = SessionConfig(endpoint="e0", user="u0", packet_count=100, interval_ms=10.0,
+                        warmup_ms=WARMUP, router=RouterConfig(kind="via_ucb1", prune=False))
+    res = run_session(topo, cfg)
+    assert [(old, new) for _, old, new in res.report.path_changes] == [(1, 0), (0, 1)]
+    assert all(rec.path_id == 1 for rec in res.records)
 
 
 _build = engine.build_jitter_manager
