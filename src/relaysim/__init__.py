@@ -31,14 +31,12 @@ from .jitter import (
     PlayoutBuffer,
     WatermarkReorderer,
     build_jitter_manager,
-    jitter_sample,
 )
 from .paths import (
     PathStats,
     RelayPath,
     enumerate_paths,
     path_count,
-    path_latency,
     prune_topk,
     required_links,
     warmup_stats,
@@ -47,11 +45,9 @@ from .reports import MetricsReport, compute_cdf, percentile_nearest_rank
 from .routing import (
     DirectRouter,
     GaussianArmPosterior,
-    RoutingPlan,
     ThompsonRouter,
     Ucb1Arm,
     Ucb1Router,
-    maybe_update_plan,
     tau0_from_variance,
     ts_select,
     ts_update,
@@ -92,12 +88,10 @@ __all__ = [
     "PlayoutBuffer",
     "WatermarkReorderer",
     "build_jitter_manager",
-    "jitter_sample",
     "PathStats",
     "RelayPath",
     "enumerate_paths",
     "path_count",
-    "path_latency",
     "prune_topk",
     "required_links",
     "warmup_stats",
@@ -106,11 +100,9 @@ __all__ = [
     "percentile_nearest_rank",
     "DirectRouter",
     "GaussianArmPosterior",
-    "RoutingPlan",
     "ThompsonRouter",
     "Ucb1Arm",
     "Ucb1Router",
-    "maybe_update_plan",
     "tau0_from_variance",
     "ts_select",
     "ts_update",

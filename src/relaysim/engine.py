@@ -8,14 +8,23 @@ emits it at To. Feedback flows back to the path scheduler over the reverse
 direct link; plan updates reach the sender after the forward direct one-way
 delay and apply only to packets generated after adoption.
 
+Plan updates are gated: a new plan is issued only when the selected path
+differs from the last one selected. Plans are numbered in issue order, and
+the sender ignores a plan older than the one it has adopted, so a control
+message overtaken by a newer one changes nothing.
+
 Events wait in a single queue sorted by (time, kind, tie) with kind order
 arrival < feedback < control. Packet i is generated at its tick Ts as soon as
 no queued event is earlier; a queued event at the same time goes first. So
 runs are deterministic and reports are byte-identical for identical (config,
 topology, seed).
 
-The session tail: after the last event, both jitter managers flush whatever
-they still hold; flushed packets count as delivered with To = end time.
+The session ends at its last event of any kind: an arrival, a feedback or a
+control message. There the jitter manager flushes whatever it still holds;
+flushed packets count as delivered with To = that end time. So a direct
+session flushes at its last arrival, and a routed one when its last feedback
+or control message reaches the sender, which can be well after its last
+arrival.
 """
 
 from __future__ import annotations
@@ -30,14 +39,7 @@ from .errors import ConfigurationError, ValidationError
 from .jitter import JITTER_KINDS, JitterConfig, Packet, build_jitter_manager
 from .paths import RelayPath, enumerate_paths, prune_topk, warmup_stats
 from .reports import MetricsReport, build_report
-from .routing import (
-    DirectRouter,
-    RoutingPlan,
-    ThompsonRouter,
-    Ucb1Router,
-    maybe_update_plan,
-    tau0_from_variance,
-)
+from .routing import DirectRouter, ThompsonRouter, Ucb1Router, tau0_from_variance
 from .traces import Topology
 
 EV_ARRIVAL, EV_FEEDBACK, EV_CONTROL = 0, 1, 2
@@ -70,7 +72,6 @@ class RouterConfig:
 class SessionConfig:
     endpoint: str
     user: str
-    relays: tuple[str, ...] | None = None  # None: every non-user node except the pair
     packet_count: int = 600_000
     interval_ms: float = 10.0
     warmup_ms: float = 60_000.0
@@ -136,8 +137,7 @@ class _PathTickCache:
 
 
 def _resolve_relays(topology: Topology, cfg: SessionConfig) -> list[str]:
-    if cfg.relays is not None:
-        return list(cfg.relays)
+    """Every node that is neither the pair nor a user."""
     return [
         n.name
         for n in topology.nodes
@@ -175,7 +175,7 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
         _check_coverage(topology, all_paths[:1], False, cfg.endpoint, cfg.user)
         topk_ids = [0]
         initial_path = 0
-        router = DirectRouter(0)
+        router = DirectRouter()
     else:
         _check_coverage(topology, all_paths, True, cfg.endpoint, cfg.user)
         stats = warmup_stats(all_paths, topology, cfg.warmup_ms, cfg.interval_ms)
@@ -203,9 +203,10 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
     direct_fwd = topology.trace(cfg.endpoint, cfg.user)
     direct_rev = topology.trace(cfg.user, cfg.endpoint) if router.needs_feedback else None
 
-    plan = RoutingPlan(cfg.endpoint, cfg.user, initial_path, version=1, issued_at_ms=t0)
-    active_path = initial_path
-    adopted_version = 1
+    # plan_path: the last path selected; a plan's version is the count of
+    # plans issued, len(path_changes), when it was issued
+    plan_path = active_path = initial_path
+    adopted_version = 0
 
     records: list[PacketRecord] = []
     path_changes: list[tuple[float, int, int]] = []
@@ -260,13 +261,12 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
             router.observe(int(a), b)
             if router.ready():
                 selected = router.select()
-                old_path = plan.path_id
-                plan, issued = maybe_update_plan(plan, selected, t)
-                if issued:
+                if selected != plan_path:
                     delay = direct_fwd.sample(t)
                     overhead_sum += delay
-                    path_changes.append((t, old_path, selected))
-                    push(t + delay, EV_CONTROL, plan.version, selected)
+                    path_changes.append((t, plan_path, selected))
+                    plan_path = selected
+                    push(t + delay, EV_CONTROL, len(path_changes), selected)
         else:  # EV_CONTROL
             version = int(a)
             if version > adopted_version:

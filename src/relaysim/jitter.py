@@ -33,11 +33,6 @@ from heapq import heappop, heappush
 from .estimator import JitterEstimator
 
 
-def jitter_sample(prev_ts: float, prev_arrival: float, ts: float, arrival: float) -> float:
-    """Inter-arrival jitter between consecutive arrivals: |d(arrival) - d(ts)|."""
-    return abs((arrival - prev_arrival) - (ts - prev_ts))
-
-
 @dataclass(frozen=True)
 class Packet:
     seq: int
@@ -84,8 +79,6 @@ class JitterConfig:
 
 class WatermarkReorderer:
     """Watermark-driven out-of-order emission."""
-
-    kind = "watermark"
 
     def __init__(self, estimator: JitterEstimator, update_on_drop: bool = True) -> None:
         self._est = estimator
@@ -145,8 +138,6 @@ class PlayoutBuffer:
     ``interval_ms`` is the sender cadence; it anchors deadlines for sequence
     slots that have not arrived (ts inferred from the slot index).
     """
-
-    kind = "buffer"
 
     def __init__(
         self,

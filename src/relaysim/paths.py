@@ -1,4 +1,4 @@
-"""Relay path enumeration, latency lookup, and confidence-bound pruning.
+"""Relay path enumeration, warmup statistics, and confidence-bound pruning.
 
 Candidate paths between an endpoint and a user use at most two relays:
 the direct link, every single-relay detour, and every ordered two-relay
@@ -79,11 +79,6 @@ def enumerate_paths(endpoint: str, user: str, relays: Sequence[str]) -> list[Rel
             if r1 != r2:
                 paths.append(RelayPath(len(paths), (endpoint, r1, r2, user)))
     return paths
-
-
-def path_latency(path: RelayPath, topology: Topology, t_ms: float) -> float:
-    """Sum of per-link one-way latencies, all sampled at time t_ms."""
-    return sum(topology.latency(src, dst, t_ms) for src, dst in path.links())
 
 
 def required_links(

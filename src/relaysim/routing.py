@@ -1,4 +1,4 @@
-"""Path selection policies and routing-plan bookkeeping.
+"""Path selection policies.
 
 Two bandit selectors over candidate paths, both minimizing a latency reward,
 plus a fixed direct policy:
@@ -19,18 +19,15 @@ the arms. ``ThompsonRouter`` owns its generator and draws its normals ahead
 in blocks; its picks equal ``ts_select``'s on a fresh generator of the same
 seed.
 
-Plan updates are gated: a new plan is issued only when the selected path
-differs from the current one, and takes effect at the sender only after the
-control-message delay.
-
-The session engine uses only these router members: ``needs_feedback``,
-``path_for`` (each new packet's path), ``observe``, ``ready`` and ``select``.
+The session engine calls ``needs_feedback`` and ``path_for`` (each new
+packet's path) on every router, and ``observe``, ``ready`` and ``select`` on
+routers that take feedback.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -170,53 +167,13 @@ def ucb1_select(arms: Sequence[Ucb1Arm], c: float = 1.0) -> int:
     return best_id
 
 
-@dataclass(frozen=True)
-class RoutingPlan:
-    """The path currently prescribed for a stream, with a version counter."""
-
-    endpoint: str
-    user: str
-    path_id: int
-    version: int
-    issued_at_ms: float
-
-    def __post_init__(self) -> None:
-        if self.version < 1:
-            raise ValidationError("plan versions start at 1")
-
-
-def maybe_update_plan(
-    plan: RoutingPlan, selected_path_id: int, now_ms: float
-) -> tuple[RoutingPlan, bool]:
-    """Issue a new plan version only when the selection changed."""
-    if selected_path_id == plan.path_id:
-        return plan, False
-    return (
-        replace(plan, path_id=selected_path_id, version=plan.version + 1, issued_at_ms=now_ms),
-        True,
-    )
-
-
 class DirectRouter:
     """Always the direct path; consumes no feedback."""
 
-    kind = "direct"
     needs_feedback = None  # no reward signal
-
-    def __init__(self, direct_path_id: int = 0) -> None:
-        self._path_id = direct_path_id
 
     def path_for(self, seq: int, active_path: int) -> int:
         return active_path
-
-    def ready(self) -> bool:
-        return True
-
-    def observe(self, path_id: int, reward: float) -> None:
-        pass
-
-    def select(self) -> int:
-        return self._path_id
 
 
 class ThompsonRouter:
@@ -237,7 +194,6 @@ class ThompsonRouter:
     so the picks equal ``ts_select``'s on a fresh generator of the same seed.
     """
 
-    kind = "vcroute_ts"
     needs_feedback = "e2e"
 
     DRAW_BLOCK = 64  # selections per standard-normal draw
@@ -314,7 +270,6 @@ class Ucb1Router:
     numpy expression's per-call dispatch costs more than the arithmetic.
     """
 
-    kind = "via_ucb1"
     needs_feedback = "transmit"
 
     def __init__(self, path_ids: Sequence[int], c: float = 1.0) -> None:

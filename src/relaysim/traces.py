@@ -187,9 +187,6 @@ class Topology:
         except KeyError:
             raise ValidationError(f"unknown node {name!r}") from None
 
-    def node_names(self) -> list[str]:
-        return [n.name for n in self.nodes]
-
     def has_link(self, src: str, dst: str) -> bool:
         return (src, dst) in self.traces
 
@@ -198,9 +195,6 @@ class Topology:
             return self.traces[(src, dst)]
         except KeyError:
             raise ValidationError(f"no trace for link {src}->{dst}") from None
-
-    def latency(self, src: str, dst: str, t_ms: float) -> float:
-        return self.trace(src, dst).sample(t_ms)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Path enumeration, latency composition, warmup stats, and pruning."""
+"""Path enumeration, warmup stats, and pruning."""
 
 from statistics import NormalDist
 
@@ -15,7 +15,6 @@ from relaysim import (
     ValidationError,
     enumerate_paths,
     path_count,
-    path_latency,
     prune_topk,
     warmup_stats,
 )
@@ -74,35 +73,6 @@ def _const_topology(latencies: dict[tuple[str, str], float]) -> Topology:
     return Topology(nodes, traces)
 
 
-def test_path_latency_sums_links():
-    topo = _const_topology({("e", "u"): 50.0, ("e", "r"): 30.0, ("r", "u"): 40.0})
-    paths = enumerate_paths("e", "u", ["r"])
-    assert path_latency(paths[0], topo, 0.0) == 50.0
-    assert path_latency(paths[1], topo, 123.0) == 70.0
-
-
-def test_path_latency_samples_every_link_at_same_time():
-    ts = [0.0, 100.0]
-    topo = Topology(
-        [Node("e", "endpoint"), Node("r", "relay"), Node("u", "user")],
-        {
-            ("e", "r"): LatencyTrace("e", "r", ts, [10.0, 20.0]),
-            ("r", "u"): LatencyTrace("r", "u", ts, [1.0, 2.0]),
-        },
-    )
-    path = enumerate_paths("e", "u", ["r"])[1]
-    assert path_latency(path, topo, 0.0) == 11.0
-    assert path_latency(path, topo, 99.9) == 11.0
-    assert path_latency(path, topo, 100.0) == 22.0
-
-
-def test_path_latency_missing_link():
-    topo = _const_topology({("e", "u"): 50.0})
-    path = enumerate_paths("e", "u", ["r"])[1]
-    with pytest.raises(ValidationError):
-        path_latency(path, topo, 0.0)
-
-
 def test_required_links_cover_all_paths():
     relays = ["r0", "r1"]
     links = required_links("e", "u", relays)
@@ -135,7 +105,7 @@ def test_warmup_stats_against_direct_computation():
 
     ticks = np.arange(0.0, warmup, interval)
     for path, st in zip(paths, stats):
-        totals = [sum(topo.latency(a, b, t) for a, b in path.links()) for t in ticks]
+        totals = [sum(topo.trace(a, b).sample(t) for a, b in path.links()) for t in ticks]
         assert st.path_id == path.path_id
         assert st.m == len(ticks)
         assert st.mean_ms == pytest.approx(np.mean(totals), rel=1e-12)

@@ -1,4 +1,4 @@
-"""Posterior updates, arm selection, and plan bookkeeping."""
+"""Posterior updates and arm selection."""
 
 import hashlib
 import math
@@ -9,12 +9,10 @@ import pytest
 from relaysim import (
     DirectRouter,
     GaussianArmPosterior,
-    RoutingPlan,
     ThompsonRouter,
     Ucb1Arm,
     Ucb1Router,
     ValidationError,
-    maybe_update_plan,
     ts_select,
     ts_update,
     ucb1_select,
@@ -189,22 +187,9 @@ def test_ucb1_select_validation():
         ucb1_select([Ucb1Arm(2), Ucb1Arm(1)])
 
 
-def test_plan_update_gating():
-    plan = RoutingPlan("e", "u", path_id=3, version=1, issued_at_ms=0.0)
-    same, issued = maybe_update_plan(plan, 3, now_ms=100.0)
-    assert not issued and same is plan
-    new, issued = maybe_update_plan(plan, 5, now_ms=100.0)
-    assert issued
-    assert new.path_id == 5 and new.version == 2 and new.issued_at_ms == 100.0
-    with pytest.raises(ValidationError):
-        RoutingPlan("e", "u", path_id=0, version=0, issued_at_ms=0.0)
-
-
 def test_direct_router_is_inert():
-    r = DirectRouter(0)
-    assert r.ready() and r.path_for(0, 3) == 3 and r.needs_feedback is None
-    r.observe(0, 100.0)
-    assert r.select() == 0
+    r = DirectRouter()
+    assert r.path_for(0, 3) == 3 and r.needs_feedback is None
 
 
 def test_thompson_router_state():
