@@ -88,6 +88,12 @@ EXPERIMENT_SCHEMA_VERSION = 1
 _DEFAULT_KEYS = {"packets", "interval_ms", "warmup_ms", "seed",
                  "loss_threshold", "router", "jitter"}
 
+# synthetic topology geometry, for `relaysim synth` and a manifest's
+# "synthetic" section; the trace parameters default to SyntheticTraceSpec's
+SYNTH_RELAYS = 4
+SYNTH_DURATION_MS = 700_000.0
+SYNTH_STEP_MS = 10.0
+
 
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -166,7 +172,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         return _usage_error("--relays cannot be negative")
     try:
         spec = SyntheticTraceSpec(
-            mean_range=(args.mean_range[0], args.mean_range[1]),
+            mean_range=tuple(args.mean_range),
             std_choices=tuple(args.std_choices),
             regime=args.regime,
             seed=args.seed,
@@ -224,17 +230,10 @@ def _experiment_topology(doc: dict, manifest_dir: Path) -> Topology:
     if "topology" in doc:
         return load_topology(manifest_dir / doc["topology"])
     syn = dict(doc["synthetic"])
-    relays = int(syn.pop("relays", 4))
-    duration_ms = float(syn.pop("duration_ms", 700_000.0))
-    step_ms = float(syn.pop("step_ms", 10.0))
-    spec = SyntheticTraceSpec(
-        mean_range=tuple(syn.pop("mean_range", (100.0, 200.0))),
-        std_choices=tuple(syn.pop("std_choices", (10.0, 20.0, 30.0))),
-        regime=syn.pop("regime", "stationary-gaussian"),
-        seed=int(syn.pop("seed", 0)),
-    )
-    if syn:
-        raise ValidationError(f"unknown synthetic keys {sorted(syn)}")
+    relays = int(syn.pop("relays", SYNTH_RELAYS))
+    duration_ms = float(syn.pop("duration_ms", SYNTH_DURATION_MS))
+    step_ms = float(syn.pop("step_ms", SYNTH_STEP_MS))
+    spec = _section(SyntheticTraceSpec, "synthetic", syn, {})
     return _synthetic_topology(relays, duration_ms, step_ms, spec)
 
 
@@ -247,7 +246,7 @@ def _pick(flag, manifest_value, fallback):
 
 
 def _section(cls, name: str, given: dict, flags: dict):
-    """Build a RouterConfig/JitterConfig from a manifest section.
+    """Build a RouterConfig/JitterConfig/SyntheticTraceSpec from a manifest section.
 
     Its keys, defaults and casts are the dataclass fields, all but ``kind``.
     """
@@ -420,14 +419,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.set_defaults(func=cmd_validate)
 
     p_syn = sub.add_parser("synth", help="generate a synthetic topology")
-    p_syn.add_argument("--relays", type=int, default=4)
-    p_syn.add_argument("--duration-ms", type=float, default=700_000.0)
-    p_syn.add_argument("--step-ms", type=float, default=10.0)
-    p_syn.add_argument("--seed", type=int, default=0)
-    p_syn.add_argument("--regime", choices=REGIMES, default="stationary-gaussian")
-    p_syn.add_argument("--mean-range", type=float, nargs=2, default=(100.0, 200.0),
-                       metavar=("LO", "HI"))
-    p_syn.add_argument("--std-choices", type=float, nargs="+", default=(10.0, 20.0, 30.0))
+    p_syn.add_argument("--relays", type=int, default=SYNTH_RELAYS)
+    p_syn.add_argument("--duration-ms", type=float, default=SYNTH_DURATION_MS)
+    p_syn.add_argument("--step-ms", type=float, default=SYNTH_STEP_MS)
+    p_syn.add_argument("--seed", type=int, default=SyntheticTraceSpec.seed)
+    p_syn.add_argument("--regime", choices=REGIMES, default=SyntheticTraceSpec.regime)
+    p_syn.add_argument("--mean-range", type=float, nargs=2,
+                       default=SyntheticTraceSpec.mean_range, metavar=("LO", "HI"))
+    p_syn.add_argument("--std-choices", type=float, nargs="+",
+                       default=SyntheticTraceSpec.std_choices)
     p_syn.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV})")
     p_syn.set_defaults(func=cmd_synth)
 

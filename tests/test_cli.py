@@ -3,6 +3,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from relaysim import METHODS, SessionConfig, Topology, load_topology, run_matrix
@@ -289,6 +290,23 @@ def test_run_manifest_errors(tmp_path, capsys):
         defaults = {**base["defaults"], section: {bad: 1}}
         assert attempt({**base, "defaults": defaults}) == 3
         assert f"unknown {section} keys ['{bad}']" in capsys.readouterr().err
+    synthetic = {**base["synthetic"], "mean": 150.0}
+    assert attempt({**base, "synthetic": synthetic}) == 3
+    assert "unknown synthetic keys ['mean']" in capsys.readouterr().err
+
+
+def test_manifest_synthetic_defaults_match_synth(tmp_path):
+    # no trace-spec keys beyond the seed: both take SyntheticTraceSpec's
+    # defaults, so the traces are the ones `relaysim synth` writes
+    assert _synth(tmp_path, seed=5) == 0
+    written = load_topology(tmp_path / "topology.json")
+    doc = {"synthetic": {"relays": 1, "duration_ms": 150000.0, "step_ms": 10.0, "seed": 5}}
+    inline = cli._experiment_topology(doc, tmp_path)
+    assert inline.nodes == written.nodes
+    assert inline.traces.keys() == written.traces.keys()
+    for link, trace in inline.traces.items():
+        assert np.array_equal(trace.timestamps_ms, written.traces[link].timestamps_ms)
+        assert np.array_equal(trace.latencies_ms, written.traces[link].latencies_ms)
 
 
 def test_run_manifest_sections_cast_like_the_dataclasses(tmp_path):
