@@ -88,8 +88,6 @@ EXPERIMENT_SCHEMA_VERSION = 1
 _DEFAULT_KEYS = {"packets", "interval_ms", "warmup_ms", "seed",
                  "loss_threshold", "router", "jitter"}
 
-# synthetic topology geometry, for `relaysim synth` and a manifest's
-# "synthetic" section; the trace parameters default to SyntheticTraceSpec's
 SYNTH_RELAYS = 4
 SYNTH_DURATION_MS = 700_000.0
 SYNTH_STEP_MS = 10.0

@@ -19,12 +19,11 @@ no queued event is earlier; a queued event at the same time goes first. So
 runs are deterministic and reports are byte-identical for identical (config,
 topology, seed).
 
-The session ends at its last event of any kind: an arrival, a feedback or a
-control message. There the jitter manager flushes whatever it still holds;
-flushed packets count as delivered with To = that end time. So a direct
-session flushes at its last arrival, and a routed one when its last feedback
-or control message reaches the sender, which can be well after its last
-arrival.
+The session ends at its last event of any kind (arrival, feedback or control
+message), and there the jitter manager flushes what it still holds: flushed
+packets count as delivered with To = that end time. So a direct session
+flushes at its last arrival, and a routed one at its last feedback or control
+message, which can come well after its last arrival.
 """
 
 from __future__ import annotations
@@ -137,7 +136,6 @@ class _PathTickCache:
 
 
 def _resolve_relays(topology: Topology, cfg: SessionConfig) -> list[str]:
-    """Every node that is neither the pair nor a user."""
     return [
         n.name
         for n in topology.nodes
@@ -203,8 +201,7 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
     direct_fwd = topology.trace(cfg.endpoint, cfg.user)
     direct_rev = topology.trace(cfg.user, cfg.endpoint) if router.needs_feedback else None
 
-    # plan_path: the last path selected; a plan's version is the count of
-    # plans issued, len(path_changes), when it was issued
+    # plan_path is the last path selected; len(path_changes) numbers the plans
     plan_path = active_path = initial_path
     adopted_version = 0
 
