@@ -294,6 +294,47 @@ def test_ucb1_trajectory_pinned():
         "873f3c80ae398d8fa3408046e966a62adcc4f57001f486db081afa450e4b2659")
 
 
+def test_ts_router_trajectory_pinned():
+    # the exact pick sequence and final arm state of a seeded router run: any
+    # rewrite of ThompsonRouter must reproduce both
+    means = (100.0, 108.0, 115.0)
+    rewards = np.maximum(
+        np.random.default_rng(12).normal(means, 40.0, (5000, 3)), 0.1).tolist()
+    router = ThompsonRouter([(0, 150.0, 0.01), (1, 120.0, 0.005), (2, 110.0, 0.0004)],
+                            np.random.default_rng(11))
+    picks = []
+    for row in rewards:
+        pid = router.select()
+        picks.append(pid)
+        router.observe(pid, row[pid])
+    state = []
+    for pid in range(3):
+        _, mu, tau, _, pulls = router.arm(pid)
+        state.append((pid, mu.hex(), tau.hex(), pulls))
+    assert [pulls for *_, pulls in state] == [picks.count(i) for i in range(3)]
+    assert _trajectory_digest(picks, state) == (
+        "080be0cc389d1cc19a0a275b4f6c7ead3711b1e7dbbf74aa930d4a5a8b237159")
+
+
+def test_ucb1_router_trajectory_pinned():
+    means = (100.0, 108.0, 115.0)
+    rewards = np.maximum(
+        np.random.default_rng(13).normal(means, 40.0, (5000, 3)), 0.1).tolist()
+    router = Ucb1Router([0, 1, 2], c=40.0)
+    picks = []
+    for row in rewards:
+        pid = router.select()
+        picks.append(pid)
+        router.observe(pid, row[pid])
+    state = []
+    for pid in range(3):
+        arm = router.arm(pid)
+        mean, n = arm.mean, arm.n
+        state.append((pid, mean.hex(), n))
+    assert _trajectory_digest(picks, state) == (
+        "873f3c80ae398d8fa3408046e966a62adcc4f57001f486db081afa450e4b2659")
+
+
 @pytest.mark.parametrize("k", [1, 3, 17])
 def test_block_normal_draws_equal_sequential_draws(k):
     # ThompsonRouter draws a (DRAW_BLOCK, k) block where ts_select draws one
