@@ -42,17 +42,7 @@ from .paths import (
     warmup_stats,
 )
 from .reports import MetricsReport, compute_cdf, percentile_nearest_rank
-from .routing import (
-    DirectRouter,
-    GaussianArmPosterior,
-    ThompsonRouter,
-    Ucb1Arm,
-    Ucb1Router,
-    tau0_from_variance,
-    ts_select,
-    ts_update,
-    ucb1_select,
-)
+from .routing import DirectRouter, ThompsonRouter, Ucb1Router, tau0_from_variance
 from .traces import (
     LatencyTrace,
     Node,
@@ -99,14 +89,9 @@ __all__ = [
     "compute_cdf",
     "percentile_nearest_rank",
     "DirectRouter",
-    "GaussianArmPosterior",
     "ThompsonRouter",
-    "Ucb1Arm",
     "Ucb1Router",
     "tau0_from_variance",
-    "ts_select",
-    "ts_update",
-    "ucb1_select",
     "LatencyTrace",
     "Node",
     "SyntheticTraceSpec",

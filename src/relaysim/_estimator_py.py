@@ -64,6 +64,8 @@ from __future__ import annotations
 
 from collections import deque
 
+from .errors import ValidationError
+
 # reordering-episode guard: the episode ends after this much orderly time,
 # and a transit is held as reorder-depth evidence for this long.
 # Deliberately a constant: tying it to the current lag would let a ratcheted
@@ -110,11 +112,11 @@ class JitterEstimator:
         max_lag_ms: float = 10000.0,
     ) -> None:
         if window_ms <= 0 or bin_ms <= 0 or max_lag_ms <= 0:
-            raise ValueError("window_ms, bin_ms, max_lag_ms must be positive")
+            raise ValidationError("window_ms, bin_ms, max_lag_ms must be positive")
         if not (0 < percentile <= 1):
-            raise ValueError("percentile must be in (0, 1]")
+            raise ValidationError("percentile must be in (0, 1]")
         if loss_cost_ms < 0 or initial_lag_ms < 0:
-            raise ValueError("loss_cost_ms and initial_lag_ms must be nonnegative")
+            raise ValidationError("loss_cost_ms and initial_lag_ms must be nonnegative")
         self.window_ms = float(window_ms)
         self.bin_ms = float(bin_ms)
         self.percentile = float(percentile)

@@ -88,6 +88,8 @@ EXPERIMENT_SCHEMA_VERSION = 1
 _DEFAULT_KEYS = {"packets", "interval_ms", "warmup_ms", "seed",
                  "loss_threshold", "router", "jitter"}
 
+RUN_PACKETS = 60_000  # the run default; SessionConfig.packet_count is 600_000
+
 SYNTH_RELAYS = 4
 SYNTH_DURATION_MS = 700_000.0
 SYNTH_STEP_MS = 10.0
@@ -269,10 +271,11 @@ def _template_config(doc: dict, args: argparse.Namespace, endpoint: str, user: s
     return SessionConfig(
         endpoint=endpoint,
         user=user,
-        packet_count=int(_pick(args.packets, d.get("packets"), 60_000)),
-        interval_ms=float(_pick(args.interval_ms, d.get("interval_ms"), 10.0)),
-        warmup_ms=float(d.get("warmup_ms", 60_000.0)),
-        seed=int(_pick(args.seed, d.get("seed"), 0)),
+        packet_count=int(_pick(args.packets, d.get("packets"), RUN_PACKETS)),
+        interval_ms=float(_pick(args.interval_ms, d.get("interval_ms"),
+                                SessionConfig.interval_ms)),
+        warmup_ms=float(d.get("warmup_ms", SessionConfig.warmup_ms)),
+        seed=int(_pick(args.seed, d.get("seed"), SessionConfig.seed)),
         router=router,
         jitter=jitter,
         loss_threshold=None if threshold is None else float(threshold),

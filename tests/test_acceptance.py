@@ -22,21 +22,18 @@ import numpy as np
 import pytest
 
 from relaysim import (
-    GaussianArmPosterior,
     JitterConfig,
     JitterEstimator,
     Packet,
     PlayoutBuffer,
     RouterConfig,
     SessionConfig,
-    Ucb1Arm,
+    ThompsonRouter,
+    Ucb1Router,
     WatermarkReorderer,
     enumerate_paths,
     path_count,
     run_session,
-    ts_select,
-    ts_update,
-    ucb1_select,
 )
 from scenarios import burst_direct_topology, constant_pair_topology, hetero_topology
 from wm_reference import WatermarkReference, bursty_packets
@@ -50,26 +47,22 @@ def test_c01_posterior_update_matches_closed_form():
     worst = 0.0
     for _ in range(10_000):
         mu = float(rng.uniform(-200.0, 400.0))
-        tau = float(10.0 ** rng.uniform(-3.0, 3.0))
         tau0 = float(10.0 ** rng.uniform(-3.0, 3.0))
         n = int(rng.integers(1, 9))
         rewards = rng.uniform(0.1, 1000.0, n).tolist()
 
-        arm = GaussianArmPosterior(0, mu=mu, tau=tau, tau0=tau0)
-        batch = ts_update(arm, rewards)
-
-        want_tau = tau + n * tau0
-        want_mu = (tau * mu + tau0 * math.fsum(rewards)) / want_tau
-        assert math.isclose(batch.tau, want_tau, rel_tol=1e-9, abs_tol=1e-12)
-        assert math.isclose(batch.mu, want_mu, rel_tol=1e-9, abs_tol=1e-12)
-        worst = max(worst, abs(batch.mu - want_mu) / max(abs(want_mu), 1e-12))
-
-        seq = arm
+        # the prior is worth one observation: tau = tau0
+        router = ThompsonRouter([(0, mu, tau0)], rng)
         for r in rewards:
-            seq = ts_update(seq, [r])
-        assert math.isclose(seq.tau, batch.tau, rel_tol=1e-9, abs_tol=1e-12)
-        assert math.isclose(seq.mu, batch.mu, rel_tol=1e-9, abs_tol=1e-12)
-        assert seq.pulls == batch.pulls == n
+            router.observe(0, r)
+        got_mu, got_tau, _, pulls = router.arm(0)
+
+        want_tau = tau0 + n * tau0
+        want_mu = (tau0 * mu + tau0 * math.fsum(rewards)) / want_tau
+        assert math.isclose(got_tau, want_tau, rel_tol=1e-9, abs_tol=1e-12)
+        assert math.isclose(got_mu, want_mu, rel_tol=1e-9, abs_tol=1e-12)
+        assert pulls == n
+        worst = max(worst, abs(got_mu - want_mu) / max(abs(want_mu), 1e-12))
     elapsed = time.perf_counter() - t0
     print(f"criterion 1: 10000 instances, worst rel err {worst:.2e}, {elapsed:.2f}s")
     assert elapsed < 1.0
@@ -82,30 +75,29 @@ def test_c02_bandits_converge_on_three_arm_instance():
     t0 = time.perf_counter()
     ts_shares, ucb_shares = [], []
     for seed in range(20):
-        sel = np.random.default_rng(seed)
         rewards = np.maximum(
             np.random.default_rng(1000 + seed).normal(means, 10.0, (50_000, 3)),
             0.1).tolist()
-        arms = [GaussianArmPosterior(i, mu=150.0, tau=0.01, tau0=0.01)
-                for i in range(3)]
+        router = ThompsonRouter([(i, 150.0, 0.01) for i in range(3)],
+                                np.random.default_rng(seed))
         hits = 0
         for t, row in enumerate(rewards):
-            pid = ts_select(arms, sel)
+            pid = router.select()
             if t >= 40_000 and pid == 0:
                 hits += 1
-            arms[pid] = ts_update(arms[pid], [row[pid]])
+            router.observe(pid, row[pid])
         ts_shares.append(hits / 10_000)
 
         rewards = np.maximum(
             np.random.default_rng(2000 + seed).normal(means, 10.0, (50_000, 3)),
             0.1).tolist()
-        uarms = [Ucb1Arm(i) for i in range(3)]
+        ucb = Ucb1Router(range(3), c=1.0)
         hits = 0
         for t, row in enumerate(rewards):
-            pid = ucb1_select(uarms, 1.0)
+            pid = ucb.select()
             if t >= 40_000 and pid == 0:
                 hits += 1
-            uarms[pid].observe(row[pid])
+            ucb.observe(pid, row[pid])
         ucb_shares.append(hits / 10_000)
     elapsed = time.perf_counter() - t0
     ts_mean = statistics.mean(ts_shares)

@@ -295,6 +295,33 @@ def test_run_manifest_errors(tmp_path, capsys):
     assert "unknown synthetic keys ['mean']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, jobs", [(("--percentile", "1.5"), "1"),
+                                        (("--window-ms", "-5"), "2")])
+def test_run_bad_jitter_flags_are_validation_errors(synth_dir, tmp_path, capsys, flag, jobs):
+    # the estimator rejects them when a cell starts, in this process or a worker
+    res = tmp_path / "res"
+    assert _run(synth_dir, res, "--jobs", jobs, "--methods", "drt-wm,drt-bf", *flag) == 3
+    assert "error:" in capsys.readouterr().err
+    assert not res.exists()
+
+
+def test_manifest_without_defaults_takes_session_config_defaults(tmp_path):
+    manifest = tmp_path / "exp.json"
+    manifest.write_text(json.dumps({
+        "schema_version": 1,
+        "synthetic": {"relays": 0, "duration_ms": 62000.0, "step_ms": 100.0},
+        "pairs": [["e0", "u0"]], "methods": ["drt-wm"],
+    }))
+    assert main(["run", str(manifest), "--packets", "50", "--out", str(tmp_path / "o")]) == 0
+    session = json.loads((tmp_path / "o" / "effective_manifest.json").read_text())["sessions"][0]
+    assert session == {"endpoint": "e0", "user": "u0", "packets": 50,
+                       "interval_ms": SessionConfig.interval_ms,
+                       "warmup_ms": SessionConfig.warmup_ms, "seed": SessionConfig.seed}
+    # with no --packets flag either, the CLI's own default length
+    args = cli.build_parser().parse_args(["run", str(manifest)])
+    assert cli._template_config({}, args, "e0", "u0").packet_count == cli.RUN_PACKETS
+
+
 def test_manifest_synthetic_defaults_match_synth(tmp_path):
     # no trace-spec keys beyond the seed: both take SyntheticTraceSpec's
     # defaults, so the traces are the ones `relaysim synth` writes

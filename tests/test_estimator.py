@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from relaysim import JitterEstimator
+from relaysim import JitterEstimator, ValidationError
 from relaysim import _estimator_py
 
 from estimator_reference import ReferenceEstimator
@@ -267,7 +267,7 @@ def test_update_validation():
     ],
 )
 def test_constructor_validation(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         JitterEstimator(**kwargs)
 
 

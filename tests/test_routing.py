@@ -6,85 +6,80 @@ import math
 import numpy as np
 import pytest
 
-from relaysim import (
-    DirectRouter,
-    GaussianArmPosterior,
-    ThompsonRouter,
-    Ucb1Arm,
-    Ucb1Router,
-    ValidationError,
-    ts_select,
-    ts_update,
-    ucb1_select,
-)
+from bandit_reference import ThompsonReference, Ucb1Reference
+from relaysim import DirectRouter, ThompsonRouter, Ucb1Router, ValidationError
 from relaysim.routing import TAU0_VARIANCE_FLOOR, tau0_from_variance
 
 
+def _thompson(*priors, seed=0):
+    return ThompsonRouter(list(priors), np.random.default_rng(seed))
+
+
 def test_conjugate_update_single_observation():
-    arm = GaussianArmPosterior(0, mu=0.0, tau=1.0, tau0=1.0)
-    out = ts_update(arm, [10.0])
-    assert out.tau == 2.0
-    assert out.mu == 5.0
-    assert out.pulls == 1
+    router = _thompson((0, 0.0, 1.0))
+    router.observe(0, 10.0)
+    assert router.arm(0) == (5.0, 2.0, 1.0, 1)
 
 
 def test_conjugate_update_symmetric_batch():
-    arm = GaussianArmPosterior(0, mu=100.0, tau=4.0, tau0=2.0)
-    out = ts_update(arm, [90.0, 110.0])
-    # tau' = 4 + 2*2; mu' = (4*100 + 2*200) / 8, the batch mean equals the
+    router = _thompson((0, 100.0, 2.0))
+    for reward in (90.0, 110.0):
+        router.observe(0, reward)
+    # tau' = 2 + 2*2; mu' = (2*100 + 2*200) / 6, the batch mean equals the
     # prior mean so the location is unchanged
-    assert out.tau == 8.0
-    assert out.mu == 100.0
-
-
-def test_conjugate_update_empty_batch_is_noop():
-    arm = GaussianArmPosterior(3, mu=50.0, tau=2.0, tau0=1.0, pulls=7)
-    assert ts_update(arm, []) is arm
+    mu, tau, _, _ = router.arm(0)
+    assert tau == 6.0
+    assert mu == 100.0
 
 
 def test_conjugate_update_uses_pre_update_precision():
-    # folding one by one must equal the batch fold exactly
-    arm = GaussianArmPosterior(0, mu=150.0, tau=0.5, tau0=0.125)
+    # folding one reward at a time must equal the batch closed form
+    tau0 = 0.125
     rewards = [140.0, 155.0, 149.5]
-    batch = ts_update(arm, rewards)
-    seq = arm
+    router = _thompson((0, 150.0, tau0))
     for r in rewards:
-        seq = ts_update(seq, [r])
-    assert batch.tau == pytest.approx(seq.tau, rel=1e-12)
-    assert batch.mu == pytest.approx(seq.mu, rel=1e-12)
-    assert batch.pulls == seq.pulls == 3
+        router.observe(0, r)
+    want_tau = tau0 + len(rewards) * tau0
+    want_mu = (tau0 * 150.0 + tau0 * math.fsum(rewards)) / want_tau
+    mu, tau, _, pulls = router.arm(0)
+    assert tau == pytest.approx(want_tau, rel=1e-12)
+    assert mu == pytest.approx(want_mu, rel=1e-12)
+    assert pulls == 3
 
 
 def test_conjugate_update_precision_grows_monotonically():
-    arm = GaussianArmPosterior(0, mu=100.0, tau=1.0, tau0=0.04)
+    router = _thompson((0, 100.0, 0.04))
     rng = np.random.default_rng(0)
     for _ in range(50):
-        prev = arm.tau
-        arm = ts_update(arm, [float(rng.uniform(50, 200))])
-        assert arm.tau == prev + arm.tau0
+        _, prev, tau0, _ = router.arm(0)
+        router.observe(0, float(rng.uniform(50, 200)))
+        assert router.arm(0)[1] == prev + tau0
 
 
 @pytest.mark.parametrize("bad", [0.0, -5.0, float("inf"), float("nan")])
 def test_conjugate_update_rejects_bad_rewards(bad):
-    arm = GaussianArmPosterior(0, mu=100.0, tau=1.0, tau0=1.0)
+    router = _thompson((0, 100.0, 1.0))
+    router.observe(0, 100.0)
     with pytest.raises(ValidationError):
-        ts_update(arm, [100.0, bad])
+        router.observe(0, bad)
+    assert router.arm(0) == (100.0, 2.0, 1.0, 1)  # the rejected reward left no trace
 
 
 def test_posterior_validation():
-    with pytest.raises(ValidationError):
-        GaussianArmPosterior(0, mu=0.0, tau=0.0, tau0=1.0)
-    with pytest.raises(ValidationError):
-        GaussianArmPosterior(0, mu=0.0, tau=1.0, tau0=-1.0)
+    for tau0 in (0.0, -1.0):
+        with pytest.raises(ValidationError):
+            _thompson((0, 0.0, tau0))
 
 
 def test_posterior_concentrates_on_true_mean():
     true_mean = 150.0
     rng = np.random.default_rng(5)
-    arm = GaussianArmPosterior(0, mu=300.0, tau=0.01, tau0=0.01)  # wrong prior
-    arm = ts_update(arm, list(rng.normal(true_mean, 10.0, size=5000)))
-    assert arm.mu == pytest.approx(true_mean, abs=1.0)
-    assert arm.tau == pytest.approx(0.01 + 5000 * 0.01)
+    router = _thompson((0, 300.0, 0.01))  # wrong prior
+    for reward in rng.normal(true_mean, 10.0, size=5000).tolist():
+        router.observe(0, reward)
+    mu, tau, _, _ = router.arm(0)
+    assert mu == pytest.approx(true_mean, abs=1.0)
+    assert tau == pytest.approx(0.01 + 5000 * 0.01)
 
 
 def test_tau0_variance_floor():
@@ -94,26 +89,20 @@ def test_tau0_variance_floor():
 
 
 def test_select_single_arm():
-    arm = GaussianArmPosterior(4, mu=100.0, tau=1.0, tau0=1.0)
-    rng = np.random.default_rng(0)
-    assert ts_select([arm], rng) == 4
+    assert _thompson((4, 100.0, 1.0)).select() == 4
 
 
 def test_select_prefers_clearly_lower_mean():
     # posterior-predictive stds ~1.0 vs a 900 ms gap: picking the slow arm is
     # a >600-sigma event
-    fast = GaussianArmPosterior(1, mu=100.0, tau=2.0, tau0=2.0)
-    slow = GaussianArmPosterior(2, mu=1000.0, tau=2.0, tau0=2.0)
-    rng = np.random.default_rng(123)
-    picks = [ts_select([fast, slow], rng) for _ in range(1000)]
+    router = _thompson((1, 100.0, 2.0), (2, 1000.0, 2.0), seed=123)
+    picks = [router.select() for _ in range(1000)]
     assert picks.count(1) == 1000
 
 
 def test_select_symmetric_arms_split_evenly():
-    a = GaussianArmPosterior(0, mu=100.0, tau=1.0, tau0=1.0)
-    b = GaussianArmPosterior(1, mu=100.0, tau=1.0, tau0=1.0)
-    rng = np.random.default_rng(7)
-    picks = [ts_select([a, b], rng) for _ in range(10_000)]
+    router = _thompson((0, 100.0, 1.0), (1, 100.0, 1.0), seed=7)
+    picks = [router.select() for _ in range(10_000)]
     share = picks.count(0) / len(picks)
     assert 0.47 <= share <= 0.53
 
@@ -121,70 +110,77 @@ def test_select_symmetric_arms_split_evenly():
 def test_select_invariant_under_common_shift():
     # identical rng state, every mean moved by the same constant: the sampled
     # ordering cannot change
-    arms = [GaussianArmPosterior(i, mu=float(m), tau=1.0, tau0=0.5)
-            for i, m in enumerate((120.0, 80.0, 150.0, 95.0))]
-    arms = sorted(arms, key=lambda a: a.path_id)
-    shifted = [GaussianArmPosterior(a.path_id, a.mu + 1e4, a.tau, a.tau0) for a in arms]
+    means = (120.0, 80.0, 150.0, 95.0)
     for seed in range(50):
-        r1 = np.random.default_rng(seed)
-        r2 = np.random.default_rng(seed)
-        assert ts_select(arms, r1) == ts_select(shifted, r2)
+        router = _thompson(*[(i, m, 0.5) for i, m in enumerate(means)], seed=seed)
+        shifted = _thompson(*[(i, m + 1e4, 0.5) for i, m in enumerate(means)], seed=seed)
+        assert router.select() == shifted.select()
 
 
 def test_select_validation():
-    rng = np.random.default_rng(0)
     with pytest.raises(ValidationError):
-        ts_select([], rng)
-    a = GaussianArmPosterior(2, mu=1.0, tau=1.0, tau0=1.0)
-    b = GaussianArmPosterior(1, mu=1.0, tau=1.0, tau0=1.0)
-    with pytest.raises(ValidationError):
-        ts_select([a, b], rng)
+        _thompson()
+    # priors in any order: the router sorts them by path id
+    given = [(2, 1.0, 1.0), (1, 3.0, 0.5), (5, 2.0, 2.0)]
+    router = _thompson(*given, seed=1)
+    ordered = _thompson(*sorted(given), seed=1)
+    picks = [router.select() for _ in range(200)]
+    assert len(set(picks)) == 3
+    assert picks == [ordered.select() for _ in range(200)]
 
 
 def test_ucb1_init_round_in_id_order():
-    arms = [Ucb1Arm(0), Ucb1Arm(1), Ucb1Arm(2)]
-    assert ucb1_select(arms) == 0
-    arms[0].observe(100.0)
-    assert ucb1_select(arms) == 1
-    arms[1].observe(100.0)
-    assert ucb1_select(arms) == 2
+    router = Ucb1Router([0, 1, 2])
+    assert router.select() == 0
+    router.observe(0, 100.0)
+    assert router.select() == 1
+    router.observe(1, 100.0)
+    assert router.select() == 2
+
+
+def _ucb1(arms, c):
+    # a router whose arms hold the given (path_id, mean, n): every reward is
+    # the arm's mean, so the running mean is exact
+    router = Ucb1Router([pid for pid, _, _ in arms], c=c)
+    for pid, mean, n in arms:
+        for _ in range(n):
+            router.observe(pid, mean)
+    return router
 
 
 def test_ucb1_exploration_bonus_flips_to_undersampled_arm():
-    a = Ucb1Arm(1, mean=100.0, n=10_000)
-    b = Ucb1Arm(2, mean=105.0, n=1)
+    arms = [(1, 100.0, 10_000), (2, 105.0, 1)]
     c = 100.0
-    assert ucb1_select([a, b], c=c) == 2
+    assert _ucb1(arms, c).select() == 2
     # the indices behind that choice
     total = math.log(10_001)
     idx_a = 100.0 - c * math.sqrt(2.0 * total / 10_000)
     idx_b = 105.0 - c * math.sqrt(2.0 * total)
     assert idx_b < idx_a
     # with no exploration the better mean wins
-    assert ucb1_select([a, b], c=0.0) == 1
+    assert _ucb1(arms, 0.0).select() == 1
 
 
 def test_ucb1_tie_breaks_to_lowest_id():
-    a = Ucb1Arm(3, mean=100.0, n=50)
-    b = Ucb1Arm(7, mean=100.0, n=50)
-    assert ucb1_select([a, b], c=5.0) == 3
+    assert _ucb1([(7, 100.0, 50), (3, 100.0, 50)], 5.0).select() == 3
 
 
 def test_ucb1_observe_running_mean():
-    arm = Ucb1Arm(0)
+    router = Ucb1Router([0])
     for r in (10.0, 20.0, 30.0):
-        arm.observe(r)
-    assert arm.n == 3
-    assert arm.mean == pytest.approx(20.0)
+        router.observe(0, r)
+    mean, n = router.arm(0)
+    assert n == 3
+    assert mean == pytest.approx(20.0)
     with pytest.raises(ValidationError):
-        arm.observe(-1.0)
+        router.observe(0, -1.0)
 
 
 def test_ucb1_select_validation():
     with pytest.raises(ValidationError):
-        ucb1_select([])
-    with pytest.raises(ValidationError):
-        ucb1_select([Ucb1Arm(2), Ucb1Arm(1)])
+        Ucb1Router([])
+    # ids in any order: the router sorts them, so the init round runs in id order
+    assert Ucb1Router([2, 1]).select() == 1
 
 
 def test_direct_router_is_inert():
@@ -198,7 +194,7 @@ def test_thompson_router_state():
     assert router.ready() and router.path_for(0, 2) == 2
     assert router.needs_feedback == "e2e"
     router.observe(2, 140.0)
-    assert router.arm(2).pulls == 1
+    assert router.arm(2)[3] == 1  # (mu, tau, tau0, pulls)
     assert router.select() in (0, 2)
     with pytest.raises(ValidationError):
         ThompsonRouter([], rng)
@@ -211,7 +207,7 @@ def test_thompson_router_state():
     for bad in (0.0, float("inf"), float("nan")):
         with pytest.raises(ValidationError):
             router.observe(0, bad)
-    assert router.arm(0).pulls == 0
+    assert router.arm(0) == (100.0, 0.01, 0.01, 0)
 
 
 def test_ucb1_router_state():
@@ -236,7 +232,7 @@ def test_ucb1_router_state():
         Ucb1Router([1, 2, 1])
     with pytest.raises(ValidationError):
         router.observe(1, float("nan"))
-    assert router.arm(1).n == 1
+    assert router.arm(1) == (101.0, 1)  # (mean, n)
 
 
 def test_thompson_converges_on_stationary_arms():
@@ -257,43 +253,6 @@ def _trajectory_digest(picks, state):
     return hashlib.sha256(bytes(picks) + repr(state).encode()).hexdigest()
 
 
-def test_ts_trajectory_pinned():
-    # the exact pick sequence, final posteriors and generator position of a
-    # seeded run: any rewrite of ts_select/ts_update must reproduce all three
-    means = (100.0, 108.0, 115.0)
-    sel = np.random.default_rng(11)
-    rewards = np.maximum(
-        np.random.default_rng(12).normal(means, 40.0, (5000, 3)), 0.1).tolist()
-    arms = [GaussianArmPosterior(0, mu=150.0, tau=0.01, tau0=0.01),
-            GaussianArmPosterior(1, mu=120.0, tau=0.02, tau0=0.005),
-            GaussianArmPosterior(2, mu=110.0, tau=0.01, tau0=0.0004)]
-    picks = []
-    for row in rewards:
-        pid = ts_select(arms, sel)
-        picks.append(pid)
-        arms[pid] = ts_update(arms[pid], [row[pid]])
-    state = [(a.path_id, a.mu.hex(), a.tau.hex(), a.pulls) for a in arms]
-    state.append(sel.standard_normal().hex())  # one draw per select, no more
-    assert [a.pulls for a in arms] == [picks.count(i) for i in range(3)]
-    assert _trajectory_digest(picks, state) == (
-        "7df151cd73cca797e8160e3799913f64c0b008dfc45db6c565355fd7767b299c")
-
-
-def test_ucb1_trajectory_pinned():
-    means = (100.0, 108.0, 115.0)
-    rewards = np.maximum(
-        np.random.default_rng(13).normal(means, 40.0, (5000, 3)), 0.1).tolist()
-    arms = [Ucb1Arm(i) for i in range(3)]
-    picks = []
-    for row in rewards:
-        pid = ucb1_select(arms, 40.0)
-        picks.append(pid)
-        arms[pid].observe(row[pid])
-    state = [(a.path_id, a.mean.hex(), a.n) for a in arms]
-    assert _trajectory_digest(picks, state) == (
-        "873f3c80ae398d8fa3408046e966a62adcc4f57001f486db081afa450e4b2659")
-
-
 def test_ts_router_trajectory_pinned():
     # the exact pick sequence and final arm state of a seeded router run: any
     # rewrite of ThompsonRouter must reproduce both
@@ -309,7 +268,7 @@ def test_ts_router_trajectory_pinned():
         router.observe(pid, row[pid])
     state = []
     for pid in range(3):
-        _, mu, tau, _, pulls = router.arm(pid)
+        mu, tau, _, pulls = router.arm(pid)
         state.append((pid, mu.hex(), tau.hex(), pulls))
     assert [pulls for *_, pulls in state] == [picks.count(i) for i in range(3)]
     assert _trajectory_digest(picks, state) == (
@@ -328,8 +287,7 @@ def test_ucb1_router_trajectory_pinned():
         router.observe(pid, row[pid])
     state = []
     for pid in range(3):
-        arm = router.arm(pid)
-        mean, n = arm.mean, arm.n
+        mean, n = router.arm(pid)
         state.append((pid, mean.hex(), n))
     assert _trajectory_digest(picks, state) == (
         "873f3c80ae398d8fa3408046e966a62adcc4f57001f486db081afa450e4b2659")
@@ -337,9 +295,9 @@ def test_ucb1_router_trajectory_pinned():
 
 @pytest.mark.parametrize("k", [1, 3, 17])
 def test_block_normal_draws_equal_sequential_draws(k):
-    # ThompsonRouter draws a (DRAW_BLOCK, k) block where ts_select draws one
-    # k-vector per call; its picks equal the primitive's only while the two
-    # produce the same numbers, block after block
+    # ThompsonRouter draws a (DRAW_BLOCK, k) block where the reference draws
+    # one k-vector per call; their picks are equal only while the two produce
+    # the same numbers, block after block
     blocked = np.random.default_rng(2024 + k)
     sequential = np.random.default_rng(2024 + k)
     for _ in range(3):
@@ -380,22 +338,18 @@ def test_thompson_router_equals_primitives(k):
         router_picks.append(pid)
         router.observe(pid, row[col[pid]])
 
-    arms = {pid: GaussianArmPosterior(pid, mu=mu0, tau=tau0, tau0=tau0)
-            for pid, mu0, tau0 in priors}
-    sel = np.random.default_rng(77)
+    ref = ThompsonReference(priors, np.random.default_rng(77))
     picks = []
     for row in rewards:
-        pid = ts_select([arms[i] for i in ids], sel)
+        pid = ref.select()
         picks.append(pid)
-        arms[pid] = ts_update(arms[pid], [row[col[pid]]])
+        ref.observe(pid, row[col[pid]])
 
     assert router_picks == picks
     if k > 1:
         assert len(set(picks)) > 1  # the run explores, so every arm's state moves
     for pid in ids:
-        got, want = router.arm(pid), arms[pid]
-        assert (got.path_id, got.mu.hex(), got.tau.hex(), got.tau0.hex(), got.pulls) == (
-            want.path_id, want.mu.hex(), want.tau.hex(), want.tau0.hex(), want.pulls)
+        assert router.arm(pid) == tuple(ref.arms[pid])
 
 
 @pytest.mark.parametrize("k", [1, 3, 17])
@@ -406,11 +360,11 @@ def test_ucb1_router_equals_primitives(k):
     forced, rest = rewards[:k], rewards[k:]
 
     router = Ucb1Router(ids, c=40.0)
-    arms = {pid: Ucb1Arm(pid) for pid in sorted(ids)}
+    ref = Ucb1Reference(ids, c=40.0)
     # the forced round, rewarded out of id order
     for pid, row in zip(ids, forced):
         router.observe(pid, row[col[pid]])
-        arms[pid].observe(row[col[pid]])
+        ref.observe(pid, row[col[pid]])
     assert router.ready()
 
     router_picks = []
@@ -420,16 +374,15 @@ def test_ucb1_router_equals_primitives(k):
         router.observe(pid, row[col[pid]])
     picks = []
     for row in rest:
-        pid = ucb1_select([arms[i] for i in sorted(ids)], 40.0)
+        pid = ref.select()
         picks.append(pid)
-        arms[pid].observe(row[col[pid]])
+        ref.observe(pid, row[col[pid]])
 
     assert router_picks == picks
     if k > 1:
         assert len(set(picks)) > 1
     for pid in ids:
-        got, want = router.arm(pid), arms[pid]
-        assert (got.path_id, got.mean.hex(), got.n) == (want.path_id, want.mean.hex(), want.n)
+        assert router.arm(pid) == tuple(ref.arms[pid])
 
 
 def test_ucb1_router_tie_breaks_to_lowest_id():
@@ -451,8 +404,10 @@ def test_ucb1_router_ready_counts_rewarded_arms(order):
     last_first_reward = max(order.index(pid) for pid in ids)
     for step, pid in enumerate(order + [2, 9, 5]):
         router.observe(pid, 100.0 + step)
-        assert router.ready() == all(router.arm(i).n > 0 for i in ids)
+        unrewarded = [i for i in sorted(ids) if router.arm(i)[1] == 0]
+        assert router.ready() == (not unrewarded)
         # false until the last arm's first reward, true from then on
         assert router.ready() == (step >= last_first_reward)
         # before then, the first unrewarded arm in id order
-        assert router.select() == ucb1_select([router.arm(i) for i in sorted(ids)])
+        if unrewarded:
+            assert router.select() == unrewarded[0]
