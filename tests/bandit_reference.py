@@ -49,8 +49,10 @@ class Ucb1Reference:
             if self.arms[pid][1] == 0:
                 return pid
         total = sum(n for _, n in self.arms.values())
-        indices = [self.arms[pid][0] - self.c * math.sqrt(2.0 * math.log(total) / self.arms[pid][1])
-                   for pid in ids]
+        indices = []
+        for pid in ids:
+            mean, n = self.arms[pid]
+            indices.append(mean - self.c * math.sqrt(2.0 * math.log(total) / n))
         return ids[indices.index(min(indices))]
 
     def observe(self, path_id: int, reward: float) -> None:
