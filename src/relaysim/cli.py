@@ -54,7 +54,6 @@ from pathlib import Path
 
 from .engine import (
     METHODS,
-    ROUTER_KINDS,
     RouterConfig,
     SessionConfig,
     cell_config,
@@ -63,7 +62,7 @@ from .engine import (
     summarize_cells,
 )
 from .errors import ConfigurationError, TraceParseError, ValidationError
-from .jitter import JITTER_KINDS, JitterConfig
+from .jitter import JitterConfig
 from .paths import path_count, required_links
 from .reports import MetricsReport, write_summary_csv
 from .traces import (
@@ -284,8 +283,6 @@ def _template_config(doc: dict, args: argparse.Namespace, endpoint: str, user: s
 
 def _resolve_methods(doc: dict, args: argparse.Namespace) -> list[str]:
     """Method labels to run, checked by ``engine.check_method_labels``."""
-    if args.router or args.jitter:
-        return [f"{args.router or RouterConfig.kind}+{args.jitter or JitterConfig.kind}"]
     if args.methods:
         labels = [m.strip() for m in args.methods.split(",") if m.strip()]
     else:
@@ -437,10 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--packets", type=int)
     p_run.add_argument("--interval-ms", type=float)
-    p_run.add_argument("--router", choices=ROUTER_KINDS,
-                       help="run the single method ROUTER+JITTER with this router")
-    p_run.add_argument("--jitter", choices=JITTER_KINDS,
-                       help="run the single method ROUTER+JITTER with this jitter manager")
     p_run.add_argument("--methods",
                        help="comma-separated method names or router+jitter labels")
     p_run.add_argument("--percentile", type=float)

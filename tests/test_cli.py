@@ -186,8 +186,7 @@ def test_run_loss_warnings_name_the_session(synth_dir, tmp_path, capsys):
 
 def test_run_single_custom_method(synth_dir, tmp_path):
     res = tmp_path / "res"
-    assert _run(synth_dir, res, "--jobs", "1", "--router", "direct",
-                "--jitter", "buffer") == 0
+    assert _run(synth_dir, res, "--jobs", "1", "--methods", "direct+buffer") == 0
     rep = json.loads((res / "s0_direct_buffer.json").read_text())
     assert rep["method"] == "direct+buffer"
     assert rep["jitter_kind"] == "buffer"
@@ -201,7 +200,7 @@ def test_cli_cells_equal_run_matrix(synth_dir, tmp_path):
     template = SessionConfig(endpoint="e0", user="u0", packet_count=300, seed=seed)
     named, custom = tmp_path / "named", tmp_path / "custom"
     assert _run(synth_dir, named, "--jobs", "2") == 0
-    assert _run(synth_dir, custom, "--router", "vcroute_ts", "--jitter", "buffer") == 0
+    assert _run(synth_dir, custom, "--methods", "vcroute_ts+buffer") == 0
     for out, labels in ((named, list(METHODS)), (custom, ["vcroute_ts+buffer"])):
         matrix = run_matrix([(topology, template)], labels)
         for label in labels:
