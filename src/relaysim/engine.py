@@ -35,8 +35,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .jitter import JITTER_KINDS, JitterConfig, Packet, build_jitter_manager
-from .paths import RelayPath, enumerate_paths, prune_topk, warmup_stats
+from .jitter import JITTER_KINDS, JitterConfig, build_jitter_manager
+from .paths import RelayPath, enumerate_paths, path_latency, prune_topk, warmup_stats
 from .reports import MetricsReport, build_report
 from .routing import DirectRouter, ThompsonRouter, Ucb1Router, tau0_from_variance
 from .traces import Topology
@@ -103,38 +103,6 @@ class SessionResult:
     records: list[PacketRecord]
 
 
-class _PathTickCache:
-    """Per-path latency at every generation tick, built lazily per path."""
-
-    def __init__(self, topology: Topology, paths: Sequence[RelayPath], ticks: np.ndarray) -> None:
-        self._topology = topology
-        self._paths = {p.path_id: p for p in paths}
-        self._ticks = ticks
-        self._links: dict[tuple[str, str], np.ndarray] = {}
-        self._by_path: dict[int, np.ndarray] = {}
-
-    def _link_array(self, src: str, dst: str) -> np.ndarray:
-        key = (src, dst)
-        arr = self._links.get(key)
-        if arr is None:
-            arr = self._topology.trace(src, dst).at(self._ticks)
-            self._links[key] = arr
-        return arr
-
-    def path_array(self, path_id: int) -> np.ndarray:
-        arr = self._by_path.get(path_id)
-        if arr is None:
-            path = self._paths[path_id]
-            arr = np.zeros(self._ticks.size)
-            for src, dst in path.links():
-                arr = arr + self._link_array(src, dst)
-            self._by_path[path_id] = arr
-        return arr
-
-    def at(self, path_id: int, tick: int) -> float:
-        return float(self.path_array(path_id)[tick])
-
-
 def _resolve_relays(topology: Topology, cfg: SessionConfig) -> list[str]:
     return [
         n.name
@@ -196,7 +164,7 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
     t0 = cfg.warmup_ms
     n = cfg.packet_count
     ticks = t0 + np.arange(n) * cfg.interval_ms
-    cache = _PathTickCache(topology, all_paths, ticks)
+    latency: dict[int, np.ndarray] = {}  # path id -> its latency at every tick, on first use
     jm = build_jitter_manager(cfg.jitter, cfg.interval_ms)
     direct_fwd = topology.trace(cfg.endpoint, cfg.user)
     direct_rev = topology.trace(cfg.user, cfg.endpoint) if router.needs_feedback else None
@@ -209,10 +177,10 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
     path_changes: list[tuple[float, int, int]] = []
     overhead_sum = 0.0
 
-    heap: list[tuple[float, int, int, float, float]] = []
+    heap: list[tuple[float, int, int, int, float]] = []
     ctr = 0
 
-    def push(t: float, kind: int, a: float, b: float) -> None:
+    def push(t: float, kind: int, a: int, b: float) -> None:
         nonlocal ctr
         heappush(heap, (t, kind, ctr, a, b))
         ctr += 1
@@ -225,7 +193,10 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
         if gen < n and (not heap or gen_times[gen] < heap[0][0]):
             t = gen_times[gen]
             path_id = router.path_for(gen, active_path)
-            ta = t + cache.at(path_id, gen)
+            lat = latency.get(path_id)
+            if lat is None:
+                lat = latency[path_id] = path_latency(topology, all_paths[path_id], ticks)
+            ta = t + lat.item(gen)
             records.append(PacketRecord(gen, t, ta, None, path_id, "in_flight"))
             push(ta, EV_ARRIVAL, gen, 0.0)
             gen += 1
@@ -233,9 +204,8 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
         t, kind, _, a, b = heappop(heap)
         end_time = t
         if kind == EV_ARRIVAL:
-            seq = int(a)
-            rec = records[seq]
-            emissions, was_dropped = jm.on_arrival(Packet(seq, rec.ts, t), t)
+            rec = records[a]
+            emissions, was_dropped = jm.on_arrival(rec, t)
             if was_dropped:
                 rec.fate = "dropped_late"
             # the transmit reward, or the e2e reward of a dropped packet: it
@@ -255,7 +225,7 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
                     avail = send_at + direct_rev.sample(send_at)
                     push(avail, EV_FEEDBACK, erec.path_id, em.out - erec.ts)
         elif kind == EV_FEEDBACK:
-            router.observe(int(a), b)
+            router.observe(a, b)
             if router.ready():
                 selected = router.select()
                 if selected != plan_path:
@@ -265,10 +235,9 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
                     plan_path = selected
                     push(t + delay, EV_CONTROL, len(path_changes), selected)
         else:  # EV_CONTROL
-            version = int(a)
-            if version > adopted_version:
-                adopted_version = version
-                active_path = int(b)
+            if a > adopted_version:
+                adopted_version = a
+                active_path = b
 
     for em in jm.flush(end_time):
         erec = records[em.seq]

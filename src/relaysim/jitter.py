@@ -22,13 +22,16 @@ per stream and differ only in ordering discipline:
     passed, is dropped.
 
 Both managers are event-driven: emissions happen while processing an arrival,
-plus a final flush at session teardown.
+plus a final flush at session teardown. ``on_arrival(packet, now)`` takes the
+arrival time from ``now`` and reads only ``seq`` and ``ts`` off ``packet``, so
+a :class:`Packet` and the engine's own per-packet record both serve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
+from typing import NamedTuple, Protocol
 
 from .estimator import JitterEstimator
 
@@ -44,8 +47,14 @@ class Packet:
             raise ValueError(f"packet {self.seq} arrives before it is generated")
 
 
-@dataclass(frozen=True)
-class Emission:
+class Stamped(Protocol):
+    """What a manager reads off an arrival: a Packet or an engine PacketRecord."""
+
+    seq: int
+    ts: float
+
+
+class Emission(NamedTuple):
     seq: int
     ts: float
     arrival: float
@@ -99,24 +108,25 @@ class WatermarkReorderer:
     def pending_count(self) -> int:
         return len(self._pending)
 
-    def on_arrival(self, packet: Packet, now: float) -> tuple[list[Emission], bool]:
-        """Process one arrival; returns (emissions, dropped_this_packet)."""
-        if now != packet.arrival:
-            raise ValueError("now must equal the packet arrival time")
-        if packet.ts < self._wm:
+    def on_arrival(self, packet: Stamped, now: float) -> tuple[list[Emission], bool]:
+        """Process one arrival; returns (emissions, dropped_this_packet).
+
+        ``now`` is the arrival time; ``packet`` supplies ``seq`` and ``ts``."""
+        ts = packet.ts
+        if ts < self._wm:
             # late: the watermark already passed this timestamp. The drop
             # leaves wm and the queue untouched, but the estimator may still
             # measure the arrival (its transit measures the depth of the
             # current reorder run, evidence the lag cannot get elsewhere).
             if self._update_on_drop:
-                self._est.update(packet.ts, now)
+                self._est.update(ts, now)
             self.dropped_count += 1
             return [], True
-        lag = self._est.update(packet.ts, now)
-        wm = packet.ts - lag
+        lag = self._est.update(ts, now)
+        wm = ts - lag
         if wm > self._wm:
             self._wm = wm
-        heappush(self._pending, (packet.ts, packet.seq, packet.arrival))
+        heappush(self._pending, (ts, packet.seq, now))
         out: list[Emission] = []
         while self._pending and self._pending[0][0] < self._wm:
             ts, seq, arrival = heappop(self._pending)
@@ -151,7 +161,7 @@ class PlayoutBuffer:
         self._update_on_drop = update_on_drop
         self._interval = interval_ms
         self._next_seq = 0
-        self._buffer: dict[int, Packet] = {}
+        self._buffer: dict[int, tuple[float, float]] = {}  # seq -> (ts, arrival)
         self._ts_base: float | None = None  # ts of seq 0, learned from arrivals
         self._max_seen = -1
         self._last_out = float("-inf")
@@ -165,47 +175,50 @@ class PlayoutBuffer:
     def pending_count(self) -> int:
         return len(self._buffer)
 
-    def on_arrival(self, packet: Packet, now: float) -> tuple[list[Emission], bool]:
-        if now != packet.arrival:
-            raise ValueError("now must equal the packet arrival time")
+    def on_arrival(self, packet: Stamped, now: float) -> tuple[list[Emission], bool]:
+        """Process one arrival; returns (emissions, dropped_this_packet).
+
+        ``now`` is the arrival time; ``packet`` supplies ``seq`` and ``ts``."""
+        seq, ts = packet.seq, packet.ts
         cold = self._ts_base is None  # first arrival seeds the estimate, never late
         if cold:
-            self._ts_base = packet.ts - packet.seq * self._interval
-        if packet.seq > self._max_seen:
-            self._max_seen = packet.seq
+            self._ts_base = ts - seq * self._interval
+        if seq > self._max_seen:
+            self._max_seen = seq
         # drop decisions use the pre-arrival target, mirroring the watermark
         # manager's check against the pre-arrival wm
         target = self._est.transit_target()
         if self._update_on_drop:
-            self._est.update(packet.ts, now)
-        if packet.seq < self._next_seq:
+            self._est.update(ts, now)
+        if seq < self._next_seq:
             self.dropped_count += 1
             return [], True
-        if not cold and now > packet.ts + target:
+        if not cold and now > ts + target:
             self.dropped_count += 1
             return [], True
         if not self._update_on_drop:
-            self._est.update(packet.ts, now)
-        if packet.seq in self._buffer:
-            raise ValueError(f"duplicate seq {packet.seq}")
-        self._buffer[packet.seq] = packet
+            self._est.update(ts, now)
+        if seq in self._buffer:
+            raise ValueError(f"duplicate seq {seq}")
+        self._buffer[seq] = (ts, now)
         return self._sweep(now), False
 
     def _sweep(self, now: float) -> list[Emission]:
         target = self._est.transit_target()
         out: list[Emission] = []
         while True:
-            pkt = self._buffer.get(self._next_seq)
-            if pkt is not None:
-                deadline = pkt.ts + target
+            held = self._buffer.get(self._next_seq)
+            if held is not None:
+                ts, arrival = held
+                deadline = ts + target
                 if deadline > now:
                     break  # holds until its scheduled playout time
                 t_out = deadline
-                if pkt.arrival > t_out:
-                    t_out = pkt.arrival
+                if arrival > t_out:
+                    t_out = arrival
                 if self._last_out > t_out:
                     t_out = self._last_out
-                out.append(Emission(pkt.seq, pkt.ts, pkt.arrival, t_out))
+                out.append(Emission(self._next_seq, ts, arrival, t_out))
                 self._last_out = t_out
                 del self._buffer[self._next_seq]
                 self._next_seq += 1
@@ -225,10 +238,9 @@ class PlayoutBuffer:
     def flush(self, end_time: float) -> list[Emission]:
         """Emit everything still buffered, in sequence order, at end_time."""
         out: list[Emission] = []
-        for seq in sorted(self._buffer):
-            pkt = self._buffer[seq]
+        for seq, (ts, arrival) in sorted(self._buffer.items()):
             t_out = end_time if end_time > self._last_out else self._last_out
-            out.append(Emission(pkt.seq, pkt.ts, pkt.arrival, t_out))
+            out.append(Emission(seq, ts, arrival, t_out))
             self._last_out = t_out
         self._buffer.clear()
         return out

@@ -101,6 +101,11 @@ def required_links(
     return links
 
 
+def path_latency(topology: Topology, path: RelayPath, times: np.ndarray) -> np.ndarray:
+    """The path's one-way latency at every time: its links' traces summed."""
+    return sum(topology.trace(src, dst).at(times) for src, dst in path.links())
+
+
 def warmup_stats(
     paths: Sequence[RelayPath],
     topology: Topology,
@@ -115,9 +120,7 @@ def warmup_stats(
         raise InsufficientHistoryError("warmup shorter than two packet intervals")
     stats = []
     for path in paths:
-        total = np.zeros(ticks.size)
-        for src, dst in path.links():
-            total += topology.trace(src, dst).at(ticks)
+        total = path_latency(topology, path, ticks)
         stats.append(
             PathStats(
                 path_id=path.path_id,

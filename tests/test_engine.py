@@ -188,7 +188,7 @@ def _early_build(*args):
 
     def early(packet, now):
         emissions, dropped = on_arrival(packet, now)
-        return [replace(em, out=em.arrival - 1.0) for em in emissions], dropped
+        return [em._replace(out=em.arrival - 1.0) for em in emissions], dropped
 
     manager.on_arrival = early
     return manager

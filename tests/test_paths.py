@@ -18,7 +18,7 @@ from relaysim import (
     prune_topk,
     warmup_stats,
 )
-from relaysim.paths import required_links
+from relaysim.paths import path_latency, required_links
 
 
 def test_path_count_formula():
@@ -110,6 +110,29 @@ def test_warmup_stats_against_direct_computation():
         assert st.m == len(ticks)
         assert st.mean_ms == pytest.approx(np.mean(totals), rel=1e-12)
         assert st.std_ms == pytest.approx(np.std(totals, ddof=1), rel=1e-12)
+
+
+def test_path_latency_sums_link_samples_on_a_two_relay_path():
+    # each link has its own sample times, so one query time can fall before
+    # one trace starts, on another's sample and between a third's samples
+    rng = np.random.default_rng(7)
+    axes = {("e", "r0"): [100.0, 130.0, 160.0, 190.0],
+            ("r0", "r1"): [120.0, 145.0, 170.0],
+            ("r1", "u"): [110.0, 140.0, 175.0, 200.0, 230.0]}
+    traces = {link: LatencyTrace(*link, t, rng.uniform(5.0, 80.0, len(t)))
+              for link, t in axes.items()}
+    topo = Topology([Node("e", "endpoint"), Node("r0", "relay"), Node("r1", "relay"),
+                     Node("u", "user")], traces)
+    path = RelayPath(5, ("e", "r0", "r1", "u"))
+    before = [0.0, 99.0, 99.999]
+    on_samples = sorted({t for axis in axes.values() for t in axis})
+    between = [105.0, 125.5, 150.0, 171.0, 199.0, 215.0]
+    after = [230.5, 500.0, 1e6]
+    times = np.array(before + on_samples + between + after)
+    got = path_latency(topo, path, times)
+    assert got.shape == times.shape
+    expected = [sum(traces[link].sample(t) for link in path.links()) for t in times.tolist()]
+    assert got.tolist() == expected
 
 
 def test_warmup_stats_validation():
