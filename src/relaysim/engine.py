@@ -19,11 +19,13 @@ no queued event is earlier; a queued event at the same time goes first. So
 runs are deterministic and reports are byte-identical for identical (config,
 topology, seed).
 
-The session ends at its last event of any kind (arrival, feedback or control
-message), and there the jitter manager flushes what it still holds: flushed
-packets count as delivered with To = that end time. So a direct session
-flushes at its last arrival, and a routed one at its last feedback or control
-message, which can come well after its last arrival.
+The session ends at its last arrival, and there the jitter manager flushes
+what it still holds: flushed packets count as delivered with To = that end
+time. Feedback and control messages still in flight are processed after it,
+so plan updates and the control overhead count them, but they can change no
+packet's path or playout. A candidate set of one path gets no bandit: no
+feedback could change its pick, so the session runs on that path with the
+direct router and takes no feedback.
 """
 
 from __future__ import annotations
@@ -151,7 +153,9 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
             topk_ids = [s.path_id for s in stats]
         by_id = {s.path_id: s for s in stats}
         initial_path = min(topk_ids, key=lambda pid: (by_id[pid].mean_ms, pid))
-        if router_kind == "via_ucb1":
+        if len(topk_ids) == 1:
+            router = DirectRouter()
+        elif router_kind == "via_ucb1":
             router = Ucb1Router(topk_ids, c=cfg.router.c)
         else:
             rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
@@ -202,8 +206,8 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
             gen += 1
             continue
         t, kind, _, a, b = heappop(heap)
-        end_time = t
         if kind == EV_ARRIVAL:
+            end_time = t
             rec = records[a]
             emissions, was_dropped = jm.on_arrival(rec, t)
             if was_dropped:

@@ -112,15 +112,24 @@ def warmup_stats(
     warmup_ms: float,
     interval_ms: float,
 ) -> list[PathStats]:
-    """Replay [0, warmup_ms) at packet cadence and collect per-path stats."""
+    """Replay [0, warmup_ms) at packet cadence and collect per-path stats.
+
+    Each link is looked up once; a path's latency is its links' arrays summed
+    in link order from 0, as ``path_latency`` sums them.
+    """
     if warmup_ms <= 0 or interval_ms <= 0:
         raise ValidationError("warmup_ms and interval_ms must be positive")
     ticks = np.arange(0.0, warmup_ms, interval_ms)
     if ticks.size < 2:
         raise InsufficientHistoryError("warmup shorter than two packet intervals")
+    links: dict[tuple[str, str], np.ndarray] = {}
     stats = []
     for path in paths:
-        total = path_latency(topology, path, ticks)
+        total = 0
+        for link in path.links():
+            if link not in links:
+                links[link] = topology.trace(*link).at(ticks)
+            total = total + links[link]
         stats.append(
             PathStats(
                 path_id=path.path_id,

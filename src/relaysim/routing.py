@@ -20,7 +20,8 @@ to the lowest path id.
 
 The session engine calls ``needs_feedback`` and ``path_for`` (each new
 packet's path) on every router, and ``observe``, ``ready`` and ``select`` on
-routers that take feedback.
+routers that take feedback. It runs a candidate set of one path with
+``DirectRouter``: no feedback could change the pick, so it takes none.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ def tau0_from_variance(variance_ms2: float) -> float:
 
 
 class DirectRouter:
-    """Always the direct path; consumes no feedback."""
+    """Keeps the session's initial path; serves ``direct`` and any candidate
+    set pruned to one path. Consumes no feedback."""
 
     needs_feedback = None  # no reward signal
 
@@ -63,7 +65,8 @@ class ThompsonRouter:
     standard normals ahead, ``DRAW_BLOCK`` selections at a time. A (B, k)
     block holds the same numbers as B sequential k-vectors, so the picks
     equal those of one ``standard_normal(k)`` per selection on a fresh
-    generator of the same seed.
+    generator of the same seed. State and blocks are Python lists, and
+    ``select`` finds the minimum in a loop, as ``Ucb1Router`` does.
     """
 
     needs_feedback = "e2e"
@@ -90,11 +93,11 @@ class ThompsonRouter:
         self._tau = [tau0 for _, _, tau0 in ordered]
         self._tau0 = list(self._tau)
         self._pulls = [0] * len(ordered)
-        self._mu = np.array([mu0 for _, mu0, _ in ordered], dtype=np.float64)
-        self._sd = np.array([math.sqrt(1.0 / tau + 1.0 / tau0)
-                             for tau, tau0 in zip(self._tau, self._tau0)])
+        self._mu = [float(mu0) for _, mu0, _ in ordered]
+        self._sd = [math.sqrt(1.0 / tau + 1.0 / tau0)
+                    for tau, tau0 in zip(self._tau, self._tau0)]
         self._rng = rng
-        self._z = np.empty((0, len(ordered)))
+        self._z: list[list[float]] = []
         self._row = 0
 
     def path_for(self, seq: int, active_path: int) -> int:
@@ -111,7 +114,7 @@ class ThompsonRouter:
         tau0 = self._tau0[i]
         # the conjugate update for a batch of one, then the predictive sd
         new_tau = tau + tau0
-        self._mu[i] = (tau * self._mu.item(i) + tau0 * reward) / new_tau
+        self._mu[i] = (tau * self._mu[i] + tau0 * reward) / new_tau
         self._sd[i] = math.sqrt(1.0 / new_tau + 1.0 / tau0)
         self._tau[i] = new_tau
         self._pulls[i] += 1
@@ -119,17 +122,27 @@ class ThompsonRouter:
     def select(self) -> int:
         r = self._row
         if r == len(self._z):
-            self._z = self._rng.standard_normal((self.DRAW_BLOCK, len(self._ids)))
+            self._z = self._rng.standard_normal((self.DRAW_BLOCK, len(self._ids))).tolist()
             r = 0
         self._row = r + 1
-        # one predictive draw mu + sd * z per arm; argmin keeps the first
-        # minimum, the lowest path id
-        return self._ids[int((self._mu + self._sd * self._z[r]).argmin())]
+        # one predictive draw mu + sd * z per arm; the first minimum wins,
+        # the lowest path id on ties
+        mu = self._mu
+        sd = self._sd
+        z = self._z[r]
+        best = 0
+        best_draw = math.inf
+        for i in range(len(z)):
+            draw = mu[i] + sd[i] * z[i]
+            if draw < best_draw:
+                best_draw = draw
+                best = i
+        return self._ids[best]
 
     def arm(self, path_id: int) -> tuple[float, float, float, int]:
         """The arm's ``(mu, tau, tau0, pulls)``."""
         i = self._index[path_id]
-        return self._mu.item(i), self._tau[i], self._tau0[i], self._pulls[i]
+        return self._mu[i], self._tau[i], self._tau0[i], self._pulls[i]
 
 
 class Ucb1Router:

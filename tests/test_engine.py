@@ -19,6 +19,8 @@ from relaysim import (
     Node,
     RouterConfig,
     SessionConfig,
+    ThompsonRouter,
+    Ucb1Router,
     ValidationError,
     method_config,
     run_matrix,
@@ -336,9 +338,9 @@ def test_seed_changes_ts_run():
 GOLDEN_DIGESTS = {
     "drt-bf": "d7940746957653528c010f9100ac29bf40e65d17249c887885e5e88910466ce1",
     "drt-wm": "c682db9516bd1dbd5d0eac58993a4027ce29b84cabcea7e58a0441f94599ac42",
-    "vcr-wm": "d148d03e4c761359c3951bcfb869da85c7c644492eb85d6d7206826759a2dfda",
-    "via-bf": "028ed78198e6abb7675b4702556072a350ddb42cde3be35a03fb758d04b8fc35",
-    "via-wm": "b89c8faa94f9f4839523cded4114bed56b66e5845f65d1481f57aab5218a3ae6",
+    "vcr-wm": "e104c97e1c9b4b7112f930f975a8256dcc90202d467c8a38af2df3a914a8f36d",
+    "via-bf": "0a9e7152e1be5405d7675258fb95bedc4199c3dd067f71c71b60c6162dd2ec62",
+    "via-wm": "d358aff9798f33644aeac519198d25c0977c78d359a2bb2e77e39a7c5afb288d",
 }
 
 
@@ -363,10 +365,10 @@ def test_golden_digests(method):
 FILE_DIGESTS = {
     "drt-bf": "4eb02606cbd2d7db5d0fee972dee51b7a9d265f04b573cfe2824ad34639d3b51",
     "drt-wm": "e62b5ea972b740698ae2724aa0e470d2c800f1d5f361503d701cdd08d0516deb",
-    "vcr-wm": "41974bdf7c6a0d25f72f70c6c92188034853df790b7e36c580da114a42d02e78",
-    "via-bf": "595124bd4ce59e599933fb999f7f8ae2ac1996007ae689884f9d14ff92922eea",
-    "via-wm": "bb2304a450dec20cc305f6103a3517cf73b928a036ed693ca6b18e82efd52c56",
-    "vcr-wm-20/3ms": "04eec76a7a90bbd04a74c7f52850a01979c09e2bf913b327fd57e37d9958d9e3",
+    "vcr-wm": "9e19b0e5b745087ad390700b9f8b64e70fe781a2f295ff9209e969d9819bf500",
+    "via-bf": "06a2bd9df8fcb9c526613726497f7b86fdbec05d97e561aab1e23eafb0c4e37e",
+    "via-wm": "0658743b8c240ec87599370207dc77bc3fe443b813a381f5d22834abb83b4a05",
+    "vcr-wm-20/3ms": "2d12f7b3313c06e6c74e54a3860a6c658ffe4afc9748b78268983928caa0bf47",
 }
 
 
@@ -387,6 +389,55 @@ def test_report_file_digests(case, tmp_path):
     digest.update((tmp_path / "cdf.csv").read_bytes())
     digest.update((tmp_path / "summary.csv").read_bytes())
     assert digest.hexdigest() == FILE_DIGESTS[case]
+
+
+ROUTED_METHODS = [m for m in sorted(METHODS) if METHODS[m][0] != "direct"]
+
+
+@pytest.mark.parametrize("method", ROUTED_METHODS)
+def test_session_flushes_at_its_last_arrival(method):
+    # the golden scenario: feedback and control messages land after the last
+    # arrival, but the jitter manager flushes at that arrival
+    template = SessionConfig(
+        endpoint="e0", user="u0", packet_count=1500, interval_ms=10.0,
+        warmup_ms=20_000.0, seed=7, router=RouterConfig(prune=False))
+    res = run_session(hetero_topology(5, 40_000.0), method_config(template, method))
+    last_arrival = max(rec.ta for rec in res.records)
+    flushed = [rec.to for rec in res.records if rec.fate == "flushed"]
+    assert flushed
+    assert all(to == last_arrival for to in flushed)
+
+
+@pytest.mark.parametrize("method", ROUTED_METHODS)
+def test_one_path_session_runs_without_a_bandit(method, monkeypatch):
+    # pruning keeps only e0->r0->u0 on the hetero scenario, so no feedback
+    # can change the pick: the session runs without the bandit, and its
+    # records and report equal those of a run that forces the bandit in
+    calls = {"observe": 0, "select": 0}
+    for cls in (ThompsonRouter, Ucb1Router):
+        for name in calls:
+            def counted(self, *args, _call=getattr(cls, name), _name=name):
+                calls[_name] += 1
+                return _call(self, *args)
+            monkeypatch.setattr(cls, name, counted)
+    topo = hetero_topology(5, 40_000.0)
+    cfg = method_config(SessionConfig(
+        endpoint="e0", user="u0", packet_count=1500, interval_ms=10.0,
+        warmup_ms=20_000.0, seed=7), method)
+    fast = run_session(topo, cfg, method=method)
+    assert fast.report.topk_paths == [1]
+    assert calls == {"observe": 0, "select": 0}
+
+    def bandit():  # one arm picks itself whatever its prior
+        if cfg.router.kind == "via_ucb1":
+            return Ucb1Router([1])
+        return ThompsonRouter([(1, 150.0, 1.0)], np.random.default_rng(cfg.seed))
+
+    monkeypatch.setattr(engine, "DirectRouter", bandit)
+    slow = run_session(topo, cfg, method=method)
+    assert calls["observe"] > 0 and calls["select"] > 0
+    assert slow.records == fast.records
+    assert slow.report.to_json() == fast.report.to_json()
 
 
 def test_method_config_specializes():

@@ -19,6 +19,7 @@ from relaysim import (
     warmup_stats,
 )
 from relaysim.paths import path_latency, required_links
+from scenarios import hetero_topology
 
 
 def test_path_count_formula():
@@ -133,6 +134,31 @@ def test_path_latency_sums_link_samples_on_a_two_relay_path():
     assert got.shape == times.shape
     expected = [sum(traces[link].sample(t) for link in path.links()) for t in times.tolist()]
     assert got.tolist() == expected
+
+
+def test_warmup_stats_equal_per_path_latency_on_hetero_topology(monkeypatch):
+    # 17 paths over 21 distinct links: each link is looked up once, and
+    # every path's stats equal those of its own path_latency array exactly
+    topo = hetero_topology(2, 30_000.0)
+    paths = enumerate_paths("e0", "u0", ["r0", "r1", "r2", "r3"])
+    assert len(paths) == 17
+    lookups = []
+    at = LatencyTrace.at
+
+    def counted_at(trace, times):
+        lookups.append(trace)
+        return at(trace, times)
+
+    monkeypatch.setattr(LatencyTrace, "at", counted_at)
+    stats = warmup_stats(paths, topo, 20_000.0, 10.0)
+    monkeypatch.undo()
+    assert len(lookups) == len(set(map(id, lookups))) == 21
+    ticks = np.arange(0.0, 20_000.0, 10.0)
+    for path, st in zip(paths, stats):
+        total = path_latency(topo, path, ticks)
+        assert (st.path_id, st.m) == (path.path_id, ticks.size)
+        assert st.mean_ms == float(np.mean(total))
+        assert st.std_ms == float(np.std(total, ddof=1))
 
 
 def test_warmup_stats_validation():
