@@ -44,6 +44,7 @@ Exit codes: 0 ok, 2 usage, 3 validation, 4 runtime.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import shutil
@@ -136,7 +137,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
             print(f"{f}: ERROR file not found", file=sys.stderr)
             failures += 1
             continue
-        except (TraceParseError, ValidationError) as exc:
+        except (TraceParseError, ValidationError, UnicodeDecodeError, csv.Error, OSError) as exc:
+            # a bad row or value, undecodable bytes, or an unreadable file
             print(f"{f}: ERROR {exc}", file=sys.stderr)
             failures += 1
             continue

@@ -11,9 +11,26 @@ Trace CSV format (one directed link per file)::
     0,A,B,100.0
     1000,A,B,104.5
 
-Lines starting with ``#`` are comments. A topology manifest (JSON) lists the
-nodes with their roles and maps each directed link to its trace file; see
-``load_topology`` / ``save_topology``.
+The accepted grammar, read with the ``csv`` module's default dialect:
+
+* lines end in LF or CRLF;
+* blank lines, and lines whose first field starts with ``#`` (after leading
+  whitespace), are skipped anywhere in the file;
+* the first other line is a header when its first field is ``timestamp_ms``
+  (case and surrounding whitespace ignored), and data otherwise;
+* every data line has four fields; fields may be quoted, csv style;
+* the two numbers are read by Python's ``float`` (so ``1_000``, ``inf`` and
+  surrounding whitespace are accepted), and node names are stripped of
+  surrounding whitespace;
+* every data line names the same link.
+
+A file of the regular shape (four plain fields per line, a header and
+comments only before the first data line, identical node fields) is read as
+columns in a few C-level passes; any other file goes through the row loop,
+which also raises every parse error. Both give the same arrays bit for bit.
+
+A topology manifest (JSON) lists the nodes with their roles and maps each
+directed link to its trace file; see ``load_topology`` / ``save_topology``.
 """
 
 from __future__ import annotations
@@ -99,7 +116,7 @@ class LatencyTrace:
 
 
 def ingest_trace(path: str | Path, unit: str = "one-way") -> LatencyTrace:
-    """Parse a trace CSV for one directed link.
+    """Parse a trace CSV for one directed link (grammar in the module docstring).
 
     Args:
         path: CSV file with header timestamp_ms,src_node,dst_node,latency_ms.
@@ -113,6 +130,88 @@ def ingest_trace(path: str | Path, unit: str = "one-way") -> LatencyTrace:
     if unit not in ("one-way", "rtt"):
         raise ValidationError(f"unknown unit {unit!r}")
     path = Path(path)
+    link, timestamps, latencies = _read_columns(path) or _read_rows(path)
+    if unit == "rtt":
+        latencies = latencies / 2.0
+    return LatencyTrace(link[0], link[1], timestamps, latencies)
+
+
+# characters of the data block a fast read cannot handle: csv quoting, NUL,
+# and a mid-file comment
+_IRREGULAR = ('"', "\x00", "#")
+_BLOCK_CHARS = 1 << 17  # csv's default field limit
+
+
+def _read_columns(path: Path):
+    """Read a file of the regular shape as columns; None for the row loop.
+
+    The data block is read in blocks of whole lines. Each block becomes one
+    flat field list whose line breaks are tokens of their own, so a single
+    slice check proves that every line has four fields. The link columns are
+    checked with ``list.count`` and the numbers parsed with ``float``, as the
+    row loop parses them.
+    """
+    limit = csv.field_size_limit()
+    link = None
+    ts_blocks, lat_blocks = [], []
+    try:
+        with path.open(newline="") as fh:
+            # leading comments and the optional header, split into lines as
+            # csv.reader sees them
+            while True:
+                line = fh.readline()
+                if not line or '"' in line or "\x00" in line or len(line) > limit:
+                    return None
+                first = line.split(",", 1)[0]
+                if not first.lstrip().startswith("#"):
+                    break
+            carry = "" if first.strip().lower() == "timestamp_ms" else line
+            while True:
+                chunk = fh.read(_BLOCK_CHARS)
+                block = carry + chunk
+                if chunk:
+                    cut = block.rfind("\n") + 1
+                    if not cut:
+                        carry = block
+                        continue
+                    block, carry = block[:cut], block[cut:]
+                elif not block:
+                    break
+                if any(c in block for c in _IRREGULAR):
+                    return None
+                if "\r" in block:
+                    if block.count("\r") != block.count("\r\n"):
+                        return None
+                    block = block.replace("\r\n", "\n")
+                if block.endswith("\n"):
+                    block = block[:-1]
+                n = block.count("\n") + 1
+                fields = block.replace("\n", ",\n,").split(",")
+                if len(fields) != 5 * n - 1 or fields[4::5].count("\n") != n - 1:
+                    return None
+                # no field can outgrow csv's field limit in a block that fits it
+                if len(block) > limit and max(map(len, fields)) > limit:
+                    return None
+                if link is None:
+                    link = (fields[1], fields[2])
+                if fields[1::5].count(link[0]) != n or fields[2::5].count(link[1]) != n:
+                    return None
+                try:
+                    ts_blocks.append(np.fromiter(map(float, fields[0::5]), np.float64, n))
+                    lat_blocks.append(np.fromiter(map(float, fields[3::5]), np.float64, n))
+                except ValueError:
+                    return None
+                if not chunk:
+                    break
+    except UnicodeDecodeError:
+        return None
+    if link is None:
+        return None
+    return (link[0].strip(), link[1].strip()), np.concatenate(ts_blocks), np.concatenate(lat_blocks)
+
+
+def _read_rows(path: Path):
+    """The row loop: any file the columnar read refuses, and every parse error."""
     timestamps: list[float] = []
     latencies: list[float] = []
     link: tuple[str, str] | None = None
@@ -146,10 +245,7 @@ def ingest_trace(path: str | Path, unit: str = "one-way") -> LatencyTrace:
             latencies.append(lat)
     if link is None:
         raise ValidationError(f"{path.name}: no samples")
-    values = np.asarray(latencies, dtype=np.float64)
-    if unit == "rtt":
-        values = values / 2.0
-    return LatencyTrace(link[0], link[1], np.asarray(timestamps, dtype=np.float64), values)
+    return link, np.asarray(timestamps, dtype=np.float64), np.asarray(latencies, dtype=np.float64)
 
 
 def write_trace_csv(trace: LatencyTrace, path: str | Path) -> None:
@@ -327,23 +423,39 @@ def load_topology(manifest_path: str | Path) -> Topology:
         raise ValidationError(f"manifest not found: {manifest_path}") from None
     except json.JSONDecodeError as exc:
         raise TraceParseError(f"{manifest_path.name}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{manifest_path.name}: manifest must be a JSON object")
     version = doc.get("schema_version")
     if version != MANIFEST_SCHEMA_VERSION:
         raise ValidationError(f"unsupported manifest schema_version {version!r}")
-    nodes = [Node(entry["name"], entry["role"]) for entry in doc.get("nodes", [])]
+    nodes = [Node(*_manifest_entry(manifest_path, "node", i, entry, ("name", "role")))
+             for i, entry in enumerate(doc.get("nodes", []))]
     traces = {}
-    for entry in doc.get("traces", []):
-        file_path = manifest_path.parent / entry["file"]
+    for i, entry in enumerate(doc.get("traces", [])):
+        src, dst, file = _manifest_entry(manifest_path, "trace", i, entry, ("src", "dst", "file"))
+        if (src, dst) in traces:
+            raise ValidationError(f"{manifest_path.name}: duplicate link {src}->{dst}")
+        file_path = manifest_path.parent / file
         if not file_path.exists():
             raise ValidationError(f"trace file missing: {file_path}")
         trace = ingest_trace(file_path, unit=entry.get("unit", "one-way"))
-        if trace.link != (entry["src"], entry["dst"]):
+        if trace.link != (src, dst):
             raise ValidationError(
-                f"{file_path.name}: manifest says {entry['src']}->{entry['dst']}, "
+                f"{file_path.name}: manifest says {src}->{dst}, "
                 f"file contains {trace.src}->{trace.dst}"
             )
         traces[trace.link] = trace
     return Topology(nodes, traces)
+
+
+def _manifest_entry(manifest_path: Path, kind: str, index: int, entry, keys: tuple[str, ...]) -> tuple:
+    """The values of an entry's required keys; ValidationError names a missing one."""
+    if not isinstance(entry, dict):
+        raise ValidationError(f"{manifest_path.name}: {kind} entry {index} is not an object")
+    for key in keys:
+        if key not in entry:
+            raise ValidationError(f"{manifest_path.name}: {kind} entry {index} has no {key!r}")
+    return tuple(entry[key] for key in keys)
 
 
 def trace_summary(trace: LatencyTrace) -> dict:

@@ -106,6 +106,19 @@ def test_validate_failures(tmp_path, capsys):
     assert "ERROR" in err and "no traces found" in err
 
 
+def test_validate_goes_on_past_an_undecodable_file(tmp_path, capsys):
+    out = tmp_path / "topo"
+    _synth(out)
+    (out / "traces" / "a_binary.csv").write_bytes(b"timestamp_ms,src_node\n\xff\xfe\n")
+    capsys.readouterr()
+    assert main(["validate", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert re.search(r"a_binary\.csv: ERROR .*can't decode byte 0xff", captured.err)
+    assert "1 of 5 files failed validation" in captured.err
+    lines = [l for l in captured.out.splitlines() if l.strip()]
+    assert len(lines) == 4  # the files sorted after it are still checked
+
+
 # --------------------------------------------------------------------- run
 
 @pytest.fixture(scope="module")
@@ -292,6 +305,24 @@ def test_run_manifest_errors(tmp_path, capsys):
     synthetic = {**base["synthetic"], "mean": 150.0}
     assert attempt({**base, "synthetic": synthetic}) == 3
     assert "unknown synthetic keys ['mean']" in capsys.readouterr().err
+
+
+def test_run_topology_manifest_errors_are_validation_errors(tmp_path, capsys):
+    assert _synth(tmp_path) == 0
+    topology = tmp_path / "topology.json"
+    doc = json.loads(topology.read_text())
+    del doc["traces"][2]["src"]
+    topology.write_text(json.dumps(doc))
+    assert main(["run", str(tmp_path / "experiment.json"), "--out", str(tmp_path / "o")]) == 3
+    assert "error: topology.json: trace entry 2 has no 'src'" in capsys.readouterr().err
+    doc = json.loads(topology.read_text())
+    doc["traces"][2]["src"] = doc["traces"][3]["src"]
+    doc["traces"][2]["dst"] = doc["traces"][3]["dst"]
+    doc["traces"][2]["file"] = doc["traces"][3]["file"]
+    topology.write_text(json.dumps(doc))
+    assert main(["run", str(tmp_path / "experiment.json"), "--out", str(tmp_path / "o")]) == 3
+    assert "duplicate link" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("flag, jobs", [(("--percentile", "1.5"), "1"),

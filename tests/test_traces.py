@@ -1,7 +1,12 @@
 """Trace parsing, zero-order-hold lookup, and synthetic generation."""
 
+import csv
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relaysim import (
     LatencyTrace,
@@ -15,6 +20,7 @@ from relaysim import (
     load_topology,
     save_topology,
 )
+from relaysim import traces
 from relaysim.traces import (
     SPIKE_FACTOR_RANGE,
     synth_link_samples,
@@ -124,6 +130,150 @@ def test_write_ingest_roundtrip_exact(tmp_path):
     # repr round-trips float64 exactly
     assert np.array_equal(back.timestamps_ms, trace.timestamps_ms)
     assert np.array_equal(back.latencies_ms, trace.latencies_ms)
+
+
+HEADER = "timestamp_ms,src_node,dst_node,latency_ms"
+
+# (name, file content, whether the columnar read takes it). Every entry must
+# give the same trace, or the same exception and message, as the row loop.
+CORPUS = [
+    ("lf", f"{HEADER}\n0,A,B,100.0\n10,A,B,90.5\n", True),
+    ("crlf", f"{HEADER}\r\n0,A,B,100.0\r\n10,A,B,90.5\r\n", True),
+    ("lf and crlf", f"{HEADER}\r\n0,A,B,1\n10,A,B,2\r\n", True),
+    ("no header", "0,A,B,100.0\n10,A,B,90.5\n", True),
+    ("header case and space", " Timestamp_MS ,s,d,l\n0,A,B,1\n", True),
+    ("header of one field", "timestamp_ms\n0,A,B,1\n", True),
+    ("leading comments", f"# one\n  # two, with a comma\n{HEADER}\n0,A,B,1\n", True),
+    ("leading comments crlf", f"# one\r\n{HEADER}\r\n0,A,B,1\r\n", True),
+    ("comment after header", f"{HEADER}\n# c\n0,A,B,1\n", False),
+    ("mid-file comment", f"{HEADER}\n0,A,B,1\n# c\n10,A,B,2\n", False),
+    ("blank line", f"{HEADER}\n0,A,B,1\n\n10,A,B,2\n", False),
+    ("blank line before header", f"\n{HEADER}\n0,A,B,1\n", False),
+    ("blank last line", f"{HEADER}\n0,A,B,1\n\n", False),
+    ("whitespace-only line", f"{HEADER}\n0,A,B,1\n   \n10,A,B,2\n", False),
+    ("quoted fields", f'{HEADER}\n0,"A",B,1\n10,"A",B,2\n', False),
+    ("quoted comma", f'{HEADER}\n0,"A,x",B,1\n', False),
+    ("quote in a leading comment", f'# say "hi"\n{HEADER}\n0,A,B,1\n', False),
+    ("spaces around names, mixed", f"{HEADER}\n0, A ,B,1\n10,A,B,2\n", False),
+    ("spaces around names, same", f"{HEADER}\n0, A , B ,1\n10, A , B ,2\n", True),
+    ("spaces around numbers", f"{HEADER}\n 0 ,A,B, 1.5 \n", True),
+    ("underscores", f"{HEADER}\n1_000,A,B,2_5\n", True),
+    ("non-ascii digits and space", f"{HEADER}\n\u0661\u0660,A,B,\u00a01.5\n", True),
+    ("inf latency", f"{HEADER}\n0,A,B,inf\n", True),
+    ("nan latency", f"{HEADER}\n0,A,B,nan\n", True),
+    ("nan timestamp alone", f"{HEADER}\nnan,A,B,1\n", True),
+    ("infinite timestamps", f"{HEADER}\n-inf,A,B,1\n0,A,B,1\ninf,A,B,2\n", True),
+    ("no final newline", f"{HEADER}\n0,A,B,1\n10,A,B,2", True),
+    ("no final newline crlf", f"{HEADER}\r\n0,A,B,1\r\n10,A,B,2", True),
+    ("bare cr", f"{HEADER}\r0,A,B,1\r10,A,B,2\r", False),
+    ("header only", f"{HEADER}\n", False),
+    ("empty file", "", False),
+    ("comments only", "# nothing here\n", False),
+    ("three columns", f"{HEADER}\n0,A,B,1\n10,A,B\n", False),
+    ("five columns", f"{HEADER}\n0,A,B,1,9\n", False),
+    ("seven then one column", "0,1,1,1,1,1,1\n5\n", False),
+    ("mixed link on line 2", f"0,A,B,1\n10,A,C,2\n", False),
+    ("mixed link on the last line", f"{HEADER}\n0,A,B,1\n10,A,B,2\n20,C,B,3", False),
+    ("bad latency", f"{HEADER}\n0,A,B,fast\n", False),
+    ("bad timestamp", f"{HEADER}\nzero,A,B,1\n", False),
+    ("hex float", f"{HEADER}\n0x10,A,B,1\n", False),
+    ("hash in a name", f"{HEADER}\n0,A#1,B,1\n", False),
+    ("nul", f"{HEADER}\n0,A,B,1\x00\n", False),
+    ("timestamps repeat", f"{HEADER}\n10,A,B,1\n10,A,B,1\n", True),
+    ("negative latency", f"{HEADER}\n0,A,B,-1\n", True),
+    ("not utf-8", f"{HEADER}\n0,A,B,1\n10,A,B,2\n".encode() + b"\xff\n", False),
+]
+
+
+def _outcome(path, unit="one-way"):
+    try:
+        trace = ingest_trace(path, unit=unit)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+    return trace.link, trace.timestamps_ms.tobytes(), trace.latencies_ms.tobytes()
+
+
+@pytest.mark.parametrize("block_chars", [traces._BLOCK_CHARS, 7])
+@pytest.mark.parametrize("name, content, columnar", CORPUS, ids=[c[0] for c in CORPUS])
+def test_columnar_read_matches_the_row_loop(tmp_path, monkeypatch, name, content,
+                                            columnar, block_chars):
+    path = tmp_path / "link.csv"
+    if isinstance(content, str):
+        path.write_text(content, newline="")
+    else:
+        path.write_bytes(content)
+    # tiny blocks put block edges inside lines, CRLF pairs and fields
+    monkeypatch.setattr(traces, "_BLOCK_CHARS", block_chars)
+    assert (traces._read_columns(path) is not None) == columnar
+    got = [_outcome(path, unit) for unit in ("one-way", "rtt")]
+    monkeypatch.setattr(traces, "_read_columns", lambda path: None)
+    assert got == [_outcome(path, unit) for unit in ("one-way", "rtt")]
+
+
+def test_columnar_read_keeps_the_csv_field_limit(tmp_path, monkeypatch):
+    # csv.reader raises on a field longer than its limit; the columnar read
+    # must leave such a file to it
+    limit = csv.field_size_limit()
+    try:
+        csv.field_size_limit(8)
+        cases = [("0,A,B,1\n10,A,B,1234.567\n", True),   # 8 characters: allowed
+                 ("0,A,B,1\n10,A,B,1234.5678\n", False),  # 9: csv.Error
+                 ("# a long comment\n0,A,B,1\n", False),
+                 ("0,A,Bravo_nine,1\n", False)]
+        for content, columnar in cases:
+            path = tmp_path / "link.csv"
+            path.write_text(content)
+            assert (traces._read_columns(path) is not None) == columnar
+            got = _outcome(path)
+            with monkeypatch.context() as m:
+                m.setattr(traces, "_read_columns", lambda path: None)
+                assert got == _outcome(path)
+            if not columnar:
+                assert got == (csv.Error, "field larger than field limit (8)")
+    finally:
+        csv.field_size_limit(limit)
+
+
+def test_columnar_read_spans_blocks(tmp_path):
+    n = traces._BLOCK_CHARS // 10
+    ts = np.arange(n, dtype=np.float64) * 0.1
+    lat = 100.0 + np.sin(ts)
+    trace = LatencyTrace("e0", "u0", ts, lat)
+    path = tmp_path / "long.csv"
+    write_trace_csv(trace, path)
+    assert path.stat().st_size > 3 * traces._BLOCK_CHARS
+    back = ingest_trace(path)
+    assert back.timestamps_ms.tobytes() == ts.tobytes()
+    assert back.latencies_ms.tobytes() == lat.tobytes()
+    # a mixed link deep in the file still reaches the row loop's message
+    lines = path.read_text().splitlines(keepends=True)
+    lines[-2] = lines[-2].replace("e0,u0", "e0,u1")
+    path.write_text("".join(lines))
+    with pytest.raises(ValidationError, match=f"line {len(lines) - 1}: mixed links"):
+        ingest_trace(path)
+
+
+_names = st.from_regex(r"[A-Za-z0-9_.-]{1,6}", fullmatch=True)
+_latencies = st.one_of(st.sampled_from([5e-324, 1e308]),
+                       st.floats(min_value=5e-324, max_value=1e308))
+
+
+@settings(max_examples=60, deadline=None)
+@given(src=_names, dst=_names,
+       samples=st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False), _latencies),
+                        min_size=1, max_size=30, unique_by=lambda s: s[0]))
+@example(src="a", dst="b", samples=[(0.0, 5e-324), (1.0, 1e308)])
+def test_write_ingest_roundtrip_is_exact(tmp_path_factory, src, dst, samples):
+    samples.sort()
+    ts = np.array([t for t, _ in samples])
+    lat = np.array([x for _, x in samples])
+    path = tmp_path_factory.getbasetemp() / "roundtrip.csv"
+    write_trace_csv(LatencyTrace(src, dst, ts, lat), path)
+    assert traces._read_columns(path) is not None
+    back = ingest_trace(path)
+    assert back.link == (src, dst)
+    assert back.timestamps_ms.tobytes() == ts.tobytes()
+    assert back.latencies_ms.tobytes() == lat.tobytes()
 
 
 def test_node_role_validation():
@@ -238,6 +388,41 @@ def test_load_topology_errors(tmp_path):
     bad.write_text('{"schema_version": 99}')
     with pytest.raises(ValidationError, match="schema_version"):
         load_topology(bad)
+
+
+def _saved_manifest(tmp_path):
+    topo = generate_synthetic(SyntheticTraceSpec(seed=5), [("e0", "u0"), ("u0", "e0")],
+                              1000.0, 100.0, roles={"e0": "endpoint", "u0": "user"})
+    manifest = save_topology(topo, tmp_path / "topology.json")
+    return manifest, json.loads(manifest.read_text())
+
+
+def test_load_topology_rejects_a_repeated_link(tmp_path):
+    manifest, doc = _saved_manifest(tmp_path)
+    doc["traces"].append(dict(doc["traces"][0]))
+    manifest.write_text(json.dumps(doc))
+    link = f"{doc['traces'][0]['src']}->{doc['traces'][0]['dst']}"
+    with pytest.raises(ValidationError, match=f"topology.json: duplicate link {link}"):
+        load_topology(manifest)
+
+
+@pytest.mark.parametrize("section, key", [("nodes", "name"), ("nodes", "role"),
+                                          ("traces", "src"), ("traces", "dst"),
+                                          ("traces", "file")])
+def test_load_topology_names_a_missing_key(tmp_path, section, key):
+    manifest, doc = _saved_manifest(tmp_path)
+    del doc[section][1][key]
+    manifest.write_text(json.dumps(doc))
+    kind = section[:-1]
+    with pytest.raises(ValidationError, match=f"{kind} entry 1 has no '{key}'"):
+        load_topology(manifest)
+    doc[section][1] = key
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match=f"{kind} entry 1 is not an object"):
+        load_topology(manifest)
+    manifest.write_text("[]")
+    with pytest.raises(ValidationError, match="must be a JSON object"):
+        load_topology(manifest)
 
 
 def test_trace_summary_fields():
