@@ -142,7 +142,7 @@ _IRREGULAR = ('"', "\x00", "#")
 _BLOCK_CHARS = 1 << 17  # csv's default field limit
 
 
-def _read_columns(path: Path):
+def _read_columns(path: Path) -> tuple[tuple[str, str], np.ndarray, np.ndarray] | None:
     """Read a file of the regular shape as columns; None for the row loop.
 
     The data block is read in blocks of whole lines. Each block becomes one
@@ -210,7 +210,7 @@ def _read_columns(path: Path):
     return (link[0].strip(), link[1].strip()), np.concatenate(ts_blocks), np.concatenate(lat_blocks)
 
 
-def _read_rows(path: Path):
+def _read_rows(path: Path) -> tuple[tuple[str, str], np.ndarray, np.ndarray]:
     """The row loop: any file the columnar read refuses, and every parse error."""
     timestamps: list[float] = []
     latencies: list[float] = []

@@ -166,6 +166,7 @@ CORPUS = [
     ("no final newline", f"{HEADER}\n0,A,B,1\n10,A,B,2", True),
     ("no final newline crlf", f"{HEADER}\r\n0,A,B,1\r\n10,A,B,2", True),
     ("bare cr", f"{HEADER}\r0,A,B,1\r10,A,B,2\r", False),
+    ("bare cr in a name", f"{HEADER}\n0,A\rB,C,1\n", False),
     ("header only", f"{HEADER}\n", False),
     ("empty file", "", False),
     ("comments only", "# nothing here\n", False),
