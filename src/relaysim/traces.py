@@ -139,7 +139,7 @@ def ingest_trace(path: str | Path, unit: str = "one-way") -> LatencyTrace:
 # characters of the data block a fast read cannot handle: csv quoting, NUL,
 # and a mid-file comment
 _IRREGULAR = ('"', "\x00", "#")
-_BLOCK_CHARS = 1 << 17  # csv's default field limit
+_BLOCK_CHARS = 1 << 17  # csv's default field limit: most blocks skip the field-length scan
 
 
 def _read_columns(path: Path) -> tuple[tuple[str, str], np.ndarray, np.ndarray] | None:
