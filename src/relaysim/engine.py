@@ -13,11 +13,15 @@ differs from the last one selected. Plans are numbered in issue order, and
 the sender ignores a plan older than the one it has adopted, so a control
 message overtaken by a newer one changes nothing.
 
-Events wait in a single queue sorted by (time, kind, tie) with kind order
-arrival < feedback < control. Packet i is generated at its tick Ts as soon as
-no queued event is earlier; a queued event at the same time goes first. So
-runs are deterministic and reports are byte-identical for identical (config,
-topology, seed).
+A routed session's events wait in a single queue sorted by (time, kind, tie)
+with kind order arrival < feedback < control. Packet i is generated at its
+tick Ts as soon as no queued event is earlier; a queued event at the same time
+goes first. A session whose router takes no feedback would queue nothing but
+arrivals, all on one path, so it is played from its sorted arrival schedule
+instead: every Ta is computed at once and the arrivals are handed over in
+(Ta, seq) order, the order the queue pops them in. Either way runs are
+deterministic and reports are byte-identical for identical (config, topology,
+seed).
 
 The session ends at its last arrival, and there the jitter manager flushes
 what it still holds: flushed packets count as delivered with To = that end
@@ -32,12 +36,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
+from itertools import repeat
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .jitter import JITTER_KINDS, JitterConfig, build_jitter_manager
+from .jitter import JITTER_KINDS, Emission, JitterConfig, build_jitter_manager
 from .paths import RelayPath, enumerate_paths, path_latency, prune_topk, warmup_stats
 from .reports import MetricsReport, build_report
 from .routing import DirectRouter, ThompsonRouter, Ucb1Router, tau0_from_variance
@@ -168,80 +174,100 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
     t0 = cfg.warmup_ms
     n = cfg.packet_count
     ticks = t0 + np.arange(n) * cfg.interval_ms
-    latency: dict[int, np.ndarray] = {}  # path id -> its latency at every tick, on first use
     jm = build_jitter_manager(cfg.jitter, cfg.interval_ms)
-    direct_fwd = topology.trace(cfg.endpoint, cfg.user)
-    direct_rev = topology.trace(cfg.user, cfg.endpoint) if router.needs_feedback else None
-
-    # plan_path is the last path selected; len(path_changes) numbers the plans
-    plan_path = active_path = initial_path
-    adopted_version = 0
+    on_arrival = jm.on_arrival
+    feedback = router.needs_feedback
 
     records: list[PacketRecord] = []
     path_changes: list[tuple[float, int, int]] = []
     overhead_sum = 0.0
 
-    heap: list[tuple[float, int, int, int, float]] = []
-    ctr = 0
+    def arrive(rec: PacketRecord, t: float) -> tuple[list[Emission], bool]:
+        """Hand one arrival to the jitter manager and set the fates it decides."""
+        emissions, was_dropped = on_arrival(rec, t)
+        if was_dropped:
+            rec.fate = "dropped_late"
+        for em in emissions:
+            erec = records[em.seq]
+            erec.to = em.out
+            erec.fate = "delivered"
+        return emissions, was_dropped
 
-    def push(t: float, kind: int, a: int, b: float) -> None:
-        nonlocal ctr
-        heappush(heap, (t, kind, ctr, a, b))
-        ctr += 1
+    if feedback is None:
+        # only arrivals, all on the initial path: play them in (ta, seq)
+        # order, the order the event queue would pop them in
+        ta = ticks + path_latency(topology, all_paths[initial_path], ticks)
+        records = list(map(PacketRecord, range(n), ticks.tolist(), ta.tolist(),
+                           repeat(None), repeat(initial_path), repeat("in_flight")))
+        end_time = float(ta.max()) if n else t0
+        del ta
+        for rec in sorted(records, key=attrgetter("ta")):  # stable: ties by seq
+            arrive(rec, rec.ta)
+    else:
+        latency: dict[int, np.ndarray] = {}  # path id -> its latency at every tick, on first use
+        direct_fwd = topology.trace(cfg.endpoint, cfg.user)
+        direct_rev = topology.trace(cfg.user, cfg.endpoint)
 
-    gen_times = ticks.tolist()
-    gen = 0  # next seq to generate
-    end_time = t0
+        # plan_path is the last path selected; len(path_changes) numbers the plans
+        plan_path = active_path = initial_path
+        adopted_version = 0
 
-    while gen < n or heap:
-        if gen < n and (not heap or gen_times[gen] < heap[0][0]):
-            t = gen_times[gen]
-            path_id = router.path_for(gen, active_path)
-            lat = latency.get(path_id)
-            if lat is None:
-                lat = latency[path_id] = path_latency(topology, all_paths[path_id], ticks)
-            ta = t + lat.item(gen)
-            records.append(PacketRecord(gen, t, ta, None, path_id, "in_flight"))
-            push(ta, EV_ARRIVAL, gen, 0.0)
-            gen += 1
-            continue
-        t, kind, _, a, b = heappop(heap)
-        if kind == EV_ARRIVAL:
-            end_time = t
-            rec = records[a]
-            emissions, was_dropped = jm.on_arrival(rec, t)
-            if was_dropped:
-                rec.fate = "dropped_late"
-            # the transmit reward, or the e2e reward of a dropped packet: it
-            # never plays out, but its lateness at arrival is known and is the
-            # signal that lets the scheduler learn a probed path is slow;
-            # without it the posterior of a bad path never updates (every
-            # probe gets dropped) and exploration is never suppressed
-            if (router.needs_feedback == "transmit"
-                    or (was_dropped and router.needs_feedback == "e2e")):
-                push(t + direct_rev.sample(t), EV_FEEDBACK, rec.path_id, t - rec.ts)
-            for em in emissions:
-                erec = records[em.seq]
-                erec.to = em.out
-                erec.fate = "delivered"
-                if router.needs_feedback == "e2e":
-                    send_at = em.out if em.out > t else t
-                    avail = send_at + direct_rev.sample(send_at)
-                    push(avail, EV_FEEDBACK, erec.path_id, em.out - erec.ts)
-        elif kind == EV_FEEDBACK:
-            router.observe(a, b)
-            if router.ready():
-                selected = router.select()
-                if selected != plan_path:
-                    delay = direct_fwd.sample(t)
-                    overhead_sum += delay
-                    path_changes.append((t, plan_path, selected))
-                    plan_path = selected
-                    push(t + delay, EV_CONTROL, len(path_changes), selected)
-        else:  # EV_CONTROL
-            if a > adopted_version:
-                adopted_version = a
-                active_path = b
+        heap: list[tuple[float, int, int, int, float]] = []
+        ctr = 0
+
+        def push(t: float, kind: int, a: int, b: float) -> None:
+            nonlocal ctr
+            heappush(heap, (t, kind, ctr, a, b))
+            ctr += 1
+
+        gen_times = ticks.tolist()
+        gen = 0  # next seq to generate
+        end_time = t0
+
+        while gen < n or heap:
+            if gen < n and (not heap or gen_times[gen] < heap[0][0]):
+                t = gen_times[gen]
+                path_id = router.path_for(gen, active_path)
+                lat = latency.get(path_id)
+                if lat is None:
+                    lat = latency[path_id] = path_latency(topology, all_paths[path_id], ticks)
+                ta = t + lat.item(gen)
+                records.append(PacketRecord(gen, t, ta, None, path_id, "in_flight"))
+                push(ta, EV_ARRIVAL, gen, 0.0)
+                gen += 1
+                continue
+            t, kind, _, a, b = heappop(heap)
+            if kind == EV_ARRIVAL:
+                end_time = t
+                rec = records[a]
+                emissions, was_dropped = arrive(rec, t)
+                # the transmit reward, or the e2e reward of a dropped packet: it
+                # never plays out, but its lateness at arrival is known and is
+                # the signal that lets the scheduler learn a probed path is
+                # slow; without it the posterior of a bad path never updates
+                # (every probe gets dropped) and exploration is never suppressed
+                if feedback == "transmit" or (was_dropped and feedback == "e2e"):
+                    push(t + direct_rev.sample(t), EV_FEEDBACK, rec.path_id, t - rec.ts)
+                if feedback == "e2e":
+                    for em in emissions:
+                        erec = records[em.seq]
+                        send_at = em.out if em.out > t else t
+                        avail = send_at + direct_rev.sample(send_at)
+                        push(avail, EV_FEEDBACK, erec.path_id, em.out - erec.ts)
+            elif kind == EV_FEEDBACK:
+                router.observe(a, b)
+                if router.ready():
+                    selected = router.select()
+                    if selected != plan_path:
+                        delay = direct_fwd.sample(t)
+                        overhead_sum += delay
+                        path_changes.append((t, plan_path, selected))
+                        plan_path = selected
+                        push(t + delay, EV_CONTROL, len(path_changes), selected)
+            else:  # EV_CONTROL
+                if a > adopted_version:
+                    adopted_version = a
+                    active_path = b
 
     for em in jm.flush(end_time):
         erec = records[em.seq]

@@ -18,9 +18,10 @@ Both keep flat per-arm state in path id order, so a feedback costs the
 update of the one arm that changed plus one pass over the arms, and ties go
 to the lowest path id.
 
-The session engine calls ``needs_feedback`` and ``path_for`` (each new
-packet's path) on every router, and ``observe``, ``ready`` and ``select`` on
-routers that take feedback. It runs a candidate set of one path with
+The session engine reads ``needs_feedback`` off every router. On a router
+that takes feedback it calls ``path_for`` (each new packet's path),
+``observe``, ``ready`` and ``select``; a router that takes none keeps the
+session's initial path. The engine runs a candidate set of one path with
 ``DirectRouter``: no feedback could change the pick, so it takes none.
 """
 

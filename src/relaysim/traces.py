@@ -36,6 +36,7 @@ directed link to its trace file; see ``load_topology`` / ``save_topology``.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import zlib
 from dataclasses import dataclass, field
@@ -249,13 +250,20 @@ def _read_rows(path: Path) -> tuple[tuple[str, str], np.ndarray, np.ndarray]:
 
 
 def write_trace_csv(trace: LatencyTrace, path: str | Path) -> None:
+    """Write the trace as ``csv.writer`` rows with ``repr`` numbers, CRLF line ends.
+
+    The node fields are quoted once through ``csv``; the lines are formatted
+    in bulk from the samples as Python floats.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    quoted = io.StringIO()
+    csv.writer(quoted).writerow([trace.src, trace.dst])  # csv quotes by its "\r\n" terminator
+    link = quoted.getvalue()[:-2]
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp_ms", "src_node", "dst_node", "latency_ms"])
-        for t, lat in zip(trace.timestamps_ms, trace.latencies_ms):
-            writer.writerow([repr(float(t)), trace.src, trace.dst, repr(float(lat))])
+        fh.write("timestamp_ms,src_node,dst_node,latency_ms\r\n")
+        fh.writelines(f"{t!r},{link},{lat!r}\r\n" for t, lat in
+                      zip(trace.timestamps_ms.tolist(), trace.latencies_ms.tolist()))
 
 
 @dataclass
@@ -432,7 +440,8 @@ def load_topology(manifest_path: str | Path) -> Topology:
              for i, entry in enumerate(doc.get("nodes", []))]
     traces = {}
     for i, entry in enumerate(doc.get("traces", [])):
-        src, dst, file = _manifest_entry(manifest_path, "trace", i, entry, ("src", "dst", "file"))
+        src, dst, file = _manifest_entry(manifest_path, "trace", i, entry, ("src", "dst", "file"),
+                                         optional=("unit",))
         if (src, dst) in traces:
             raise ValidationError(f"{manifest_path.name}: duplicate link {src}->{dst}")
         file_path = manifest_path.parent / file
@@ -448,13 +457,19 @@ def load_topology(manifest_path: str | Path) -> Topology:
     return Topology(nodes, traces)
 
 
-def _manifest_entry(manifest_path: Path, kind: str, index: int, entry, keys: tuple[str, ...]) -> tuple:
-    """The values of an entry's required keys; ValidationError names a missing one."""
+def _manifest_entry(manifest_path: Path, kind: str, index: int, entry, keys: tuple[str, ...],
+                    optional: tuple[str, ...] = ()) -> tuple:
+    """The values of an entry's required keys; ValidationError names a missing
+    one, or a required or optional key whose value is not a string."""
+    where = f"{manifest_path.name}: {kind} entry {index}"
     if not isinstance(entry, dict):
-        raise ValidationError(f"{manifest_path.name}: {kind} entry {index} is not an object")
+        raise ValidationError(f"{where} is not an object")
     for key in keys:
         if key not in entry:
-            raise ValidationError(f"{manifest_path.name}: {kind} entry {index} has no {key!r}")
+            raise ValidationError(f"{where} has no {key!r}")
+    for key in keys + optional:
+        if key in entry and not isinstance(entry[key], str):
+            raise ValidationError(f"{where}: {key!r} must be a string, not {entry[key]!r}")
     return tuple(entry[key] for key in keys)
 
 

@@ -322,6 +322,11 @@ def test_run_topology_manifest_errors_are_validation_errors(tmp_path, capsys):
     topology.write_text(json.dumps(doc))
     assert main(["run", str(tmp_path / "experiment.json"), "--out", str(tmp_path / "o")]) == 3
     assert "duplicate link" in capsys.readouterr().err
+    doc["traces"][2]["file"] = 5
+    topology.write_text(json.dumps(doc))
+    assert main(["run", str(tmp_path / "experiment.json"), "--out", str(tmp_path / "o")]) == 3
+    assert ("error: topology.json: trace entry 2: 'file' must be a string, not 5"
+            in capsys.readouterr().err)
     assert not (tmp_path / "o").exists()
 
 

@@ -440,6 +440,39 @@ def test_one_path_session_runs_without_a_bandit(method, monkeypatch):
     assert slow.report.to_json() == fast.report.to_json()
 
 
+def _stepping_pair_topology():
+    """e0->u0 is 20 ms, but 30 ms for one packet in every 20 from seq 4 on:
+    at a 10 ms cadence each step back down makes that packet's arrival tie
+    with the next one's. u0->e0 is a constant 40 ms, for a router that
+    takes feedback."""
+    ups = WARMUP + 35.0 + 200.0 * np.arange(5)
+    fwd = LatencyTrace("e0", "u0", np.concatenate([[0.0], np.ravel([ups, ups + 10.0], "F")]),
+                       [20.0] + [30.0, 20.0] * 5)
+    return Topology([Node("e0", "endpoint"), Node("u0", "user")],
+                    {("e0", "u0"): fwd, ("u0", "e0"): constant_trace("u0", "e0", 40.0, 700_000.0)})
+
+
+@pytest.mark.parametrize("method", ["drt-bf", "drt-wm"])
+def test_arrival_schedule_equals_the_event_loop(method, monkeypatch):
+    # a direct session is played from its sorted arrival schedule; a one-arm
+    # bandit in place of DirectRouter takes feedback, so the same session
+    # runs through the event queue, which breaks a tie on ta by seq
+    topo = _stepping_pair_topology()
+    cfg = method_config(_direct_cfg("watermark"), method)
+    fast = run_session(topo, cfg, method=method)
+    tas = [rec.ta for rec in fast.records]
+    assert len(set(tas)) == len(tas) - 5  # five ties
+    observed = []
+    observe = Ucb1Router.observe
+    monkeypatch.setattr(Ucb1Router, "observe",
+                        lambda self, *args: observed.append(args) or observe(self, *args))
+    monkeypatch.setattr(engine, "DirectRouter", lambda: Ucb1Router([0]))
+    slow = run_session(topo, cfg, method=method)
+    assert len(observed) == cfg.packet_count  # one transmit feedback per arrival
+    assert slow.records == fast.records
+    assert slow.report.to_json() == fast.report.to_json()
+
+
 def test_method_config_specializes():
     base = _direct_cfg("watermark")
     via = method_config(base, "via-bf")

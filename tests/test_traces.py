@@ -1,6 +1,7 @@
 """Trace parsing, zero-order-hold lookup, and synthetic generation."""
 
 import csv
+import io
 import json
 
 import numpy as np
@@ -277,6 +278,36 @@ def test_write_ingest_roundtrip_is_exact(tmp_path_factory, src, dst, samples):
     assert back.latencies_ms.tobytes() == lat.tobytes()
 
 
+def _csv_writer_reference(trace):
+    """The bytes of one csv.writer row per sample, numbers written by repr."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["timestamp_ms", "src_node", "dst_node", "latency_ms"])
+    for t, lat in zip(trace.timestamps_ms, trace.latencies_ms):
+        writer.writerow([repr(float(t)), trace.src, trace.dst, repr(float(lat))])
+    return out.getvalue().encode()
+
+
+# node names csv must quote: delimiter, quote, CR, LF, and neighbours that it
+# must not (spaces, a leading '#', an empty name)
+_awkward_names = st.text(alphabet=st.sampled_from('a,"\r\n #{}'), max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(src=_awkward_names, dst=_awkward_names,
+       samples=st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False), _latencies),
+                        min_size=1, max_size=10, unique_by=lambda s: s[0]))
+@example(src='a,b', dst='say "hi"', samples=[(0.0, 5e-324), (1e16, 1e308)])
+@example(src="\r", dst="\n", samples=[(-0.0, 0.1)])
+@example(src="", dst="", samples=[(0.0, 1.0)])
+def test_write_trace_csv_bytes_equal_a_csv_writer(tmp_path_factory, src, dst, samples):
+    samples.sort()
+    trace = LatencyTrace(src, dst, [t for t, _ in samples], [x for _, x in samples])
+    path = tmp_path_factory.getbasetemp() / "written.csv"
+    write_trace_csv(trace, path)
+    assert path.read_bytes() == _csv_writer_reference(trace)
+
+
 def test_node_role_validation():
     Node("a", "relay")
     with pytest.raises(ValidationError):
@@ -424,6 +455,21 @@ def test_load_topology_names_a_missing_key(tmp_path, section, key):
     manifest.write_text("[]")
     with pytest.raises(ValidationError, match="must be a JSON object"):
         load_topology(manifest)
+
+
+@pytest.mark.parametrize("section, key", [("nodes", "name"), ("nodes", "role"),
+                                          ("traces", "src"), ("traces", "dst"),
+                                          ("traces", "file"), ("traces", "unit")])
+@pytest.mark.parametrize("value", [5, ["x"], True])
+def test_load_topology_names_a_value_that_is_not_a_string(tmp_path, section, key, value):
+    manifest, doc = _saved_manifest(tmp_path)
+    doc[section][1][key] = value
+    manifest.write_text(json.dumps(doc))
+    kind = section[:-1]
+    message = f"topology.json: {kind} entry 1: '{key}' must be a string, not {value!r}"
+    with pytest.raises(ValidationError) as exc:
+        load_topology(manifest)
+    assert str(exc.value) == message
 
 
 def test_trace_summary_fields():
