@@ -440,7 +440,7 @@ def test_one_path_session_runs_without_a_bandit(method, monkeypatch):
     assert slow.report.to_json() == fast.report.to_json()
 
 
-def _stepping_pair_topology():
+def _tied_arrivals_topology():
     """e0->u0 is 20 ms, but 30 ms for one packet in every 20 from seq 4 on:
     at a 10 ms cadence each step back down makes that packet's arrival tie
     with the next one's. u0->e0 is a constant 40 ms, for a router that
@@ -457,7 +457,7 @@ def test_arrival_schedule_equals_the_event_loop(method, monkeypatch):
     # a direct session is played from its sorted arrival schedule; a one-arm
     # bandit in place of DirectRouter takes feedback, so the same session
     # runs through the event queue, which breaks a tie on ta by seq
-    topo = _stepping_pair_topology()
+    topo = _tied_arrivals_topology()
     cfg = method_config(_direct_cfg("watermark"), method)
     fast = run_session(topo, cfg, method=method)
     tas = [rec.ta for rec in fast.records]

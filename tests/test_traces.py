@@ -288,8 +288,8 @@ def _csv_writer_reference(trace):
     return out.getvalue().encode()
 
 
-# node names csv must quote: delimiter, quote, CR, LF, and neighbours that it
-# must not (spaces, a leading '#', an empty name)
+# node names with what csv must quote (delimiter, quote, CR, LF), what it must
+# leave bare (space, '#', braces) and the empty name
 _awkward_names = st.text(alphabet=st.sampled_from('a,"\r\n #{}'), max_size=6)
 
 
