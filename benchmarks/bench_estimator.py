@@ -1,7 +1,9 @@
 """Times the jitter estimator's update on a bursty arrival stream.
 
 The stream has latency bursts dense with reordering, the case that drives
-the estimator's episode ratchet and reorder depth.
+the estimator's episode ratchet and reorder depth. A second line times the
+playout buffer's estimator work per arrival on the same stream: a
+``TransitEstimator`` update and one ``transit_target`` read.
 
 Usage: python benchmarks/bench_estimator.py [--n 200000] [--seed 0]
 """
@@ -12,7 +14,7 @@ import time
 
 import numpy as np
 
-from relaysim.estimator import JitterEstimator
+from relaysim.estimator import JitterEstimator, TransitEstimator
 
 
 def bursty_stream(rng, n, interval_ms=10.0, base_ms=50.0):
@@ -41,6 +43,17 @@ def drive(estimator_cls, stream):
     return elapsed, lags, est
 
 
+def drive_buffer(stream):
+    """The playout buffer's estimator calls per arrival: (seconds, targets)."""
+    est = TransitEstimator()
+    targets = []
+    t0 = time.perf_counter()
+    for ts, arrival in stream:
+        est.update(ts, arrival)
+        targets.append(est.transit_target())
+    return time.perf_counter() - t0, targets
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=200_000, help="stream length")
@@ -49,7 +62,9 @@ def main(argv=None):
 
     stream = bursty_stream(np.random.default_rng(args.seed), args.n)
     elapsed, _, _ = drive(JitterEstimator, stream)
-    print(f"python  {args.n / elapsed:10.0f} updates/s  ({elapsed:.3f}s)")
+    print(f"watermark  {args.n / elapsed:10.0f} updates/s  ({elapsed:.3f}s)")
+    elapsed, _ = drive_buffer(stream)
+    print(f"buffer     {args.n / elapsed:10.0f} updates/s  ({elapsed:.3f}s)")
     return 0
 
 

@@ -23,7 +23,7 @@ from .errors import (
     TraceParseError,
     ValidationError,
 )
-from .estimator import IMPLEMENTATION, JitterEstimator
+from .estimator import IMPLEMENTATION, JitterEstimator, TransitEstimator
 from .jitter import (
     Emission,
     JitterConfig,
@@ -72,6 +72,7 @@ __all__ = [
     "ValidationError",
     "IMPLEMENTATION",
     "JitterEstimator",
+    "TransitEstimator",
     "Emission",
     "JitterConfig",
     "Packet",

@@ -1,10 +1,12 @@
-"""Windowed jitter/transit estimator, pure Python.
+"""Windowed jitter/transit estimators, pure Python.
 
-This is the one estimator: ``relaysim.estimator`` re-exports it, and
-``tests/estimator_reference.py`` is its oracle, an independent model that
-recomputes every quantile from a cumulative sum per query where this one
-keeps incremental pointers. The two must return identical float64 outputs
-(every lag, transit target and window count).
+``TransitEstimator`` keeps the windowed transit histogram and its quantile;
+``JitterEstimator`` extends it with everything the reordering lag needs.
+``relaysim.estimator`` re-exports both, and ``tests/estimator_reference.py``
+is their oracle, an independent model that recomputes every quantile from a
+cumulative sum per query where these keep incremental pointers. They must
+return identical float64 outputs (every lag, transit target and window
+count).
 
 State per stream, over a sliding window of recent arrivals:
 
@@ -47,8 +49,12 @@ packet as "back in order" would re-arm the quantile mid-run and walk the
 watermark straight over the run's remaining stragglers.
 
 The transit quantile (upper bin edge) backs the playout buffer's target
-delay; the lag backs the watermark reorderer. Sharing one window keeps the
-two jitter managers driven by the same measurement process.
+delay; the lag backs the watermark reorderer. The buffer reads nothing else,
+so it runs on a ``TransitEstimator``: the transit window, its eviction and
+its quantile pointer are written once, in the base class, and the buffer
+skips the jitter histogram, the depth hold and the ratchet's scan on every
+arrival. The jitter samples keep a deque of their own, of in-order arrivals
+only, evicted at the same cutoff as the transit window.
 
 No query sums a whole histogram. Both histograms are int lists, and each
 quantile keeps a pointer ``(q, cum)`` with ``cum`` the count in bins
@@ -91,15 +97,19 @@ def _walk(bins: list[int], q: int, cum: int, need: float) -> tuple[int, int]:
     return q, cum
 
 
-class JitterEstimator:
+class TransitEstimator:
+    """The windowed transit quantile alone: all an adaptive playout buffer
+    reads. ``JitterEstimator`` extends it with the jitter histogram, the
+    reorder depth and the episode ratchet that the watermark's lag needs.
+
+    ``loss_cost_ms`` is validated and kept for a shared configuration but
+    not used here.
+    """
+
     __slots__ = (
         "window_ms", "bin_ms", "percentile", "loss_cost_ms", "initial_lag_ms",
-        "max_lag_ms", "_nbins", "_jitter_bins", "_transit_bins",
-        "_jitter_total", "_transit_total", "_jitter_q", "_jitter_cum",
-        "_transit_q", "_transit_cum",
-        "_window", "_has_prev", "_prev_ts", "_prev_arrival", "_last_arrival",
-        "_latest_ts", "_lag", "_jitter_lag", "_depth", "_deep",
-        "_last_in_order", "_disorder", "_last_ooo_arrival",
+        "max_lag_ms", "_nbins", "_transit_bins", "_transit_total", "_transit_q",
+        "_transit_cum", "_window", "_last_arrival",
     )
 
     def __init__(
@@ -124,22 +134,93 @@ class JitterEstimator:
         self.initial_lag_ms = float(initial_lag_ms)
         self.max_lag_ms = float(max_lag_ms)
         self._nbins = int(max_lag_ms / bin_ms) + 1
-        self._jitter_bins = [0] * self._nbins
         self._transit_bins = [0] * self._nbins
-        self._jitter_total = 0
         self._transit_total = 0
-        # quantile pointers: the count in bins 0..q (q = -1: no bin yet)
-        self._jitter_q = -1
-        self._jitter_cum = 0
+        # quantile pointer: the count in bins 0..q (q = -1: no bin yet)
         self._transit_q = -1
         self._transit_cum = 0
-        self._window: deque[tuple[float, int, int]] = deque()
+        self._window: deque[tuple[float, int]] = deque()  # (arrival, transit bin)
+        self._last_arrival = float("-inf")
+
+    @property
+    def n_window(self) -> int:
+        return len(self._window)
+
+    def update(self, ts: float, arrival: float) -> float:
+        """Observe one arrival: evict the samples that left the window and
+        count its transit. Returns the transit, ``arrival - ts``."""
+        if arrival < ts:
+            raise ValueError("arrival precedes generation timestamp")
+        if arrival < self._last_arrival:
+            raise RuntimeError("arrivals must be fed in nondecreasing arrival order")
+        self._last_arrival = arrival
+        bins = self._transit_bins
+        cutoff = arrival - self.window_ms
+        window = self._window
+        while window and window[0][0] < cutoff:
+            tbin = window.popleft()[1]
+            bins[tbin] -= 1
+            self._transit_total -= 1
+            if tbin <= self._transit_q:
+                self._transit_cum -= 1
+        transit = arrival - ts
+        # every bin index is computed inline like this one, the last bin
+        # holding everything past max_lag_ms: a method call per bin is a
+        # measurable share of an update
+        tbin = int(transit / self.bin_ms)
+        if tbin >= self._nbins:
+            tbin = self._nbins - 1
+        bins[tbin] += 1
+        self._transit_total += 1
+        if tbin <= self._transit_q:
+            self._transit_cum += 1
+        window.append((arrival, tbin))
+        return transit
+
+    def transit_target(self) -> float:
+        """Upper bin edge of the windowed transit quantile at ``percentile``.
+
+        This is the playout buffer's generation-to-playout delay budget; the
+        upper edge guarantees the budget covers the quantile sample itself.
+        """
+        if self._transit_total == 0:
+            return self.initial_lag_ms
+        q, cum = _walk(self._transit_bins, self._transit_q, self._transit_cum,
+                       self.percentile * self._transit_total)
+        self._transit_q, self._transit_cum = q, cum
+        return (q + 1) * self.bin_ms
+
+
+class JitterEstimator(TransitEstimator):
+    __slots__ = (
+        "_jitter_bins", "_jitter_total", "_jitter_q", "_jitter_cum",
+        "_jitter_window", "_has_prev", "_prev_ts", "_prev_arrival",
+        "_latest_ts", "_lag", "_jitter_lag", "_depth", "_deep",
+        "_last_in_order", "_disorder", "_last_ooo_arrival",
+    )
+
+    def __init__(
+        self,
+        window_ms: float = 2000.0,
+        bin_ms: float = 1.0,
+        percentile: float = 0.95,
+        loss_cost_ms: float = 100.0,
+        initial_lag_ms: float = 0.0,
+        max_lag_ms: float = 10000.0,
+    ) -> None:
+        super().__init__(window_ms, bin_ms, percentile, loss_cost_ms,
+                         initial_lag_ms, max_lag_ms)
+        self._jitter_bins = [0] * self._nbins
+        self._jitter_total = 0
+        self._jitter_q = -1
+        self._jitter_cum = 0
+        # (arrival, jitter bin) of the in-order arrivals still in the window
+        self._jitter_window: deque[tuple[float, int]] = deque()
         self._has_prev = False
         self._prev_ts = 0.0
         self._prev_arrival = 0.0
-        self._last_arrival = float("-inf")
         self._latest_ts = float("-inf")
-        self._lag = min(float(initial_lag_ms), float(max_lag_ms))
+        self._lag = min(self.initial_lag_ms, self.max_lag_ms)
         self._jitter_lag = self._lag
         self._depth = 0.0
         # (arrival, transit) of recent arrivals, transits strictly decreasing
@@ -173,70 +254,44 @@ class JitterEstimator:
         return self._depth
 
     @property
-    def n_window(self) -> int:
-        return len(self._window)
-
-    @property
     def n_jitter_samples(self) -> int:
         return self._jitter_total
 
-    def _bin_of(self, value: float) -> int:
-        b = int(value / self.bin_ms)
-        return b if b < self._nbins else self._nbins - 1
-
-    def _evict(self, now: float) -> None:
-        cutoff = now - self.window_ms
-        window = self._window
-        while window and window[0][0] < cutoff:
-            _, jbin, tbin = window.popleft()
-            if jbin >= 0:
-                self._jitter_bins[jbin] -= 1
-                self._jitter_total -= 1
-                if jbin <= self._jitter_q:
-                    self._jitter_cum -= 1
-            self._transit_bins[tbin] -= 1
-            self._transit_total -= 1
-            if tbin <= self._transit_q:
-                self._transit_cum -= 1
-
     def update(self, ts: float, arrival: float) -> float:
         """Observe one arrival; returns the refreshed lag estimate."""
-        if arrival < ts:
-            raise ValueError("arrival precedes generation timestamp")
-        if arrival < self._last_arrival:
-            raise RuntimeError("arrivals must be fed in nondecreasing arrival order")
-        self._last_arrival = arrival
-        self._evict(arrival)
-
-        in_order = ts > self._latest_ts
-        if in_order and self._has_prev:
-            jitter = abs((arrival - self._prev_arrival) - (ts - self._prev_ts))
-            jbin = self._bin_of(jitter)
-            self._jitter_bins[jbin] += 1
-            self._jitter_total += 1
+        transit = TransitEstimator.update(self, ts, arrival)
+        bins = self._jitter_bins
+        cutoff = arrival - self.window_ms
+        window = self._jitter_window
+        while window and window[0][0] < cutoff:
+            jbin = window.popleft()[1]
+            bins[jbin] -= 1
+            self._jitter_total -= 1
             if jbin <= self._jitter_q:
-                self._jitter_cum += 1
-        else:
-            jbin = -1
-        transit = arrival - ts
-        tbin = self._bin_of(transit)
-        self._transit_bins[tbin] += 1
-        self._transit_total += 1
-        if tbin <= self._transit_q:
-            self._transit_cum += 1
-        self._window.append((arrival, jbin, tbin))
+                self._jitter_cum -= 1
 
-        if in_order:
+        if ts > self._latest_ts:
+            if self._has_prev:
+                jitter = abs((arrival - self._prev_arrival) - (ts - self._prev_ts))
+                jbin = int(jitter / self.bin_ms)
+                if jbin >= self._nbins:
+                    jbin = self._nbins - 1
+                bins[jbin] += 1
+                self._jitter_total += 1
+                if jbin <= self._jitter_q:
+                    self._jitter_cum += 1
+                window.append((arrival, jbin))
             self._prev_ts = ts
             self._prev_arrival = arrival
             self._has_prev = True
             self._latest_ts = ts
             if self._disorder and arrival - self._last_ooo_arrival > DISORDER_GUARD_MS:
                 self._disorder = False
+            self._last_in_order = True
         else:
             self._disorder = True
             self._last_ooo_arrival = arrival
-        self._last_in_order = in_order
+            self._last_in_order = False
 
         deep = self._deep
         cutoff = arrival - DISORDER_GUARD_MS
@@ -245,7 +300,10 @@ class JitterEstimator:
         while deep and deep[-1][1] <= transit:
             deep.pop()
         deep.append((arrival, transit))
-        depth = self._bin_of(deep[0][1] - transit) * self.bin_ms
+        dbin = int((deep[0][1] - transit) / self.bin_ms)
+        if dbin >= self._nbins:
+            dbin = self._nbins - 1
+        depth = dbin * self.bin_ms
 
         if self._jitter_total == 0:
             jitter_lag = self.initial_lag_ms
@@ -307,16 +365,3 @@ class JitterEstimator:
                     best = cost
                     argmin = i
         return lag if argmin < 0 else argmin * b
-
-    def transit_target(self) -> float:
-        """Upper bin edge of the windowed transit quantile at ``percentile``.
-
-        This is the playout buffer's generation-to-playout delay budget; the
-        upper edge guarantees the budget covers the quantile sample itself.
-        """
-        if self._transit_total == 0:
-            return self.initial_lag_ms
-        q, cum = _walk(self._transit_bins, self._transit_q, self._transit_cum,
-                       self.percentile * self._transit_total)
-        self._transit_q, self._transit_cum = q, cum
-        return (q + 1) * self.bin_ms

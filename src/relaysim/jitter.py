@@ -1,7 +1,12 @@
 """Out-of-order packet handling at the receiver.
 
-Two managers share one windowed :class:`~relaysim.estimator.JitterEstimator`
-per stream and differ only in ordering discipline:
+Two managers, each on its own windowed estimator per stream, differ in
+ordering discipline and in what they measure. The watermark reads the lag of
+a :class:`~relaysim.estimator.JitterEstimator`; the playout buffer reads only
+the transit quantile, which a :class:`~relaysim.estimator.TransitEstimator`
+keeps without the jitter histogram, reorder depth and episode ratchet behind
+the lag. ``JitterEstimator`` extends ``TransitEstimator``, so the transit
+window and its quantile are the same code for both:
 
 ``WatermarkReorderer``
     Out-of-order processing. Each accepted arrival advances a monotone low
@@ -19,7 +24,8 @@ per stream and differ only in ordering discipline:
     ts + target_delay (target = windowed transit quantile), strictly in
     sequence order; a missing packet blocks successors until its own deadline
     passes, and a packet arriving after its deadline, or for a slot already
-    passed, is dropped.
+    passed, is dropped. The target changes only when the estimator is
+    updated, so the buffer reads it once after each update and keeps it.
 
 Both managers are event-driven: emissions happen while processing an arrival,
 plus a final flush at session teardown. ``on_arrival(packet, now)`` takes the
@@ -33,7 +39,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import NamedTuple, Protocol
 
-from .estimator import JitterEstimator
+from .estimator import JitterEstimator, TransitEstimator
 
 
 @dataclass(frozen=True)
@@ -75,8 +81,11 @@ class JitterConfig:
     max_lag_ms: float = 10000.0
     update_on_drop: bool = True  # late arrivals still feed the estimator
 
-    def make_estimator(self) -> JitterEstimator:
-        return JitterEstimator(
+    def make_estimator(self) -> TransitEstimator:
+        """A ``JitterEstimator`` for the watermark; the playout buffer reads
+        only the transit quantile and gets a ``TransitEstimator``."""
+        cls = TransitEstimator if self.kind == "buffer" else JitterEstimator
+        return cls(
             window_ms=self.window_ms,
             bin_ms=self.bin_ms,
             percentile=self.percentile,
@@ -151,13 +160,14 @@ class PlayoutBuffer:
 
     def __init__(
         self,
-        estimator: JitterEstimator,
+        estimator: TransitEstimator,
         interval_ms: float,
         update_on_drop: bool = True,
     ) -> None:
         if interval_ms <= 0:
             raise ValueError("interval_ms must be positive")
         self._est = estimator
+        self._target = estimator.transit_target()  # as of the last update
         self._update_on_drop = update_on_drop
         self._interval = interval_ms
         self._next_seq = 0
@@ -169,7 +179,7 @@ class PlayoutBuffer:
 
     @property
     def target_delay_ms(self) -> float:
-        return self._est.transit_target()
+        return self._target
 
     @property
     def pending_count(self) -> int:
@@ -187,9 +197,10 @@ class PlayoutBuffer:
             self._max_seen = seq
         # drop decisions use the pre-arrival target, mirroring the watermark
         # manager's check against the pre-arrival wm
-        target = self._est.transit_target()
+        target = self._target
         if self._update_on_drop:
             self._est.update(ts, now)
+            self._target = self._est.transit_target()
         if seq < self._next_seq:
             self.dropped_count += 1
             return [], True
@@ -198,13 +209,14 @@ class PlayoutBuffer:
             return [], True
         if not self._update_on_drop:
             self._est.update(ts, now)
+            self._target = self._est.transit_target()
         if seq in self._buffer:
             raise ValueError(f"duplicate seq {seq}")
         self._buffer[seq] = (ts, now)
         return self._sweep(now), False
 
     def _sweep(self, now: float) -> list[Emission]:
-        target = self._est.transit_target()
+        target = self._target
         out: list[Emission] = []
         while True:
             held = self._buffer.get(self._next_seq)

@@ -21,8 +21,9 @@ to the lowest path id.
 The session engine reads ``needs_feedback`` off every router. On a router
 that takes feedback it calls ``path_for`` (each new packet's path),
 ``observe``, ``ready`` and ``select``; a router that takes none keeps the
-session's initial path. The engine runs a candidate set of one path with
-``DirectRouter``: no feedback could change the pick, so it takes none.
+session's initial path, and the engine asks it nothing else. The engine
+runs a candidate set of one path with ``DirectRouter``: no feedback could
+change the pick, so it takes none.
 """
 
 from __future__ import annotations
@@ -46,9 +47,6 @@ class DirectRouter:
     set pruned to one path. Consumes no feedback."""
 
     needs_feedback = None  # no reward signal
-
-    def path_for(self, seq: int, active_path: int) -> int:
-        return active_path
 
 
 class ThompsonRouter:

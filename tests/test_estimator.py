@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from relaysim import JitterEstimator, ValidationError
+from relaysim import (JitterConfig, JitterEstimator, TransitEstimator, ValidationError,
+                      build_jitter_manager)
 from relaysim import _estimator_py
 
 from estimator_reference import ReferenceEstimator
@@ -245,8 +246,9 @@ def test_transit_target_mixed_bins():
     assert est.transit_target() == 11.0  # median of transits {10, 20}
 
 
-def test_update_validation():
-    est = JitterEstimator()
+@pytest.mark.parametrize("cls", [JitterEstimator, TransitEstimator])
+def test_update_validation(cls):
+    est = cls()
     with pytest.raises(ValueError):
         est.update(10.0, 5.0)
     est.update(0.0, 100.0)
@@ -254,6 +256,7 @@ def test_update_validation():
         est.update(5.0, 99.0)  # receiver clock cannot run backwards
 
 
+@pytest.mark.parametrize("cls", [JitterEstimator, TransitEstimator])
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -266,9 +269,16 @@ def test_update_validation():
         {"max_lag_ms": 0.0},
     ],
 )
-def test_constructor_validation(kwargs):
+def test_constructor_validation(cls, kwargs):
     with pytest.raises(ValidationError):
-        JitterEstimator(**kwargs)
+        cls(**kwargs)
+
+
+def test_buffer_config_is_validated():
+    # the buffer's estimator ignores loss_cost_ms but still rejects a bad one,
+    # so a bad jitter flag is a validation error (exit 3) for every method
+    with pytest.raises(ValidationError):
+        build_jitter_manager(JitterConfig(kind="buffer", loss_cost_ms=-1.0), 10.0)
 
 
 def _mixed_stream(n, seed):
@@ -291,17 +301,21 @@ def _mixed_stream(n, seed):
 
 # ------------------------------------------------ estimator vs the cumsum oracle
 #
-# The estimator answers its quantile and cost-argmin queries from incremental
-# pointers; ReferenceEstimator recomputes them from a cumulative sum on every
-# query.
+# The estimators answer their quantile and cost-argmin queries from
+# incremental pointers; ReferenceEstimator recomputes them from a cumulative
+# sum on every query. Every stream drives both estimators: the transit-only
+# one must keep the same transit target and window.
 
 def _assert_matches_reference(stream, **kwargs):
     est = _estimator_py.JitterEstimator(**kwargs)
+    transit = _estimator_py.TransitEstimator(**kwargs)
     ref = ReferenceEstimator(**kwargs)
     for ts, arrival in stream:
         assert est.update(ts, arrival) == ref.update(ts, arrival)
-        assert est.transit_target() == ref.transit_target()
-        assert est.n_window == ref.n_window
+        transit.update(ts, arrival)
+        target = ref.transit_target()
+        assert est.transit_target() == target and transit.transit_target() == target
+        assert est.n_window == ref.n_window and transit.n_window == ref.n_window
         assert (est.jitter_lag_ms, est.reorder_depth_ms, est.disorder) == (
             ref.jitter_lag_ms, ref.reorder_depth_ms, ref.disorder)
     return est

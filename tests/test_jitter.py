@@ -10,6 +10,7 @@ from relaysim import (
     JitterEstimator,
     Packet,
     PlayoutBuffer,
+    TransitEstimator,
     WatermarkReorderer,
     build_jitter_manager,
 )
@@ -234,6 +235,25 @@ def test_buffer_flush_in_seq_order_nondecreasing_out():
     assert [e.seq for e in out] == [0, 1, 2]
     assert all(e.out == 30.0 for e in out)
     assert buf.pending_count == 0
+
+
+@pytest.mark.parametrize("feed", [True, False])
+@pytest.mark.parametrize("seed", [50, 51, 52])
+def test_buffer_on_transit_estimator_matches_full_estimator(seed, feed):
+    # the buffer keeps the target its estimator gave after the last update.
+    # On a transit-only estimator every step must equal the same buffer on
+    # the full estimator, and the kept target must equal the full
+    # estimator's, read fresh after every arrival, dropped ones included
+    packets = bursty_packets(np.random.default_rng(seed), 2000)
+    full_est = JitterEstimator()
+    lean = PlayoutBuffer(TransitEstimator(), interval_ms=10.0, update_on_drop=feed)
+    full = PlayoutBuffer(full_est, interval_ms=10.0, update_on_drop=feed)
+    for p in packets:
+        assert lean.on_arrival(p, p.arrival) == full.on_arrival(p, p.arrival)
+        assert lean.target_delay_ms == full.target_delay_ms == full_est.transit_target()
+    end = packets[-1].arrival
+    assert lean.flush(end) == full.flush(end)
+    assert lean.dropped_count == full.dropped_count > 0
 
 
 # ------------------------------------------------- shared invariants (fuzz)
