@@ -246,17 +246,16 @@ def test_transit_target_mixed_bins():
     assert est.transit_target() == 11.0  # median of transits {10, 20}
 
 
-@pytest.mark.parametrize("cls", [JitterEstimator, TransitEstimator])
-def test_update_validation(cls):
-    est = cls()
-    with pytest.raises(ValueError):
-        est.update(10.0, 5.0)
-    est.update(0.0, 100.0)
-    with pytest.raises(RuntimeError):
-        est.update(5.0, 99.0)  # receiver clock cannot run backwards
+def test_update_validation():
+    for cls in (JitterEstimator, TransitEstimator):
+        est = cls()
+        with pytest.raises(ValueError):
+            est.update(10.0, 5.0)
+        est.update(0.0, 100.0)
+        with pytest.raises(RuntimeError):
+            est.update(5.0, 99.0)  # receiver clock cannot run backwards
 
 
-@pytest.mark.parametrize("cls", [JitterEstimator, TransitEstimator])
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -269,9 +268,10 @@ def test_update_validation(cls):
         {"max_lag_ms": 0.0},
     ],
 )
-def test_constructor_validation(cls, kwargs):
-    with pytest.raises(ValidationError):
-        cls(**kwargs)
+def test_constructor_validation(kwargs):
+    for cls in (JitterEstimator, TransitEstimator):
+        with pytest.raises(ValidationError):
+            cls(**kwargs)
 
 
 def test_buffer_config_is_validated():
