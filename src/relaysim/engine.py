@@ -13,13 +13,26 @@ differs from the last one selected. Plans are numbered in issue order, and
 the sender ignores a plan older than the one it has adopted, so a control
 message overtaken by a newer one changes nothing.
 
-A routed session's events wait in a single queue sorted by (time, kind, tie)
-with kind order arrival < feedback < control. Packet i is generated at its
-tick Ts as soon as no queued event is earlier; a queued event at the same time
-goes first. A session whose router takes no feedback would queue nothing but
-arrivals, all on one path, so it is played from its sorted arrival schedule
-instead: every Ta is computed at once and the arrivals are handed over in
-(Ta, seq) order, the order the queue pops them in. Either way runs are
+A routed session's events are ordered by (time, kind, push order), with
+kind order arrival < feedback < control; arrivals tied on time go by seq.
+Packet i is generated at its tick Ts once no event is earlier, so an event at
+Ts goes first. A packet's path changes only when the sender adopts a plan, so
+packets are generated ahead of time, ARRIVAL_BLOCK at a time on the adopted
+path: the lookahead of conservative discrete-event simulation (Chandy & Misra,
+IEEE TSE 1979). A block's arrival times, and the times its feedback would
+reach the sender if sent on arrival, are computed as arrays, and the block is
+merged into the arrivals still in flight with one stable sort by Ta. Only
+feedback and control messages wait in a heap. An adoption at tc that changes
+the path cuts the packets generated with Ts >= tc, none of which has arrived
+yet, and generates them again from the cut on the new path. A packet whose
+latency rounds away (Ta == Ts) arrives after every event queued for its Ta,
+as it would if generated at its tick. While the router picks paths of its own
+(UCB1's forced round, until ``follows_plan``), blocks are one packet long.
+A session whose router takes no feedback would queue nothing but arrivals,
+all on one path, so it is played from its sorted arrival schedule instead:
+every Ta is computed at once and the arrivals are handed over in (Ta, seq)
+order. Either way records and reports equal those of one event queue that
+generates packet by packet (``tests/engine_reference.py``), runs are
 deterministic and reports are byte-identical for identical (config, topology,
 seed).
 
@@ -34,10 +47,12 @@ direct router and takes no feedback.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 from itertools import repeat
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -49,7 +64,10 @@ from .reports import MetricsReport, build_report
 from .routing import DirectRouter, ThompsonRouter, Ucb1Router, tau0_from_variance
 from .traces import Topology
 
-EV_ARRIVAL, EV_FEEDBACK, EV_CONTROL = 0, 1, 2
+EV_FEEDBACK, EV_CONTROL = 1, 2  # queued event kinds; an arrival ranks before both
+
+ARRIVAL_BLOCK = 256  # packets generated at once on an adopted plan
+_TA = itemgetter(0)
 
 ROUTER_KINDS = ("direct", "via_ucb1", "vcroute_ts")
 
@@ -204,70 +222,111 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
         for rec in sorted(records, key=attrgetter("ta")):  # stable: ties by seq
             arrive(rec, rec.ta)
     else:
-        latency: dict[int, np.ndarray] = {}  # path id -> its latency at every tick, on first use
         direct_fwd = topology.trace(cfg.endpoint, cfg.user)
         direct_rev = topology.trace(cfg.user, cfg.endpoint)
+        rev_sample = direct_rev.sample
+        transmit = feedback == "transmit"
 
         # plan_path is the last path selected; len(path_changes) numbers the plans
         plan_path = active_path = initial_path
         adopted_version = 0
 
-        heap: list[tuple[float, int, int, int, float]] = []
+        heap: list[tuple[float, int, int, int, float]] = []  # feedback and control
         ctr = 0
-
-        def push(t: float, kind: int, a: int, b: float) -> None:
-            nonlocal ctr
-            heappush(heap, (t, kind, ctr, a, b))
-            ctr += 1
-
         gen_times = ticks.tolist()
-        gen = 0  # next seq to generate
+        gen = 0  # packets generated so far, records[:gen]
+        # (ta, record, feedback time if sent at ta) of every generated packet
+        # not yet arrived, from pending[pos] on, in (ta, seq) order
+        pending: list[tuple[float, PacketRecord, float]] = []
+        pos = 0
         end_time = t0
+        inf = math.inf
+        nxt = gen_times[0] if n else inf  # the tick of packet gen
 
-        while gen < n or heap:
-            if gen < n and (not heap or gen_times[gen] < heap[0][0]):
-                t = gen_times[gen]
-                path_id = router.path_for(gen, active_path)
-                lat = latency.get(path_id)
-                if lat is None:
-                    lat = latency[path_id] = path_latency(topology, all_paths[path_id], ticks)
-                ta = t + lat.item(gen)
-                records.append(PacketRecord(gen, t, ta, None, path_id, "in_flight"))
-                push(ta, EV_ARRIVAL, gen, 0.0)
-                gen += 1
-                continue
-            t, kind, _, a, b = heappop(heap)
-            if kind == EV_ARRIVAL:
+        while True:
+            top = heap[0][0] if heap else inf
+            lim = top if top < nxt else nxt
+            # arrivals, up to the next queued event or the next tick: a queued
+            # event goes after an arrival at its time, but before a packet
+            # arriving at its own tick, which it may yet re-route
+            while pos < len(pending):
+                t, rec, fb_at = pending[pos]
+                if t >= lim and (t > nxt or t > top or (t == top and t == rec.ts)):
+                    break
+                pos += 1
                 end_time = t
-                rec = records[a]
-                emissions, was_dropped = arrive(rec, t)
+                emissions, was_dropped = on_arrival(rec, t)
                 # the transmit reward, or the e2e reward of a dropped packet: it
                 # never plays out, but its lateness at arrival is known and is
                 # the signal that lets the scheduler learn a probed path is
                 # slow; without it the posterior of a bad path never updates
                 # (every probe gets dropped) and exploration is never suppressed
-                if feedback == "transmit" or (was_dropped and feedback == "e2e"):
-                    push(t + direct_rev.sample(t), EV_FEEDBACK, rec.path_id, t - rec.ts)
-                if feedback == "e2e":
-                    for em in emissions:
-                        erec = records[em.seq]
-                        send_at = em.out if em.out > t else t
-                        avail = send_at + direct_rev.sample(send_at)
-                        push(avail, EV_FEEDBACK, erec.path_id, em.out - erec.ts)
-            elif kind == EV_FEEDBACK:
-                router.observe(a, b)
-                if router.ready():
-                    selected = router.select()
-                    if selected != plan_path:
-                        delay = direct_fwd.sample(t)
-                        overhead_sum += delay
-                        path_changes.append((t, plan_path, selected))
-                        plan_path = selected
-                        push(t + delay, EV_CONTROL, len(path_changes), selected)
-            else:  # EV_CONTROL
-                if a > adopted_version:
+                if was_dropped:
+                    rec.fate = "dropped_late"
+                if transmit or was_dropped:
+                    heappush(heap, (fb_at, EV_FEEDBACK, ctr, rec.path_id, t - rec.ts))
+                    ctr += 1
+                for em in emissions:
+                    erec = records[em.seq]
+                    erec.to = out = em.out
+                    erec.fate = "delivered"
+                    if not transmit:  # e2e: sent at playout, or on arrival if not later
+                        avail = out + rev_sample(out) if out > t else fb_at
+                        heappush(heap, (avail, EV_FEEDBACK, ctr, erec.path_id, out - erec.ts))
+                        ctr += 1
+                if heap:
+                    top = heap[0][0]
+                    lim = top if top < nxt else nxt
+            if heap and top <= nxt:
+                t, kind, _, a, b = heappop(heap)
+                if kind == EV_FEEDBACK:
+                    router.observe(a, b)
+                    if router.ready():
+                        selected = router.select()
+                        if selected != plan_path:
+                            delay = direct_fwd.sample(t)
+                            overhead_sum += delay
+                            path_changes.append((t, plan_path, selected))
+                            plan_path = selected
+                            heappush(heap, (t + delay, EV_CONTROL, ctr, len(path_changes), selected))
+                            ctr += 1
+                elif a > adopted_version:  # EV_CONTROL
                     adopted_version = a
-                    active_path = b
+                    if b != active_path:
+                        active_path = b
+                        # packets from the tick at t on were generated on the
+                        # old path and none has arrived: generate them again
+                        cut = bisect_left(gen_times, t, 0, gen)
+                        if cut < gen:
+                            del records[cut:]
+                            pending = [p for p in pending[pos:] if p[1].seq < cut]
+                            pos = 0
+                            gen = cut
+                            nxt = gen_times[gen]
+            elif gen < n:
+                # the next block on the active path, or one packet at a time
+                # while the router picks paths of its own
+                if router.follows_plan:
+                    path_id = active_path
+                    hi = min(gen + ARRIVAL_BLOCK, n)
+                else:
+                    path_id = router.path_for(gen, active_path)
+                    hi = gen + 1
+                times = ticks[gen:hi]
+                ta = times + path_latency(topology, all_paths[path_id], times)
+                ta_list = ta.tolist()
+                block = list(map(PacketRecord, range(gen, hi), gen_times[gen:hi], ta_list,
+                                 repeat(None), repeat(path_id), repeat("in_flight")))
+                records += block
+                # stable: arrivals tied on ta stay in seq order
+                pending = pending[pos:]
+                pending.extend(zip(ta_list, block, (ta + direct_rev.at(ta)).tolist()))
+                pending.sort(key=_TA)
+                pos = 0
+                gen = hi
+                nxt = gen_times[gen] if gen < n else inf
+            else:
+                break
 
     for em in jm.flush(end_time):
         erec = records[em.seq]

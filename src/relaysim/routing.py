@@ -19,9 +19,14 @@ update of the one arm that changed plus one pass over the arms, and ties go
 to the lowest path id.
 
 The session engine reads ``needs_feedback`` off every router. On a router
-that takes feedback it calls ``path_for`` (each new packet's path),
-``observe``, ``ready`` and ``select``; a router that takes none keeps the
-session's initial path, and the engine asks it nothing else. The engine
+that takes feedback it reads ``follows_plan`` and calls ``path_for`` (a new
+packet's path), ``observe``, ``ready`` and ``select``; a router that takes
+none keeps the session's initial path, and the engine asks it nothing else.
+``follows_plan`` is true once ``path_for`` returns the active path for every
+later packet: from the start for ``ThompsonRouter``, and for ``Ucb1Router``
+once every arm has a reward and its forced round is over. While it is
+false the engine asks ``path_for`` packet by packet; once it is true the
+engine asks nothing and sends every packet on the adopted plan. The engine
 runs a candidate set of one path with ``DirectRouter``: no feedback could
 change the pick, so it takes none.
 """
@@ -69,6 +74,7 @@ class ThompsonRouter:
     """
 
     needs_feedback = "e2e"
+    follows_plan = True  # path_for always returns the active path
 
     DRAW_BLOCK = 64  # selections per standard-normal draw
 
@@ -148,7 +154,9 @@ class Ucb1Router:
     """UCB1 over the candidate set, rewarded with transmitting latency.
 
     Beside the per-arm means and pull counts it keeps the total of pulls and
-    the count of arms never pulled, so ``ready`` is a counter test. ``observe``
+    the count of arms never pulled, so ``ready`` is a counter test.
+    ``follows_plan`` turns true when the last arm gets its first reward, and
+    from then on ``path_for`` returns the active path. ``observe``
     updates the arm's running mean and ``select`` computes the index in a
     Python loop over lists: at 1 to 17 arms a numpy expression's per-call
     dispatch costs more than the arithmetic.
@@ -170,19 +178,21 @@ class Ucb1Router:
         self._total = 0
         self._unpulled = len(self._ids)
         self._c = c
+        self.follows_plan = False  # true once every arm has a reward
 
     def path_for(self, seq: int, active_path: int) -> int:
         """Forced round: packet seq < k takes the seq-th of the k arms, then
-        packets cycle through the arms still without a reward, if any."""
+        packets cycle through the arms still without a reward. Once every
+        arm has one, every packet takes the active path."""
+        if self.follows_plan:
+            return active_path
         if seq < len(self._ids):
             return self._ids[seq]
-        if self._unpulled:
-            unrewarded = [pid for pid, n in zip(self._ids, self._n) if n == 0]
-            return unrewarded[seq % len(unrewarded)]
-        return active_path
+        unrewarded = [pid for pid, n in zip(self._ids, self._n) if n == 0]
+        return unrewarded[seq % len(unrewarded)]
 
     def ready(self) -> bool:
-        return not self._unpulled
+        return self.follows_plan
 
     def observe(self, path_id: int, reward: float) -> None:
         if not 0.0 < reward < math.inf:  # also false for nan
@@ -194,6 +204,7 @@ class Ucb1Router:
         self._total += 1
         if n == 1:
             self._unpulled -= 1
+            self.follows_plan = not self._unpulled
 
     def select(self) -> int:
         if self._unpulled:

@@ -30,10 +30,13 @@ from relaysim import (
 from relaysim import engine
 from relaysim.engine import cell_config, derive_cell_seed, method_kinds
 from relaysim.reports import write_summary_csv
+from engine_reference import reference_session
+import engine_reference
 from scenarios import (
     burst_direct_topology,
     constant_pair_topology,
     constant_trace,
+    gaussian_link,
     hetero_topology,
 )
 
@@ -133,6 +136,7 @@ class _ScriptedRouter:
     """Transmit feedback; picks path 0 at the first feedback, then path 1."""
 
     needs_feedback = "transmit"
+    follows_plan = True
 
     def __init__(self, path_ids, c=1.0):
         self._picks = 0
@@ -471,6 +475,200 @@ def test_arrival_schedule_equals_the_event_loop(method, monkeypatch):
     assert len(observed) == cfg.packet_count  # one transmit feedback per arrival
     assert slow.records == fast.records
     assert slow.report.to_json() == fast.report.to_json()
+    oracle = reference_session(topo, cfg, method=method)
+    assert oracle.records == fast.records
+    assert oracle.report.to_json() == fast.report.to_json()
+
+
+# ------------------------------------------- the event-queue oracle
+
+def _assert_equals_oracle(topo, cfg, method):
+    """run_session against tests/engine_reference.py: equal records and report."""
+    res = run_session(topo, cfg, method=method)
+    ref = reference_session(topo, cfg, method=method)
+    assert res.records == ref.records
+    assert res.report.to_json() == ref.report.to_json()
+    return res.report
+
+
+def _twin_relay_topology(seed, duration_ms):
+    """Two equally cheap detours (e0->r0->u0, e0->r1->u0, 75+-7 ms per link)
+    beside a 300+-30 ms direct link; r0<->r1 is 175+-10. Pruning keeps both
+    detours, so a pruned session still routes."""
+    means = {("e0", "u0"): (300.0, 30.0), ("u0", "e0"): (300.0, 30.0),
+             ("r0", "r1"): (175.0, 10.0), ("r1", "r0"): (175.0, 10.0)}
+    for r in ("r0", "r1"):
+        means[("e0", r)] = means[(r, "u0")] = (75.0, 7.0)
+    nodes = [Node("e0", "endpoint"), Node("u0", "user"), Node("r0", "relay"), Node("r1", "relay")]
+    return Topology(nodes, {link: gaussian_link(*link, m, sd, seed, duration_ms)
+                            for link, (m, sd) in means.items()})
+
+
+@pytest.mark.parametrize("method", sorted(METHODS) + ["vcroute_ts+buffer"])
+def test_sessions_equal_the_event_queue_oracle(method):
+    # the golden scenario, unpruned and pruned (to one path: no feedback),
+    # a small relay-hetero geometry at both cadences, and a pruned candidate
+    # set of two detours, which still routes
+    golden = SessionConfig(endpoint="e0", user="u0", packet_count=1500, interval_ms=10.0,
+                           warmup_ms=20_000.0, seed=7)
+    small = replace(golden, packet_count=2000, seed=1)
+    cases = [(hetero_topology(5, 40_000.0), golden)]
+    cases += [(hetero_topology(1, 45_000.0), replace(small, interval_ms=interval))
+              for interval in (10.0, 20 / 3)]
+    for topo, template in cases:
+        for prune in (False, True):
+            cfg = replace(template, router=RouterConfig(prune=prune))
+            _assert_equals_oracle(topo, method_config(cfg, method), method)
+    twin = method_config(replace(small, router=RouterConfig(prune=True)), method)
+    report = _assert_equals_oracle(_twin_relay_topology(2, 45_000.0), twin, method)
+    assert len(report.topk_paths) == (1 if report.router_kind == "direct" else 2)
+
+
+@pytest.mark.parametrize("method", ["via-bf", "via-wm"])
+def test_ucb1_sessions_equal_the_event_queue_oracle(method):
+    # at c=1 the exploration bonus is negligible against rewards in ms, so
+    # the plan never changes after the forced round; at c=2000 it changes
+    # dozens of times, and every change cuts a generated block
+    template = SessionConfig(endpoint="e0", user="u0", packet_count=4000, interval_ms=10.0,
+                             warmup_ms=20_000.0, seed=0)
+    topo = hetero_topology(0, 70_000.0)
+    changes = {}
+    for c in (1.0, 2000.0):
+        cfg = method_config(replace(template, router=RouterConfig(c=c, prune=False)), method)
+        changes[c] = _assert_equals_oracle(topo, cfg, method).plan_update_count
+    assert changes[1.0] == 0
+    assert changes[2000.0] >= 40
+
+
+# ------------------------------------------------- cuts of a generated block
+
+def _script_router(monkeypatch, picks):
+    """Route both engines' UCB1 sessions through a router that takes transmit
+    feedback and returns ``picks`` from its successive selections (the last
+    one from then on)."""
+
+    class Scripted:
+        needs_feedback = "transmit"
+        follows_plan = True
+
+        def __init__(self, path_ids, c=1.0):
+            self._picks = 0
+
+        def path_for(self, seq, active_path):
+            return active_path
+
+        def ready(self):
+            return True
+
+        def observe(self, path_id, reward):
+            pass
+
+        def select(self):
+            self._picks += 1
+            return picks[min(self._picks, len(picks)) - 1]
+
+    monkeypatch.setattr(engine, "Ucb1Router", Scripted)
+    monkeypatch.setattr(engine_reference, "Ucb1Router", Scripted)
+
+
+def _relay_topology(links):
+    """e0, u0 and relay r0 with the given constant (or explicit) link traces."""
+    traces = {link: ms if isinstance(ms, LatencyTrace) else constant_trace(*link, ms, 700_000.0)
+              for link, ms in links.items()}
+    return Topology([Node("e0", "endpoint"), Node("u0", "user"), Node("r0", "relay")], traces)
+
+
+def _scripted_cfg(n=100, jitter="watermark"):
+    return SessionConfig(endpoint="e0", user="u0", packet_count=n, interval_ms=10.0,
+                         warmup_ms=WARMUP, jitter=JitterConfig(kind=jitter),
+                         router=RouterConfig(kind="via_ucb1", prune=False))
+
+
+@pytest.mark.parametrize("fwd, first", [(43.0, 11), (39.0, 10)], ids=["between-ticks", "at-a-tick"])
+def test_adoption_cuts_the_generated_block(fwd, first, monkeypatch):
+    # e0->r0->u0 (20 ms) is the initial path and the first selection moves
+    # the plan to the direct path. Packet 0's feedback is back at +61 and
+    # its control message lands at +61+fwd: at +104, between ticks 10 and
+    # 11, or at +100, on tick 10, whose packet it already re-routes. All
+    # 100 packets were generated in one block on e0->r0->u0.
+    _script_router(monkeypatch, [0])
+    topo = _relay_topology({("e0", "u0"): fwd, ("u0", "e0"): 41.0,
+                            ("e0", "r0"): 10.0, ("r0", "u0"): 10.0})
+    cfg = _scripted_cfg()
+    res = run_session(topo, cfg)
+    assert [rec.path_id for rec in res.records] == [1] * first + [0] * (100 - first)
+    assert [rec.ta - rec.ts for rec in res.records] == [20.0] * first + [fwd] * (100 - first)
+    _assert_equals_oracle(topo, cfg, None)
+
+
+def test_adoption_of_the_active_path_cuts_nothing(monkeypatch):
+    # the stale-plan scenario: the plan for the direct path (issued at +40)
+    # takes 500 ms; the newer plan back to e0->r0->u0 (issued at +50) takes
+    # 5 ms and is adopted first, though it keeps the active path. Nothing is
+    # generated again, and the older plan is ignored when it lands.
+    _script_router(monkeypatch, [0, 1])
+    fwd = LatencyTrace("e0", "u0", [0.0, WARMUP + 45.0], [500.0, 5.0])
+    topo = _relay_topology({("e0", "u0"): fwd, ("u0", "e0"): 10.0,
+                            ("e0", "r0"): 15.0, ("r0", "u0"): 15.0})
+    generated = []
+
+    def path_latency(topology, path, times):
+        generated.append((path.path_id, times.tolist()))
+        return engine_path_latency(topology, path, times)
+
+    engine_path_latency = engine.path_latency
+    monkeypatch.setattr(engine, "path_latency", path_latency)
+    cfg = _scripted_cfg()
+    res = run_session(topo, cfg)
+    assert [(old, new) for _, old, new in res.report.path_changes] == [(1, 0), (0, 1)]
+    assert generated == [(1, [rec.ts for rec in res.records])]  # one block, never cut
+    assert all(rec.path_id == 1 for rec in res.records)
+    _assert_equals_oracle(topo, cfg, None)
+
+
+def test_in_flight_packets_interleave_with_the_new_block(monkeypatch):
+    # the direct path is 200 ms, e0->r0->u0 20 ms. The first five selections
+    # pick the direct path, adopted at +230; the sixth picks the detour back,
+    # adopted at +280. Packets 23-27 are on the direct path when the block
+    # from 28 is generated again; they arrive at +430..+470 among the new
+    # block's packets 41-45, with which they tie, and ties go by seq.
+    _script_router(monkeypatch, [0] * 5 + [1])
+    topo = _relay_topology({("e0", "u0"): 200.0, ("u0", "e0"): 10.0,
+                            ("e0", "r0"): 10.0, ("r0", "u0"): 10.0})
+    order = []
+
+    def recording_build(*args):
+        manager = _build(*args)
+        on_arrival = manager.on_arrival
+        manager.on_arrival = lambda packet, now: order.append(packet.seq) or on_arrival(packet, now)
+        return manager
+
+    monkeypatch.setattr(engine, "build_jitter_manager", recording_build)
+    cfg = _scripted_cfg()
+    res = run_session(topo, cfg)
+    assert [rec.path_id for rec in res.records] == [1] * 23 + [0] * 5 + [1] * 72
+    assert order == sorted(range(100), key=lambda seq: (res.records[seq].ta, seq))
+    i = order.index(23)
+    assert order[i - 1:i + 10] == [40, 23, 41, 24, 42, 25, 43, 26, 44, 27, 45]
+    _assert_equals_oracle(topo, cfg, None)
+
+
+@pytest.mark.parametrize("jitter", ["watermark", "buffer"])
+def test_arrival_at_its_own_tick_waits_for_a_control_message(jitter, monkeypatch):
+    # e0->r0->u0 has 1e-12 ms links, below half an ulp of Ts (7.3e-12 ms at
+    # 60 s), so its packets arrive at their own tick. Packet 0's feedback is
+    # back at +20 and its plan for the direct path (30 ms) lands at +50, on
+    # tick 5. Packet 5 was generated on the detour with an arrival at +50,
+    # but the control message at +50 goes first and re-routes it.
+    _script_router(monkeypatch, [0])
+    topo = _relay_topology({("e0", "u0"): 30.0, ("u0", "e0"): 20.0,
+                            ("e0", "r0"): 1e-12, ("r0", "u0"): 1e-12})
+    cfg = _scripted_cfg(jitter=jitter)
+    res = run_session(topo, cfg)
+    assert [rec.path_id for rec in res.records] == [1] * 5 + [0] * 95
+    assert all(rec.ta == rec.ts for rec in res.records[:5])
+    assert all(rec.ta == rec.ts + 30.0 for rec in res.records[5:])
+    _assert_equals_oracle(topo, cfg, None)
 
 
 def test_method_config_specializes():

@@ -191,6 +191,7 @@ def test_thompson_router_state():
     rng = np.random.default_rng(0)
     router = ThompsonRouter([(0, 100.0, 0.01), (2, 150.0, 0.01)], rng)
     assert router.ready() and router.path_for(0, 2) == 2
+    assert router.follows_plan  # from the start: every packet on the plan
     assert router.needs_feedback == "e2e"
     router.observe(2, 140.0)
     assert router.arm(2)[3] == 1  # (mu, tau, tau0, pulls)
@@ -219,8 +220,14 @@ def test_ucb1_router_state():
     assert [router.path_for(seq, 9) for seq in range(3, 6)] == [1, 2, 4]
     router.observe(2, 102.0)
     assert [router.path_for(seq, 9) for seq in range(6, 9)] == [1, 4, 1]
-    for pid in (1, 4):
-        router.observe(pid, 100.0 + pid)
+    # follows_plan turns true with the last arm's first reward, exactly when
+    # path_for starts returning the active path (9, no arm's id)
+    assert not router.follows_plan and router.path_for(9, 9) == 4
+    router.observe(1, 101.0)
+    assert not router.follows_plan and router.path_for(10, 9) == 4
+    router.observe(4, 104.0)
+    assert router.follows_plan
+    assert [router.path_for(seq, 9) for seq in range(12)] == [9] * 12
     assert router.ready() and router.path_for(9, 9) == 9
     assert router.select() in (1, 2, 4)
     with pytest.raises(ValidationError):
@@ -407,6 +414,7 @@ def test_ucb1_router_ready_counts_rewarded_arms(order):
         assert router.ready() == (not unrewarded)
         # false until the last arm's first reward, true from then on
         assert router.ready() == (step >= last_first_reward)
+        assert router.follows_plan == router.ready()
         # before then, the first unrewarded arm in id order
         if unrewarded:
             assert router.select() == unrewarded[0]

@@ -1,12 +1,14 @@
-"""Property tests over small feedback-free sessions.
+"""Property tests over small sessions, feedback-free and routed.
 
 A session whose router takes no feedback is played from its sorted arrival
-schedule. For drawn link traces (constant, Gaussian and spike regimes),
-cadences and jitter managers, every such session must conserve its packets,
-emit no packet before it arrives, pass relaybench's replay gate (the
-arrivals replayed in (ta, seq) order through a fresh jitter manager decide
-every fate and output time again), and equal the same session played
-through the event queue.
+schedule; a routed one generates its packets in blocks between plan
+adoptions. For drawn link traces (constant, Gaussian and spike regimes),
+cadences and jitter managers, every session must conserve its packets, emit
+no packet before it arrives, pass relaybench's replay gate (the arrivals
+replayed in (ta, seq) order through a fresh jitter manager decide every fate
+and output time again), and equal the same session played through one event
+queue by ``tests/engine_reference.py``. A feedback-free session must also
+equal itself run with a one-arm bandit, which takes feedback.
 """
 
 import sys
@@ -17,9 +19,20 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relaysim import JitterConfig, LatencyTrace, Node, SessionConfig, Topology, Ucb1Router
+from relaysim import (
+    METHODS,
+    JitterConfig,
+    LatencyTrace,
+    Node,
+    RouterConfig,
+    SessionConfig,
+    Topology,
+    Ucb1Router,
+    method_config,
+)
 from relaysim import engine, run_session
 from relaysim.traces import synth_link_samples
+from engine_reference import reference_session
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "relaybench"))
 import gates  # noqa: E402
@@ -82,3 +95,66 @@ def test_feedback_free_session_properties(s):
         queued = run_session(topo, cfg)
     assert queued.records == res.records
     assert queued.report.to_json() == rep.to_json()
+    oracle = reference_session(topo, cfg)
+    assert oracle.records == res.records
+    assert oracle.report.to_json() == rep.to_json()
+
+
+REGIMES = ["constant", "stationary-gaussian", "regime-switching-spikes"]
+
+
+@st.composite
+def routed_sessions(draw):
+    relays = draw(st.integers(1, 2))
+    nodes = ["e0", "u0"] + [f"r{i}" for i in range(relays)]
+    links = [(a, b) for a in nodes for b in nodes if a != b and (a, b) != ("u0", "e0")]
+    return {
+        "relays": relays,
+        # per directed link: regime, mean and sd; u0->e0 carries feedback
+        "links": {link: (draw(st.sampled_from(REGIMES)), draw(st.floats(5.0, 150.0)),
+                         draw(st.floats(0.5, 40.0)))
+                  for link in links + [("u0", "e0")]},
+        "trace_step": draw(st.sampled_from([1.0, 10.0, 100.0])),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        "interval": draw(st.sampled_from([10.0, 20 / 3, 5.0, 20.0])),
+        "packets": draw(st.integers(1, 700)),  # up to three blocks
+        "method": draw(st.sampled_from(sorted(METHODS) + ["vcroute_ts+buffer"])),
+        "prune": draw(st.booleans()),
+        "c": draw(st.sampled_from([1.0, 2000.0])),
+    }
+
+
+def _relay_topology(s):
+    ts = np.arange(0.0, WARMUP + s["packets"] * s["interval"] + s["trace_step"], s["trace_step"])
+    rng = np.random.default_rng(s["seed"])
+    traces = {}
+    for (src, dst), (regime, mean, std) in s["links"].items():
+        if regime == "constant":
+            lat = np.full(ts.size, mean)
+        else:
+            lat = synth_link_samples(rng, mean, std, ts.size, regime)
+        traces[(src, dst)] = LatencyTrace(src, dst, ts, lat)
+    nodes = [Node("e0", "endpoint"), Node("u0", "user")]
+    nodes += [Node(f"r{i}", "relay") for i in range(s["relays"])]
+    return Topology(nodes, traces)
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=routed_sessions())
+def test_routed_session_properties(s):
+    topo = _relay_topology(s)
+    template = SessionConfig(endpoint="e0", user="u0", packet_count=s["packets"],
+                             interval_ms=s["interval"], warmup_ms=WARMUP, seed=s["seed"],
+                             router=RouterConfig(c=s["c"], prune=s["prune"]))
+    cfg = method_config(template, s["method"])
+    res = run_session(topo, cfg, method=s["method"])
+    rep = res.report
+    assert rep.delivered + rep.dropped_late == cfg.packet_count
+    assert [rec.seq for rec in res.records] == list(range(cfg.packet_count))
+    for rec in res.records:
+        assert rec.fate in ("delivered", "flushed", "dropped_late")
+        assert rec.fate == "dropped_late" or rec.to >= rec.ta
+    assert gates.check_session(res, cfg) == []
+    oracle = reference_session(topo, cfg, method=s["method"])
+    assert oracle.records == res.records
+    assert oracle.report.to_json() == rep.to_json()
