@@ -234,6 +234,9 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
         heap: list[tuple[float, int, int, int, float]] = []  # feedback and control
         ctr = 0
         gen_times = ticks.tolist()
+        # filled block by block: one list, never resized, so its buffer does
+        # not move through a heap that the blocks' small arrays fragment
+        records = [None] * n
         gen = 0  # packets generated so far, records[:gen]
         # (ta, record, feedback time if sent at ta) of every generated packet
         # not yet arrived, from pending[pos] on, in (ta, seq) order
@@ -298,7 +301,6 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
                         # old path and none has arrived: generate them again
                         cut = bisect_left(gen_times, t, 0, gen)
                         if cut < gen:
-                            del records[cut:]
                             pending = [p for p in pending[pos:] if p[1].seq < cut]
                             pos = 0
                             gen = cut
@@ -317,7 +319,7 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
                 ta_list = ta.tolist()
                 block = list(map(PacketRecord, range(gen, hi), gen_times[gen:hi], ta_list,
                                  repeat(None), repeat(path_id), repeat("in_flight")))
-                records += block
+                records[gen:hi] = block
                 # stable: arrivals tied on ta stay in seq order
                 pending = pending[pos:]
                 pending.extend(zip(ta_list, block, (ta + direct_rev.at(ta)).tolist()))

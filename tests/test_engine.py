@@ -132,27 +132,33 @@ def test_event_at_a_tick_goes_before_generation():
     assert paths[:9] == [0, 1, 0, 1, 0, 1, 0, 1, 1]
 
 
-class _ScriptedRouter:
-    """Transmit feedback; picks path 0 at the first feedback, then path 1."""
+def _script_router(monkeypatch, picks):
+    """Route both engines' UCB1 sessions through a router that takes transmit
+    feedback and returns ``picks`` from its successive selections (the last
+    one from then on)."""
 
-    needs_feedback = "transmit"
-    follows_plan = True
+    class Scripted:
+        needs_feedback = "transmit"
+        follows_plan = True
 
-    def __init__(self, path_ids, c=1.0):
-        self._picks = 0
+        def __init__(self, path_ids, c=1.0):
+            self._picks = 0
 
-    def path_for(self, seq, active_path):
-        return active_path
+        def path_for(self, seq, active_path):
+            return active_path
 
-    def ready(self):
-        return True
+        def ready(self):
+            return True
 
-    def observe(self, path_id, reward):
-        pass
+        def observe(self, path_id, reward):
+            pass
 
-    def select(self):
-        self._picks += 1
-        return 0 if self._picks == 1 else 1
+        def select(self):
+            self._picks += 1
+            return picks[min(self._picks, len(picks)) - 1]
+
+    monkeypatch.setattr(engine, "Ucb1Router", Scripted)
+    monkeypatch.setattr(engine_reference, "Ucb1Router", Scripted)
 
 
 def test_stale_plan_is_not_adopted(monkeypatch):
@@ -160,20 +166,31 @@ def test_stale_plan_is_not_adopted(monkeypatch):
     # the initial plan. Packet 0's feedback is back at +40 and selects the
     # direct path; its control message takes 500 ms. Packet 1's feedback at
     # +50 selects path 1 again; the direct link is 5 ms by then, so that
-    # newer plan lands at +55, first. The older plan, landing at +540, must
-    # be ignored: every packet stays on path 1.
+    # newer plan lands at +55, first. It keeps the active path, so no
+    # generated packet is cut. The older plan, landing at +540, must be
+    # ignored: every packet stays on path 1, all generated in one block.
+    _script_router(monkeypatch, [0, 1])
     switch = WARMUP + 45.0
     fwd = LatencyTrace("e0", "u0", [0.0, switch], [500.0, 5.0])
     links = {("u0", "e0"): 10.0, ("e0", "r0"): 15.0, ("r0", "u0"): 15.0}
     traces = {link: constant_trace(*link, ms, 700_000.0) for link, ms in links.items()}
     traces[("e0", "u0")] = fwd
     topo = Topology([Node("e0", "endpoint"), Node("u0", "user"), Node("r0", "relay")], traces)
-    monkeypatch.setattr(engine, "Ucb1Router", _ScriptedRouter)
+    generated = []
+    block_latency = engine.path_latency
+
+    def path_latency(topology, path, times):
+        generated.append((path.path_id, times.tolist()))
+        return block_latency(topology, path, times)
+
+    monkeypatch.setattr(engine, "path_latency", path_latency)
     cfg = SessionConfig(endpoint="e0", user="u0", packet_count=100, interval_ms=10.0,
                         warmup_ms=WARMUP, router=RouterConfig(kind="via_ucb1", prune=False))
     res = run_session(topo, cfg)
     assert [(old, new) for _, old, new in res.report.path_changes] == [(1, 0), (0, 1)]
     assert all(rec.path_id == 1 for rec in res.records)
+    assert generated == [(1, [rec.ts for rec in res.records])]
+    _assert_equals_oracle(topo, cfg, None)
 
 
 _build = engine.build_jitter_manager
@@ -542,44 +559,14 @@ def test_ucb1_sessions_equal_the_event_queue_oracle(method):
 
 # ------------------------------------------------- cuts of a generated block
 
-def _script_router(monkeypatch, picks):
-    """Route both engines' UCB1 sessions through a router that takes transmit
-    feedback and returns ``picks`` from its successive selections (the last
-    one from then on)."""
-
-    class Scripted:
-        needs_feedback = "transmit"
-        follows_plan = True
-
-        def __init__(self, path_ids, c=1.0):
-            self._picks = 0
-
-        def path_for(self, seq, active_path):
-            return active_path
-
-        def ready(self):
-            return True
-
-        def observe(self, path_id, reward):
-            pass
-
-        def select(self):
-            self._picks += 1
-            return picks[min(self._picks, len(picks)) - 1]
-
-    monkeypatch.setattr(engine, "Ucb1Router", Scripted)
-    monkeypatch.setattr(engine_reference, "Ucb1Router", Scripted)
-
-
 def _relay_topology(links):
-    """e0, u0 and relay r0 with the given constant (or explicit) link traces."""
-    traces = {link: ms if isinstance(ms, LatencyTrace) else constant_trace(*link, ms, 700_000.0)
-              for link, ms in links.items()}
+    """e0, u0 and relay r0, each link a constant latency in ms."""
+    traces = {link: constant_trace(*link, ms, 700_000.0) for link, ms in links.items()}
     return Topology([Node("e0", "endpoint"), Node("u0", "user"), Node("r0", "relay")], traces)
 
 
-def _scripted_cfg(n=100, jitter="watermark"):
-    return SessionConfig(endpoint="e0", user="u0", packet_count=n, interval_ms=10.0,
+def _scripted_cfg(jitter="watermark"):
+    return SessionConfig(endpoint="e0", user="u0", packet_count=100, interval_ms=10.0,
                          warmup_ms=WARMUP, jitter=JitterConfig(kind=jitter),
                          router=RouterConfig(kind="via_ucb1", prune=False))
 
@@ -598,31 +585,6 @@ def test_adoption_cuts_the_generated_block(fwd, first, monkeypatch):
     res = run_session(topo, cfg)
     assert [rec.path_id for rec in res.records] == [1] * first + [0] * (100 - first)
     assert [rec.ta - rec.ts for rec in res.records] == [20.0] * first + [fwd] * (100 - first)
-    _assert_equals_oracle(topo, cfg, None)
-
-
-def test_adoption_of_the_active_path_cuts_nothing(monkeypatch):
-    # the stale-plan scenario: the plan for the direct path (issued at +40)
-    # takes 500 ms; the newer plan back to e0->r0->u0 (issued at +50) takes
-    # 5 ms and is adopted first, though it keeps the active path. Nothing is
-    # generated again, and the older plan is ignored when it lands.
-    _script_router(monkeypatch, [0, 1])
-    fwd = LatencyTrace("e0", "u0", [0.0, WARMUP + 45.0], [500.0, 5.0])
-    topo = _relay_topology({("e0", "u0"): fwd, ("u0", "e0"): 10.0,
-                            ("e0", "r0"): 15.0, ("r0", "u0"): 15.0})
-    generated = []
-
-    def path_latency(topology, path, times):
-        generated.append((path.path_id, times.tolist()))
-        return engine_path_latency(topology, path, times)
-
-    engine_path_latency = engine.path_latency
-    monkeypatch.setattr(engine, "path_latency", path_latency)
-    cfg = _scripted_cfg()
-    res = run_session(topo, cfg)
-    assert [(old, new) for _, old, new in res.report.path_changes] == [(1, 0), (0, 1)]
-    assert generated == [(1, [rec.ts for rec in res.records])]  # one block, never cut
-    assert all(rec.path_id == 1 for rec in res.records)
     _assert_equals_oracle(topo, cfg, None)
 
 
