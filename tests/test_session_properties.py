@@ -38,13 +38,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "relaybench"))
 import gates  # noqa: E402
 
 WARMUP = 1000.0
+REGIMES = ["constant", "stationary-gaussian", "regime-switching-spikes"]
 
 
 @st.composite
 def direct_sessions(draw):
     return {
-        "regime": draw(st.sampled_from(
-            ["constant", "stationary-gaussian", "regime-switching-spikes"])),
+        "regime": draw(st.sampled_from(REGIMES)),
         "mean": draw(st.floats(5.0, 200.0)),
         "std": draw(st.floats(0.5, 60.0)),
         "trace_step": draw(st.sampled_from([1.0, 10.0, 100.0])),
@@ -98,9 +98,6 @@ def test_feedback_free_session_properties(s):
     oracle = reference_session(topo, cfg)
     assert oracle.records == res.records
     assert oracle.report.to_json() == rep.to_json()
-
-
-REGIMES = ["constant", "stationary-gaussian", "regime-switching-spikes"]
 
 
 @st.composite
