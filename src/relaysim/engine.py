@@ -30,8 +30,10 @@ as it would if generated at its tick. While the router picks paths of its own
 (UCB1's forced round, until ``follows_plan``), blocks are one packet long.
 A session whose router takes no feedback would queue nothing but arrivals,
 all on one path, so it is played from its sorted arrival schedule instead:
-every Ta is computed at once and the arrivals are handed over in (Ta, seq)
-order. Either way records and reports equal those of one event queue that
+every Ta is computed at once, and the jitter manager's whole-stream ``play``
+takes the arrivals in (Ta, seq) order in one call and writes each packet's
+To and fate into seq-indexed columns, from which the records are built at
+the end. Either way records and reports equal those of one event queue that
 generates packet by packet (``tests/engine_reference.py``), runs are
 deterministic and reports are byte-identical for identical (config, topology,
 seed).
@@ -52,13 +54,13 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 from itertools import repeat
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .jitter import JITTER_KINDS, Emission, JitterConfig, build_jitter_manager
+from .jitter import JITTER_KINDS, JitterConfig, build_jitter_manager
 from .paths import RelayPath, enumerate_paths, path_latency, prune_topk, warmup_stats
 from .reports import MetricsReport, build_report
 from .routing import DirectRouter, ThompsonRouter, Ucb1Router, tau0_from_variance
@@ -193,38 +195,32 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
     n = cfg.packet_count
     ticks = t0 + np.arange(n) * cfg.interval_ms
     jm = build_jitter_manager(cfg.jitter, cfg.interval_ms)
-    on_arrival = jm.on_arrival
     feedback = router.needs_feedback
 
-    records: list[PacketRecord] = []
     path_changes: list[tuple[float, int, int]] = []
     overhead_sum = 0.0
 
-    def arrive(rec: PacketRecord, t: float) -> tuple[list[Emission], bool]:
-        """Hand one arrival to the jitter manager and set the fates it decides."""
-        emissions, was_dropped = on_arrival(rec, t)
-        if was_dropped:
-            rec.fate = "dropped_late"
-        for em in emissions:
-            erec = records[em.seq]
-            erec.to = em.out
-            erec.fate = "delivered"
-        return emissions, was_dropped
-
     if feedback is None:
-        # only arrivals, all on the initial path: play them in (ta, seq)
-        # order, the order the event queue would pop them in
-        ta = ticks + path_latency(topology, all_paths[initial_path], ticks)
-        records = list(map(PacketRecord, range(n), ticks.tolist(), ta.tolist(),
-                           repeat(None), repeat(initial_path), repeat("in_flight")))
-        end_time = float(ta.max()) if n else t0
-        del ta
-        for rec in sorted(records, key=attrgetter("ta")):  # stable: ties by seq
-            arrive(rec, rec.ta)
+        # only arrivals, all on the initial path: the manager plays them in
+        # (ta, seq) order, the order the event queue would pop them in, into
+        # seq-indexed columns that become the records at the end
+        ta_arr = ticks + path_latency(topology, all_paths[initial_path], ticks)
+        ts = ticks.tolist()
+        ta = ta_arr.tolist()
+        to: list[float | None] = [None] * n
+        fate = ["in_flight"] * n
+        end_time = float(ta_arr.max()) if n else t0
+        jm.play(np.argsort(ta_arr, kind="stable").tolist(), ts, ta, to, fate)
+        del ta_arr
+        for em in jm.flush(end_time):
+            to[em.seq] = em.out
+            fate[em.seq] = "flushed"
+        records = list(map(PacketRecord, range(n), ts, ta, to, repeat(initial_path), fate))
     else:
         direct_fwd = topology.trace(cfg.endpoint, cfg.user)
         direct_rev = topology.trace(cfg.user, cfg.endpoint)
         rev_sample = direct_rev.sample
+        on_arrival = jm.on_arrival
         transmit = feedback == "transmit"
 
         # plan_path is the last path selected; len(path_changes) numbers the plans
@@ -330,10 +326,10 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
             else:
                 break
 
-    for em in jm.flush(end_time):
-        erec = records[em.seq]
-        erec.to = em.out
-        erec.fate = "flushed"
+        for em in jm.flush(end_time):
+            erec = records[em.seq]
+            erec.to = em.out
+            erec.fate = "flushed"
 
     # read the report's counts and latencies off the records, and check
     # conservation and emission order (exceptions survive python -O)

@@ -28,16 +28,24 @@ window and its quantile are the same code for both:
     updated, so the buffer reads it once after each update and keeps it.
 
 Both managers are event-driven: emissions happen while processing an arrival,
-plus a final flush at session teardown. ``on_arrival(packet, now)`` takes the
-arrival time from ``now`` and reads only ``seq`` and ``ts`` off ``packet``, so
-a :class:`Packet` and the engine's own per-packet record both serve.
+plus a final flush at session teardown. ``on_arrival(packet, now)`` processes
+one arrival; it takes the arrival time from ``now`` and reads only ``seq`` and
+``ts`` off ``packet``, so a :class:`Packet` and the engine's own per-packet
+record both serve. The engine calls it in routed sessions, where feedback and
+plan changes interleave with arrivals. ``play(order, ts, ta, to, fate)``
+processes a whole arrival schedule held in seq-indexed columns, with the
+manager's state in locals and no object per arrival; the engine calls it in
+feedback-free sessions, whose schedule is known up front. So each manager
+states its rule twice: routing ``on_arrival`` through the pass slowed routed
+sessions, and ``tests/test_jitter.py`` requires both forms to decide the same
+fates and output times and to leave the same state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import NamedTuple, Protocol
+from typing import Iterable, MutableSequence, NamedTuple, Protocol, Sequence
 
 from .estimator import JitterEstimator, TransitEstimator
 
@@ -141,6 +149,43 @@ class WatermarkReorderer:
             ts, seq, arrival = heappop(self._pending)
             out.append(Emission(seq, ts, arrival, now))
         return out, False
+
+    def play(self, order: Iterable[int], ts: Sequence[float], ta: Sequence[float],
+             to: MutableSequence[float | None], fate: MutableSequence[str]) -> None:
+        """Process a whole arrival schedule, as ``on_arrival`` would one by one.
+
+        ``order`` lists the seqs in arrival order; ``ts`` and ``ta`` are
+        indexed by seq. Each packet played out gets its output time in
+        ``to[seq]`` and ``fate[seq] = "delivered"``; each late one gets
+        ``fate[seq] = "dropped_late"``. What is still pending stays for
+        ``flush``, and the manager ends in the state the same ``on_arrival``
+        calls would leave."""
+        update = self._est.update
+        update_on_drop = self._update_on_drop
+        pending = self._pending
+        wm = self._wm
+        dropped = self.dropped_count
+        try:
+            for seq in order:
+                t = ts[seq]
+                now = ta[seq]
+                if t < wm:
+                    if update_on_drop:
+                        update(t, now)
+                    dropped += 1
+                    fate[seq] = "dropped_late"
+                    continue
+                mark = t - update(t, now)
+                if mark > wm:
+                    wm = mark
+                heappush(pending, (t, seq, now))
+                while pending and pending[0][0] < wm:
+                    held = heappop(pending)[1]
+                    to[held] = now
+                    fate[held] = "delivered"
+        finally:
+            self._wm = wm
+            self.dropped_count = dropped
 
     def flush(self, end_time: float) -> list[Emission]:
         """Emit everything still pending, in ts order, at end_time."""
@@ -246,6 +291,72 @@ class PlayoutBuffer:
             else:
                 break
         return out
+
+    def play(self, order: Iterable[int], ts: Sequence[float], ta: Sequence[float],
+             to: MutableSequence[float | None], fate: MutableSequence[str]) -> None:
+        """Process a whole arrival schedule, as ``on_arrival`` would one by one.
+
+        The columns are those of :meth:`WatermarkReorderer.play`; the sweep
+        is ``_sweep``'s, inline."""
+        est = self._est
+        update, transit_target = est.update, est.transit_target
+        update_on_drop = self._update_on_drop
+        interval = self._interval
+        buffer = self._buffer
+        target = self._target
+        ts_base = self._ts_base
+        next_seq = self._next_seq
+        max_seen = self._max_seen
+        last_out = self._last_out
+        dropped = self.dropped_count
+        try:
+            for seq in order:
+                t = ts[seq]
+                now = ta[seq]
+                cold = ts_base is None
+                if cold:
+                    ts_base = t - seq * interval
+                if seq > max_seen:
+                    max_seen = seq
+                late = not cold and now > t + target  # the pre-arrival target
+                if update_on_drop:
+                    update(t, now)
+                    target = transit_target()
+                if seq < next_seq or late:
+                    dropped += 1
+                    fate[seq] = "dropped_late"
+                    continue
+                if not update_on_drop:
+                    update(t, now)
+                    target = transit_target()
+                if seq in buffer:
+                    raise ValueError(f"duplicate seq {seq}")
+                buffer[seq] = (t, now)
+                while True:
+                    held = buffer.get(next_seq)
+                    if held is not None:
+                        t_out = held[0] + target
+                        if t_out > now:
+                            break
+                        if held[1] > t_out:
+                            t_out = held[1]
+                        if last_out > t_out:
+                            t_out = last_out
+                        to[next_seq] = last_out = t_out
+                        fate[next_seq] = "delivered"
+                        del buffer[next_seq]
+                        next_seq += 1
+                    elif next_seq <= max_seen and now > ts_base + next_seq * interval + target:
+                        next_seq += 1
+                    else:
+                        break
+        finally:
+            self._target = target
+            self._ts_base = ts_base
+            self._next_seq = next_seq
+            self._max_seen = max_seen
+            self._last_out = last_out
+            self.dropped_count = dropped
 
     def flush(self, end_time: float) -> list[Emission]:
         """Emit everything still buffered, in sequence order, at end_time."""

@@ -205,33 +205,52 @@ def _leaky_build(*args):
 
 
 def _early_build(*args):
-    """A jitter manager that plays every packet out 1 ms before it arrives."""
+    """A jitter manager that plays every packet out 1 ms before it arrives,
+    in ``on_arrival`` and in the whole-stream ``play`` alike."""
     manager = _build(*args)
-    on_arrival = manager.on_arrival
+    on_arrival, play = manager.on_arrival, manager.play
 
     def early(packet, now):
         emissions, dropped = on_arrival(packet, now)
         return [em._replace(out=em.arrival - 1.0) for em in emissions], dropped
 
+    def early_play(order, ts, ta, to, fate):
+        play(order, ts, ta, to, fate)
+        for seq in order:
+            if fate[seq] == "delivered":
+                to[seq] = ta[seq] - 1.0
+
     manager.on_arrival = early
+    manager.play = early_play
     return manager
+
+
+def _fault_sessions():
+    """One direct session, played by ``play``, and one routed session, played
+    by ``on_arrival``: 100 packets over constant 50 ms paths. UCB1 takes
+    feedback, and its detour e0->r0->u0 is as fast as the direct link."""
+    routed = _relay_topology({("e0", "u0"): 50.0, ("u0", "e0"): 40.0,
+                              ("e0", "r0"): 25.0, ("r0", "u0"): 25.0})
+    return [(constant_pair_topology(), _direct_cfg("watermark")), (routed, _scripted_cfg())]
 
 
 def test_lost_packet_raises(monkeypatch):
     # a jitter manager that loses a held packet breaks conservation; the
     # check must be an exception, not an assert that python -O strips
     monkeypatch.setattr(engine, "build_jitter_manager", _leaky_build)
-    with pytest.raises(RuntimeError, match="first seq 99"):
-        run_session(constant_pair_topology(), _direct_cfg("watermark"))
+    for topo, cfg in _fault_sessions():
+        with pytest.raises(RuntimeError, match="first seq 99"):
+            run_session(topo, cfg)
 
 
 def test_early_emission_raises(monkeypatch):
     # packets 0..98 play out when the next one arrives, so all are early
     # here; the flushed last packet plays out at its own arrival
     monkeypatch.setattr(engine, "build_jitter_manager", _early_build)
-    with pytest.raises(RuntimeError,
-                       match="^99 packets emitted before arrival, first seq 0$"):
-        run_session(constant_pair_topology(), _direct_cfg("watermark"))
+    for topo, cfg in _fault_sessions():
+        with pytest.raises(RuntimeError,
+                           match="^99 packets emitted before arrival, first seq 0$"):
+            run_session(topo, cfg)
 
 
 def test_invariants_hold_under_python_O():
@@ -239,16 +258,16 @@ def test_invariants_hold_under_python_O():
     script = """
 import sys
 import test_engine as t
-from scenarios import constant_pair_topology
 assert False, "asserts are on"
 for build in (t._leaky_build, t._early_build):
     t.engine.build_jitter_manager = build
-    try:
-        t.run_session(constant_pair_topology(), t._direct_cfg("watermark"))
-    except RuntimeError as exc:
-        print(exc)
-    else:
-        sys.exit(f"{build.__name__}: no RuntimeError")
+    for topo, cfg in t._fault_sessions():
+        try:
+            t.run_session(topo, cfg)
+        except RuntimeError as exc:
+            print(exc)
+        else:
+            sys.exit(f"{build.__name__}: no RuntimeError")
 """
     here = Path(__file__).resolve().parent
     path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
@@ -257,8 +276,9 @@ for build in (t._leaky_build, t._early_build):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines() == [
         "1 packets neither played out nor dropped, first seq 99",
+    ] * 2 + [
         "99 packets emitted before arrival, first seq 0",
-    ]
+    ] * 2
 
 
 def test_report_config_echo():
@@ -495,6 +515,22 @@ def test_arrival_schedule_equals_the_event_loop(method, monkeypatch):
     oracle = reference_session(topo, cfg, method=method)
     assert oracle.records == fast.records
     assert oracle.report.to_json() == fast.report.to_json()
+
+
+@pytest.mark.parametrize("method", ["drt-bf", "drt-wm"])
+def test_many_arrival_ties_go_by_seq(method):
+    # whole-ms latencies with a 60 ms spread at a 10 ms cadence: dozens of
+    # packets tie on ta with one generated earlier or later, and the manager
+    # must take each tie in seq order, as the event queue pops them
+    times = np.arange(0.0, WARMUP + 30_000.0, 10.0)
+    lat = np.round(np.random.default_rng(8).normal(150.0, 60.0, times.size)).clip(1.0)
+    topo = Topology([Node("e0", "endpoint"), Node("u0", "user")],
+                    {("e0", "u0"): LatencyTrace("e0", "u0", times, lat)})
+    cfg = method_config(_direct_cfg("watermark", n=2000), method)
+    report = _assert_equals_oracle(topo, cfg, method)
+    tas = [rec.ta for rec in run_session(topo, cfg).records]
+    assert len(tas) - len(set(tas)) > 50
+    assert report.dropped_late > 0
 
 
 # ------------------------------------------- the event-queue oracle

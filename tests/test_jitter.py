@@ -157,6 +157,94 @@ def test_watermark_matches_reference_on_bursty_streams():
             assert drops == ref.drops
 
 
+def _columns(packets):
+    """Arrival order and seq-indexed ts/ta columns of an arrival-ordered stream."""
+    ts, ta = [0.0] * len(packets), [0.0] * len(packets)
+    for p in packets:
+        ts[p.seq], ta[p.seq] = p.ts, p.arrival
+    return [p.seq for p in packets], ts, ta
+
+
+def _state(manager):
+    """Everything a manager carries from one arrival to the next."""
+    est = manager._est
+    own = {k: v for k, v in vars(manager).items() if k != "_est"}
+    return (own, est.transit_target(), getattr(est, "n_window", None),
+            getattr(est, "lag_ms", None))
+
+
+def _play_against_on_arrival(build, packets, split):
+    """Play packets[:split] through a manager's whole-stream pass and through
+    on_arrival on a twin: the fates, output times and state must be equal,
+    and stay equal as both go on through on_arrival and flush. Returns the
+    pass's (to, fate) columns."""
+    order, ts, ta = _columns(packets)
+    stepped = build()
+    want_to, want_fate = [None] * len(ts), ["in_flight"] * len(ts)
+    for p in packets[:split]:
+        emissions, dropped = stepped.on_arrival(p, p.arrival)
+        if dropped:
+            want_fate[p.seq] = "dropped_late"
+        for em in emissions:
+            want_to[em.seq], want_fate[em.seq] = em.out, "delivered"
+    played = build()
+    to, fate = [None] * len(ts), ["in_flight"] * len(ts)
+    played.play(order[:split], ts, ta, to, fate)
+    assert to == want_to and fate == want_fate
+    assert _state(played) == _state(stepped)
+    for p in packets[split:]:
+        assert played.on_arrival(p, p.arrival) == stepped.on_arrival(p, p.arrival)
+    end = packets[-1].arrival
+    assert played.flush(end) == stepped.flush(end)
+    assert _state(played) == _state(stepped)
+    return to, fate
+
+
+@pytest.mark.parametrize("feed", [True, False])
+@pytest.mark.parametrize("kind", ["watermark", "buffer"])
+def test_play_equals_on_arrival(kind, feed):
+    cfg = JitterConfig(kind=kind, update_on_drop=feed)
+    streams = [bursty_packets(np.random.default_rng(seed), 1500) for seed in (1, 2, 3)]
+    # whole-ms arrivals: deadlines and watermarks tie with arrival times
+    streams.append([Packet(p.seq, p.ts, float(round(p.arrival)))
+                    for p in bursty_packets(np.random.default_rng(4), 1500)])
+    for packets in streams:
+        _, fate = _play_against_on_arrival(lambda: build_jitter_manager(cfg, 10.0),
+                                           packets, len(packets) // 2)
+        assert "dropped_late" in fate and "in_flight" in fate
+
+
+def test_buffer_play_missing_slot_boundary_is_strict():
+    # seq 1's slot is due at 60 when seq 2 arrives at 60: it still blocks
+    # seq 2, so seq 1, arriving at 60 too, is not late and plays at 60
+    packets = [Packet(0, 0.0, 50.0), Packet(2, 20.0, 60.0), Packet(1, 10.0, 60.0),
+               Packet(3, 30.0, 80.0)]
+    to, fate = _play_against_on_arrival(
+        lambda: PlayoutBuffer(FixedEstimator(target=50.0), interval_ms=10.0), packets, 3)
+    assert to[:3] == [50.0, 60.0, None] and fate[1] == "delivered"
+
+
+def test_watermark_play_matches_reference_on_bursty_streams():
+    for seed in (1, 2, 3):
+        for feed_drops in (True, False):
+            packets = bursty_packets(np.random.default_rng(seed), 1500)
+            order, ts, ta = _columns(packets)
+            mgr = WatermarkReorderer(JitterEstimator(), update_on_drop=feed_drops)
+            ref = WatermarkReference(JitterEstimator(), update_on_drop=feed_drops)
+            to, fate = [None] * len(ts), ["in_flight"] * len(ts)
+            mgr.play(order, ts, ta, to, fate)
+            for p in packets:
+                ref.arrival(p)
+            end = packets[-1].arrival
+            for em in mgr.flush(end):
+                to[em.seq], fate[em.seq] = em.out, "flushed"
+            ref.flush(end)
+            assert {seq: to[seq] for seq in order if fate[seq] != "dropped_late"} == dict(
+                ref.emissions)
+            assert [seq for seq in order if fate[seq] == "dropped_late"] == ref.drops
+            assert mgr.dropped_count == len(ref.drops) > 0
+
+
 # ------------------------------------------------------------------- buffer
 
 def test_buffer_constant_delay_plays_at_schedule():

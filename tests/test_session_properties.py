@@ -1,13 +1,14 @@
 """Property tests over small sessions, feedback-free and routed.
 
-A session whose router takes no feedback is played from its sorted arrival
-schedule; a routed one generates its packets in blocks between plan
-adoptions. For drawn link traces (constant, Gaussian and spike regimes),
-cadences and jitter managers, every session must conserve its packets, emit
-no packet before it arrives, pass relaybench's replay gate (the arrivals
-replayed in (ta, seq) order through a fresh jitter manager decide every fate
-and output time again), and equal the same session played through one event
-queue by ``tests/engine_reference.py``. A feedback-free session must also
+A session whose router takes no feedback hands its sorted arrival schedule
+to the jitter manager's whole-stream pass; a routed one generates its packets
+in blocks between plan adoptions and hands them over one arrival at a time.
+For drawn link traces (constant, Gaussian and spike regimes), cadences and
+jitter managers, every session must conserve its packets, emit no packet
+before it arrives, play its packets out in seq order, pass relaybench's
+replay gate (the arrivals replayed in (ta, seq) order through a fresh jitter
+manager decide every fate and output time again), and equal the same session
+played through one event queue by ``tests/engine_reference.py``. A feedback-free session must also
 equal itself run with a one-arm bandit, which takes feedback.
 """
 
@@ -69,6 +70,12 @@ def _topology(s):
                     {("e0", "u0"): LatencyTrace("e0", "u0", ts, lat), ("u0", "e0"): rev})
 
 
+def _assert_played_in_seq_order(records):
+    """Both managers hand packets out in ts order, which is seq order."""
+    outs = [rec.to for rec in records if rec.fate != "dropped_late"]
+    assert all(a <= b for a, b in zip(outs, outs[1:]))
+
+
 @settings(max_examples=40, deadline=None)
 @given(s=direct_sessions())
 @example(s={"regime": "regime-switching-spikes", "mean": 150.0, "std": 30.0,
@@ -77,6 +84,17 @@ def _topology(s):
 @example(s={"regime": "regime-switching-spikes", "mean": 150.0, "std": 30.0,
             "trace_step": 100.0, "seed": 1, "interval": 20 / 3, "packets": 300,
             "jitter": "watermark", "update_on_drop": True})
+# one packet; a constant link at a non-dyadic cadence; and a buffer that
+# measures accepted arrivals only, whose cold first arrival is seq 9
+@example(s={"regime": "stationary-gaussian", "mean": 50.0, "std": 20.0,
+            "trace_step": 10.0, "seed": 5, "interval": 10.0, "packets": 1,
+            "jitter": "buffer", "update_on_drop": True})
+@example(s={"regime": "constant", "mean": 37.0, "std": 1.0,
+            "trace_step": 1.0, "seed": 0, "interval": 20 / 3, "packets": 300,
+            "jitter": "watermark", "update_on_drop": True})
+@example(s={"regime": "stationary-gaussian", "mean": 150.0, "std": 60.0,
+            "trace_step": 1.0, "seed": 0, "interval": 5.0, "packets": 300,
+            "jitter": "buffer", "update_on_drop": False})
 def test_feedback_free_session_properties(s):
     topo = _topology(s)
     cfg = SessionConfig(endpoint="e0", user="u0", packet_count=s["packets"],
@@ -89,6 +107,7 @@ def test_feedback_free_session_properties(s):
     for rec in res.records:
         assert rec.fate in ("delivered", "flushed", "dropped_late")
         assert rec.fate == "dropped_late" or rec.to >= rec.ta
+    _assert_played_in_seq_order(res.records)
     assert gates.check_session(res, cfg) == []
 
     with mock.patch.object(engine, "DirectRouter", lambda: Ucb1Router([0])):
@@ -151,6 +170,7 @@ def test_routed_session_properties(s):
     for rec in res.records:
         assert rec.fate in ("delivered", "flushed", "dropped_late")
         assert rec.fate == "dropped_late" or rec.to >= rec.ta
+    _assert_played_in_seq_order(res.records)
     assert gates.check_session(res, cfg) == []
     oracle = reference_session(topo, cfg, method=s["method"])
     assert oracle.records == res.records
