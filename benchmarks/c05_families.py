@@ -4,7 +4,8 @@ Runs the bursty single-link scenario of ``tests/test_acceptance.py``
 (``burst_direct_topology``, 60000 packets per session) for each seed family
 ``base, base+1, ...`` and prints the watermark's mean-latency reduction and
 loss delta against the playout buffer, the two clauses criterion 5 asserts
-(reduction >= 5%, loss delta <= +1pp). The default lag rule is always run;
+(reduction >= 5%, loss delta <= +1pp). The default lag rule and the jitter
+lag alone (the default with its reorder-depth term off) are always run;
 ``--fixed`` adds watermark runs whose lag is pinned to a constant.
 
 Usage: python benchmarks/c05_families.py [--families 5000,1000,3000,7000,9000,11000]
@@ -19,11 +20,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from relaysim import JitterConfig, SessionConfig, run_session  # noqa: E402
+from relaysim import JitterConfig, JitterEstimator, SessionConfig, run_session  # noqa: E402
 from scenarios import burst_direct_topology  # noqa: E402
 
 PACKETS = 60_000
-DURATION_MS = 60_000.0 + PACKETS * 10.0 + 20_000.0
 
 
 class FixedLag:
@@ -44,6 +44,25 @@ class FixedLagConfig(JitterConfig):
         return FixedLag(self.fixed_lag_ms)
 
 
+class JitterLagOnly(JitterEstimator):
+    """The watermark's estimator with the reorder-depth term off: the lag is
+    the jitter part alone, the jitter quantile, ratcheted while a reordering
+    episode is open."""
+
+    __slots__ = ()
+
+    def update(self, ts: float, arrival: float) -> float:
+        JitterEstimator.update(self, ts, arrival)
+        self._lag = self.jitter_lag_ms
+        return self._lag
+
+
+class JitterLagOnlyConfig(JitterConfig):
+    def make_estimator(self):
+        return JitterLagOnly(self.window_ms, self.bin_ms, self.percentile, self.loss_cost_ms,
+                             self.initial_lag_ms, self.max_lag_ms)
+
+
 def session(topo, seed, jitter, method):
     cfg = SessionConfig(endpoint="e0", user="u0", packet_count=PACKETS, interval_ms=10.0,
                         warmup_ms=60_000.0, seed=seed, jitter=jitter)
@@ -58,14 +77,16 @@ def main(argv=None):
     parser.add_argument("--seeds", type=int, default=5, help="seeds per family")
     parser.add_argument("--fixed", default="", help="comma-separated fixed lags, ms")
     args = parser.parse_args(argv)
+    duration_ms = 60_000.0 + PACKETS * 10.0 + 20_000.0  # warm-up, packets, drain
 
-    rules = [("default", JitterConfig(kind="watermark"))]
+    rules = [("default", JitterConfig(kind="watermark")),
+             ("jitter only", JitterLagOnlyConfig(kind="watermark"))]
     rules += [(f"fixed {float(lag):g} ms", FixedLagConfig(kind="watermark", fixed_lag_ms=float(lag)))
               for lag in args.fixed.split(",") if lag]
     print(f"{'family':>8} {'rule':>14} {'wm ms':>8} {'wm loss':>8} {'bf ms':>8} "
           f"{'bf loss':>8} {'reduction':>9} {'loss delta':>10}  both clauses")
     for base in (int(b) for b in args.families.split(",")):
-        topos = [(seed, burst_direct_topology(base + seed, DURATION_MS))
+        topos = [(seed, burst_direct_topology(base + seed, duration_ms))
                  for seed in range(args.seeds)]
         bf = [session(topo, seed, JitterConfig(kind="buffer"), "drt-bf") for seed, topo in topos]
         bf_mean = statistics.mean(m for m, _ in bf)

@@ -42,7 +42,7 @@ from .paths import (
     warmup_stats,
 )
 from .reports import MetricsReport, compute_cdf, percentile_nearest_rank
-from .routing import DirectRouter, ThompsonRouter, Ucb1Router, tau0_from_variance
+from .routing import ThompsonRouter, Ucb1Router, tau0_from_variance
 from .traces import (
     LatencyTrace,
     Node,
@@ -89,7 +89,6 @@ __all__ = [
     "MetricsReport",
     "compute_cdf",
     "percentile_nearest_rank",
-    "DirectRouter",
     "ThompsonRouter",
     "Ucb1Router",
     "tau0_from_variance",

@@ -231,31 +231,52 @@ def _experiment_topology(doc: dict, manifest_dir: Path) -> Topology:
     if "topology" in doc:
         return load_topology(manifest_dir / doc["topology"])
     syn = dict(doc["synthetic"])
-    relays = int(syn.pop("relays", SYNTH_RELAYS))
-    duration_ms = float(syn.pop("duration_ms", SYNTH_DURATION_MS))
-    step_ms = float(syn.pop("step_ms", SYNTH_STEP_MS))
+    relays, duration_ms, step_ms = (
+        _typed("synthetic", key, syn.pop(key, default), default)
+        for key, default in (("relays", SYNTH_RELAYS), ("duration_ms", SYNTH_DURATION_MS),
+                             ("step_ms", SYNTH_STEP_MS)))
     spec = _section(SyntheticTraceSpec, "synthetic", syn, {})
     return _synthetic_topology(relays, duration_ms, step_ms, spec)
 
 
-def _pick(flag, manifest_value, fallback):
-    if flag is not None:
-        return flag
-    if manifest_value is not None:
-        return manifest_value
-    return fallback
+def _pick(section: str, key: str, flag, given: dict, default):
+    """The flag if set, else the manifest section's value, else the default."""
+    value = _typed(section, key, given[key], default) if key in given else default
+    return value if flag is None else flag
+
+
+# a field default's type -> (the JSON types its manifest value may take, their
+# name); values are tested by type(), since a bool is also an int
+_JSON_TYPES = {
+    bool: ({bool}, "true or false"),
+    int: ({int}, "an integer"),
+    float: ({int, float}, "a number"),
+    str: ({str}, "a string"),
+    tuple: ({list}, "a list of numbers"),
+}
+
+
+def _typed(section: str, key: str, value, default):
+    """A manifest value of the JSON type of the field's default, cast to it
+    (an integer to a float, a list to a tuple); any other type is a
+    validation error that names the section and key."""
+    types, kind = _JSON_TYPES[type(default)]
+    if type(value) not in types or (
+            type(value) is list and not {type(v) for v in value} <= _JSON_TYPES[float][0]):
+        raise ValidationError(f"{section} key {key!r} must be {kind}, not {json.dumps(value)}")
+    return type(default)(value)
 
 
 def _section(cls, name: str, given: dict, flags: dict):
     """Build a RouterConfig/JitterConfig/SyntheticTraceSpec from a manifest section.
 
-    Its keys, defaults and casts are the dataclass fields, all but ``kind``.
+    Its keys, defaults and types are the dataclass fields, all but ``kind``.
     """
     defaults = {f.name: f.default for f in fields(cls) if f.name != "kind"}
     unknown = set(given) - set(defaults)
     if unknown:
         raise ValidationError(f"unknown {name} keys {sorted(unknown)}")
-    return cls(**{key: type(default)(_pick(flags.get(key), given.get(key), default))
+    return cls(**{key: _pick(name, key, flags.get(key), given, default)
                   for key, default in defaults.items()})
 
 
@@ -268,18 +289,19 @@ def _template_config(doc: dict, args: argparse.Namespace, endpoint: str, user: s
                       {"confidence": args.confidence})
     jitter = _section(JitterConfig, "jitter", dict(d.get("jitter", {})),
                       {"window_ms": args.window_ms, "percentile": args.percentile})
-    threshold = d.get("loss_threshold")
+    threshold = d.get("loss_threshold")  # a number, or null for none
+    if threshold is not None:
+        threshold = _typed("defaults", "loss_threshold", threshold, 0.0)
     return SessionConfig(
         endpoint=endpoint,
         user=user,
-        packet_count=int(_pick(args.packets, d.get("packets"), RUN_PACKETS)),
-        interval_ms=float(_pick(args.interval_ms, d.get("interval_ms"),
-                                SessionConfig.interval_ms)),
-        warmup_ms=float(d.get("warmup_ms", SessionConfig.warmup_ms)),
-        seed=int(_pick(args.seed, d.get("seed"), SessionConfig.seed)),
+        packet_count=_pick("defaults", "packets", args.packets, d, RUN_PACKETS),
+        interval_ms=_pick("defaults", "interval_ms", args.interval_ms, d, SessionConfig.interval_ms),
+        warmup_ms=_pick("defaults", "warmup_ms", None, d, SessionConfig.warmup_ms),
+        seed=_pick("defaults", "seed", args.seed, d, SessionConfig.seed),
         router=router,
         jitter=jitter,
-        loss_threshold=None if threshold is None else float(threshold),
+        loss_threshold=threshold,
     )
 
 

@@ -28,8 +28,8 @@ yet, and generates them again from the cut on the new path. A packet whose
 latency rounds away (Ta == Ts) arrives after every event queued for its Ta,
 as it would if generated at its tick. While the router picks paths of its own
 (UCB1's forced round, until ``follows_plan``), blocks are one packet long.
-A session whose router takes no feedback would queue nothing but arrivals,
-all on one path, so it is played from its sorted arrival schedule instead:
+A session without a router would queue nothing but arrivals, all on one
+path, so it is played from its sorted arrival schedule instead:
 every Ta is computed at once, and the jitter manager's whole-stream ``play``
 takes the arrivals in (Ta, seq) order in one call and writes each packet's
 To and fate into seq-indexed columns, from which the records are built at
@@ -42,9 +42,12 @@ The session ends at its last arrival, and there the jitter manager flushes
 what it still holds: flushed packets count as delivered with To = that end
 time. Feedback and control messages still in flight are processed after it,
 so plan updates and the control overhead count them, but they can change no
-packet's path or playout. A candidate set of one path gets no bandit: no
-feedback could change its pick, so the session runs on that path with the
-direct router and takes no feedback.
+packet's path or playout. ``plan_session`` builds the candidate set and the
+router, for the engine and for its oracle. A candidate set of one path,
+``direct`` or pruned to one, gets no router: no feedback could change its
+pick. Of a router the engine reads ``needs_feedback`` and ``follows_plan``,
+calls ``observe`` on each feedback and then ``select`` once ``follows_plan``
+holds, and asks ``path_for`` only while it does not.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from .errors import ConfigurationError, ValidationError
 from .jitter import JITTER_KINDS, JitterConfig, build_jitter_manager
 from .paths import RelayPath, enumerate_paths, path_latency, prune_topk, warmup_stats
 from .reports import MetricsReport, build_report
-from .routing import DirectRouter, ThompsonRouter, Ucb1Router, tau0_from_variance
+from .routing import ThompsonRouter, Ucb1Router, tau0_from_variance
 from .traces import Topology
 
 EV_FEEDBACK, EV_CONTROL = 1, 2  # queued event kinds; an arrival ranks before both
@@ -131,14 +134,6 @@ class SessionResult:
     records: list[PacketRecord]
 
 
-def _resolve_relays(topology: Topology, cfg: SessionConfig) -> list[str]:
-    return [
-        n.name
-        for n in topology.nodes
-        if n.name not in (cfg.endpoint, cfg.user) and n.role != "user"
-    ]
-
-
 def _check_coverage(topology: Topology, paths: Sequence[RelayPath], needs_reverse: bool,
                     endpoint: str, user: str) -> None:
     missing = []
@@ -153,54 +148,59 @@ def _check_coverage(topology: Topology, paths: Sequence[RelayPath], needs_revers
         raise ConfigurationError(f"missing traces for links: {uniq}")
 
 
+def plan_session(
+    topology: Topology, cfg: SessionConfig,
+) -> tuple[list[RelayPath], list[int], int, ThompsonRouter | Ucb1Router | None]:
+    """The session's candidate set: ``(all_paths, topk_ids, initial_path,
+    router)``, the router built on the paths kept. ``router`` is None when
+    one path is kept, for ``direct`` and for any candidate set pruned to one
+    path: no feedback could change its pick, so the session takes none."""
+    topology.node(cfg.endpoint)
+    topology.node(cfg.user)
+    relays = [n.name for n in topology.nodes
+              if n.name not in (cfg.endpoint, cfg.user) and n.role != "user"]
+    all_paths = enumerate_paths(cfg.endpoint, cfg.user, relays)
+    if cfg.router.kind == "direct":
+        _check_coverage(topology, all_paths[:1], False, cfg.endpoint, cfg.user)
+        return all_paths, [0], 0, None
+    _check_coverage(topology, all_paths, True, cfg.endpoint, cfg.user)
+    stats = warmup_stats(all_paths, topology, cfg.warmup_ms, cfg.interval_ms)
+    if cfg.router.prune:
+        topk_ids = prune_topk(stats, cfg.router.confidence)
+    else:
+        topk_ids = [s.path_id for s in stats]
+    by_id = {s.path_id: s for s in stats}
+    initial_path = min(topk_ids, key=lambda pid: (by_id[pid].mean_ms, pid))
+    if len(topk_ids) == 1:
+        router = None
+    elif cfg.router.kind == "via_ucb1":
+        router = Ucb1Router(topk_ids, c=cfg.router.c)
+    else:
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+        priors = [
+            (pid, by_id[pid].mean_ms, tau0_from_variance(by_id[pid].std_ms ** 2))
+            for pid in topk_ids
+        ]
+        router = ThompsonRouter(priors, rng)
+    return all_paths, topk_ids, initial_path, router
+
+
 def run_session(topology: Topology, cfg: SessionConfig, method: str | None = None) -> SessionResult:
     """Simulate one session and report its metrics.
 
     ``method`` only labels the report; router/jitter kinds come from cfg.
     """
-    topology.node(cfg.endpoint)
-    topology.node(cfg.user)
-    relays = _resolve_relays(topology, cfg)
-    all_paths = enumerate_paths(cfg.endpoint, cfg.user, relays)
-    router_kind = cfg.router.kind
-
-    # candidate set and warm stats
-    if router_kind == "direct":
-        _check_coverage(topology, all_paths[:1], False, cfg.endpoint, cfg.user)
-        topk_ids = [0]
-        initial_path = 0
-        router = DirectRouter()
-    else:
-        _check_coverage(topology, all_paths, True, cfg.endpoint, cfg.user)
-        stats = warmup_stats(all_paths, topology, cfg.warmup_ms, cfg.interval_ms)
-        if cfg.router.prune:
-            topk_ids = prune_topk(stats, cfg.router.confidence)
-        else:
-            topk_ids = [s.path_id for s in stats]
-        by_id = {s.path_id: s for s in stats}
-        initial_path = min(topk_ids, key=lambda pid: (by_id[pid].mean_ms, pid))
-        if len(topk_ids) == 1:
-            router = DirectRouter()
-        elif router_kind == "via_ucb1":
-            router = Ucb1Router(topk_ids, c=cfg.router.c)
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-            priors = [
-                (pid, by_id[pid].mean_ms, tau0_from_variance(by_id[pid].std_ms ** 2))
-                for pid in topk_ids
-            ]
-            router = ThompsonRouter(priors, rng)
+    all_paths, topk_ids, initial_path, router = plan_session(topology, cfg)
 
     t0 = cfg.warmup_ms
     n = cfg.packet_count
     ticks = t0 + np.arange(n) * cfg.interval_ms
     jm = build_jitter_manager(cfg.jitter, cfg.interval_ms)
-    feedback = router.needs_feedback
 
     path_changes: list[tuple[float, int, int]] = []
     overhead_sum = 0.0
 
-    if feedback is None:
+    if router is None:
         # only arrivals, all on the initial path: the manager plays them in
         # (ta, seq) order, the order the event queue would pop them in, into
         # seq-indexed columns that become the records at the end
@@ -219,9 +219,8 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
     else:
         direct_fwd = topology.trace(cfg.endpoint, cfg.user)
         direct_rev = topology.trace(cfg.user, cfg.endpoint)
-        rev_sample = direct_rev.sample
         on_arrival = jm.on_arrival
-        transmit = feedback == "transmit"
+        transmit = router.needs_feedback == "transmit"
 
         # plan_path is the last path selected; len(path_changes) numbers the plans
         plan_path = active_path = initial_path
@@ -269,9 +268,8 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
                     erec = records[em.seq]
                     erec.to = out = em.out
                     erec.fate = "delivered"
-                    if not transmit:  # e2e: sent at playout, or on arrival if not later
-                        avail = out + rev_sample(out) if out > t else fb_at
-                        heappush(heap, (avail, EV_FEEDBACK, ctr, erec.path_id, out - erec.ts))
+                    if not transmit:  # e2e: sent at max(out, t), t as no manager emits later
+                        heappush(heap, (fb_at, EV_FEEDBACK, ctr, erec.path_id, out - erec.ts))
                         ctr += 1
                 if heap:
                     top = heap[0][0]
@@ -280,7 +278,7 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
                 t, kind, _, a, b = heappop(heap)
                 if kind == EV_FEEDBACK:
                     router.observe(a, b)
-                    if router.ready():
+                    if router.follows_plan:
                         selected = router.select()
                         if selected != plan_path:
                             delay = direct_fwd.sample(t)
@@ -308,7 +306,7 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
                     path_id = active_path
                     hi = min(gen + ARRIVAL_BLOCK, n)
                 else:
-                    path_id = router.path_for(gen, active_path)
+                    path_id = router.path_for(gen)
                     hi = gen + 1
                 times = ticks[gen:hi]
                 ta = times + path_latency(topology, all_paths[path_id], times)
@@ -354,7 +352,7 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
 
     report = build_report(
         cfg,
-        method=method or f"{router_kind}+{cfg.jitter.kind}",
+        method=method or f"{cfg.router.kind}+{cfg.jitter.kind}",
         latencies=latencies,
         dropped_late=dropped_late,
         tail_flushed=tail_flushed,

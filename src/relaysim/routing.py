@@ -1,7 +1,6 @@
 """Path selection policies.
 
-Two bandit routers over candidate paths, both minimizing a latency reward,
-plus a fixed direct policy:
+Two bandit routers over candidate paths, both minimizing a latency reward:
 
 * ``ThompsonRouter``: Thompson sampling with Gaussian posteriors and known
   observation precision (Agrawal & Goyal, AISTATS 2013). Conjugate update
@@ -18,17 +17,16 @@ Both keep flat per-arm state in path id order, so a feedback costs the
 update of the one arm that changed plus one pass over the arms, and ties go
 to the lowest path id.
 
-The session engine reads ``needs_feedback`` off every router. On a router
-that takes feedback it reads ``follows_plan`` and calls ``path_for`` (a new
-packet's path), ``observe``, ``ready`` and ``select``; a router that takes
-none keeps the session's initial path, and the engine asks it nothing else.
-``follows_plan`` is true once ``path_for`` returns the active path for every
-later packet: from the start for ``ThompsonRouter``, and for ``Ucb1Router``
-once every arm has a reward and its forced round is over. While it is
-false the engine asks ``path_for`` packet by packet; once it is true the
-engine asks nothing and sends every packet on the adopted plan. The engine
-runs a candidate set of one path with ``DirectRouter``: no feedback could
-change the pick, so it takes none.
+The session engine reads ``needs_feedback`` (``"e2e"`` or ``"transmit"``)
+and ``follows_plan`` off a router, and calls ``observe`` on each feedback and
+``select`` after it once ``follows_plan`` is true. ``follows_plan`` is true
+once every later packet takes the adopted plan: from the start for
+``ThompsonRouter``, and for ``Ucb1Router`` once every arm has a reward and
+its forced round is over. While it is false the engine asks ``path_for`` (a
+new packet's path) packet by packet, so only ``Ucb1Router`` has one. A
+session whose candidate set is one path, ``direct`` or pruned to one, gets
+no router at all (``engine.plan_session``): no feedback could change its
+pick.
 """
 
 from __future__ import annotations
@@ -45,13 +43,6 @@ TAU0_VARIANCE_FLOOR = 0.25  # ms^2; keeps tau0 finite on near-constant warmups
 
 def tau0_from_variance(variance_ms2: float) -> float:
     return 1.0 / max(variance_ms2, TAU0_VARIANCE_FLOOR)
-
-
-class DirectRouter:
-    """Keeps the session's initial path; serves ``direct`` and any candidate
-    set pruned to one path. Consumes no feedback."""
-
-    needs_feedback = None  # no reward signal
 
 
 class ThompsonRouter:
@@ -74,7 +65,7 @@ class ThompsonRouter:
     """
 
     needs_feedback = "e2e"
-    follows_plan = True  # path_for always returns the active path
+    follows_plan = True  # every packet takes the adopted plan
 
     DRAW_BLOCK = 64  # selections per standard-normal draw
 
@@ -104,12 +95,6 @@ class ThompsonRouter:
         self._rng = rng
         self._z: list[list[float]] = []
         self._row = 0
-
-    def path_for(self, seq: int, active_path: int) -> int:
-        return active_path
-
-    def ready(self) -> bool:
-        return True
 
     def observe(self, path_id: int, reward: float) -> None:
         if not 0.0 < reward < math.inf:  # also false for nan
@@ -154,9 +139,8 @@ class Ucb1Router:
     """UCB1 over the candidate set, rewarded with transmitting latency.
 
     Beside the per-arm means and pull counts it keeps the total of pulls and
-    the count of arms never pulled, so ``ready`` is a counter test.
-    ``follows_plan`` turns true when the last arm gets its first reward, and
-    from then on ``path_for`` returns the active path. ``observe``
+    the count of arms never pulled, so ``follows_plan`` is a counter test:
+    it turns true when the last arm gets its first reward. ``observe``
     updates the arm's running mean and ``select`` computes the index in a
     Python loop over lists: at 1 to 17 arms a numpy expression's per-call
     dispatch costs more than the arithmetic.
@@ -180,19 +164,14 @@ class Ucb1Router:
         self._c = c
         self.follows_plan = False  # true once every arm has a reward
 
-    def path_for(self, seq: int, active_path: int) -> int:
+    def path_for(self, seq: int) -> int:
         """Forced round: packet seq < k takes the seq-th of the k arms, then
-        packets cycle through the arms still without a reward. Once every
-        arm has one, every packet takes the active path."""
-        if self.follows_plan:
-            return active_path
+        packets cycle through the arms still without a reward. Asked only
+        while ``follows_plan`` is false."""
         if seq < len(self._ids):
             return self._ids[seq]
         unrewarded = [pid for pid, n in zip(self._ids, self._n) if n == 0]
         return unrewarded[seq % len(unrewarded)]
-
-    def ready(self) -> bool:
-        return self.follows_plan
 
     def observe(self, path_id: int, reward: float) -> None:
         if not 0.0 < reward < math.inf:  # also false for nan

@@ -316,9 +316,8 @@ class SyntheticTraceSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        lo, hi = self.mean_range
-        if not (0 < lo < hi):
-            raise ValidationError("mean_range must satisfy 0 < low < high")
+        if len(self.mean_range) != 2 or not 0 < self.mean_range[0] < self.mean_range[1]:
+            raise ValidationError("mean_range must be [low, high] with 0 < low < high")
         if not self.std_choices or any(s <= 0 for s in self.std_choices):
             raise ValidationError("std_choices must be positive")
         if self.regime not in REGIMES:

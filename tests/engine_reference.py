@@ -1,13 +1,15 @@
 """Reference session loop: every session played through one event queue.
 
 This is the session loop the engine ran before it generated routed packets
-in blocks, kept as an oracle for ``relaysim.engine.run_session``. It builds
-the candidate set, the router and the jitter manager the same way, then
-plays every packet through a single heap of events sorted by (time, kind,
-push order), with kind order arrival < feedback < control. Packet i is
-generated at its tick as soon as no queued event is earlier; a queued event
-at the same time goes first. A router that takes no feedback queues only
-arrivals, all on the initial path.
+in blocks, kept as an oracle for ``relaysim.engine.run_session``. It takes
+the candidate set and the router from ``plan_session``, as the engine does,
+builds the jitter manager the same way, then plays every packet through a
+single heap of events sorted by (time, kind, push order), with kind order
+arrival < feedback < control. Packet i is generated at its tick as soon as
+no queued event is earlier; a queued event at the same time goes first. A
+session without a router queues only arrivals, all on the initial path. An
+end-to-end feedback is sent at max(playout, arrival) and looked up on the
+reverse link at that time, with no assumption on when a manager emits.
 
 The engine's records and ``to_json()`` must equal this loop's exactly.
 """
@@ -18,17 +20,10 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from relaysim.engine import (
-    PacketRecord,
-    SessionConfig,
-    SessionResult,
-    _check_coverage,
-    _resolve_relays,
-)
+from relaysim.engine import PacketRecord, SessionConfig, SessionResult, plan_session
 from relaysim.jitter import build_jitter_manager
-from relaysim.paths import enumerate_paths, path_latency, prune_topk, warmup_stats
+from relaysim.paths import path_latency
 from relaysim.reports import build_report
-from relaysim.routing import DirectRouter, ThompsonRouter, Ucb1Router, tau0_from_variance
 from relaysim.traces import Topology
 
 EV_ARRIVAL, EV_FEEDBACK, EV_CONTROL = 0, 1, 2
@@ -38,43 +33,13 @@ def reference_session(topology: Topology, cfg: SessionConfig,
                       method: str | None = None) -> SessionResult:
     """Simulate one session through the event queue; same result type and
     report as ``run_session``."""
-    topology.node(cfg.endpoint)
-    topology.node(cfg.user)
-    relays = _resolve_relays(topology, cfg)
-    all_paths = enumerate_paths(cfg.endpoint, cfg.user, relays)
-    router_kind = cfg.router.kind
-
-    if router_kind == "direct":
-        _check_coverage(topology, all_paths[:1], False, cfg.endpoint, cfg.user)
-        topk_ids = [0]
-        initial_path = 0
-        router = DirectRouter()
-    else:
-        _check_coverage(topology, all_paths, True, cfg.endpoint, cfg.user)
-        stats = warmup_stats(all_paths, topology, cfg.warmup_ms, cfg.interval_ms)
-        if cfg.router.prune:
-            topk_ids = prune_topk(stats, cfg.router.confidence)
-        else:
-            topk_ids = [s.path_id for s in stats]
-        by_id = {s.path_id: s for s in stats}
-        initial_path = min(topk_ids, key=lambda pid: (by_id[pid].mean_ms, pid))
-        if len(topk_ids) == 1:
-            router = DirectRouter()
-        elif router_kind == "via_ucb1":
-            router = Ucb1Router(topk_ids, c=cfg.router.c)
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-            priors = [
-                (pid, by_id[pid].mean_ms, tau0_from_variance(by_id[pid].std_ms ** 2))
-                for pid in topk_ids
-            ]
-            router = ThompsonRouter(priors, rng)
+    all_paths, topk_ids, initial_path, router = plan_session(topology, cfg)
 
     t0 = cfg.warmup_ms
     n = cfg.packet_count
     ticks = t0 + np.arange(n) * cfg.interval_ms
     jm = build_jitter_manager(cfg.jitter, cfg.interval_ms)
-    feedback = router.needs_feedback
+    feedback = None if router is None else router.needs_feedback
 
     records: list[PacketRecord] = []
     path_changes: list[tuple[float, int, int]] = []
@@ -102,7 +67,10 @@ def reference_session(topology: Topology, cfg: SessionConfig,
     while gen < n or heap:
         if gen < n and (not heap or gen_times[gen] < heap[0][0]):
             t = gen_times[gen]
-            path_id = router.path_for(gen, active_path) if feedback else active_path
+            if feedback and not router.follows_plan:
+                path_id = router.path_for(gen)
+            else:
+                path_id = active_path
             lat = latency.get(path_id)
             if lat is None:
                 lat = latency[path_id] = path_latency(topology, all_paths[path_id], ticks)
@@ -132,7 +100,7 @@ def reference_session(topology: Topology, cfg: SessionConfig,
                     push(avail, EV_FEEDBACK, erec.path_id, em.out - erec.ts)
         elif kind == EV_FEEDBACK:
             router.observe(a, b)
-            if router.ready():
+            if router.follows_plan:
                 selected = router.select()
                 if selected != plan_path:
                     delay = direct_fwd.sample(t)
@@ -163,7 +131,7 @@ def reference_session(topology: Topology, cfg: SessionConfig,
 
     report = build_report(
         cfg,
-        method=method or f"{router_kind}+{cfg.jitter.kind}",
+        method=method or f"{cfg.router.kind}+{cfg.jitter.kind}",
         latencies=latencies,
         dropped_late=dropped_late,
         tail_flushed=tail_flushed,

@@ -305,6 +305,42 @@ def test_run_manifest_errors(tmp_path, capsys):
     synthetic = {**base["synthetic"], "mean": 150.0}
     assert attempt({**base, "synthetic": synthetic}) == 3
     assert "unknown synthetic keys ['mean']" in capsys.readouterr().err
+    # a value of the wrong JSON type is named by its section and key, not cast
+    for defaults, message in (
+            ({"router": {"prune": "false"}},
+             "router key 'prune' must be true or false, not \"false\""),
+            ({"router": {"prune": 0}}, "router key 'prune' must be true or false, not 0"),
+            ({"jitter": {"update_on_drop": "no"}},
+             "jitter key 'update_on_drop' must be true or false, not \"no\""),
+            ({"seed": 3.7}, "defaults key 'seed' must be an integer, not 3.7"),
+            ({"packets": 500.9}, "defaults key 'packets' must be an integer, not 500.9"),
+            ({"packets": True}, "defaults key 'packets' must be an integer, not true"),
+            ({"warmup_ms": False}, "defaults key 'warmup_ms' must be a number, not false"),
+            ({"jitter": {"window_ms": "abc"}},
+             "jitter key 'window_ms' must be a number, not \"abc\""),
+            ({"jitter": {"max_lag_ms": None}},
+             "jitter key 'max_lag_ms' must be a number, not null"),
+            ({"router": {"c": True}}, "router key 'c' must be a number, not true"),
+            ({"loss_threshold": "0.1"}, "defaults key 'loss_threshold' must be a number, not \"0.1\""),
+            ({"loss_threshold": True}, "defaults key 'loss_threshold' must be a number, not true")):
+        assert attempt({**base, "defaults": {**base["defaults"], **defaults}}) == 3
+        assert f"error: {message}\n" in capsys.readouterr().err
+    for synthetic, message in (
+            ({"regime": 5}, "synthetic key 'regime' must be a string, not 5"),
+            ({"mean_range": [100, "200"]},
+             "synthetic key 'mean_range' must be a list of numbers, not [100, \"200\"]"),
+            ({"std_choices": 10.0},
+             "synthetic key 'std_choices' must be a list of numbers, not 10.0"),
+            ({"std_choices": [10.0, True]},
+             "synthetic key 'std_choices' must be a list of numbers, not [10.0, true]"),
+            ({"seed": 1.5}, "synthetic key 'seed' must be an integer, not 1.5"),
+            ({"relays": 2.0}, "synthetic key 'relays' must be an integer, not 2.0"),
+            ({"step_ms": "100"}, "synthetic key 'step_ms' must be a number, not \"100\""),
+            ({"mean_range": [100.0, 150.0, 200.0]},
+             "mean_range must be [low, high] with 0 < low < high")):
+        assert attempt({**base, "synthetic": {**base["synthetic"], **synthetic}}) == 3
+        assert f"error: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_topology_manifest_errors_are_validation_errors(tmp_path, capsys):
@@ -378,7 +414,7 @@ def test_run_manifest_sections_cast_like_the_dataclasses(tmp_path):
         "synthetic": {"relays": 0, "duration_ms": 15000.0, "step_ms": 100.0},
         "pairs": [["e0", "u0"]], "methods": ["drt-wm"],
         "defaults": {"packets": 20, "warmup_ms": 5000.0,
-                     "router": {"c": 2, "prune": 0},
+                     "router": {"c": 2, "prune": False},
                      "jitter": {"window_ms": 2000, "max_lag_ms": 900}},
     }))
     assert main(["run", str(manifest), "--out", str(tmp_path / "o"),

@@ -31,7 +31,6 @@ from relaysim import engine
 from relaysim.engine import cell_config, derive_cell_seed, method_kinds
 from relaysim.reports import write_summary_csv
 from engine_reference import reference_session
-import engine_reference
 from scenarios import (
     burst_direct_topology,
     constant_pair_topology,
@@ -144,12 +143,6 @@ def _script_router(monkeypatch, picks):
         def __init__(self, path_ids, c=1.0):
             self._picks = 0
 
-        def path_for(self, seq, active_path):
-            return active_path
-
-        def ready(self):
-            return True
-
         def observe(self, path_id, reward):
             pass
 
@@ -157,8 +150,7 @@ def _script_router(monkeypatch, picks):
             self._picks += 1
             return picks[min(self._picks, len(picks)) - 1]
 
-    monkeypatch.setattr(engine, "Ucb1Router", Scripted)
-    monkeypatch.setattr(engine_reference, "Ucb1Router", Scripted)
+    monkeypatch.setattr(engine, "Ucb1Router", Scripted)  # plan_session builds both
 
 
 def test_stale_plan_is_not_adopted(monkeypatch):
@@ -449,6 +441,14 @@ def test_session_flushes_at_its_last_arrival(method):
     assert all(to == last_arrival for to in flushed)
 
 
+def _plan_with(monkeypatch, make_router):
+    """Run ``run_session`` with ``make_router()`` in place of the router
+    ``plan_session`` builds; the oracle keeps its own."""
+    plan = engine.plan_session
+    monkeypatch.setattr(engine, "plan_session",
+                        lambda topology, cfg: (*plan(topology, cfg)[:3], make_router()))
+
+
 @pytest.mark.parametrize("method", ROUTED_METHODS)
 def test_one_path_session_runs_without_a_bandit(method, monkeypatch):
     # pruning keeps only e0->r0->u0 on the hetero scenario, so no feedback
@@ -474,7 +474,7 @@ def test_one_path_session_runs_without_a_bandit(method, monkeypatch):
             return Ucb1Router([1])
         return ThompsonRouter([(1, 150.0, 1.0)], np.random.default_rng(cfg.seed))
 
-    monkeypatch.setattr(engine, "DirectRouter", bandit)
+    _plan_with(monkeypatch, bandit)
     slow = run_session(topo, cfg, method=method)
     assert calls["observe"] > 0 and calls["select"] > 0
     assert slow.records == fast.records
@@ -495,9 +495,9 @@ def _tied_arrivals_topology():
 
 @pytest.mark.parametrize("method", ["drt-bf", "drt-wm"])
 def test_arrival_schedule_equals_the_event_loop(method, monkeypatch):
-    # a direct session is played from its sorted arrival schedule; a one-arm
-    # bandit in place of DirectRouter takes feedback, so the same session
-    # runs through the event queue, which breaks a tie on ta by seq
+    # a direct session is played from its sorted arrival schedule; given a
+    # one-arm bandit, which takes feedback, the same session runs through
+    # the event queue, which breaks a tie on ta by seq
     topo = _tied_arrivals_topology()
     cfg = method_config(_direct_cfg("watermark"), method)
     fast = run_session(topo, cfg, method=method)
@@ -507,7 +507,7 @@ def test_arrival_schedule_equals_the_event_loop(method, monkeypatch):
     observe = Ucb1Router.observe
     monkeypatch.setattr(Ucb1Router, "observe",
                         lambda self, *args: observed.append(args) or observe(self, *args))
-    monkeypatch.setattr(engine, "DirectRouter", lambda: Ucb1Router([0]))
+    _plan_with(monkeypatch, lambda: Ucb1Router([0]))
     slow = run_session(topo, cfg, method=method)
     assert len(observed) == cfg.packet_count  # one transmit feedback per arrival
     assert slow.records == fast.records

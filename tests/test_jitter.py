@@ -200,18 +200,54 @@ def _play_against_on_arrival(build, packets, split):
     return to, fate
 
 
-@pytest.mark.parametrize("feed", [True, False])
-@pytest.mark.parametrize("kind", ["watermark", "buffer"])
-def test_play_equals_on_arrival(kind, feed):
-    cfg = JitterConfig(kind=kind, update_on_drop=feed)
+def _bursty_streams():
     streams = [bursty_packets(np.random.default_rng(seed), 1500) for seed in (1, 2, 3)]
     # whole-ms arrivals: deadlines and watermarks tie with arrival times
     streams.append([Packet(p.seq, p.ts, float(round(p.arrival)))
                     for p in bursty_packets(np.random.default_rng(4), 1500)])
-    for packets in streams:
+    return streams
+
+
+@pytest.mark.parametrize("feed", [True, False])
+@pytest.mark.parametrize("kind", ["watermark", "buffer"])
+def test_play_equals_on_arrival(kind, feed):
+    cfg = JitterConfig(kind=kind, update_on_drop=feed)
+    for packets in _bursty_streams():
         _, fate = _play_against_on_arrival(lambda: build_jitter_manager(cfg, 10.0),
                                            packets, len(packets) // 2)
         assert "dropped_late" in fate and "in_flight" in fate
+
+
+@pytest.mark.parametrize("feed", [True, False])
+@pytest.mark.parametrize("kind", ["watermark", "buffer"])
+def test_no_output_time_after_the_arrival_being_processed(kind, feed):
+    # the engine sends a packet's end-to-end feedback at the arrival that
+    # plays it out, which is its playout time only if no manager emits later
+    cfg = JitterConfig(kind=kind, update_on_drop=feed)
+    for packets in _bursty_streams():
+        stepped = build_jitter_manager(cfg, 10.0)
+        emitted = 0
+        for p in packets:
+            emissions, _ = stepped.on_arrival(p, p.arrival)
+            assert all(em.out <= p.arrival for em in emissions)
+            emitted += len(emissions)
+
+        order, ts, ta = _columns(packets)
+        now = [None]  # the arrival time play is processing
+
+        def processing():
+            for seq in order:
+                now[0] = ta[seq]
+                yield seq
+
+        class Outputs(list):
+            def __setitem__(self, seq, out):
+                assert out <= now[0], (seq, out, now[0])
+                super().__setitem__(seq, out)
+
+        to = Outputs([None] * len(ts))
+        build_jitter_manager(cfg, 10.0).play(processing(), ts, ta, to, ["in_flight"] * len(ts))
+        assert len(to) - to.count(None) == emitted > 0
 
 
 def test_buffer_play_missing_slot_boundary_is_strict():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bandit_reference import ThompsonReference, Ucb1Reference
-from relaysim import DirectRouter, ThompsonRouter, Ucb1Router, ValidationError
+from relaysim import ThompsonRouter, Ucb1Router, ValidationError
 from relaysim.routing import TAU0_VARIANCE_FLOOR, tau0_from_variance
 
 
@@ -183,14 +183,9 @@ def test_ucb1_select_validation():
     assert Ucb1Router([2, 1]).select() == 1
 
 
-def test_direct_router_is_inert():
-    assert DirectRouter().needs_feedback is None
-
-
 def test_thompson_router_state():
     rng = np.random.default_rng(0)
     router = ThompsonRouter([(0, 100.0, 0.01), (2, 150.0, 0.01)], rng)
-    assert router.ready() and router.path_for(0, 2) == 2
     assert router.follows_plan  # from the start: every packet on the plan
     assert router.needs_feedback == "e2e"
     router.observe(2, 140.0)
@@ -212,23 +207,20 @@ def test_thompson_router_state():
 
 def test_ucb1_router_state():
     router = Ucb1Router([4, 1, 2], c=10.0)
-    # forced round: each arm once in path_id order, whatever the active path
-    assert [router.path_for(seq, 9) for seq in range(3)] == [1, 2, 4]
-    assert not router.ready()
+    # forced round: each arm once in path_id order
+    assert [router.path_for(seq) for seq in range(3)] == [1, 2, 4]
+    assert not router.follows_plan
     assert router.needs_feedback == "transmit"
     # no reward yet: cycle the unrewarded arms, indexed by seq
-    assert [router.path_for(seq, 9) for seq in range(3, 6)] == [1, 2, 4]
+    assert [router.path_for(seq) for seq in range(3, 6)] == [1, 2, 4]
     router.observe(2, 102.0)
-    assert [router.path_for(seq, 9) for seq in range(6, 9)] == [1, 4, 1]
-    # follows_plan turns true with the last arm's first reward, exactly when
-    # path_for starts returning the active path (9, no arm's id)
-    assert not router.follows_plan and router.path_for(9, 9) == 4
+    assert [router.path_for(seq) for seq in range(6, 9)] == [1, 4, 1]
+    # follows_plan turns true with the last arm's first reward
+    assert not router.follows_plan and router.path_for(9) == 4
     router.observe(1, 101.0)
-    assert not router.follows_plan and router.path_for(10, 9) == 4
+    assert not router.follows_plan and router.path_for(10) == 4
     router.observe(4, 104.0)
     assert router.follows_plan
-    assert [router.path_for(seq, 9) for seq in range(12)] == [9] * 12
-    assert router.ready() and router.path_for(9, 9) == 9
     assert router.select() in (1, 2, 4)
     with pytest.raises(ValidationError):
         Ucb1Router([])
@@ -371,7 +363,7 @@ def test_ucb1_router_equals_primitives(k):
     for pid, row in zip(ids, forced):
         router.observe(pid, row[col[pid]])
         ref.observe(pid, row[col[pid]])
-    assert router.ready()
+    assert router.follows_plan
 
     router_picks = []
     for row in rest:
@@ -406,15 +398,14 @@ def test_ucb1_router_tie_breaks_to_lowest_id():
 def test_ucb1_router_ready_counts_rewarded_arms(order):
     ids = [5, 2, 9, 4]
     router = Ucb1Router(ids)
-    assert not router.ready()
+    assert not router.follows_plan
     last_first_reward = max(order.index(pid) for pid in ids)
     for step, pid in enumerate(order + [2, 9, 5]):
         router.observe(pid, 100.0 + step)
         unrewarded = [i for i in sorted(ids) if router.arm(i)[1] == 0]
-        assert router.ready() == (not unrewarded)
+        assert router.follows_plan == (not unrewarded)
         # false until the last arm's first reward, true from then on
-        assert router.ready() == (step >= last_first_reward)
-        assert router.follows_plan == router.ready()
+        assert router.follows_plan == (step >= last_first_reward)
         # before then, the first unrewarded arm in id order
         if unrewarded:
             assert router.select() == unrewarded[0]

@@ -1,0 +1,42 @@
+"""The benchmark scripts that README figures come from, run small so they cannot rot."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from relaysim import JitterEstimator
+from wm_reference import bursty_packets
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, BENCHMARKS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_c05_families_prints_every_rule(monkeypatch, capsys):
+    c05 = _load("c05_families")
+    monkeypatch.setattr(c05, "PACKETS", 2000)
+    assert c05.main(["--families", "5000", "--seeds", "2", "--fixed", "230"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split()[:2] == ["family", "rule"]
+    assert [row[9:23].strip() for row in rows] == ["default", "jitter only", "fixed 230 ms"]
+    for row in rows:
+        assert row.split()[0] == "5000" and row.split()[-1] in ("yes", "no")
+
+
+def test_c05_jitter_only_rule_is_the_default_without_its_depth_term():
+    c05 = _load("c05_families")
+    cfg = c05.JitterLagOnlyConfig(kind="watermark")
+    only, full = cfg.make_estimator(), JitterEstimator()
+    deeper = 0
+    for p in bursty_packets(np.random.default_rng(5), 3000):
+        lag = only.update(p.ts, p.arrival)
+        full.update(p.ts, p.arrival)
+        assert lag == only.lag_ms == full.jitter_lag_ms
+        deeper += full.lag_ms > full.jitter_lag_ms
+    assert deeper > 0  # the depth term is off where it would have decided the lag

@@ -1,6 +1,6 @@
 """Property tests over small sessions, feedback-free and routed.
 
-A session whose router takes no feedback hands its sorted arrival schedule
+A session without a router (one path kept) hands its sorted arrival schedule
 to the jitter manager's whole-stream pass; a routed one generates its packets
 in blocks between plan adoptions and hands them over one arrival at a time.
 For drawn link traces (constant, Gaussian and spike regimes), cadences and
@@ -9,7 +9,9 @@ before it arrives, play its packets out in seq order, pass relaybench's
 replay gate (the arrivals replayed in (ta, seq) order through a fresh jitter
 manager decide every fate and output time again), and equal the same session
 played through one event queue by ``tests/engine_reference.py``. A feedback-free session must also
-equal itself run with a one-arm bandit, which takes feedback.
+equal itself run with a one-arm bandit, which takes feedback. A routed session
+run again must give the same report bytes, and its watermark, if it has one,
+must never fall from one arrival to the next.
 """
 
 import sys
@@ -29,6 +31,7 @@ from relaysim import (
     SessionConfig,
     Topology,
     Ucb1Router,
+    WatermarkReorderer,
     method_config,
 )
 from relaysim import engine, run_session
@@ -110,7 +113,9 @@ def test_feedback_free_session_properties(s):
     _assert_played_in_seq_order(res.records)
     assert gates.check_session(res, cfg) == []
 
-    with mock.patch.object(engine, "DirectRouter", lambda: Ucb1Router([0])):
+    plan = engine.plan_session
+    with mock.patch.object(engine, "plan_session",
+                           lambda topology, cfg: (*plan(topology, cfg)[:3], Ucb1Router([0]))):
         queued = run_session(topo, cfg)
     assert queued.records == res.records
     assert queued.report.to_json() == rep.to_json()
@@ -155,6 +160,26 @@ def _relay_topology(s):
     return Topology(nodes, traces)
 
 
+def _watermark_checked(build, checked):
+    """``build_jitter_manager``, whose watermark reorderers assert at each
+    ``on_arrival`` that the watermark has not fallen, and append the
+    watermark to ``checked``."""
+    def built(cfg, interval_ms):
+        jm = build(cfg, interval_ms)
+        if isinstance(jm, WatermarkReorderer):
+            on_arrival = jm.on_arrival
+
+            def arrive(rec, now):
+                result = on_arrival(rec, now)
+                assert not checked or jm.watermark >= checked[-1]
+                checked.append(jm.watermark)
+                return result
+
+            jm.on_arrival = arrive
+        return jm
+    return built
+
+
 @settings(max_examples=300, deadline=None)
 @given(s=routed_sessions())
 def test_routed_session_properties(s):
@@ -175,3 +200,13 @@ def test_routed_session_properties(s):
     oracle = reference_session(topo, cfg, method=s["method"])
     assert oracle.records == res.records
     assert oracle.report.to_json() == rep.to_json()
+
+    # the same session again, with a watermark checked at every arrival
+    checked = []
+    with mock.patch.object(engine, "build_jitter_manager",
+                           _watermark_checked(engine.build_jitter_manager, checked)):
+        repeat = run_session(topo, cfg, method=s["method"])
+    assert repeat.report.to_json() == rep.to_json()
+    # a session pruned to one path takes no router, and play, not on_arrival
+    on_arrival = cfg.jitter.kind == "watermark" and len(rep.topk_paths) > 1
+    assert len(checked) == (cfg.packet_count if on_arrival else 0)
