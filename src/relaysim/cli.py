@@ -212,6 +212,7 @@ def _load_experiment(path: Path) -> dict:
         raise ValidationError(f"manifest not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path.name}: {exc}") from None
+    _object("the manifest", doc)
     if doc.get("schema_version") != EXPERIMENT_SCHEMA_VERSION:
         raise ValidationError(
             f"unsupported experiment schema_version {doc.get('schema_version')!r}"
@@ -230,7 +231,7 @@ def _load_experiment(path: Path) -> dict:
 def _experiment_topology(doc: dict, manifest_dir: Path) -> Topology:
     if "topology" in doc:
         return load_topology(manifest_dir / doc["topology"])
-    syn = dict(doc["synthetic"])
+    syn = dict(_object("synthetic", doc["synthetic"]))
     relays, duration_ms, step_ms = (
         _typed("synthetic", key, syn.pop(key, default), default)
         for key, default in (("relays", SYNTH_RELAYS), ("duration_ms", SYNTH_DURATION_MS),
@@ -267,6 +268,13 @@ def _typed(section: str, key: str, value, default):
     return type(default)(value)
 
 
+def _object(section: str, value) -> dict:
+    """A manifest section, which must be a JSON object."""
+    if type(value) is not dict:
+        raise ValidationError(f"{section} must be an object, not {json.dumps(value)}")
+    return value
+
+
 def _section(cls, name: str, given: dict, flags: dict):
     """Build a RouterConfig/JitterConfig/SyntheticTraceSpec from a manifest section.
 
@@ -281,13 +289,13 @@ def _section(cls, name: str, given: dict, flags: dict):
 
 
 def _template_config(doc: dict, args: argparse.Namespace, endpoint: str, user: str) -> SessionConfig:
-    d = dict(doc.get("defaults", {}))
+    d = _object("defaults", doc.get("defaults", {}))
     unknown = set(d) - _DEFAULT_KEYS
     if unknown:
         raise ValidationError(f"unknown defaults keys {sorted(unknown)}")
-    router = _section(RouterConfig, "router", dict(d.get("router", {})),
+    router = _section(RouterConfig, "router", _object("router", d.get("router", {})),
                       {"confidence": args.confidence})
-    jitter = _section(JitterConfig, "jitter", dict(d.get("jitter", {})),
+    jitter = _section(JitterConfig, "jitter", _object("jitter", d.get("jitter", {})),
                       {"window_ms": args.window_ms, "percentile": args.percentile})
     threshold = d.get("loss_threshold")  # a number, or null for none
     if threshold is not None:
@@ -310,7 +318,9 @@ def _resolve_methods(doc: dict, args: argparse.Namespace) -> list[str]:
     if args.methods:
         labels = [m.strip() for m in args.methods.split(",") if m.strip()]
     else:
-        labels = list(doc.get("methods", list(METHODS)))
+        labels = doc.get("methods", list(METHODS))
+        if type(labels) is not list or any(type(label) is not str for label in labels):
+            raise ValidationError(f"methods must be a list of strings, not {json.dumps(labels)}")
     if not labels:
         raise ValidationError("method list is empty")
     check_method_labels(labels)

@@ -24,7 +24,9 @@ reach the sender if sent on arrival, are computed as arrays, and the block is
 merged into the arrivals still in flight with one stable sort by Ta. Only
 feedback and control messages wait in a heap. An adoption at tc that changes
 the path cuts the packets generated with Ts >= tc, none of which has arrived
-yet, and generates them again from the cut on the new path. A packet whose
+yet, and generates them again from the cut on the new path; while a control
+message is queued, a block ends at its tick, so nothing it may cut is
+generated before it lands. A packet whose
 latency rounds away (Ta == Ts) arrives after every event queued for its Ta,
 as it would if generated at its tick. While the router picks paths of its own
 (UCB1's forced round, until ``follows_plan``), blocks are one packet long.
@@ -227,6 +229,7 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
         adopted_version = 0
 
         heap: list[tuple[float, int, int, int, float]] = []  # feedback and control
+        controls: list[float] = []  # the times of the control messages queued
         ctr = 0
         gen_times = ticks.tolist()
         # filled block by block: one list, never resized, so its buffer does
@@ -286,25 +289,32 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
                             path_changes.append((t, plan_path, selected))
                             plan_path = selected
                             heappush(heap, (t + delay, EV_CONTROL, ctr, len(path_changes), selected))
+                            heappush(controls, t + delay)
                             ctr += 1
-                elif a > adopted_version:  # EV_CONTROL
-                    adopted_version = a
-                    if b != active_path:
-                        active_path = b
-                        # packets from the tick at t on were generated on the
-                        # old path and none has arrived: generate them again
-                        cut = bisect_left(gen_times, t, 0, gen)
-                        if cut < gen:
-                            pending = [p for p in pending[pos:] if p[1].seq < cut]
-                            pos = 0
-                            gen = cut
-                            nxt = gen_times[gen]
+                else:  # EV_CONTROL
+                    heappop(controls)
+                    if a > adopted_version:
+                        adopted_version = a
+                        if b != active_path:
+                            active_path = b
+                            # packets from the tick at t on were generated on
+                            # the old path and none has arrived: generate them
+                            # again
+                            cut = bisect_left(gen_times, t, 0, gen)
+                            if cut < gen:
+                                pending = [p for p in pending[pos:] if p[1].seq < cut]
+                                pos = 0
+                                gen = cut
+                                nxt = gen_times[gen]
             elif gen < n:
                 # the next block on the active path, or one packet at a time
                 # while the router picks paths of its own
                 if router.follows_plan:
                     path_id = active_path
                     hi = min(gen + ARRIVAL_BLOCK, n)
+                    if controls:
+                        # ticks from the next control message's on may be cut
+                        hi = bisect_left(gen_times, controls[0], gen, hi)
                 else:
                     path_id = router.path_for(gen)
                     hi = gen + 1

@@ -343,6 +343,30 @@ def test_run_manifest_errors(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_run_manifest_sections_of_the_wrong_type(tmp_path, capsys):
+    # a section that is not a JSON object, or a method list that is not a
+    # list of strings, is named as such, not converted or iterated
+    path = tmp_path / "m.json"
+    base = {"schema_version": 1,
+            "synthetic": {"relays": 0, "duration_ms": 15000.0, "step_ms": 100.0},
+            "pairs": [["e0", "u0"]], "methods": ["drt-wm"],
+            "defaults": {"packets": 10, "warmup_ms": 5000.0}}
+    for doc, message in (
+            ({**base, "defaults": [1]}, "defaults must be an object, not [1]"),
+            ({**base, "defaults": None}, "defaults must be an object, not null"),
+            ({**base, "defaults": {"router": [1]}}, "router must be an object, not [1]"),
+            ({**base, "defaults": {"jitter": "x"}}, "jitter must be an object, not \"x\""),
+            ({**base, "synthetic": [1]}, "synthetic must be an object, not [1]"),
+            ({**base, "methods": "drt-wm"}, "methods must be a list of strings, not \"drt-wm\""),
+            ({**base, "methods": [["drt-wm"]]},
+             "methods must be a list of strings, not [[\"drt-wm\"]]"),
+            ([base], "the manifest must be an object, not [")):
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_topology_manifest_errors_are_validation_errors(tmp_path, capsys):
     assert _synth(tmp_path) == 0
     topology = tmp_path / "topology.json"

@@ -593,6 +593,30 @@ def test_ucb1_sessions_equal_the_event_queue_oracle(method):
     assert changes[2000.0] >= 40
 
 
+@pytest.mark.parametrize("method, c, generated", [("via-bf", 2000.0, 9025), ("vcr-wm", 1.0, 4272)])
+def test_no_block_runs_past_a_queued_control(method, c, generated, monkeypatch):
+    # packets generated for 4000, counted through the block latency lookup.
+    # While a control message is queued, a block ends at its tick; blocks
+    # that ran ARRIVAL_BLOCK packets regardless generated 10715 (via-bf,
+    # 43 plans) and 4527 (vcr-wm, 6 plans)
+    sizes = []
+    block_latency = engine.path_latency
+
+    def path_latency(topology, path, times):
+        sizes.append(len(times))
+        return block_latency(topology, path, times)
+
+    monkeypatch.setattr(engine, "path_latency", path_latency)
+    template = SessionConfig(endpoint="e0", user="u0", packet_count=4000, interval_ms=10.0,
+                             warmup_ms=20_000.0, seed=0)
+    cfg = method_config(replace(template, router=RouterConfig(c=c, prune=False)), method)
+    topo = hetero_topology(0, 70_000.0)
+    run_session(topo, cfg)
+    assert sum(sizes) == generated
+    assert max(sizes) == engine.ARRIVAL_BLOCK
+    _assert_equals_oracle(topo, cfg, method)
+
+
 # ------------------------------------------------- cuts of a generated block
 
 def _relay_topology(links):

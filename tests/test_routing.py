@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bandit_reference import ThompsonReference, Ucb1Reference
 from relaysim import ThompsonRouter, Ucb1Router, ValidationError
@@ -409,3 +411,136 @@ def test_ucb1_router_ready_counts_rewarded_arms(order):
         # before then, the first unrewarded arm in id order
         if unrewarded:
             assert router.select() == unrewarded[0]
+
+
+# --------------------------------- incremental selection against the reference
+#
+# Both routers score only the arm the last feedback rewarded (the hot arm)
+# once it has been rewarded twice in a row, against a cache of the other
+# arms: Thompson's first minimum of their draws per row of the normal block,
+# UCB1's lower bound on their indices. Drawn runs interleave feedback on the
+# hot arm and on other arms, change the hot arm at every step, and select
+# across DRAW_BLOCK boundaries; picks and arm state must equal the reference.
+
+@st.composite
+def bandit_runs(draw):
+    return {
+        "k": draw(st.sampled_from([1, 2, 3, 17])),
+        "c": draw(st.sampled_from([0.0, 1.0, 2000.0])),
+        # interleaved: the hot arm keeps its feedback with probability p_hot;
+        # alternating: every feedback goes to another arm than the last
+        "schedule": draw(st.sampled_from(["interleaved", "alternating"])),
+        "p_hot": draw(st.floats(0.0, 1.0)),
+        "selects": draw(st.integers(0, 3)),  # the most selects after a feedback
+        "steps": draw(st.integers(1, 150)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+def _drawn_schedule(run, ids):
+    """The run as steps: (path_id, reward) for a feedback, None for a select."""
+    rng = np.random.default_rng(run["seed"])
+    means = rng.uniform(100.0, 130.0, len(ids))
+    hot = int(rng.integers(len(ids)))
+    steps = []
+    for _ in range(run["steps"]):
+        if run["schedule"] == "alternating" and len(ids) > 1:
+            hot = (hot + int(rng.integers(1, len(ids)))) % len(ids)
+        elif rng.random() >= run["p_hot"]:
+            hot = int(rng.integers(len(ids)))
+        steps.append((ids[hot], max(float(rng.normal(means[hot], 20.0)), 0.1)))
+        steps += [None] * int(rng.integers(0, run["selects"] + 1))
+    return steps
+
+
+def _drive(router, ref, steps):
+    for step in steps:
+        if step is None:
+            assert router.select() == ref.select()
+        else:
+            router.observe(*step)
+            ref.observe(*step)
+            assert router.arm(step[0]) == tuple(ref.arms[step[0]])
+    for pid in ref.arms:
+        assert router.arm(pid) == tuple(ref.arms[pid])
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=bandit_runs())
+@example(run={"k": 17, "c": 1.0, "schedule": "interleaved", "p_hot": 0.9, "selects": 3,
+              "steps": 150, "seed": 5})
+def test_thompson_router_equals_reference_on_drawn_runs(run):
+    rng = np.random.default_rng(run["seed"] + 1)
+    ids = rng.permutation(np.arange(0, 3 * run["k"], 3)).tolist()
+    priors = [(pid, float(rng.uniform(100.0, 130.0)), float(rng.uniform(0.0005, 0.05)))
+              for pid in ids]
+    router = ThompsonRouter(priors, np.random.default_rng(run["seed"]))
+    ref = ThompsonReference(priors, np.random.default_rng(run["seed"]))
+    _drive(router, ref, _drawn_schedule(run, ids))
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=bandit_runs())
+@example(run={"k": 17, "c": 2000.0, "schedule": "interleaved", "p_hot": 0.9, "selects": 3,
+              "steps": 150, "seed": 5})
+def test_ucb1_router_equals_reference_on_drawn_runs(run):
+    ids = np.random.default_rng(run["seed"] + 1).permutation(
+        np.arange(0, 3 * run["k"], 3)).tolist()
+    router = Ucb1Router(ids, c=run["c"])
+    ref = Ucb1Reference(ids, c=run["c"])
+    _drive(router, ref, _drawn_schedule(run, ids))
+
+
+class _ZeroNormals:
+    """A generator whose standard normals are all zero: every Thompson draw
+    is its arm's mean."""
+
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+
+# runs of feedback: (arm, rewards in a row)
+_runs = st.lists(st.tuples(st.integers(0, 16), st.integers(1, 4)), max_size=40)
+
+
+@settings(max_examples=80, deadline=None)
+@given(means=st.lists(st.sampled_from([100.0, 120.0]), min_size=1, max_size=17), runs=_runs)
+def test_thompson_exact_ties_go_to_the_lowest_id(means, runs):
+    # every draw ties its arm's mean: a reward equal to it leaves the mean
+    # exact at dyadic precisions, so the hot arm's draw equals the others'
+    # minimum whenever it shares the lowest mean, and wins only as the lower id
+    k = len(means)
+    priors = [(3 * i, mean, 0.25) for i, mean in enumerate(means)]
+    router = ThompsonRouter(priors, _ZeroNormals())
+    ref = ThompsonReference(priors, _ZeroNormals())
+    want = 3 * means.index(min(means))
+    for arm, count in runs:
+        for _ in range(count):
+            router.observe(3 * (arm % k), means[arm % k])
+            ref.observe(3 * (arm % k), means[arm % k])
+            assert router.select() == ref.select() == want
+    for pid, mean, _ in priors:
+        assert router.arm(pid) == tuple(ref.arms[pid])
+        assert router.arm(pid)[0] == mean
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.sampled_from([1, 2, 3, 17]), c=st.sampled_from([0.0, 1.0, 2000.0]), runs=_runs)
+def test_ucb1_equal_means_tie_like_the_reference(k, c, runs):
+    # every reward is 100 ms, so indices tie between arms with equal counts,
+    # and between all arms at c = 0, where the lowest id wins
+    ids = [3 * i for i in range(k)]
+    router = Ucb1Router(ids, c=c)
+    ref = Ucb1Reference(ids, c=c)
+    for pid in ids:
+        router.observe(pid, 100.0)
+        ref.observe(pid, 100.0)
+    for arm, count in runs:
+        for _ in range(count):
+            router.observe(ids[arm % k], 100.0)
+            ref.observe(ids[arm % k], 100.0)
+            assert router.select() == ref.select()
+            if c == 0.0:
+                assert router.select() == ids[0]
+    for pid in ids:
+        assert router.arm(pid) == tuple(ref.arms[pid])

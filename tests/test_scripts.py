@@ -40,3 +40,33 @@ def test_c05_jitter_only_rule_is_the_default_without_its_depth_term():
         assert lag == only.lag_ms == full.jitter_lag_ms
         deeper += full.lag_ms > full.jitter_lag_ms
     assert deeper > 0  # the depth term is off where it would have decided the lag
+
+
+def test_bench_routers_times_every_regime(capsys):
+    bench = _load("bench_routers")
+    assert bench.main(["--calls", "300", "--repeats", "1"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split()[:3] == ["router", "k", "regime"]
+    cells = [tuple(row.split()[:3]) for row in rows]
+    assert cells == [(router, str(k), regime) for router in ("thompson", "ucb1")
+                     for k in bench.ARMS for regime in bench.REGIMES]
+    for row in rows:
+        assert float(row.split()[3]) > 0
+    # the regimes are what they are named: the rewarded arm keeps winning,
+    # changes at every call, or keeps losing
+    for router in ("thompson", "ucb1"):
+        for k in bench.ARMS:
+            for regime in bench.REGIMES:
+                made = bench._make(router, k, 0)
+                feedback = bench._feedback(regime, k, 300, k)
+                picks = []
+                for pid, reward in feedback:
+                    made.observe(pid, reward)
+                    picks.append(made.select())
+                arms = [pid for pid, _ in feedback]
+                if regime == "steady":
+                    assert picks == arms
+                elif regime == "losing":
+                    assert not set(picks) & set(arms)
+                else:
+                    assert all(a != b for a, b in zip(arms, arms[1:]))

@@ -9,9 +9,11 @@ before it arrives, play its packets out in seq order, pass relaybench's
 replay gate (the arrivals replayed in (ta, seq) order through a fresh jitter
 manager decide every fate and output time again), and equal the same session
 played through one event queue by ``tests/engine_reference.py``. A feedback-free session must also
-equal itself run with a one-arm bandit, which takes feedback. A routed session
-run again must give the same report bytes, and its watermark, if it has one,
-must never fall from one arrival to the next.
+equal itself run with a one-arm bandit, which takes feedback, and a watermark
+session's arrivals played in uneven chunks must give its output times and
+fates again, with a watermark that never falls. A routed session run again
+must give the same report bytes, and its watermark, if it has one, must never
+fall from one arrival to the next.
 """
 
 import sys
@@ -122,6 +124,41 @@ def test_feedback_free_session_properties(s):
     oracle = reference_session(topo, cfg)
     assert oracle.records == res.records
     assert oracle.report.to_json() == rep.to_json()
+    if cfg.jitter.kind == "watermark":
+        _assert_watermark_rises_across_chunks(res.records, cfg, s["seed"])
+
+
+def _assert_watermark_rises_across_chunks(records, cfg, seed):
+    """The session's arrivals, in (ta, seq) order, through a fresh reorderer's
+    ``play`` in uneven chunks: after each chunk the watermark is the one a
+    reorderer fed the same arrivals one ``on_arrival`` at a time holds, which
+    never falls, and the output times and fates are the session's."""
+    n = len(records)
+    ts = [rec.ts for rec in records]
+    ta = [rec.ta for rec in records]
+    order = sorted(range(n), key=lambda seq: (ta[seq], seq))
+    stepped = engine.build_jitter_manager(cfg.jitter, cfg.interval_ms)
+    marks = [stepped.watermark]
+    for seq in order:
+        stepped.on_arrival(records[seq], ta[seq])
+        marks.append(stepped.watermark)
+    assert all(a <= b for a, b in zip(marks, marks[1:]))
+
+    to = [None] * n
+    fate = ["in_flight"] * n
+    jm = engine.build_jitter_manager(cfg.jitter, cfg.interval_ms)
+    rng = np.random.default_rng(seed)
+    lo = 0
+    while lo < n:  # chunks of 1 to 39 arrivals
+        hi = min(lo + int(rng.integers(1, 40)), n)
+        jm.play(order[lo:hi], ts, ta, to, fate)
+        assert jm.watermark == marks[hi]
+        lo = hi
+    for em in jm.flush(max(ta)):
+        to[em.seq] = em.out
+        fate[em.seq] = "flushed"
+    assert to == [rec.to for rec in records]
+    assert fate == [rec.fate for rec in records]
 
 
 @st.composite
