@@ -44,7 +44,6 @@ Exit codes: 0 ok, 2 usage, 3 validation, 4 runtime.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import shutil
@@ -137,7 +136,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             print(f"{f}: ERROR file not found", file=sys.stderr)
             failures += 1
             continue
-        except (TraceParseError, ValidationError, UnicodeDecodeError, csv.Error, OSError) as exc:
+        except (TraceParseError, ValidationError, OSError) as exc:
             # a bad row or value, undecodable bytes, or an unreadable file
             print(f"{f}: ERROR {exc}", file=sys.stderr)
             failures += 1
@@ -220,11 +219,12 @@ def _load_experiment(path: Path) -> dict:
     if ("topology" in doc) == ("synthetic" in doc):
         raise ValidationError("exactly one of 'topology'/'synthetic' is required")
     pairs = doc.get("pairs")
-    if not pairs:
-        raise ValidationError("manifest needs a non-empty 'pairs' list")
+    if not isinstance(pairs, list) or not pairs:
+        raise ValidationError(f"pairs must be a non-empty list, not {json.dumps(pairs)}")
     for entry in pairs:
-        if len(entry) != 2 or entry[0] == entry[1]:
-            raise ValidationError(f"bad pair {entry!r}")
+        if not (isinstance(entry, list) and len(entry) == 2
+                and all(isinstance(node, str) for node in entry) and entry[0] != entry[1]):
+            raise ValidationError(f"bad pair {json.dumps(entry)}: want two different node names")
     return doc
 
 
@@ -368,7 +368,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     manifest_dir = manifest_path.parent
     out_dir = _resolve_out_dir(args.out, doc.get("output_dir"), manifest_dir)
     topology = _experiment_topology(doc, manifest_dir)
-    pairs = [(str(e), str(u)) for e, u in doc["pairs"]]
+    pairs = doc["pairs"]
     labels = _resolve_methods(doc, args)
     sessions = [_template_config(doc, args, e, u) for e, u in pairs]
     work = [
@@ -404,7 +404,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "schema_version": EXPERIMENT_SCHEMA_VERSION,
         "manifest": str(manifest_path.resolve()),
         "methods": labels,
-        "pairs": [list(p) for p in pairs],
+        "pairs": pairs,
         "sessions": [
             {"endpoint": c.endpoint, "user": c.user, "packets": c.packet_count,
              "interval_ms": c.interval_ms, "warmup_ms": c.warmup_ms, "seed": c.seed}

@@ -66,7 +66,8 @@ import numpy as np
 
 from .errors import ConfigurationError, ValidationError
 from .jitter import JITTER_KINDS, JitterConfig, build_jitter_manager
-from .paths import RelayPath, enumerate_paths, path_latency, prune_topk, warmup_stats
+from .paths import (RelayPath, enumerate_paths, path_latency, prune_topk, required_links,
+                    warmup_stats)
 from .reports import MetricsReport, build_report
 from .routing import ThompsonRouter, Ucb1Router, tau0_from_variance
 from .traces import Topology
@@ -136,20 +137,6 @@ class SessionResult:
     records: list[PacketRecord]
 
 
-def _check_coverage(topology: Topology, paths: Sequence[RelayPath], needs_reverse: bool,
-                    endpoint: str, user: str) -> None:
-    missing = []
-    for path in paths:
-        for link in path.links():
-            if not topology.has_link(*link):
-                missing.append(link)
-    if needs_reverse and not topology.has_link(user, endpoint):
-        missing.append((user, endpoint))
-    if missing:
-        uniq = sorted(set(missing))
-        raise ConfigurationError(f"missing traces for links: {uniq}")
-
-
 def plan_session(
     topology: Topology, cfg: SessionConfig,
 ) -> tuple[list[RelayPath], list[int], int, ThompsonRouter | Ucb1Router | None]:
@@ -161,11 +148,16 @@ def plan_session(
     topology.node(cfg.user)
     relays = [n.name for n in topology.nodes
               if n.name not in (cfg.endpoint, cfg.user) and n.role != "user"]
+    direct = cfg.router.kind == "direct"
+    # direct takes path 0, the one without relays, and takes no feedback
+    needed = required_links(cfg.endpoint, cfg.user, [] if direct else relays,
+                            include_reverse=not direct)
+    missing = sorted({link for link in needed if not topology.has_link(*link)})
+    if missing:
+        raise ConfigurationError(f"missing traces for links: {missing}")
     all_paths = enumerate_paths(cfg.endpoint, cfg.user, relays)
-    if cfg.router.kind == "direct":
-        _check_coverage(topology, all_paths[:1], False, cfg.endpoint, cfg.user)
+    if direct:
         return all_paths, [0], 0, None
-    _check_coverage(topology, all_paths, True, cfg.endpoint, cfg.user)
     stats = warmup_stats(all_paths, topology, cfg.warmup_ms, cfg.interval_ms)
     if cfg.router.prune:
         topk_ids = prune_topk(stats, cfg.router.confidence)

@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, MutableSequence, NamedTuple, Protocol, Sequence
 
+from .errors import ValidationError
 from .estimator import JitterEstimator, TransitEstimator
 
 
@@ -88,6 +89,11 @@ class JitterConfig:
     initial_lag_ms: float = 0.0
     max_lag_ms: float = 10000.0
     update_on_drop: bool = True  # late arrivals still feed the estimator
+
+    def __post_init__(self) -> None:
+        if self.kind not in JITTER_KINDS:
+            raise ValidationError(
+                f"unknown jitter kind {self.kind!r}, want one of {list(JITTER_KINDS)}")
 
     def make_estimator(self) -> TransitEstimator:
         """A ``JitterEstimator`` for the watermark; the playout buffer reads
@@ -373,6 +379,4 @@ def build_jitter_manager(cfg: JitterConfig, interval_ms: float):
     est = cfg.make_estimator()
     if cfg.kind == "watermark":
         return WatermarkReorderer(est, update_on_drop=cfg.update_on_drop)
-    if cfg.kind == "buffer":
-        return PlayoutBuffer(est, interval_ms, update_on_drop=cfg.update_on_drop)
-    raise ValueError(f"unknown jitter manager kind {cfg.kind!r}")
+    return PlayoutBuffer(est, interval_ms, update_on_drop=cfg.update_on_drop)

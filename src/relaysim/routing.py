@@ -15,13 +15,12 @@ Two bandit routers over candidate paths, both minimizing a latency reward:
 
 Both keep flat per-arm state in path id order, and ties go to the lowest
 path id. A feedback updates the one arm it rewards. Between plan changes
-every reward goes to the adopted path, so only that arm's score moves: once
-one arm (the hot arm) has been rewarded twice in a row, ``select`` scores it
-alone against a cache over the other arms, kept until another arm is
-rewarded, and the picks stay those of a pass over every arm. While the
-rewarded arm keeps changing (UCB1's forced round, exploration at a large c,
-the feedback still in flight after a path change), ``select`` makes that
-pass, since the cache would be rebuilt at every call.
+every reward goes to the adopted path, so only that arm's score moves:
+``select`` scores the arm the last feedback rewarded (the hot arm) alone
+against a cache over the other arms, kept until another arm is rewarded, and
+the picks stay those of a pass over every arm. ``ThompsonRouter`` does so on
+every call. ``Ucb1Router`` does so once the hot arm has been rewarded twice
+in a row, and makes the pass when that arm does not beat the cache's bound.
 
 The session engine reads ``needs_feedback`` (``"e2e"`` or ``"transmit"``)
 and ``follows_plan`` off a router, and calls ``observe`` on each feedback and
@@ -68,12 +67,12 @@ class ThompsonRouter:
     equal those of one ``standard_normal(k)`` per selection on a fresh
     generator of the same seed.
 
-    With a hot arm h, the cache holds, for every row of the block, the first
-    minimum m of the other arms' draws and its arm j, computed with numpy
-    when the block is drawn or another arm is rewarded. ``select`` then draws
-    for h alone: h wins if its draw d < m, or d == m and h < j, as the first
-    minimum over every arm would. Without a hot arm it finds that minimum in
-    a loop over Python lists.
+    The cache holds, for every row of the block, the first minimum m of the
+    other arms' draws and its arm j, computed with numpy when the block is
+    drawn or another arm is rewarded. ``select`` draws for the hot arm h
+    alone: h wins if its draw d < m, or d == m and h < j, as the first
+    minimum over every arm would. Before the first reward no arm is masked
+    and j is the pick.
     """
 
     needs_feedback = "e2e"
@@ -107,9 +106,7 @@ class ThompsonRouter:
         self._rng = rng
         self._block = np.empty((0, len(ordered)))  # the standard normals drawn
         self._row = 0  # the block's next row
-        self._z: list[list[float]] | None = None  # the block as lists, once needed
-        self._hot = -1  # the arm the last observe rewarded
-        self._streak = 0  # its rewards in a row
+        self._hot = -1  # the arm the last observe rewarded, -1 before any
         # per row of the block: the first minimum of the other arms' draws,
         # its arm, and the hot arm's normal; None until built
         self._rest_min: list[float] | None = None
@@ -131,47 +128,28 @@ class ThompsonRouter:
         self._sd[i] = math.sqrt(1.0 / new_tau + 1.0 / tau0)
         self._tau[i] = new_tau
         self._pulls[i] += 1
-        if i == self._hot:
-            self._streak += 1
-        else:
+        if i != self._hot:
             self._hot = i
-            self._streak = 1
             self._rest_min = self._rest_mu = None
 
     def select(self) -> int:
         r = self._row
         if r == len(self._block):
             self._block = self._rng.standard_normal((self.DRAW_BLOCK, len(self._ids)))
-            self._z = self._rest_min = None
+            self._rest_min = None
             r = 0
         self._row = r + 1
-        if self._streak > 1:
-            if self._rest_min is None:
-                self._cache_rest()
-            # the hot arm's draw against the first minimum of the others'
-            # draws: the hot arm wins below it, or level with a higher arm
-            h = self._hot
-            draw = self._mu[h] + self._sd[h] * self._hot_z[r]
-            rest = self._rest_min[r]
-            if draw < rest:
-                return self._ids[h]
-            j = self._rest_arg[r]
-            return self._ids[h if draw == rest and h < j else j]
-        # one predictive draw mu + sd * z per arm; the first minimum wins, the
-        # lowest path id on ties
-        if self._z is None:
-            self._z = self._block.tolist()
-        z = self._z[r]
-        mu = self._mu
-        sd = self._sd
-        best = 0
-        best_draw = math.inf
-        for i in range(len(z)):
-            draw = mu[i] + sd[i] * z[i]
-            if draw < best_draw:
-                best_draw = draw
-                best = i
-        return self._ids[best]
+        if self._rest_min is None:
+            self._cache_rest()
+        # the hot arm's draw against the first minimum of the others' draws:
+        # the hot arm wins below it, or level with a higher arm
+        j = self._rest_arg[r]
+        h = self._hot
+        if h < 0:
+            return self._ids[j]
+        draw = self._mu[h] + self._sd[h] * self._hot_z[r]
+        rest = self._rest_min[r]
+        return self._ids[h if draw < rest or (draw == rest and h < j) else j]
 
     def _cache_rest(self) -> None:
         """Every arm's draws but the hot arm's, for the whole block at once:
@@ -181,13 +159,15 @@ class ThompsonRouter:
         if self._rest_mu is None:
             self._rest_mu = np.array(self._mu)
             self._rest_sd = np.array(self._sd)
-            self._rest_mu[h] = math.inf
-            self._rest_sd[h] = 0.0
+            if h >= 0:
+                self._rest_mu[h] = math.inf
+                self._rest_sd[h] = 0.0
         draws = self._rest_mu + self._rest_sd * self._block
         arg = draws.argmin(axis=1)
         self._rest_min = draws[np.arange(len(arg)), arg].tolist()
         self._rest_arg = arg.tolist()
-        self._hot_z = self._block[:, h].tolist()
+        if h >= 0:
+            self._hot_z = self._block[:, h].tolist()
 
     def arm(self, path_id: int) -> tuple[float, float, float, int]:
         """The arm's ``(mu, tau, tau0, pulls)``."""
@@ -205,15 +185,12 @@ class Ucb1Router:
     Python loop over lists: at 1 to 17 arms a numpy expression's per-call
     dispatch costs more than the arithmetic.
 
-    With a hot arm, the index of every other arm can only fall as the total
-    grows, so their minimum at a horizon of twice the current total, less a
+    Once the hot arm has been rewarded twice in a row, the index of every
+    other arm can only fall as the total grows, so their minimum at a horizon of twice the current total, less a
     rounding margin, bounds them all until the total passes it. While the hot
     arm's exact index is strictly below that bound it is the first minimum,
-    and ``select`` returns it after one square root. Otherwise, if the other
-    arms' first minimum j has an index below every other one's bound, it
-    stays theirs up to the horizon, and ``select`` compares the exact
-    indices of the hot arm and j, the lower id on a tie. Failing both, it
-    runs the loop.
+    and ``select`` returns it after one square root. Otherwise it runs the
+    loop.
     """
 
     needs_feedback = "transmit"
@@ -235,10 +212,8 @@ class Ucb1Router:
         self.follows_plan = False  # true once every arm has a reward
         self._hot = -1  # the arm the last observe rewarded
         self._streak = 0  # its rewards in a row
-        # while total <= _horizon: a lower bound on every other arm's index,
-        # and the arm that stays their first minimum, or -1
+        # while total <= _horizon: a lower bound on every other arm's index
         self._rest_bound = -math.inf
-        self._rest_arm = -1
         self._horizon = 0
 
     def path_for(self, seq: int) -> int:
@@ -277,15 +252,8 @@ class Ucb1Router:
             if self._total > self._horizon:
                 self._bound_rest()
             h = self._hot
-            index = self._mean[h] - c * math.sqrt(two_log_total / self._n[h])
-            if index < self._rest_bound:
+            if self._mean[h] - c * math.sqrt(two_log_total / self._n[h]) < self._rest_bound:
                 return self._ids[h]
-            j = self._rest_arm
-            if j >= 0:
-                # the others' first minimum is j's: the lower index wins, the
-                # lower id on a tie
-                rest = self._mean[j] - c * math.sqrt(two_log_total / self._n[j])
-                return self._ids[h if index < rest or (index == rest and h < j) else j]
         # the first minimum of the index, the lowest path id on ties
         best = 0
         best_index = math.inf
@@ -300,23 +268,14 @@ class Ucb1Router:
         """Bound every index but the hot arm's from below, up to a horizon of
         twice the pulls so far: those arms' means and counts hold still, so
         their indices only fall as the total grows. Less a margin for
-        rounding, a hot index below the bound is below every other index.
-        Their first minimum now stays theirs up to the horizon if its index
-        now, which only falls, is below every other one's bound."""
+        rounding, a hot index below the bound is below every other index."""
         self._horizon = 2 * self._total
         c = self._c
-        two_log_total = 2.0 * math.log(self._total)
         two_log_horizon = 2.0 * math.log(self._horizon)
-        rest = [i for i in range(len(self._n)) if i != self._hot]
-        now = {i: self._mean[i] - c * math.sqrt(two_log_total / self._n[i]) for i in rest}
-        low = {i: self._mean[i] - c * math.sqrt(two_log_horizon / self._n[i]) for i in rest}
         margin = 1e-9 * (max(map(abs, self._mean)) + c * math.sqrt(two_log_horizon))
-        self._rest_bound = min(low.values(), default=math.inf) - margin
-        self._rest_arm = -1
-        if rest:
-            j = min(rest, key=now.__getitem__)
-            if now[j] + margin < min((low[i] for i in rest if i != j), default=math.inf) - margin:
-                self._rest_arm = j
+        self._rest_bound = min((self._mean[i] - c * math.sqrt(two_log_horizon / n)
+                                for i, n in enumerate(self._n) if i != self._hot),
+                               default=math.inf) - margin
 
     def arm(self, path_id: int) -> tuple[float, int]:
         """The arm's ``(mean, n)``."""

@@ -212,38 +212,45 @@ def _read_columns(path: Path) -> tuple[tuple[str, str], np.ndarray, np.ndarray] 
 
 
 def _read_rows(path: Path) -> tuple[tuple[str, str], np.ndarray, np.ndarray]:
-    """The row loop: any file the columnar read refuses, and every parse error."""
+    """The row loop: any file the columnar read refuses, and every parse error.
+    Undecodable bytes and csv's own errors become ``TraceParseError``s."""
     timestamps: list[float] = []
     latencies: list[float] = []
     link: tuple[str, str] | None = None
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header_seen = False
-        for lineno, row in enumerate(reader, start=1):
-            if not row or (row[0].lstrip().startswith("#")):
-                continue
-            if not header_seen:
-                header_seen = True
-                if row[0].strip().lower() == "timestamp_ms":
+    try:
+        with path.open(newline="") as fh:
+            reader = csv.reader(fh)
+            header_seen = False
+            for lineno, row in enumerate(reader, start=1):
+                if not row or (row[0].lstrip().startswith("#")):
                     continue
-                # no header row: fall through and parse it as data
-            if len(row) != 4:
-                raise TraceParseError(f"{path.name} line {lineno}: expected 4 columns, got {len(row)}")
-            try:
-                t = float(row[0])
-                lat = float(row[3])
-            except ValueError as exc:
-                raise TraceParseError(f"{path.name} line {lineno}: {exc}") from None
-            src, dst = row[1].strip(), row[2].strip()
-            if link is None:
-                link = (src, dst)
-            elif (src, dst) != link:
-                raise ValidationError(
-                    f"{path.name} line {lineno}: mixed links in one file "
-                    f"({link[0]}->{link[1]} then {src}->{dst})"
-                )
-            timestamps.append(t)
-            latencies.append(lat)
+                if not header_seen:
+                    header_seen = True
+                    if row[0].strip().lower() == "timestamp_ms":
+                        continue
+                    # no header row: fall through and parse it as data
+                if len(row) != 4:
+                    raise TraceParseError(
+                        f"{path.name} line {lineno}: expected 4 columns, got {len(row)}")
+                try:
+                    t = float(row[0])
+                    lat = float(row[3])
+                except ValueError as exc:
+                    raise TraceParseError(f"{path.name} line {lineno}: {exc}") from None
+                src, dst = row[1].strip(), row[2].strip()
+                if link is None:
+                    link = (src, dst)
+                elif (src, dst) != link:
+                    raise ValidationError(
+                        f"{path.name} line {lineno}: mixed links in one file "
+                        f"({link[0]}->{link[1]} then {src}->{dst})"
+                    )
+                timestamps.append(t)
+                latencies.append(lat)
+    except UnicodeDecodeError as exc:
+        raise TraceParseError(f"{path.name}: {exc}") from None
+    except csv.Error as exc:
+        raise TraceParseError(f"{path.name} line {reader.line_num}: {exc}") from None
     if link is None:
         raise ValidationError(f"{path.name}: no samples")
     return link, np.asarray(timestamps, dtype=np.float64), np.asarray(latencies, dtype=np.float64)

@@ -294,6 +294,19 @@ def test_run_manifest_errors(tmp_path, capsys):
     assert attempt({**base, "topology": "t.json"}) == 3  # both sources
     assert attempt({**base, "pairs": []}) == 3
     assert attempt({**base, "pairs": [["e0", "e0"]]}) == 3
+    # a pair is a list of two different node names, and pairs a list of them
+    for pairs, message in (
+            (None, "pairs must be a non-empty list, not null"),
+            ("e0u0", "pairs must be a non-empty list, not \"e0u0\""),
+            ({"e0": "u0"}, "pairs must be a non-empty list, not {\"e0\": \"u0\"}"),
+            ([1], "bad pair 1: want two different node names"),
+            ([["e0", 5]], "bad pair [\"e0\", 5]: want two different node names"),
+            ([[["e0"], "u0"]], "bad pair [[\"e0\"], \"u0\"]: want two different node names"),
+            ([["e0", "u0", "r0"]],
+             "bad pair [\"e0\", \"u0\", \"r0\"]: want two different node names"),
+            ([["e0", "u0"], "e0"], "bad pair \"e0\": want two different node names")):
+        assert attempt({**base, "pairs": pairs}) == 3
+        assert f"error: {message}\n" in capsys.readouterr().err
     assert attempt({**base, "methods": ["bogus"]}) == 3
     assert attempt({**base, "defaults": {"packet_count": 10}}) == 3
     assert "error:" in capsys.readouterr().err
@@ -364,6 +377,21 @@ def test_run_manifest_sections_of_the_wrong_type(tmp_path, capsys):
         path.write_text(json.dumps(doc))
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
         assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("content", [
+    b"timestamp_ms,src_node,dst_node,latency_ms\n0,e0,u0,\xff\n",
+    b"timestamp_ms,src_node,dst_node,latency_ms\n0,e0,u0,\"" + b"9" * 140_000 + b"\"\n",
+], ids=["undecodable", "over-long field"])
+def test_run_bad_trace_file_is_a_validation_error(tmp_path, capsys, content):
+    # as validate reports it: exit 3 with the file's name, no output directory
+    assert main(["synth", "--relays", "0", "--duration-ms", "15000", "--step-ms", "100",
+                 "--out", str(tmp_path)]) == 0
+    (tmp_path / "traces" / "e0__u0.csv").write_bytes(content)
+    capsys.readouterr()
+    assert main(["run", str(tmp_path / "experiment.json"), "--out", str(tmp_path / "o")]) == 3
+    assert re.search(r"^error: e0__u0\.csv", capsys.readouterr().err, re.M)
     assert not (tmp_path / "o").exists()
 
 

@@ -332,6 +332,25 @@ def test_missing_reverse_link_rejected():
         run_session(topo, cfg)
 
 
+def test_missing_links_are_listed_sorted_and_once():
+    # a routed session needs every candidate path's links and the reverse
+    # link; direct needs only e0->u0
+    topo = _relay_topology({("r0", "u0"): 5.0, ("r0", "e0"): 5.0})
+    for kind in ("vcroute_ts", "via_ucb1"):
+        cfg = SessionConfig(endpoint="e0", user="u0", packet_count=10,
+                            router=RouterConfig(kind=kind))
+        with pytest.raises(ConfigurationError) as info:
+            run_session(topo, cfg)
+        assert str(info.value) == (
+            "missing traces for links: [('e0', 'r0'), ('e0', 'u0'), ('u0', 'e0')]")
+    cfg = SessionConfig(endpoint="e0", user="u0", packet_count=10)
+    with pytest.raises(ConfigurationError) as info:
+        run_session(topo, cfg)
+    assert str(info.value) == "missing traces for links: [('e0', 'u0')]"
+    topo = _relay_topology({("e0", "u0"): 5.0})
+    assert run_session(topo, cfg).report.delivered == 10
+
+
 def test_session_config_validation():
     with pytest.raises(ValidationError):
         SessionConfig(endpoint="e0", user="u0", packet_count=-1)

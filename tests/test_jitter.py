@@ -11,6 +11,7 @@ from relaysim import (
     Packet,
     PlayoutBuffer,
     TransitEstimator,
+    ValidationError,
     WatermarkReorderer,
     build_jitter_manager,
 )
@@ -488,6 +489,12 @@ def test_build_jitter_manager_kinds():
     assert isinstance(bf, PlayoutBuffer)
     with pytest.raises(ValueError):
         build_jitter_manager(JitterConfig(kind="none"), interval_ms=10.0)
+
+
+def test_jitter_config_rejects_an_unknown_kind():
+    # at construction, as RouterConfig does, not when a manager is built
+    with pytest.raises(ValidationError, match=r"'none', want one of \['watermark', 'buffer'\]"):
+        JitterConfig(kind="none")
 
 
 def test_config_initial_lag_reaches_estimator():

@@ -416,10 +416,11 @@ def test_ucb1_router_ready_counts_rewarded_arms(order):
 # --------------------------------- incremental selection against the reference
 #
 # Both routers score only the arm the last feedback rewarded (the hot arm)
-# once it has been rewarded twice in a row, against a cache of the other
-# arms: Thompson's first minimum of their draws per row of the normal block,
-# UCB1's lower bound on their indices. Drawn runs interleave feedback on the
-# hot arm and on other arms, change the hot arm at every step, and select
+# against a cache of the other arms: Thompson on every select, against the
+# first minimum of their draws per row of the normal block; UCB1 once the hot
+# arm has been rewarded twice in a row, against a lower bound on their
+# indices. Drawn runs select before the first feedback, interleave feedback on
+# the hot arm and on other arms, change the hot arm at every step, and select
 # across DRAW_BLOCK boundaries; picks and arm state must equal the reference.
 
 @st.composite
@@ -431,7 +432,8 @@ def bandit_runs(draw):
         # alternating: every feedback goes to another arm than the last
         "schedule": draw(st.sampled_from(["interleaved", "alternating"])),
         "p_hot": draw(st.floats(0.0, 1.0)),
-        "selects": draw(st.integers(0, 3)),  # the most selects after a feedback
+        # the most selects after a feedback, and before the first one
+        "selects": draw(st.integers(0, 3)),
         "steps": draw(st.integers(1, 150)),
         "seed": draw(st.integers(0, 2**32 - 1)),
     }
@@ -442,7 +444,9 @@ def _drawn_schedule(run, ids):
     rng = np.random.default_rng(run["seed"])
     means = rng.uniform(100.0, 130.0, len(ids))
     hot = int(rng.integers(len(ids)))
-    steps = []
+    # selects before any arm has a reward: Thompson's unmasked cache and
+    # UCB1's forced round
+    steps = [None] * int(rng.integers(0, run["selects"] + 1))
     for _ in range(run["steps"]):
         if run["schedule"] == "alternating" and len(ids) > 1:
             hot = (hot + int(rng.integers(1, len(ids)))) % len(ids)
@@ -469,6 +473,8 @@ def _drive(router, ref, steps):
 @given(run=bandit_runs())
 @example(run={"k": 17, "c": 1.0, "schedule": "interleaved", "p_hot": 0.9, "selects": 3,
               "steps": 150, "seed": 5})
+@example(run={"k": 17, "c": 1.0, "schedule": "alternating", "p_hot": 0.0, "selects": 3,
+              "steps": 150, "seed": 6})
 def test_thompson_router_equals_reference_on_drawn_runs(run):
     rng = np.random.default_rng(run["seed"] + 1)
     ids = rng.permutation(np.arange(0, 3 * run["k"], 3)).tolist()
@@ -514,6 +520,7 @@ def test_thompson_exact_ties_go_to_the_lowest_id(means, runs):
     router = ThompsonRouter(priors, _ZeroNormals())
     ref = ThompsonReference(priors, _ZeroNormals())
     want = 3 * means.index(min(means))
+    assert router.select() == ref.select() == want  # before any arm has a reward
     for arm, count in runs:
         for _ in range(count):
             router.observe(3 * (arm % k), means[arm % k])

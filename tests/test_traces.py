@@ -214,7 +214,7 @@ def test_columnar_read_matches_the_row_loop(tmp_path, monkeypatch, name, content
 
 def test_columnar_read_keeps_the_csv_field_limit(tmp_path, monkeypatch):
     # csv.reader raises on a field longer than its limit; the columnar read
-    # must leave such a file to it
+    # must leave such a file to it, and the row loop names the file and line
     limit = csv.field_size_limit()
     try:
         csv.field_size_limit(8)
@@ -231,7 +231,9 @@ def test_columnar_read_keeps_the_csv_field_limit(tmp_path, monkeypatch):
                 m.setattr(traces, "_read_columns", lambda path: None)
                 assert got == _outcome(path)
             if not columnar:
-                assert got == (csv.Error, "field larger than field limit (8)")
+                assert got[0] is TraceParseError
+                assert got[1].startswith("link.csv line ")
+                assert got[1].endswith(": field larger than field limit (8)")
     finally:
         csv.field_size_limit(limit)
 
