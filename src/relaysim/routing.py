@@ -186,11 +186,11 @@ class Ucb1Router:
     dispatch costs more than the arithmetic.
 
     Once the hot arm has been rewarded twice in a row, the index of every
-    other arm can only fall as the total grows, so their minimum at a horizon of twice the current total, less a
-    rounding margin, bounds them all until the total passes it. While the hot
-    arm's exact index is strictly below that bound it is the first minimum,
-    and ``select`` returns it after one square root. Otherwise it runs the
-    loop.
+    other arm can only fall as the total grows, so their minimum at a horizon
+    of twice the current total, less a rounding margin, bounds them all until
+    the total passes it. While the hot arm's exact index is strictly below
+    that bound it is the first minimum, and ``select`` returns it after one
+    square root. Otherwise it runs the loop.
     """
 
     needs_feedback = "transmit"
