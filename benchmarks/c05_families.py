@@ -51,10 +51,13 @@ class JitterLagOnly(JitterEstimator):
 
     __slots__ = ()
 
+    @property
+    def lag_ms(self) -> float:
+        return self.jitter_lag_ms
+
     def update(self, ts: float, arrival: float) -> float:
         JitterEstimator.update(self, ts, arrival)
-        self._lag = self.jitter_lag_ms
-        return self._lag
+        return self.jitter_lag_ms
 
 
 class JitterLagOnlyConfig(JitterConfig):

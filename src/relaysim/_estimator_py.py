@@ -68,6 +68,7 @@ lag is below the best cost so far: at most ``loss_cost_ms / bin_ms`` bins.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 from .errors import ValidationError
@@ -108,8 +109,7 @@ class TransitEstimator:
 
     __slots__ = (
         "window_ms", "bin_ms", "percentile", "loss_cost_ms", "initial_lag_ms",
-        "max_lag_ms", "_nbins", "_transit_bins", "_transit_total", "_transit_q",
-        "_transit_cum", "_window", "_last_arrival",
+        "max_lag_ms", "_nbins", "_transit_bins", "_transit_q", "_transit_cum", "_window",
     )
 
     def __init__(
@@ -135,12 +135,10 @@ class TransitEstimator:
         self.max_lag_ms = float(max_lag_ms)
         self._nbins = int(max_lag_ms / bin_ms) + 1
         self._transit_bins = [0] * self._nbins
-        self._transit_total = 0
         # quantile pointer: the count in bins 0..q (q = -1: no bin yet)
         self._transit_q = -1
         self._transit_cum = 0
         self._window: deque[tuple[float, int]] = deque()  # (arrival, transit bin)
-        self._last_arrival = float("-inf")
 
     @property
     def n_window(self) -> int:
@@ -151,16 +149,15 @@ class TransitEstimator:
         count its transit. Returns the transit, ``arrival - ts``."""
         if arrival < ts:
             raise ValueError("arrival precedes generation timestamp")
-        if arrival < self._last_arrival:
+        window = self._window
+        # the newest arrival stays in the window until the next update
+        if window and arrival < window[-1][0]:
             raise RuntimeError("arrivals must be fed in nondecreasing arrival order")
-        self._last_arrival = arrival
         bins = self._transit_bins
         cutoff = arrival - self.window_ms
-        window = self._window
         while window and window[0][0] < cutoff:
             tbin = window.popleft()[1]
             bins[tbin] -= 1
-            self._transit_total -= 1
             if tbin <= self._transit_q:
                 self._transit_cum -= 1
         transit = arrival - ts
@@ -171,7 +168,6 @@ class TransitEstimator:
         if tbin >= self._nbins:
             tbin = self._nbins - 1
         bins[tbin] += 1
-        self._transit_total += 1
         if tbin <= self._transit_q:
             self._transit_cum += 1
         window.append((arrival, tbin))
@@ -183,20 +179,20 @@ class TransitEstimator:
         This is the playout buffer's generation-to-playout delay budget; the
         upper edge guarantees the budget covers the quantile sample itself.
         """
-        if self._transit_total == 0:
+        total = len(self._window)
+        if total == 0:
             return self.initial_lag_ms
         q, cum = _walk(self._transit_bins, self._transit_q, self._transit_cum,
-                       self.percentile * self._transit_total)
+                       self.percentile * total)
         self._transit_q, self._transit_cum = q, cum
         return (q + 1) * self.bin_ms
 
 
 class JitterEstimator(TransitEstimator):
     __slots__ = (
-        "_jitter_bins", "_jitter_total", "_jitter_q", "_jitter_cum",
-        "_jitter_window", "_has_prev", "_prev_ts", "_prev_arrival",
-        "_latest_ts", "_lag", "_jitter_lag", "_depth", "_deep",
-        "_last_in_order", "_disorder", "_last_ooo_arrival",
+        "_jitter_bins", "_jitter_q", "_jitter_cum", "_jitter_window", "_prev_arrival",
+        "_latest_ts", "_jitter_lag", "_depth", "_deep", "_last_in_order", "_disorder",
+        "_last_ooo_arrival",
     )
 
     def __init__(
@@ -211,17 +207,14 @@ class JitterEstimator(TransitEstimator):
         super().__init__(window_ms, bin_ms, percentile, loss_cost_ms,
                          initial_lag_ms, max_lag_ms)
         self._jitter_bins = [0] * self._nbins
-        self._jitter_total = 0
         self._jitter_q = -1
         self._jitter_cum = 0
         # (arrival, jitter bin) of the in-order arrivals still in the window
         self._jitter_window: deque[tuple[float, int]] = deque()
-        self._has_prev = False
-        self._prev_ts = 0.0
+        # the newest ts so far and its arrival: the last in-order arrival
+        self._latest_ts = -math.inf
         self._prev_arrival = 0.0
-        self._latest_ts = float("-inf")
-        self._lag = min(self.initial_lag_ms, self.max_lag_ms)
-        self._jitter_lag = self._lag
+        self._jitter_lag = min(self.initial_lag_ms, self.max_lag_ms)
         self._depth = 0.0
         # (arrival, transit) of recent arrivals, transits strictly decreasing
         # from the head: the head is the deepest transit still held
@@ -232,7 +225,8 @@ class JitterEstimator(TransitEstimator):
 
     @property
     def lag_ms(self) -> float:
-        return self._lag
+        jitter_lag, depth = self._jitter_lag, self._depth
+        return jitter_lag if jitter_lag >= depth else depth
 
     @property
     def last_in_order(self) -> bool:
@@ -255,7 +249,7 @@ class JitterEstimator(TransitEstimator):
 
     @property
     def n_jitter_samples(self) -> int:
-        return self._jitter_total
+        return len(self._jitter_window)
 
     def update(self, ts: float, arrival: float) -> float:
         """Observe one arrival; returns the refreshed lag estimate."""
@@ -266,24 +260,21 @@ class JitterEstimator(TransitEstimator):
         while window and window[0][0] < cutoff:
             jbin = window.popleft()[1]
             bins[jbin] -= 1
-            self._jitter_total -= 1
             if jbin <= self._jitter_q:
                 self._jitter_cum -= 1
 
-        if ts > self._latest_ts:
-            if self._has_prev:
-                jitter = abs((arrival - self._prev_arrival) - (ts - self._prev_ts))
+        latest = self._latest_ts
+        if ts > latest:
+            if latest != -math.inf:
+                jitter = abs((arrival - self._prev_arrival) - (ts - latest))
                 jbin = int(jitter / self.bin_ms)
                 if jbin >= self._nbins:
                     jbin = self._nbins - 1
                 bins[jbin] += 1
-                self._jitter_total += 1
                 if jbin <= self._jitter_q:
                     self._jitter_cum += 1
                 window.append((arrival, jbin))
-            self._prev_ts = ts
             self._prev_arrival = arrival
-            self._has_prev = True
             self._latest_ts = ts
             if self._disorder and arrival - self._last_ooo_arrival > DISORDER_GUARD_MS:
                 self._disorder = False
@@ -305,7 +296,7 @@ class JitterEstimator(TransitEstimator):
             dbin = self._nbins - 1
         depth = dbin * self.bin_ms
 
-        if self._jitter_total == 0:
+        if not window:
             jitter_lag = self.initial_lag_ms
         elif not self._disorder:
             jitter_lag = self._jitter_quantile() * self.bin_ms
@@ -315,14 +306,12 @@ class JitterEstimator(TransitEstimator):
             jitter_lag = self.max_lag_ms
         self._jitter_lag = jitter_lag
         self._depth = depth
-        lag = jitter_lag if jitter_lag >= depth else depth
-        self._lag = lag
-        return lag
+        return jitter_lag if jitter_lag >= depth else depth
 
     def _jitter_quantile(self) -> int:
         """Smallest bin whose cumulative jitter count covers percentile * total."""
         q, cum = _walk(self._jitter_bins, self._jitter_q, self._jitter_cum,
-                       self.percentile * self._jitter_total)
+                       self.percentile * len(self._jitter_window))
         self._jitter_q, self._jitter_cum = q, cum
         return q
 
@@ -338,7 +327,7 @@ class JitterEstimator(TransitEstimator):
         bins = self._jitter_bins
         b = self.bin_ms
         loss = self.loss_cost_ms
-        total = self._jitter_total
+        total = len(self._jitter_window)
         k = int(lag / b)
         while (k + 1) * b <= lag:
             k += 1

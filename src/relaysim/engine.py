@@ -34,8 +34,8 @@ A session without a router would queue nothing but arrivals, all on one
 path, so it is played from its sorted arrival schedule instead:
 every Ta is computed at once, and the jitter manager's whole-stream ``play``
 takes the arrivals in (Ta, seq) order in one call and writes each packet's
-To and fate into seq-indexed columns, from which the records are built at
-the end. Either way records and reports equal those of one event queue that
+To and fate into seq-indexed columns, from which the records are built.
+Either way records and reports equal those of one event queue that
 generates packet by packet (``tests/engine_reference.py``), runs are
 deterministic and reports are byte-identical for identical (config, topology,
 seed).
@@ -197,7 +197,7 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
     if router is None:
         # only arrivals, all on the initial path: the manager plays them in
         # (ta, seq) order, the order the event queue would pop them in, into
-        # seq-indexed columns that become the records at the end
+        # seq-indexed columns that then become the records
         ta_arr = ticks + path_latency(topology, all_paths[initial_path], ticks)
         ts = ticks.tolist()
         ta = ta_arr.tolist()
@@ -206,9 +206,6 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
         end_time = float(ta_arr.max()) if n else t0
         jm.play(np.argsort(ta_arr, kind="stable").tolist(), ts, ta, to, fate)
         del ta_arr
-        for em in jm.flush(end_time):
-            to[em.seq] = em.out
-            fate[em.seq] = "flushed"
         records = list(map(PacketRecord, range(n), ts, ta, to, repeat(initial_path), fate))
     else:
         direct_fwd = topology.trace(cfg.endpoint, cfg.user)
@@ -221,7 +218,6 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
         adopted_version = 0
 
         heap: list[tuple[float, int, int, int, float]] = []  # feedback and control
-        controls: list[float] = []  # the times of the control messages queued
         ctr = 0
         gen_times = ticks.tolist()
         # filled block by block: one list, never resized, so its buffer does
@@ -238,13 +234,12 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
 
         while True:
             top = heap[0][0] if heap else inf
-            lim = top if top < nxt else nxt
             # arrivals, up to the next queued event or the next tick: a queued
             # event goes after an arrival at its time, but before a packet
             # arriving at its own tick, which it may yet re-route
             while pos < len(pending):
                 t, rec, fb_at = pending[pos]
-                if t >= lim and (t > nxt or t > top or (t == top and t == rec.ts)):
+                if t > nxt or t > top or (t == top and t == rec.ts):
                     break
                 pos += 1
                 end_time = t
@@ -268,7 +263,6 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
                         ctr += 1
                 if heap:
                     top = heap[0][0]
-                    lim = top if top < nxt else nxt
             if heap and top <= nxt:
                 t, kind, _, a, b = heappop(heap)
                 if kind == EV_FEEDBACK:
@@ -281,10 +275,8 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
                             path_changes.append((t, plan_path, selected))
                             plan_path = selected
                             heappush(heap, (t + delay, EV_CONTROL, ctr, len(path_changes), selected))
-                            heappush(controls, t + delay)
                             ctr += 1
                 else:  # EV_CONTROL
-                    heappop(controls)
                     if a > adopted_version:
                         adopted_version = a
                         if b != active_path:
@@ -303,10 +295,9 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
                 # while the router picks paths of its own
                 if router.follows_plan:
                     path_id = active_path
-                    hi = min(gen + ARRIVAL_BLOCK, n)
-                    if controls:
-                        # ticks from the next control message's on may be cut
-                        hi = bisect_left(gen_times, controls[0], gen, hi)
+                    # ticks from the next queued control message's on may be cut
+                    tc = min((ev[0] for ev in heap if ev[1] == EV_CONTROL), default=inf)
+                    hi = bisect_left(gen_times, tc, gen, min(gen + ARRIVAL_BLOCK, n))
                 else:
                     path_id = router.path_for(gen)
                     hi = gen + 1
@@ -326,10 +317,10 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
             else:
                 break
 
-        for em in jm.flush(end_time):
-            erec = records[em.seq]
-            erec.to = em.out
-            erec.fate = "flushed"
+    for em in jm.flush(end_time):
+        rec = records[em.seq]
+        rec.to = em.out
+        rec.fate = "flushed"
 
     # read the report's counts and latencies off the records, and check
     # conservation and emission order (exceptions survive python -O)

@@ -30,10 +30,6 @@ class RelayPath:
         if len(set(self.hops)) != len(self.hops):
             raise ValidationError(f"path {self.hops} repeats a node")
 
-    @property
-    def relays(self) -> tuple[str, ...]:
-        return self.hops[1:-1]
-
     def links(self) -> list[tuple[str, str]]:
         return list(zip(self.hops[:-1], self.hops[1:]))
 

@@ -112,9 +112,6 @@ class ThompsonRouter:
         self._rest_min: list[float] | None = None
         self._rest_arg: list[int] = []
         self._hot_z: list[float] = []
-        # the others' posteriors, the hot arm's masked; None until built
-        self._rest_mu: np.ndarray | None = None
-        self._rest_sd: np.ndarray | None = None
 
     def observe(self, path_id: int, reward: float) -> None:
         if not 0.0 < reward < math.inf:  # also false for nan
@@ -130,7 +127,7 @@ class ThompsonRouter:
         self._pulls[i] += 1
         if i != self._hot:
             self._hot = i
-            self._rest_min = self._rest_mu = None
+            self._rest_min = None
 
     def select(self) -> int:
         r = self._row
@@ -156,13 +153,12 @@ class ThompsonRouter:
         numpy rounds the product and the sum as ``select`` does, and argmin
         takes the first minimum. The hot arm's column draws inf + 0*z."""
         h = self._hot
-        if self._rest_mu is None:
-            self._rest_mu = np.array(self._mu)
-            self._rest_sd = np.array(self._sd)
-            if h >= 0:
-                self._rest_mu[h] = math.inf
-                self._rest_sd[h] = 0.0
-        draws = self._rest_mu + self._rest_sd * self._block
+        mu = np.array(self._mu)
+        sd = np.array(self._sd)
+        if h >= 0:
+            mu[h] = math.inf
+            sd[h] = 0.0
+        draws = mu + sd * self._block
         arg = draws.argmin(axis=1)
         self._rest_min = draws[np.arange(len(arg)), arg].tolist()
         self._rest_arg = arg.tolist()

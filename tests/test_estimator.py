@@ -254,6 +254,10 @@ def test_update_validation():
         est.update(0.0, 100.0)
         with pytest.raises(RuntimeError):
             est.update(5.0, 99.0)  # receiver clock cannot run backwards
+        est.update(10.0, 110.0)
+        with pytest.raises(RuntimeError):
+            est.update(50.0, 105.0)  # behind the newest arrival, not the oldest
+        assert est.n_window == 2
 
 
 @pytest.mark.parametrize(
@@ -311,13 +315,15 @@ def _assert_matches_reference(stream, **kwargs):
     transit = _estimator_py.TransitEstimator(**kwargs)
     ref = ReferenceEstimator(**kwargs)
     for ts, arrival in stream:
-        assert est.update(ts, arrival) == ref.update(ts, arrival)
+        lag = ref.update(ts, arrival)
+        assert est.update(ts, arrival) == lag and est.lag_ms == lag == ref.lag_ms
         transit.update(ts, arrival)
         target = ref.transit_target()
         assert est.transit_target() == target and transit.transit_target() == target
         assert est.n_window == ref.n_window and transit.n_window == ref.n_window
-        assert (est.jitter_lag_ms, est.reorder_depth_ms, est.disorder) == (
-            ref.jitter_lag_ms, ref.reorder_depth_ms, ref.disorder)
+        assert (est.jitter_lag_ms, est.reorder_depth_ms, est.disorder, est.n_jitter_samples,
+                est.last_in_order) == (ref.jitter_lag_ms, ref.reorder_depth_ms, ref.disorder,
+                                       ref.n_jitter_samples, ref.last_in_order)
     return est
 
 

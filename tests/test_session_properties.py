@@ -8,7 +8,10 @@ jitter managers, every session must conserve its packets, emit no packet
 before it arrives, play its packets out in seq order, pass relaybench's
 replay gate (the arrivals replayed in (ta, seq) order through a fresh jitter
 manager decide every fate and output time again), and equal the same session
-played through one event queue by ``tests/engine_reference.py``. A feedback-free session must also
+played through one event queue by ``tests/engine_reference.py``. Its arrival
+stream through a fresh estimator of its jitter config must give the lags (the
+watermark's) or transit targets (the buffer's) of
+``tests/estimator_reference.py``. A feedback-free session must also
 equal itself run with a one-arm bandit, which takes feedback, and a watermark
 session's arrivals played in uneven chunks must give its output times and
 fates again, with a watermark that never falls. A routed session run again
@@ -39,6 +42,7 @@ from relaysim import (
 from relaysim import engine, run_session
 from relaysim.traces import synth_link_samples
 from engine_reference import reference_session
+from estimator_reference import ReferenceEstimator
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "relaybench"))
 import gates  # noqa: E402
@@ -73,6 +77,23 @@ def _topology(s):
     rev = LatencyTrace("u0", "e0", [0.0], [40.0])
     return Topology([Node("e0", "endpoint"), Node("u0", "user")],
                     {("e0", "u0"): LatencyTrace("e0", "u0", ts, lat), ("u0", "e0"): rev})
+
+
+def _assert_estimator_matches_reference(records, jitter):
+    """The session's arrivals, in (ta, seq) order, through a fresh estimator
+    of its jitter config and through the oracle: equal lags for the
+    watermark, equal transit targets for the buffer, after every arrival."""
+    est = jitter.make_estimator()
+    ref = ReferenceEstimator(jitter.window_ms, jitter.bin_ms, jitter.percentile,
+                             jitter.loss_cost_ms, jitter.initial_lag_ms, jitter.max_lag_ms)
+    watermark = jitter.kind == "watermark"
+    for ts, ta in gates.session_stream(records):
+        lag = ref.update(ts, ta)
+        if watermark:
+            assert est.update(ts, ta) == lag
+        else:
+            est.update(ts, ta)
+            assert est.transit_target() == ref.transit_target()
 
 
 def _assert_played_in_seq_order(records):
@@ -124,6 +145,7 @@ def test_feedback_free_session_properties(s):
     oracle = reference_session(topo, cfg)
     assert oracle.records == res.records
     assert oracle.report.to_json() == rep.to_json()
+    _assert_estimator_matches_reference(res.records, cfg.jitter)
     if cfg.jitter.kind == "watermark":
         _assert_watermark_rises_across_chunks(res.records, cfg, s["seed"])
 
@@ -237,6 +259,7 @@ def test_routed_session_properties(s):
     oracle = reference_session(topo, cfg, method=s["method"])
     assert oracle.records == res.records
     assert oracle.report.to_json() == rep.to_json()
+    _assert_estimator_matches_reference(res.records, cfg.jitter)
 
     # the same session again, with a watermark checked at every arrival
     checked = []
