@@ -34,8 +34,10 @@ A session without a router would queue nothing but arrivals, all on one
 path, so it is played from its sorted arrival schedule instead:
 every Ta is computed at once, and the jitter manager's whole-stream ``play``
 takes the arrivals in (Ta, seq) order in one call and writes each packet's
-To and fate into seq-indexed columns, from which the records are built.
-Either way records and reports equal those of one event queue that
+To and fate code into seq-indexed numpy columns. The report's counts and
+latencies, and the conservation and emission-order checks, are read off
+those columns, and ``SessionResult.records`` is built from them only when
+it is read. Either way records and reports equal those of one event queue that
 generates packet by packet (``tests/engine_reference.py``), runs are
 deterministic and reports are byte-identical for identical (config, topology,
 seed).
@@ -65,7 +67,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .jitter import JITTER_KINDS, JitterConfig, build_jitter_manager
+from .jitter import (DELIVERED, DROPPED_LATE, FATES, FLUSHED, IN_FLIGHT, JITTER_KINDS,
+                     JitterConfig, build_jitter_manager)
 from .paths import (RelayPath, enumerate_paths, path_latency, prune_topk, required_links,
                     warmup_stats)
 from .reports import MetricsReport, build_report
@@ -133,8 +136,39 @@ class PacketRecord:
 
 @dataclass
 class SessionResult:
+    """A session's report and its per-packet records.
+
+    A feedback-free session passes ``records=None`` and keeps its records as
+    seq-indexed columns ``(ts, ta, to, fate, path_id)``: ``to`` is NaN where
+    no packet played out, and ``fate`` holds codes into ``FATES``. The list is
+    built the first time ``records`` is read, and the columns are let go
+    then. The CLI and ``run_matrix`` read only the report, so they never
+    build it."""
+
     report: MetricsReport
-    records: list[PacketRecord]
+    records: list[PacketRecord] | None
+    _columns: tuple | None = field(default=None, repr=False, compare=False)
+
+
+def _get_records(result: SessionResult) -> list[PacketRecord]:
+    if result._records is None:
+        ts, ta, to, fate, path_id = result._columns
+        outs = to.tolist()
+        for seq in np.flatnonzero(np.isnan(to)).tolist():
+            outs[seq] = None
+        result._records = list(map(PacketRecord, range(len(ts)), ts.tolist(), ta.tolist(),
+                                   outs, repeat(path_id), map(FATES.__getitem__, fate.tolist())))
+        result._columns = None
+    return result._records
+
+
+def _set_records(result: SessionResult, records: list[PacketRecord] | None) -> None:
+    result._records = records
+
+
+# a property over the field, set once the dataclass is made: its __init__,
+# __eq__ and dataclasses.replace all reach the records through it
+SessionResult.records = property(_get_records, _set_records)
 
 
 def plan_session(
@@ -197,16 +231,24 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
     if router is None:
         # only arrivals, all on the initial path: the manager plays them in
         # (ta, seq) order, the order the event queue would pop them in, into
-        # seq-indexed columns that then become the records
-        ta_arr = ticks + path_latency(topology, all_paths[initial_path], ticks)
-        ts = ticks.tolist()
-        ta = ta_arr.tolist()
-        to: list[float | None] = [None] * n
-        fate = ["in_flight"] * n
-        end_time = float(ta_arr.max()) if n else t0
-        jm.play(np.argsort(ta_arr, kind="stable").tolist(), ts, ta, to, fate)
-        del ta_arr
-        records = list(map(PacketRecord, range(n), ts, ta, to, repeat(initial_path), fate))
+        # seq-indexed columns, which stay columns until the records are read
+        ta = ticks + path_latency(topology, all_paths[initial_path], ticks)
+        to = np.full(n, np.nan)
+        fate = np.full(n, IN_FLIGHT, np.int8)
+        end_time = float(ta.max()) if n else t0
+        jm.play(np.argsort(ta, kind="stable"), ticks, ta, to, fate)
+        for em in jm.flush(end_time):
+            to[em.seq] = em.out
+            fate[em.seq] = FLUSHED
+        records = None
+        # the report's counts and latencies, and the packets that break
+        # conservation or emission order, read off the columns
+        played = fate >= DELIVERED
+        latencies = to[played] - ticks[played]
+        lost = np.flatnonzero(fate == IN_FLIGHT)
+        early = np.flatnonzero(played & (to < ta))
+        dropped_late = int(np.count_nonzero(fate == DROPPED_LATE))
+        tail_flushed = int(np.count_nonzero(fate == FLUSHED))
     else:
         direct_fwd = topology.trace(cfg.endpoint, cfg.user)
         direct_rev = topology.trace(cfg.user, cfg.endpoint)
@@ -317,30 +359,31 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
             else:
                 break
 
-    for em in jm.flush(end_time):
-        rec = records[em.seq]
-        rec.to = em.out
-        rec.fate = "flushed"
+        for em in jm.flush(end_time):
+            rec = records[em.seq]
+            rec.to = em.out
+            rec.fate = "flushed"
+        # the report's counts and latencies, and the packets that break
+        # conservation or emission order, read off the records
+        latencies: list[float] = []
+        lost: list[int] = []
+        early: list[int] = []
+        dropped_late = tail_flushed = 0
+        for rec in records:
+            if rec.fate == "dropped_late":
+                dropped_late += 1
+            elif rec.fate == "in_flight":
+                lost.append(rec.seq)
+            else:
+                tail_flushed += rec.fate == "flushed"
+                if rec.to < rec.ta:
+                    early.append(rec.seq)
+                latencies.append(rec.to - rec.ts)
 
-    # read the report's counts and latencies off the records, and check
-    # conservation and emission order (exceptions survive python -O)
-    latencies: list[float] = []
-    lost: list[int] = []
-    early: list[int] = []
-    dropped_late = tail_flushed = 0
-    for rec in records:
-        if rec.fate == "dropped_late":
-            dropped_late += 1
-        elif rec.fate == "in_flight":
-            lost.append(rec.seq)
-        else:
-            tail_flushed += rec.fate == "flushed"
-            if rec.to < rec.ta:
-                early.append(rec.seq)
-            latencies.append(rec.to - rec.ts)
-    if lost:
+    # exceptions, so that python -O keeps both checks
+    if len(lost):
         raise RuntimeError(f"{len(lost)} packets neither played out nor dropped, first seq {lost[0]}")
-    if early:
+    if len(early):
         raise RuntimeError(f"{len(early)} packets emitted before arrival, first seq {early[0]}")
 
     report = build_report(
@@ -354,6 +397,8 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
         candidate_paths=len(all_paths),
         topk_paths=topk_ids,
     )
+    if records is None:
+        return SessionResult(report, None, (ticks, ta, to, fate, initial_path))
     return SessionResult(report, records)
 
 

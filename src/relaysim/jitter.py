@@ -33,19 +33,42 @@ one arrival; it takes the arrival time from ``now`` and reads only ``seq`` and
 ``ts`` off ``packet``, so a :class:`Packet` and the engine's own per-packet
 record both serve. The engine calls it in routed sessions, where feedback and
 plan changes interleave with arrivals. ``play(order, ts, ta, to, fate)``
-processes a whole arrival schedule held in seq-indexed columns, with the
-manager's state in locals and no object per arrival; the engine calls it in
-feedback-free sessions, whose schedule is known up front. So each manager
-states its rule twice: routing ``on_arrival`` through the pass slowed routed
-sessions, and ``tests/test_jitter.py`` requires both forms to decide the same
-fates and output times and to leave the same state.
+processes a whole arrival schedule held in seq-indexed numpy columns: it
+writes each packet's output time into ``to`` and its fate code (``FATES``)
+into ``fate``. The engine calls it in feedback-free sessions, whose schedule
+is known up front. ``tests/test_jitter.py`` requires both forms to decide
+the same fates and output times and to leave the same state.
+
+The watermark states its rule twice, in ``on_arrival`` and in a closed form.
+When the estimator sees every arrival (``update_on_drop``), its lag column
+depends on the arrival stream alone, and every lag is nonnegative, so a
+dropped arrival's ``ts - lag`` is already below the watermark. So, in
+arrival order, the watermark is ``maximum.accumulate(ts - lag)`` from the
+one before the schedule; an arrival is dropped when its ``ts`` is below the
+previous watermark; and an accepted packet, or one pending from before, is
+played out at the arrival time of the first arrival whose watermark exceeds
+its ``ts`` (``searchsorted(wm, ts, "right")``), or stays pending for the
+flush. This is MillWheel's lateness rule against a low watermark (Akidau et
+al., VLDB 2013) in array form. Without ``update_on_drop`` the lags depend on
+the fates, and ``play`` hands each arrival to ``on_arrival``.
+
+The playout buffer has no such form, so it states its rule in ``on_arrival``
+and again in ``play``'s loop. Its target column is fate-free under
+``update_on_drop`` too, but its sweep walks seq order: slot k is released at
+the first arrival, from the one that released slot k-1 on, at which the
+current target puts its deadline behind it. The target rises and falls, so
+that search starts where slot k-1's ended: a recurrence over seq order, not
+a prefix scan over arrival order. Whether an arrival comes too late for its
+slot depends on the same recurrence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Iterable, MutableSequence, NamedTuple, Protocol, Sequence
+from typing import NamedTuple, Protocol
+
+import numpy as np
 
 from .errors import ValidationError
 from .estimator import JitterEstimator, TransitEstimator
@@ -69,6 +92,11 @@ class Stamped(Protocol):
     ts: float
 
 
+class _Arrival(NamedTuple):
+    seq: int
+    ts: float
+
+
 class Emission(NamedTuple):
     seq: int
     ts: float
@@ -77,6 +105,11 @@ class Emission(NamedTuple):
 
 
 JITTER_KINDS = ("watermark", "buffer")
+
+# a packet's fate, one byte per packet in the columns ``play`` writes: a
+# code indexes FATES, and a packet has played out when its code >= DELIVERED
+FATES = ("in_flight", "dropped_late", "delivered", "flushed")
+IN_FLIGHT, DROPPED_LATE, DELIVERED, FLUSHED = range(len(FATES))
 
 
 @dataclass
@@ -156,42 +189,59 @@ class WatermarkReorderer:
             out.append(Emission(seq, ts, arrival, now))
         return out, False
 
-    def play(self, order: Iterable[int], ts: Sequence[float], ta: Sequence[float],
-             to: MutableSequence[float | None], fate: MutableSequence[str]) -> None:
+    def play(self, order: np.ndarray, ts: np.ndarray, ta: np.ndarray,
+             to: np.ndarray, fate: np.ndarray) -> None:
         """Process a whole arrival schedule, as ``on_arrival`` would one by one.
 
         ``order`` lists the seqs in arrival order; ``ts`` and ``ta`` are
-        indexed by seq. Each packet played out gets its output time in
-        ``to[seq]`` and ``fate[seq] = "delivered"``; each late one gets
-        ``fate[seq] = "dropped_late"``. What is still pending stays for
+        float64 columns indexed by seq. Each packet played out gets its output
+        time in ``to[seq]`` and ``fate[seq] = DELIVERED``; each late one gets
+        ``fate[seq] = DROPPED_LATE``. What is still pending stays for
         ``flush``, and the manager ends in the state the same ``on_arrival``
-        calls would leave."""
-        update = self._est.update
-        update_on_drop = self._update_on_drop
-        pending = self._pending
-        wm = self._wm
-        dropped = self.dropped_count
-        try:
-            for seq in order:
-                t = ts[seq]
-                now = ta[seq]
-                if t < wm:
-                    if update_on_drop:
-                        update(t, now)
-                    dropped += 1
-                    fate[seq] = "dropped_late"
-                    continue
-                mark = t - update(t, now)
-                if mark > wm:
-                    wm = mark
-                heappush(pending, (t, seq, now))
-                while pending and pending[0][0] < wm:
-                    held = heappop(pending)[1]
-                    to[held] = now
-                    fate[held] = "delivered"
-        finally:
-            self._wm = wm
-            self.dropped_count = dropped
+        calls would leave, up to the layout of its pending heap."""
+        ts_o, ta_o = ts[order], ta[order]
+        if not self._update_on_drop:
+            # the estimator skips late arrivals: each lag depends on the fates
+            on_arrival = self.on_arrival
+            played, outs, late = [], [], []
+            for seq, t, now in zip(order.tolist(), ts_o.tolist(), ta_o.tolist()):
+                emissions, dropped = on_arrival(_Arrival(seq, t), now)
+                if dropped:
+                    late.append(seq)
+                for em in emissions:
+                    played.append(em.seq)
+                    outs.append(em.out)
+            to[played] = outs
+            fate[played] = DELIVERED
+            fate[late] = DROPPED_LATE
+            return
+        if not len(order):
+            return
+        lag = np.fromiter(map(self._est.update, ts_o.tolist(), ta_o.tolist()),
+                          np.float64, len(order))
+        wm = np.maximum(np.maximum.accumulate(ts_o - lag), self._wm)
+        before = np.empty_like(wm)  # the watermark each arrival is judged against
+        before[0] = self._wm
+        before[1:] = wm[:-1]
+        late = ts_o < before
+        kept = ~late
+        # (ts, seq, arrival) of every packet held: pending ones, then this
+        # schedule's accepted ones
+        held = np.array(self._pending, dtype=np.float64).reshape(-1, 3)
+        held_ts = np.concatenate((held[:, 0], ts_o[kept]))
+        held_seq = np.concatenate((held[:, 1].astype(order.dtype), order[kept]))
+        held_ta = np.concatenate((held[:, 2], ta_o[kept]))
+        at = np.searchsorted(wm, held_ts, "right")
+        out = at < len(wm)
+        to[held_seq[out]] = ta_o[at[out]]
+        fate[held_seq[out]] = DELIVERED
+        fate[order[late]] = DROPPED_LATE
+        stay = ~out
+        # sorted, so a heap: flush and on_arrival pop the (ts, seq) minimum
+        self._pending = sorted(zip(held_ts[stay].tolist(), held_seq[stay].tolist(),
+                                   held_ta[stay].tolist()))
+        self._wm = float(wm[-1])
+        self.dropped_count += int(np.count_nonzero(late))
 
     def flush(self, end_time: float) -> list[Emission]:
         """Emit everything still pending, in ts order, at end_time."""
@@ -298,12 +348,12 @@ class PlayoutBuffer:
                 break
         return out
 
-    def play(self, order: Iterable[int], ts: Sequence[float], ta: Sequence[float],
-             to: MutableSequence[float | None], fate: MutableSequence[str]) -> None:
+    def play(self, order: np.ndarray, ts: np.ndarray, ta: np.ndarray,
+             to: np.ndarray, fate: np.ndarray) -> None:
         """Process a whole arrival schedule, as ``on_arrival`` would one by one.
 
         The columns are those of :meth:`WatermarkReorderer.play`; the sweep
-        is ``_sweep``'s, inline."""
+        is ``_sweep``'s, inline. The fates are written once, at the end."""
         est = self._est
         update, transit_target = est.update, est.transit_target
         update_on_drop = self._update_on_drop
@@ -314,11 +364,9 @@ class PlayoutBuffer:
         next_seq = self._next_seq
         max_seen = self._max_seen
         last_out = self._last_out
-        dropped = self.dropped_count
+        played, outs, dropped = [], [], []
         try:
-            for seq in order:
-                t = ts[seq]
-                now = ta[seq]
+            for seq, t, now in zip(order.tolist(), ts[order].tolist(), ta[order].tolist()):
                 cold = ts_base is None
                 if cold:
                     ts_base = t - seq * interval
@@ -329,8 +377,7 @@ class PlayoutBuffer:
                     update(t, now)
                     target = transit_target()
                 if seq < next_seq or late:
-                    dropped += 1
-                    fate[seq] = "dropped_late"
+                    dropped.append(seq)
                     continue
                 if not update_on_drop:
                     update(t, now)
@@ -348,8 +395,9 @@ class PlayoutBuffer:
                             t_out = held[1]
                         if last_out > t_out:
                             t_out = last_out
-                        to[next_seq] = last_out = t_out
-                        fate[next_seq] = "delivered"
+                        played.append(next_seq)
+                        outs.append(t_out)
+                        last_out = t_out
                         del buffer[next_seq]
                         next_seq += 1
                     elif next_seq <= max_seen and now > ts_base + next_seq * interval + target:
@@ -362,7 +410,10 @@ class PlayoutBuffer:
             self._next_seq = next_seq
             self._max_seen = max_seen
             self._last_out = last_out
-            self.dropped_count = dropped
+            self.dropped_count += len(dropped)
+            to[played] = outs
+            fate[played] = DELIVERED
+            fate[dropped] = DROPPED_LATE
 
     def flush(self, end_time: float) -> list[Emission]:
         """Emit everything still buffered, in sequence order, at end_time."""

@@ -29,6 +29,7 @@ from relaysim import (
 )
 from relaysim import engine
 from relaysim.engine import cell_config, derive_cell_seed, method_kinds
+from relaysim.jitter import DELIVERED
 from relaysim.reports import write_summary_csv
 from engine_reference import reference_session
 from scenarios import (
@@ -208,9 +209,8 @@ def _early_build(*args):
 
     def early_play(order, ts, ta, to, fate):
         play(order, ts, ta, to, fate)
-        for seq in order:
-            if fate[seq] == "delivered":
-                to[seq] = ta[seq] - 1.0
+        played = order[fate[order] == DELIVERED]
+        to[played] = ta[played] - 1.0
 
     manager.on_arrival = early
     manager.play = early_play
@@ -498,6 +498,47 @@ def test_one_path_session_runs_without_a_bandit(method, monkeypatch):
     assert calls["observe"] > 0 and calls["select"] > 0
     assert slow.records == fast.records
     assert slow.report.to_json() == fast.report.to_json()
+
+
+def _count_records(monkeypatch):
+    """The seqs of the PacketRecords the engine builds, in build order."""
+    built = []
+    record = engine.PacketRecord
+    monkeypatch.setattr(engine, "PacketRecord",
+                        lambda seq, *fields: built.append(seq) or record(seq, *fields))
+    return built
+
+
+@pytest.mark.parametrize("method", ["drt-bf", "drt-wm", "vcr-wm"])
+def test_feedback_free_records_are_built_when_read(method, monkeypatch):
+    # a session without feedback (vcr-wm pruned to one path too) keeps its
+    # records as columns: none is built until they are read, then all of
+    # them once, equal to the event-queue oracle's
+    built = _count_records(monkeypatch)
+    topo = hetero_topology(5, 40_000.0)
+    cfg = method_config(SessionConfig(
+        endpoint="e0", user="u0", packet_count=1500, interval_ms=10.0,
+        warmup_ms=20_000.0, seed=7), method)
+    res = run_session(topo, cfg, method=method)
+    assert built == []
+    records = res.records
+    assert built == list(range(cfg.packet_count))
+    assert res.records == records and built == list(range(cfg.packet_count))
+    oracle = reference_session(topo, cfg, method=method)
+    assert records == oracle.records
+    assert res.report.to_json() == oracle.report.to_json()
+    assert {rec.fate for rec in records} == {"delivered", "dropped_late", "flushed"}
+
+
+def test_run_matrix_builds_no_records(monkeypatch):
+    # pruning keeps one path for every method here, so no cell takes
+    # feedback, and run_matrix reads only the reports
+    built = _count_records(monkeypatch)
+    template = SessionConfig(endpoint="e0", user="u0", packet_count=1500, interval_ms=10.0,
+                             warmup_ms=20_000.0, seed=7)
+    result = run_matrix([(hetero_topology(5, 40_000.0), template)], sorted(METHODS))
+    assert len(result.cells) == len(METHODS)
+    assert built == []
 
 
 def _tied_arrivals_topology():

@@ -15,6 +15,7 @@ from relaysim import (
     WatermarkReorderer,
     build_jitter_manager,
 )
+from relaysim.jitter import FATES
 from wm_reference import WatermarkReference, bursty_packets
 
 
@@ -159,19 +160,51 @@ def test_watermark_matches_reference_on_bursty_streams():
 
 
 def _columns(packets):
-    """Arrival order and seq-indexed ts/ta columns of an arrival-ordered stream."""
-    ts, ta = [0.0] * len(packets), [0.0] * len(packets)
+    """Arrival order and seq-indexed ts/ta columns of an arrival-ordered
+    stream, as numpy arrays, the columns the engine passes to ``play``."""
+    ts, ta = np.zeros(len(packets)), np.zeros(len(packets))
     for p in packets:
         ts[p.seq], ta[p.seq] = p.ts, p.arrival
-    return [p.seq for p in packets], ts, ta
+    return np.array([p.seq for p in packets]), ts, ta
+
+
+def _outputs(n):
+    """Empty ``to`` and ``fate`` columns: nothing played, all in flight."""
+    return np.full(n, np.nan), np.zeros(n, np.int8)
+
+
+def _fates(fate):
+    return [FATES[code] for code in fate.tolist()]
+
+
+def _times(to):
+    return [None if out != out else out for out in to.tolist()]  # NaN: not played
 
 
 def _state(manager):
-    """Everything a manager carries from one arrival to the next."""
+    """Everything a manager carries from one arrival to the next. A pending
+    heap is compared sorted: every pop and ``flush`` take its (ts, seq)
+    minimum, so its layout is not behaviour."""
     est = manager._est
-    own = {k: v for k, v in vars(manager).items() if k != "_est"}
+    own = {k: sorted(v) if k == "_pending" else v
+           for k, v in vars(manager).items() if k != "_est"}
     return (own, est.transit_target(), getattr(est, "n_window", None),
             getattr(est, "lag_ms", None))
+
+
+def _step(manager, packets, to, fate):
+    """``on_arrival`` over packets, writing the columns ``play`` would."""
+    for p in packets:
+        emissions, dropped = manager.on_arrival(p, p.arrival)
+        if dropped:
+            fate[p.seq] = FATES.index("dropped_late")
+        for em in emissions:
+            to[em.seq], fate[em.seq] = em.out, FATES.index("delivered")
+
+
+def _assert_columns_equal(got, want):
+    assert np.array_equal(got[0], want[0], equal_nan=True)
+    assert np.array_equal(got[1], want[1])
 
 
 def _play_against_on_arrival(build, packets, split):
@@ -181,24 +214,19 @@ def _play_against_on_arrival(build, packets, split):
     pass's (to, fate) columns."""
     order, ts, ta = _columns(packets)
     stepped = build()
-    want_to, want_fate = [None] * len(ts), ["in_flight"] * len(ts)
-    for p in packets[:split]:
-        emissions, dropped = stepped.on_arrival(p, p.arrival)
-        if dropped:
-            want_fate[p.seq] = "dropped_late"
-        for em in emissions:
-            want_to[em.seq], want_fate[em.seq] = em.out, "delivered"
+    want = _outputs(len(ts))
+    _step(stepped, packets[:split], *want)
     played = build()
-    to, fate = [None] * len(ts), ["in_flight"] * len(ts)
+    to, fate = _outputs(len(ts))
     played.play(order[:split], ts, ta, to, fate)
-    assert to == want_to and fate == want_fate
+    _assert_columns_equal((to, fate), want)
     assert _state(played) == _state(stepped)
     for p in packets[split:]:
         assert played.on_arrival(p, p.arrival) == stepped.on_arrival(p, p.arrival)
     end = packets[-1].arrival
     assert played.flush(end) == stepped.flush(end)
     assert _state(played) == _state(stepped)
-    return to, fate
+    return _times(to), _fates(fate)
 
 
 def _bursty_streams():
@@ -233,22 +261,17 @@ def test_no_output_time_after_the_arrival_being_processed(kind, feed):
             assert all(em.out <= p.arrival for em in emissions)
             emitted += len(emissions)
 
+        # play one arrival at a time: what it plays out then must not be
+        # later than that arrival
         order, ts, ta = _columns(packets)
-        now = [None]  # the arrival time play is processing
-
-        def processing():
-            for seq in order:
-                now[0] = ta[seq]
-                yield seq
-
-        class Outputs(list):
-            def __setitem__(self, seq, out):
-                assert out <= now[0], (seq, out, now[0])
-                super().__setitem__(seq, out)
-
-        to = Outputs([None] * len(ts))
-        build_jitter_manager(cfg, 10.0).play(processing(), ts, ta, to, ["in_flight"] * len(ts))
-        assert len(to) - to.count(None) == emitted > 0
+        to, fate = _outputs(len(ts))
+        played = build_jitter_manager(cfg, 10.0)
+        for i, seq in enumerate(order.tolist()):
+            before = to.copy()
+            played.play(order[i:i + 1], ts, ta, to, fate)
+            fresh = np.isnan(before) & ~np.isnan(to)
+            assert (to[fresh] <= ta[seq]).all(), (seq, to[fresh], ta[seq])
+        assert np.count_nonzero(~np.isnan(to)) == emitted > 0
 
 
 def test_buffer_play_missing_slot_boundary_is_strict():
@@ -268,18 +291,68 @@ def test_watermark_play_matches_reference_on_bursty_streams():
             order, ts, ta = _columns(packets)
             mgr = WatermarkReorderer(JitterEstimator(), update_on_drop=feed_drops)
             ref = WatermarkReference(JitterEstimator(), update_on_drop=feed_drops)
-            to, fate = [None] * len(ts), ["in_flight"] * len(ts)
+            to, fate = _outputs(len(ts))
             mgr.play(order, ts, ta, to, fate)
             for p in packets:
                 ref.arrival(p)
             end = packets[-1].arrival
             for em in mgr.flush(end):
-                to[em.seq], fate[em.seq] = em.out, "flushed"
+                to[em.seq], fate[em.seq] = em.out, FATES.index("flushed")
             ref.flush(end)
-            assert {seq: to[seq] for seq in order if fate[seq] != "dropped_late"} == dict(
-                ref.emissions)
-            assert [seq for seq in order if fate[seq] == "dropped_late"] == ref.drops
+            _assert_matches_reference(order, to, _fates(fate), ref)
             assert mgr.dropped_count == len(ref.drops) > 0
+
+
+def _assert_matches_reference(order, to, fate, ref):
+    order = order.tolist()
+    assert {seq: to[seq] for seq in order if fate[seq] != "dropped_late"} == dict(
+        ref.emissions)
+    assert [seq for seq in order if fate[seq] == "dropped_late"] == ref.drops
+
+
+def _tied_streams():
+    """A 20/3 ms cadence, where ``ts - lag`` lands on another packet's ts up
+    to float rounding (ROADMAP item 8), and whole-ms arrivals, where lags,
+    watermarks and arrival times tie outright."""
+    yield "20/3 ms", bursty_packets(np.random.default_rng(8), 3000, interval_ms=20 / 3)
+    yield "whole ms", [Packet(p.seq, p.ts, float(round(p.arrival)))
+                       for p in bursty_packets(np.random.default_rng(9), 3000)]
+
+
+@pytest.mark.parametrize("feed", [True, False])
+def test_watermark_play_in_chunks_matches_reference(feed):
+    # play in uneven chunks, so the closed form starts from a watermark and a
+    # pending heap it inherits: after every chunk each fate, output time and
+    # the state equal on_arrival's, and the whole run equals the reference
+    for name, packets in _tied_streams():
+        order, ts, ta = _columns(packets)
+        rng = np.random.default_rng(len(name))
+        played = WatermarkReorderer(JitterEstimator(), update_on_drop=feed)
+        stepped = WatermarkReorderer(JitterEstimator(), update_on_drop=feed)
+        ref = WatermarkReference(JitterEstimator(), update_on_drop=feed)
+        got, want = _outputs(len(ts)), _outputs(len(ts))
+        lo = ties = 0
+        while lo < len(packets):  # chunks of 1 to 59 arrivals
+            hi = min(lo + int(rng.integers(1, 60)), len(packets))
+            played.play(order[lo:hi], ts, ta, *got)
+            for p in packets[lo:hi]:
+                _step(stepped, [p], *want)
+                ref.arrival(p)
+                # a packet held with its ts on the watermark, up to rounding
+                ties += any(abs(held[0] - stepped.watermark) < 1e-6
+                            for held in stepped._pending)
+            _assert_columns_equal(got, want)
+            assert _state(played) == _state(stepped), (name, lo)
+            lo = hi
+        end = packets[-1].arrival
+        flushed = played.flush(end)
+        assert flushed == stepped.flush(end) and flushed
+        for em in flushed:
+            got[0][em.seq], got[1][em.seq] = em.out, FATES.index("flushed")
+        ref.flush(end)
+        _assert_matches_reference(order, got[0], _fates(got[1]), ref)
+        assert played.dropped_count == len(ref.drops) > 0
+        assert ties > 0, name  # the streams reach the strict boundary
 
 
 # ------------------------------------------------------------------- buffer

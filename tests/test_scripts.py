@@ -5,7 +5,8 @@ from pathlib import Path
 
 import numpy as np
 
-from relaysim import JitterEstimator
+from relaysim import JitterEstimator, run_session
+from relaysim.jitter import FATES
 from wm_reference import bursty_packets
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -70,3 +71,29 @@ def test_bench_routers_times_every_regime(capsys):
                     assert not set(picks) & set(arms)
                 else:
                     assert all(a != b for a, b in zip(arms, arms[1:]))
+
+
+def test_bench_jitter_times_every_piece(capsys):
+    bench = _load("bench_jitter")
+    assert bench.main(["--packets", "1500", "--repeats", "1"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["method", "packets"] + [f"{c}_s" for c in bench.COLUMNS]
+    assert [row.split()[:2] for row in rows] == [[m, "1500"] for m in bench.METHODS]
+    for row in rows:
+        assert all(float(x) > 0 for x in row.split()[2:])
+
+
+def test_bench_jitter_plays_the_sessions_arrival_stream():
+    # the stream the benchmark times is the one the engine plays: the
+    # session's records arrive at the same times and decide the same fates
+    bench = _load("bench_jitter")
+    topology = bench.burst_direct(3, 1500)
+    order, ts, ta = bench.arrival_stream(topology, 1500)
+    for method in bench.METHODS:
+        cfg = bench.session_config(method, 1500, 3)
+        records = run_session(topology, cfg).records
+        assert [rec.ta for rec in records] == ta.tolist()
+        _, to, fate = bench._play(cfg.jitter, order, ts, ta)
+        assert [FATES[code] for code in fate.tolist()] == [rec.fate for rec in records]
+        assert [None if out != out else out for out in to.tolist()] == [rec.to for rec in records]
+        assert "dropped_late" in [rec.fate for rec in records]

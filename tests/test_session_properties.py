@@ -40,6 +40,7 @@ from relaysim import (
     method_config,
 )
 from relaysim import engine, run_session
+from relaysim.jitter import FATES
 from relaysim.traces import synth_link_samples
 from engine_reference import reference_session
 from estimator_reference import ReferenceEstimator
@@ -156,18 +157,18 @@ def _assert_watermark_rises_across_chunks(records, cfg, seed):
     reorderer fed the same arrivals one ``on_arrival`` at a time holds, which
     never falls, and the output times and fates are the session's."""
     n = len(records)
-    ts = [rec.ts for rec in records]
-    ta = [rec.ta for rec in records]
-    order = sorted(range(n), key=lambda seq: (ta[seq], seq))
+    ts = np.array([rec.ts for rec in records])
+    ta = np.array([rec.ta for rec in records])
+    order = np.array(sorted(range(n), key=lambda seq: (ta[seq], seq)), dtype=np.intp)
     stepped = engine.build_jitter_manager(cfg.jitter, cfg.interval_ms)
     marks = [stepped.watermark]
-    for seq in order:
+    for seq in order.tolist():
         stepped.on_arrival(records[seq], ta[seq])
         marks.append(stepped.watermark)
     assert all(a <= b for a, b in zip(marks, marks[1:]))
 
-    to = [None] * n
-    fate = ["in_flight"] * n
+    to = np.full(n, np.nan)
+    fate = np.zeros(n, np.int8)
     jm = engine.build_jitter_manager(cfg.jitter, cfg.interval_ms)
     rng = np.random.default_rng(seed)
     lo = 0
@@ -176,11 +177,11 @@ def _assert_watermark_rises_across_chunks(records, cfg, seed):
         jm.play(order[lo:hi], ts, ta, to, fate)
         assert jm.watermark == marks[hi]
         lo = hi
-    for em in jm.flush(max(ta)):
+    for em in jm.flush(float(ta.max())):
         to[em.seq] = em.out
-        fate[em.seq] = "flushed"
-    assert to == [rec.to for rec in records]
-    assert fate == [rec.fate for rec in records]
+        fate[em.seq] = FATES.index("flushed")
+    assert [None if out != out else out for out in to.tolist()] == [rec.to for rec in records]
+    assert [FATES[code] for code in fate.tolist()] == [rec.fate for rec in records]
 
 
 @st.composite
