@@ -513,11 +513,11 @@ def _count_records(monkeypatch):
 def test_feedback_free_records_are_built_when_read(method, monkeypatch):
     # a session without feedback (vcr-wm pruned to one path too) keeps its
     # records as columns: none is built until they are read, then all of
-    # them once, equal to the event-queue oracle's
+    # them once, over several blocks, equal to the event-queue oracle's
     built = _count_records(monkeypatch)
-    topo = hetero_topology(5, 40_000.0)
+    topo = hetero_topology(5, 80_000.0)
     cfg = method_config(SessionConfig(
-        endpoint="e0", user="u0", packet_count=1500, interval_ms=10.0,
+        endpoint="e0", user="u0", packet_count=2 * engine.RECORD_BLOCK + 500, interval_ms=10.0,
         warmup_ms=20_000.0, seed=7), method)
     res = run_session(topo, cfg, method=method)
     assert built == []
