@@ -32,7 +32,7 @@ import zlib
 
 import numpy as np
 
-from relaysim import (JitterConfig, LatencyTrace, Node, SessionConfig, Topology,
+from relaysim import (JitterConfig, LatencyTrace, Node, Packet, SessionConfig, Topology,
                       build_jitter_manager, method_config, run_session)
 from relaysim.jitter import FATES
 from relaysim.paths import enumerate_paths, path_latency
@@ -42,15 +42,6 @@ METHODS = ("drt-wm", "drt-bf")
 COLUMNS = ("estimator", "play", "on_arrival", "session", "records")
 WARMUP_MS = 60_000.0
 INTERVAL_MS = 10.0
-
-
-class Arrival:
-    """What ``on_arrival`` reads off an arrival."""
-
-    __slots__ = ("seq", "ts")
-
-    def __init__(self, seq: int, ts: float) -> None:
-        self.seq, self.ts = seq, ts
 
 
 def burst_direct(seed: int, packets: int) -> Topology:
@@ -142,7 +133,7 @@ def measure(method: str, packets: int, seed: int, repeats: int) -> dict[str, flo
     cfg = session_config(method, packets, seed)
     order, ts, ta = arrival_stream(topology, packets)
     ts_o, ta_o = ts[order].tolist(), ta[order].tolist()
-    arrivals = [Arrival(seq, t) for seq, t in zip(order.tolist(), ts_o)]
+    arrivals = [Packet(seq, t, now) for seq, t, now in zip(order.tolist(), ts_o, ta_o)]
     best = dict.fromkeys(COLUMNS, float("inf"))
     for _ in range(repeats):
         play_s, to, fate = _play(cfg.jitter, order, ts, ta)

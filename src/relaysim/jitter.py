@@ -220,10 +220,8 @@ class WatermarkReorderer:
         lag = np.fromiter(map(self._est.update, ts_o.tolist(), ta_o.tolist()),
                           np.float64, len(order))
         wm = np.maximum(np.maximum.accumulate(ts_o - lag), self._wm)
-        before = np.empty_like(wm)  # the watermark each arrival is judged against
-        before[0] = self._wm
-        before[1:] = wm[:-1]
-        late = ts_o < before
+        # each arrival is judged against the watermark before it
+        late = ts_o < np.concatenate(([self._wm], wm[:-1]))
         kept = ~late
         # (ts, seq, arrival) of every packet held: pending ones, then this
         # schedule's accepted ones
