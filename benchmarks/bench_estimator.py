@@ -1,9 +1,13 @@
-"""Times the jitter estimator's update on a bursty arrival stream.
+"""Times the jitter estimators on a bursty arrival stream, per call and in
+one whole-stream pass.
 
 The stream has latency bursts dense with reordering, the case that drives
-the estimator's episode ratchet and reorder depth. A second line times the
-playout buffer's estimator work per arrival on the same stream: a
-``TransitEstimator`` update and one ``transit_target`` read.
+the estimator's episode ratchet and reorder depth. ``watermark`` times a
+``JitterEstimator`` update per arrival, and ``watermark pass`` its ``lags``
+over the same stream. ``buffer`` times the playout buffer's estimator work
+per arrival, a ``TransitEstimator`` update and one ``transit_target`` read,
+and ``buffer pass`` its ``targets``. The run fails if a pass's column
+differs from the per-call outputs anywhere.
 
 Usage: python benchmarks/bench_estimator.py [--n 200000] [--seed 0]
 """
@@ -54,6 +58,17 @@ def drive_buffer(stream):
     return time.perf_counter() - t0, targets
 
 
+def drive_pass(estimator_cls, stream):
+    """One whole-stream pass, ``lags`` or ``targets`` by estimator: (seconds,
+    column)."""
+    est = estimator_cls()
+    ts, ta = (np.array(col) for col in zip(*stream))
+    run = est.lags if estimator_cls is JitterEstimator else est.targets
+    t0 = time.perf_counter()
+    column = run(ts, ta)
+    return time.perf_counter() - t0, column.tolist()
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=200_000, help="stream length")
@@ -61,10 +76,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     stream = bursty_stream(np.random.default_rng(args.seed), args.n)
-    elapsed, _, _ = drive(JitterEstimator, stream)
-    print(f"watermark  {args.n / elapsed:10.0f} updates/s  ({elapsed:.3f}s)")
-    elapsed, _ = drive_buffer(stream)
-    print(f"buffer     {args.n / elapsed:10.0f} updates/s  ({elapsed:.3f}s)")
+    elapsed, lags, _ = drive(JitterEstimator, stream)
+    passed, pass_lags = drive_pass(JitterEstimator, stream)
+    buffer_s, targets = drive_buffer(stream)
+    buffer_pass_s, pass_targets = drive_pass(TransitEstimator, stream)
+    for name, seconds in (("watermark", elapsed), ("watermark pass", passed),
+                          ("buffer", buffer_s), ("buffer pass", buffer_pass_s)):
+        print(f"{name:15} {args.n / seconds:10.0f} updates/s  ({seconds:.3f}s)")
+    if pass_lags != lags or pass_targets != targets:
+        print("a whole-stream pass differs from the per-call outputs", file=sys.stderr)
+        return 1
     return 0
 
 

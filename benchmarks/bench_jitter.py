@@ -7,7 +7,10 @@ arrival time on the direct path, in (arrival, seq) order. Through a fresh
 manager of each method's jitter config, it times:
 
 * ``estimator``: the estimator alone, one ``update`` per arrival (plus one
-  ``transit_target`` read for the buffer, which reads it after each update);
+  ``transit_target`` read for the buffer, which reads it after each update),
+  as a routed session calls it;
+* ``est_pass``: the same work as one whole-stream pass, ``lags`` for the
+  watermark and ``targets`` for the buffer, as ``play`` calls it;
 * ``play``: the whole-stream pass and the flush, into numpy columns;
 * ``on_arrival``: the same arrivals one ``on_arrival`` call at a time, and
   the flush, as a routed session would hand them over;
@@ -18,7 +21,7 @@ manager of each method's jitter config, it times:
 
 Every figure is the fastest of ``--repeats`` runs, in seconds. The run
 fails if ``play`` and the ``on_arrival`` loop decide any fate or output time
-differently.
+differently, or if the pass's column differs from the per-call outputs.
 
     PYTHONPATH=src python benchmarks/bench_jitter.py [--packets 20000,600000] [--repeats 3]
 """
@@ -39,7 +42,7 @@ from relaysim.paths import enumerate_paths, path_latency
 from relaysim.traces import synth_link_samples
 
 METHODS = ("drt-wm", "drt-bf")
-COLUMNS = ("estimator", "play", "on_arrival", "session", "records")
+COLUMNS = ("estimator", "est_pass", "play", "on_arrival", "session", "records")
 WARMUP_MS = 60_000.0
 INTERVAL_MS = 10.0
 
@@ -68,19 +71,30 @@ def arrival_stream(topology: Topology, packets: int):
     return np.argsort(ta, kind="stable"), ts, ta
 
 
-def _estimator_s(cfg: JitterConfig, ts_o: list, ta_o: list) -> float:
+def _estimator_s(cfg: JitterConfig, ts_o: list, ta_o: list) -> tuple[float, list]:
+    """(seconds, outputs) of the per-call estimator work: the lag after each
+    update, or for the buffer the target read after it."""
     est = cfg.make_estimator()
     update = est.update
     t0 = time.perf_counter()
     if cfg.kind == "buffer":
         transit_target = est.transit_target
+        out = []
         for t, now in zip(ts_o, ta_o):
             update(t, now)
-            transit_target()
+            out.append(transit_target())
     else:
-        for t, now in zip(ts_o, ta_o):
-            update(t, now)
-    return time.perf_counter() - t0
+        out = [update(t, now) for t, now in zip(ts_o, ta_o)]
+    return time.perf_counter() - t0, out
+
+
+def _pass_s(cfg: JitterConfig, ts_o: np.ndarray, ta_o: np.ndarray) -> tuple[float, list]:
+    """(seconds, column) of the same work as one whole-stream pass."""
+    est = cfg.make_estimator()
+    run = est.targets if cfg.kind == "buffer" else est.lags
+    t0 = time.perf_counter()
+    column = run(ts_o, ta_o)
+    return time.perf_counter() - t0, column.tolist()
 
 
 def _play(cfg: JitterConfig, order, ts, ta):
@@ -141,8 +155,12 @@ def measure(method: str, packets: int, seed: int, repeats: int) -> dict[str, flo
         if not (np.array_equal(to, want_to, equal_nan=True) and np.array_equal(fate, want_fate)):
             raise RuntimeError(f"{method}: play and on_arrival decide differently")
         session_s, records_s = _session(topology, cfg)
-        for name, value in zip(COLUMNS, (_estimator_s(cfg.jitter, ts_o, ta_o), play_s,
-                                         loop_s, session_s, records_s)):
+        estimator_s, outputs = _estimator_s(cfg.jitter, ts_o, ta_o)
+        pass_s, column = _pass_s(cfg.jitter, ts[order], ta[order])
+        if column != outputs:
+            raise RuntimeError(f"{method}: the estimator's pass differs from its updates")
+        for name, value in zip(COLUMNS, (estimator_s, pass_s, play_s, loop_s, session_s,
+                                         records_s)):
             best[name] = min(best[name], value)
     return best
 

@@ -18,6 +18,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from relaysim import JitterConfig, JitterEstimator, SessionConfig, run_session  # noqa: E402
@@ -34,6 +36,10 @@ class FixedLag:
 
     def update(self, ts: float, arrival: float) -> float:
         return self.lag_ms
+
+    def lags(self, ts, ta):
+        """The whole-stream pass the watermark plays a schedule with."""
+        return np.full(len(ts), self.lag_ms)
 
 
 @dataclass
@@ -58,6 +64,10 @@ class JitterLagOnly(JitterEstimator):
     def update(self, ts: float, arrival: float) -> float:
         JitterEstimator.update(self, ts, arrival)
         return self.jitter_lag_ms
+
+    def lags(self, ts, ta):
+        # the inherited pass would return the full lag
+        return self._lag_columns(ts, ta)[0]
 
 
 class JitterLagOnlyConfig(JitterConfig):

@@ -41,7 +41,8 @@ the same fates and output times and to leave the same state.
 
 The watermark states its rule twice, in ``on_arrival`` and in a closed form.
 When the estimator sees every arrival (``update_on_drop``), its lag column
-depends on the arrival stream alone, and every lag is nonnegative, so a
+depends on the arrival stream alone, so ``play`` takes it from one
+whole-stream pass, ``JitterEstimator.lags``. Every lag is nonnegative, so a
 dropped arrival's ``ts - lag`` is already below the watermark. So, in
 arrival order, the watermark is ``maximum.accumulate(ts - lag)`` from the
 one before the schedule; an arrival is dropped when its ``ts`` is below the
@@ -54,12 +55,21 @@ the fates, and ``play`` hands each arrival to ``on_arrival``.
 
 The playout buffer has no such form, so it states its rule in ``on_arrival``
 and again in ``play``'s loop. Its target column is fate-free under
-``update_on_drop`` too, but its sweep walks seq order: slot k is released at
-the first arrival, from the one that released slot k-1 on, at which the
-current target puts its deadline behind it. The target rises and falls, so
-that search starts where slot k-1's ended: a recurrence over seq order, not
-a prefix scan over arrival order. Whether an arrival comes too late for its
-slot depends on the same recurrence.
+``update_on_drop`` too, and ``play`` takes it from one pass,
+``TransitEstimator.targets``, but its sweep walks seq order: slot k is
+released at the first arrival, from the one that released slot k-1 on, at
+which the current target puts its deadline behind it. The target rises and
+falls, so that search starts where slot k-1's ended: a recurrence over seq
+order, not a prefix scan over arrival order. Whether an arrival comes too
+late for its slot depends on the same recurrence. The loop takes the
+schedule ``PLAY_BLOCK`` arrivals at a time, so its Python lists stay short
+whatever the session's length. Without ``update_on_drop``, or on an
+estimator stand-in without ``targets``, ``play`` hands each arrival to
+``on_arrival``.
+
+In neither manager does ``play`` call ``update`` or ``transit_target``: the
+estimator runs one method per schedule, and ``play`` assigns none of its
+attributes.
 """
 
 from __future__ import annotations
@@ -111,6 +121,10 @@ JITTER_KINDS = ("watermark", "buffer")
 FATES = ("in_flight", "dropped_late", "delivered", "flushed")
 IN_FLIGHT, DROPPED_LATE, DELIVERED, FLUSHED = range(len(FATES))
 
+# arrivals per block of ``PlayoutBuffer.play``'s loop: bounds its Python
+# lists, whatever the schedule's length
+PLAY_BLOCK = 4096
+
 
 @dataclass
 class JitterConfig:
@@ -140,6 +154,23 @@ class JitterConfig:
             initial_lag_ms=self.initial_lag_ms,
             max_lag_ms=self.max_lag_ms,
         )
+
+
+def _play_each(manager, order: np.ndarray, ts: np.ndarray, ta: np.ndarray,
+               to: np.ndarray, fate: np.ndarray) -> None:
+    """``play`` by handing each arrival to the manager's ``on_arrival``."""
+    on_arrival = manager.on_arrival
+    played, outs, late = [], [], []
+    for seq, t, now in zip(order.tolist(), ts[order].tolist(), ta[order].tolist()):
+        emissions, dropped = on_arrival(_Arrival(seq, t), now)
+        if dropped:
+            late.append(seq)
+        for em in emissions:
+            played.append(em.seq)
+            outs.append(em.out)
+    to[played] = outs
+    fate[played] = DELIVERED
+    fate[late] = DROPPED_LATE
 
 
 class WatermarkReorderer:
@@ -199,26 +230,14 @@ class WatermarkReorderer:
         ``fate[seq] = DROPPED_LATE``. What is still pending stays for
         ``flush``, and the manager ends in the state the same ``on_arrival``
         calls would leave, up to the layout of its pending heap."""
-        ts_o, ta_o = ts[order], ta[order]
         if not self._update_on_drop:
             # the estimator skips late arrivals: each lag depends on the fates
-            on_arrival = self.on_arrival
-            played, outs, late = [], [], []
-            for seq, t, now in zip(order.tolist(), ts_o.tolist(), ta_o.tolist()):
-                emissions, dropped = on_arrival(_Arrival(seq, t), now)
-                if dropped:
-                    late.append(seq)
-                for em in emissions:
-                    played.append(em.seq)
-                    outs.append(em.out)
-            to[played] = outs
-            fate[played] = DELIVERED
-            fate[late] = DROPPED_LATE
+            _play_each(self, order, ts, ta, to, fate)
             return
         if not len(order):
             return
-        lag = np.fromiter(map(self._est.update, ts_o.tolist(), ta_o.tolist()),
-                          np.float64, len(order))
+        ts_o, ta_o = ts[order], ta[order]
+        lag = self._est.lags(ts_o, ta_o)
         wm = np.maximum(np.maximum.accumulate(ts_o - lag), self._wm)
         # each arrival is judged against the watermark before it
         late = ts_o < np.concatenate(([self._wm], wm[:-1]))
@@ -350,11 +369,19 @@ class PlayoutBuffer:
              to: np.ndarray, fate: np.ndarray) -> None:
         """Process a whole arrival schedule, as ``on_arrival`` would one by one.
 
-        The columns are those of :meth:`WatermarkReorderer.play`; the sweep
-        is ``_sweep``'s, inline. The fates are written once, at the end."""
-        est = self._est
-        update, transit_target = est.update, est.transit_target
-        update_on_drop = self._update_on_drop
+        The columns are those of :meth:`WatermarkReorderer.play`. Under
+        ``update_on_drop`` the estimator's ``targets`` gives the target after
+        every arrival in one pass, and the loop walks the schedule
+        ``PLAY_BLOCK`` arrivals at a time, with ``_sweep``'s rule inline,
+        writing each block's fates and the manager's state as the block
+        ends. Otherwise, or for an estimator stand-in without ``targets``,
+        each arrival goes to ``on_arrival``."""
+        targets = getattr(self._est, "targets", None)
+        if not self._update_on_drop or targets is None:
+            _play_each(self, order, ts, ta, to, fate)
+            return
+        ts_o, ta_o = ts[order], ta[order]
+        after = targets(ts_o, ta_o)
         interval = self._interval
         buffer = self._buffer
         target = self._target
@@ -362,56 +389,54 @@ class PlayoutBuffer:
         next_seq = self._next_seq
         max_seen = self._max_seen
         last_out = self._last_out
-        played, outs, dropped = [], [], []
-        try:
-            for seq, t, now in zip(order.tolist(), ts[order].tolist(), ta[order].tolist()):
-                cold = ts_base is None
-                if cold:
-                    ts_base = t - seq * interval
-                if seq > max_seen:
-                    max_seen = seq
-                late = not cold and now > t + target  # the pre-arrival target
-                if update_on_drop:
-                    update(t, now)
-                    target = transit_target()
-                if seq < next_seq or late:
-                    dropped.append(seq)
-                    continue
-                if not update_on_drop:
-                    update(t, now)
-                    target = transit_target()
-                if seq in buffer:
-                    raise ValueError(f"duplicate seq {seq}")
-                buffer[seq] = (t, now)
-                while True:
-                    held = buffer.get(next_seq)
-                    if held is not None:
-                        t_out = held[0] + target
-                        if t_out > now:
+        for lo in range(0, len(order), PLAY_BLOCK):
+            hi = lo + PLAY_BLOCK
+            played, outs, dropped = [], [], []
+            try:
+                for seq, t, now, new in zip(order[lo:hi].tolist(), ts_o[lo:hi].tolist(),
+                                            ta_o[lo:hi].tolist(), after[lo:hi].tolist()):
+                    cold = ts_base is None
+                    if cold:
+                        ts_base = t - seq * interval
+                    if seq > max_seen:
+                        max_seen = seq
+                    late = not cold and now > t + target  # the pre-arrival target
+                    target = new
+                    if seq < next_seq or late:
+                        dropped.append(seq)
+                        continue
+                    if seq in buffer:
+                        raise ValueError(f"duplicate seq {seq}")
+                    buffer[seq] = (t, now)
+                    while True:
+                        held = buffer.get(next_seq)
+                        if held is not None:
+                            t_out = held[0] + target
+                            if t_out > now:
+                                break
+                            if held[1] > t_out:
+                                t_out = held[1]
+                            if last_out > t_out:
+                                t_out = last_out
+                            played.append(next_seq)
+                            outs.append(t_out)
+                            last_out = t_out
+                            del buffer[next_seq]
+                            next_seq += 1
+                        elif next_seq <= max_seen and now > ts_base + next_seq * interval + target:
+                            next_seq += 1
+                        else:
                             break
-                        if held[1] > t_out:
-                            t_out = held[1]
-                        if last_out > t_out:
-                            t_out = last_out
-                        played.append(next_seq)
-                        outs.append(t_out)
-                        last_out = t_out
-                        del buffer[next_seq]
-                        next_seq += 1
-                    elif next_seq <= max_seen and now > ts_base + next_seq * interval + target:
-                        next_seq += 1
-                    else:
-                        break
-        finally:
-            self._target = target
-            self._ts_base = ts_base
-            self._next_seq = next_seq
-            self._max_seen = max_seen
-            self._last_out = last_out
-            self.dropped_count += len(dropped)
-            to[played] = outs
-            fate[played] = DELIVERED
-            fate[dropped] = DROPPED_LATE
+            finally:
+                self._target = target
+                self._ts_base = ts_base
+                self._next_seq = next_seq
+                self._max_seen = max_seen
+                self._last_out = last_out
+                self.dropped_count += len(dropped)
+                to[played] = outs
+                fate[played] = DELIVERED
+                fate[dropped] = DROPPED_LATE
 
     def flush(self, end_time: float) -> list[Emission]:
         """Emit everything still buffered, in sequence order, at end_time."""

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -402,3 +403,148 @@ def test_cost_argmin_tie_keeps_the_lag():
     est = _episode([0.0, 0.0, 50.0, 50.0], 35.0, loss_cost_ms=101.0)
     assert est.jitter_lag_ms == 50.0
 
+
+
+# ------------------------------------------- whole-stream passes, chunk by chunk
+#
+# ``lags`` and ``targets`` must equal per-call ``update`` (and
+# ``transit_target``) at every arrival, and leave the same state: against the
+# reference for every observable, and against a twin driven call by call for
+# every slot, the quantile pointers and window deques included.
+
+def _slots(est):
+    """Every slot an estimator carries from one arrival to the next."""
+    names = [name for cls in type(est).__mro__ for name in getattr(cls, "__slots__", ())]
+    return {name: (list(value) if isinstance(value, deque) else value)
+            for name in names for value in [getattr(est, name)]}
+
+
+def _observed(est):
+    return (est.lag_ms, est.jitter_lag_ms, est.reorder_depth_ms, est.disorder,
+            est.last_in_order, est.n_window, est.n_jitter_samples)
+
+
+def _gapped_stream(seed, n, gap_at, gap_ms, whole_ms):
+    """bursty_packets, with every arrival from ``gap_at`` on (and its ts)
+    moved ``gap_ms`` later: a gap longer than the window empties it. With
+    ``whole_ms`` the arrivals are rounded to whole ms, so transits tie and
+    arrivals land exactly a window or a guard time apart."""
+    stream = [(p.ts, float(round(p.arrival)) if whole_ms else p.arrival)
+              for p in bursty_packets(np.random.default_rng(seed), n)]
+    return [(ts + gap_ms, ta + gap_ms) if i >= gap_at else (ts, ta)
+            for i, (ts, ta) in enumerate(stream)]
+
+
+def _splits(stream, ref_states, window_ms, rng):
+    """Chunk ends: random ones (1-arrival chunks among them) plus a few at
+    each case the pass must carry across a split. Returns them and the
+    cases the stream reaches."""
+    cases = {
+        "in an open episode": [i + 1 for i, s in enumerate(ref_states) if s[3]],
+        "before an emptied window": [i for i in range(1, len(stream))
+                                     if stream[i][1] - stream[i - 1][1] > window_ms],
+        "at the lag clamp": [i + 1 for i, s in enumerate(ref_states) if s[7]],
+        "at the last-bin clamp": [i + 1 for i, s in enumerate(ref_states) if s[8]],
+    }
+    cases = {case: at for case, at in cases.items() if at}
+    ends = {len(stream)} | {int(rng.choice(at)) for at in cases.values() for _ in range(3)}
+    lo = 0
+    while lo < len(stream):
+        lo += int(rng.choice([1, 1, 2, 5, 17, 60, 300]))
+        ends.add(min(lo, len(stream)))
+    return sorted(ends), set(cases)
+
+
+@pytest.mark.parametrize("block", [_estimator_py.PASS_BLOCK, 7])
+@pytest.mark.parametrize("kwargs, clamped", [
+    ({"window_ms": 500.0, "percentile": 1.0, "loss_cost_ms": 400.0, "max_lag_ms": 50.0,
+      "initial_lag_ms": 80.0}, True),
+    ({"window_ms": 500.0, "percentile": 0.95, "loss_cost_ms": 100.0}, False),
+], ids=["clamped", "default-max"])
+@pytest.mark.parametrize("whole_ms", [False, True])
+@pytest.mark.parametrize("bin_ms", [1.0, 2.5])
+def test_passes_match_update_in_chunks(monkeypatch, block, kwargs, clamped, bin_ms, whole_ms):
+    monkeypatch.setattr(_estimator_py, "PASS_BLOCK", block)
+    kwargs = {**kwargs, "bin_ms": bin_ms}
+    stream = _gapped_stream(21, 2500, 1200, 2 * kwargs["window_ms"], whole_ms)
+    last_edge = int(kwargs.get("max_lag_ms", 10000.0) / bin_ms) * bin_ms
+    ref = ReferenceEstimator(**kwargs)
+    want_lags, want_targets, ref_states = [], [], []
+    for ts, ta in stream:
+        want_lags.append(ref.update(ts, ta))
+        want_targets.append(ref.transit_target())
+        ref_states.append(_observed(ref) + (ref.lag_ms == ref.max_lag_ms,
+                                            ref.reorder_depth_ms == last_edge))
+    rng = np.random.default_rng(int(bin_ms * 10) + block)
+    ends, cases = _splits(stream, ref_states, kwargs["window_ms"], rng)
+    assert {"in an open episode", "before an emptied window"} <= cases
+    assert clamped == ({"at the lag clamp", "at the last-bin clamp"} <= cases)
+    est, twin = JitterEstimator(**kwargs), JitterEstimator(**kwargs)
+    transit, transit_twin = TransitEstimator(**kwargs), TransitEstimator(**kwargs)
+    modes = set()
+    lo = 0
+    for hi in ends:
+        ts, ta = (np.array(col) for col in zip(*stream[lo:hi]))
+        mode = ("lags", "targets", "update")[int(rng.integers(3))]
+        modes.add(mode)
+        if mode == "update":
+            got = [est.update(t, a) for t, a in stream[lo:hi]]
+            assert got == want_lags[lo:hi]
+            for t, a in stream[lo:hi]:
+                transit.update(t, a)
+        else:
+            column = est.lags(ts, ta) if mode == "lags" else est.targets(ts, ta)
+            want = want_lags if mode == "lags" else want_targets
+            assert column.tolist() == want[lo:hi], (mode, lo)
+            assert transit.targets(ts, ta).tolist() == want_targets[lo:hi]
+        for t, a in stream[lo:hi]:
+            twin.update(t, a)
+            transit_twin.update(t, a)
+            if mode != "update":
+                transit_twin.transit_target()
+                if mode == "targets":
+                    twin.transit_target()
+        assert _slots(est) == _slots(twin), (mode, lo)
+        assert _slots(transit) == _slots(transit_twin), (mode, lo)
+        assert _observed(est) == ref_states[hi - 1][:7]
+        assert est.transit_target() == twin.transit_target() == want_targets[hi - 1]
+        assert transit.transit_target() == transit_twin.transit_target() == want_targets[hi - 1]
+        assert transit.n_window == ref_states[hi - 1][5]
+        lo = hi
+    assert modes == {"lags", "targets", "update"}
+
+
+def test_empty_pass_changes_nothing():
+    est = JitterEstimator()
+    est.update(0.0, 50.0)
+    before = _slots(est)
+    assert est.lags([], []).size == 0 and est.targets([], []).size == 0
+    assert _slots(est) == before
+
+
+@pytest.mark.parametrize("cls", [JitterEstimator, TransitEstimator])
+def test_pass_rejects_what_update_rejects_before_any_state_change(cls):
+    est = cls()
+    est.update(0.0, 100.0)
+    est.update(10.0, 110.0)
+    before = _slots(est)
+    passes = [est.targets] + ([est.lags] if cls is JitterEstimator else [])
+    bad = [
+        # (ts, ta, what update raises at the first bad arrival)
+        ([20.0, 30.0, 50.0], [120.0, 130.0, 40.0], ValueError),  # arrival before ts
+        ([20.0], [105.0], RuntimeError),  # behind the newest arrival before the pass
+        ([20.0, 30.0, 40.0, 60.0], [120.0, 130.0, 125.0, 50.0], RuntimeError),
+        ([20.0, 30.0, 40.0], [120.0, 130.0, 35.0], ValueError),  # both: ts checked first
+    ]
+    for run in passes:
+        for ts, ta, error in bad:
+            with pytest.raises(error):
+                run(np.array(ts), np.array(ta))
+            assert _slots(est) == before
+    for ts, ta, error in bad:
+        twin = cls()
+        twin.update(0.0, 100.0)
+        twin.update(10.0, 110.0)
+        with pytest.raises(error):
+            for t, a in zip(ts, ta):
+                twin.update(t, a)

@@ -274,6 +274,16 @@ def test_no_output_time_after_the_arrival_being_processed(kind, feed):
         assert np.count_nonzero(~np.isnan(to)) == emitted > 0
 
 
+@pytest.mark.parametrize("feed", [True, False])
+def test_buffer_play_on_a_jitter_estimator_advances_its_lag(feed):
+    # a buffer reads only the transit target, but a JitterEstimator handed
+    # to it must end where on_arrival leaves it, its lag state included
+    packets = bursty_packets(np.random.default_rng(6), 1500)
+    _play_against_on_arrival(
+        lambda: PlayoutBuffer(JitterEstimator(), interval_ms=10.0, update_on_drop=feed),
+        packets, 1000)
+
+
 def test_buffer_play_missing_slot_boundary_is_strict():
     # seq 1's slot is due at 60 when seq 2 arrives at 60: it still blocks
     # seq 2, so seq 1, arriving at 60 too, is not late and plays at 60

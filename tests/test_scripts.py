@@ -43,6 +43,22 @@ def test_c05_jitter_only_rule_is_the_default_without_its_depth_term():
     assert deeper > 0  # the depth term is off where it would have decided the lag
 
 
+def test_c05_stand_ins_play_their_own_rule_in_a_pass():
+    # the watermark plays a schedule from its estimator's lags: each
+    # stand-in's pass gives the lags its update gives
+    c05 = _load("c05_families")
+    packets = bursty_packets(np.random.default_rng(7), 3000)
+    ts = np.array([p.ts for p in packets])
+    ta = np.array([p.arrival for p in packets])
+    for cfg in (c05.JitterLagOnlyConfig(kind="watermark"),
+                c05.FixedLagConfig(kind="watermark", fixed_lag_ms=230.0)):
+        passed, stepped = cfg.make_estimator(), cfg.make_estimator()
+        lags = passed.lags(ts[:2000], ta[:2000]).tolist()
+        lags += passed.lags(ts[2000:], ta[2000:]).tolist()
+        assert lags == [stepped.update(p.ts, p.arrival) for p in packets]
+        assert passed.lag_ms == stepped.lag_ms
+
+
 def test_bench_routers_times_every_regime(capsys):
     bench = _load("bench_routers")
     assert bench.main(["--calls", "300", "--repeats", "1"]) == 0
