@@ -67,9 +67,9 @@ whatever the session's length. Without ``update_on_drop``, or on an
 estimator stand-in without ``targets``, ``play`` hands each arrival to
 ``on_arrival``.
 
-In neither manager does ``play`` call ``update`` or ``transit_target``: the
-estimator runs one method per schedule, and ``play`` assigns none of its
-attributes.
+Under ``update_on_drop`` each manager's ``play`` calls one estimator
+method per schedule, ``lags`` or ``targets``, and assigns none of the
+estimator's attributes.
 """
 
 from __future__ import annotations
