@@ -435,17 +435,15 @@ def _gapped_stream(seed, n, gap_at, gap_ms, whole_ms):
             for i, (ts, ta) in enumerate(stream)]
 
 
-def _splits(stream, ref_states, window_ms, rng):
+def _splits(stream, marks, window_ms, rng):
     """Chunk ends: random ones (1-arrival chunks among them) plus a few at
-    each case the pass must carry across a split. Returns them and the
-    cases the stream reaches."""
-    cases = {
-        "in an open episode": [i + 1 for i, s in enumerate(ref_states) if s[3]],
-        "before an emptied window": [i for i in range(1, len(stream))
-                                     if stream[i][1] - stream[i - 1][1] > window_ms],
-        "at the lag clamp": [i + 1 for i, s in enumerate(ref_states) if s[7]],
-        "at the last-bin clamp": [i + 1 for i, s in enumerate(ref_states) if s[8]],
-    }
+    each case the pass must carry across a split. ``marks`` flags, per
+    case, the arrivals after which the reference was in that case. Returns
+    the ends and the cases the stream reaches."""
+    cases = {case: [i + 1 for i, hit in enumerate(flags) if hit]
+             for case, flags in marks.items()}
+    cases["before an emptied window"] = [i for i in range(1, len(stream))
+                                         if stream[i][1] - stream[i - 1][1] > window_ms]
     cases = {case: at for case, at in cases.items() if at}
     ends = {len(stream)} | {int(rng.choice(at)) for at in cases.values() for _ in range(3)}
     lo = 0
@@ -470,13 +468,16 @@ def test_passes_match_update_in_chunks(monkeypatch, block, kwargs, clamped, bin_
     last_edge = int(kwargs.get("max_lag_ms", 10000.0) / bin_ms) * bin_ms
     ref = ReferenceEstimator(**kwargs)
     want_lags, want_targets, ref_states = [], [], []
+    marks = {"in an open episode": [], "at the lag clamp": [], "at the last-bin clamp": []}
     for ts, ta in stream:
         want_lags.append(ref.update(ts, ta))
         want_targets.append(ref.transit_target())
-        ref_states.append(_observed(ref) + (ref.lag_ms == ref.max_lag_ms,
-                                            ref.reorder_depth_ms == last_edge))
+        ref_states.append(_observed(ref))
+        marks["in an open episode"].append(ref.disorder)
+        marks["at the lag clamp"].append(ref.lag_ms == ref.max_lag_ms)
+        marks["at the last-bin clamp"].append(ref.reorder_depth_ms == last_edge)
     rng = np.random.default_rng(int(bin_ms * 10) + block)
-    ends, cases = _splits(stream, ref_states, kwargs["window_ms"], rng)
+    ends, cases = _splits(stream, marks, kwargs["window_ms"], rng)
     assert {"in an open episode", "before an emptied window"} <= cases
     assert clamped == ({"at the lag clamp", "at the last-bin clamp"} <= cases)
     est, twin = JitterEstimator(**kwargs), JitterEstimator(**kwargs)
@@ -506,10 +507,10 @@ def test_passes_match_update_in_chunks(monkeypatch, block, kwargs, clamped, bin_
                     twin.transit_target()
         assert _slots(est) == _slots(twin), (mode, lo)
         assert _slots(transit) == _slots(transit_twin), (mode, lo)
-        assert _observed(est) == ref_states[hi - 1][:7]
+        assert _observed(est) == ref_states[hi - 1]
         assert est.transit_target() == twin.transit_target() == want_targets[hi - 1]
         assert transit.transit_target() == transit_twin.transit_target() == want_targets[hi - 1]
-        assert transit.n_window == ref_states[hi - 1][5]
+        assert transit.n_window == est.n_window
         lo = hi
     assert modes == {"lags", "targets", "update"}
 
