@@ -91,7 +91,11 @@ The Python loop keeps only the histogram adds and evictions and the
 pointer moves, and takes each lag or target from ``_walk`` or
 ``_cost_argmin``, so the quantile and ratchet rules are written once, for
 ``update`` and the pass alike. ``lags`` walks no transit pointer, so its
-transit counts go in and out of the histogram in one step per block.
+transit counts go in and out of the histogram in one step per block. Many
+arrivals leave the jitter histogram as it was: they add no sample and evict
+none, or evict one from the bin they add to. When such an arrival falls in
+an episode right after a ratchet call that kept its lag, the pass keeps
+that lag without the call, which would get the same inputs.
 """
 
 from __future__ import annotations
@@ -528,7 +532,8 @@ class JitterEstimator(TransitEstimator):
         arrival at most ``DISORDER_GUARD_MS`` back) and the reorder depth
         (the largest transit of the guard window, by ``_range_max``). The
         loop only moves the histogram and its pointer, and takes each lag
-        from ``_walk`` or ``_cost_argmin``.
+        from ``_walk`` or ``_cost_argmin``, or from the arrival before when
+        that call would repeat one that kept its lag.
         """
         n = ts.size
         b, nbins = self.bin_ms, self._nbins
@@ -575,8 +580,12 @@ class JitterEstimator(TransitEstimator):
         evicted = held.tolist()
         lags = []
         i = 0
+        kept = False  # the arrival before ran the ratchet, which kept the lag
         for s, k, total, dis in zip(start.tolist(), added.tolist(), count.tolist(),
                                     disorder.tolist()):
+            # the histogram changes: not (nothing added or evicted, or one
+            # sample evicted from the bin this arrival adds to)
+            fresh = not (s == i and k < 0 or s == i + 1 and evicted[i] == k)
             while i < s:
                 j = evicted[i]
                 bins[j] -= 1
@@ -587,15 +596,17 @@ class JitterEstimator(TransitEstimator):
                 bins[k] += 1
                 if k <= q:
                     cum += 1
+            was = lag
             if not total:
                 lag = initial
             elif not dis:
                 q, cum = _walk(bins, q, cum, pct * total)
                 lag = q * b
-            else:
+            elif fresh or not kept:
                 lag = _cost_argmin(bins, q, cum, total, lag, b, loss)
             if lag > cap:
                 lag = cap
+            kept = dis and lag == was
             lags.append(lag)
 
         self._jitter_q, self._jitter_cum, self._jitter_lag = q, cum, lag

@@ -238,9 +238,16 @@ class WatermarkReorderer:
             return
         ts_o, ta_o = ts[order], ta[order]
         lag = self._est.lags(ts_o, ta_o)
-        wm = np.maximum(np.maximum.accumulate(ts_o - lag), self._wm)
+        # one buffer: the watermark before the schedule, then the running
+        # maximum of ts - lag from it, the watermark after each arrival
+        marks = np.empty(len(order) + 1)
+        marks[0] = self._wm
+        np.subtract(ts_o, lag, out=marks[1:])
+        del lag
+        np.maximum.accumulate(marks, out=marks)
+        wm = marks[1:]
         # each arrival is judged against the watermark before it
-        late = ts_o < np.concatenate(([self._wm], wm[:-1]))
+        late = ts_o < marks[:-1]
         kept = ~late
         # (ts, seq, arrival) of every packet held: pending ones, then this
         # schedule's accepted ones

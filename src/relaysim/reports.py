@@ -4,6 +4,25 @@ A report is derived from a session's packet records and its config alone.
 Reports serialize to JSON (full, including the CDF) and to CSV (summary row
 plus a separate CDF table). Serialization is deterministic: identical inputs
 produce byte-identical files. ``to_dict`` returns a copy sharing nothing.
+
+The two row lists, ``cdf`` and ``path_changes``, are formatted in bulk by
+json's C encoder (``_compact``), the one ``json.dumps`` uses when there is
+no indent. It writes a float as ``float.__repr__`` (numpy float scalars
+included) and NaN and the infinities as ``NaN``, ``Infinity`` and
+``-Infinity``, as the pure-Python encoder behind ``indent=2`` does, and an
+int as ``int.__repr__``. A number's text holds no bracket or comma, so:
+
+* ``to_json`` gives the indented layout of the rows by ``str.replace`` on
+  the compact text. Every other field goes through ``json.dumps(...,
+  indent=2, sort_keys=True)`` on its own and is moved one level in by
+  replacing each newline, which json never writes inside a string. The
+  result equals ``json.dumps(self.to_dict(), sort_keys=True, indent=2)``
+  plus a newline, byte for byte.
+* ``write_cdf_csv`` writes the CDF body ``CSV_BLOCK`` rows per string, as
+  the compact text with its brackets turned into line ends and NaN and the
+  infinities spelled as ``str`` spells them (``nan``, ``inf``, ``-inf``).
+  ``csv.writer`` writes ``str`` of each number, which for a float is its
+  repr, and never quotes one, so the bytes equal its rows.
 """
 
 from __future__ import annotations
@@ -13,7 +32,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,6 +44,14 @@ if TYPE_CHECKING:
 REPORT_SCHEMA_VERSION = 1
 
 PERCENTILE_KEYS = (0.10, 0.50, 0.90, 0.99)
+
+# the report's row lists, formatted in bulk
+ROW_FIELDS = ("cdf", "path_changes")
+
+# CDF CSV rows per written string: bounds the writer's temporaries
+CSV_BLOCK = 4096
+
+_compact = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def percentile_nearest_rank(sorted_values: np.ndarray, q: float) -> float:
@@ -97,7 +124,19 @@ class MetricsReport:
         return d
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        """``json.dumps(self.to_dict(), sort_keys=True, indent=2)`` and a
+        newline, with the row lists formatted in bulk."""
+        parts, sep = [], "{\n"
+        for name in sorted(f.name for f in fields(self)):
+            value = getattr(self, name)
+            parts.append(f'{sep}  "{name}": ')
+            sep = ",\n"
+            if name in ROW_FIELDS and value:
+                parts += ("[\n    [\n      ", _row_lines(value), "\n    ]\n  ]")
+            else:
+                parts.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  "))
+        parts.append("\n}\n")
+        return "".join(parts)
 
     def write_json(self, path: str | Path) -> Path:
         path = Path(path)
@@ -106,7 +145,22 @@ class MetricsReport:
         return path
 
     def write_cdf_csv(self, path: str | Path) -> Path:
-        return _write_csv(path, ["latency_ms", "cumulative_fraction"], self.cdf)
+        return _write_csv(path, ["latency_ms", "cumulative_fraction"], (),
+                          _csv_blocks(self.cdf))
+
+
+def _row_lines(rows: Sequence[Sequence[float]]) -> str:
+    """A nonempty row list's text in an ``indent=2`` dump, one level in,
+    without its outer brackets and their first and last line ends."""
+    text = _compact(rows)[2:-2].replace(",", ",\n      ")
+    return text.replace("],\n      [", "\n    ],\n    [\n      ")
+
+
+def _csv_blocks(rows: Sequence[Sequence[float]]) -> Iterator[str]:
+    """``csv.writer``'s text of rows of numbers, ``CSV_BLOCK`` rows a string."""
+    for lo in range(0, len(rows), CSV_BLOCK):
+        text = _compact(rows[lo:lo + CSV_BLOCK])[2:-2].replace("],[", "\r\n")
+        yield text.replace("NaN", "nan").replace("Infinity", "inf") + "\r\n"
 
 
 SUMMARY_FIELDS = [
@@ -122,9 +176,11 @@ def write_summary_csv(reports: Sequence[MetricsReport], path: str | Path) -> Pat
     return _write_csv(path, SUMMARY_FIELDS, rows)
 
 
-def _write_csv(path: str | Path, header: list[str], rows: Iterable[Sequence]) -> Path:
-    """A CSV led by the schema version row and ``header``; the csv module
-    writes a float as its repr, so values round-trip exactly."""
+def _write_csv(path: str | Path, header: list[str], rows: Iterable[Sequence],
+               blocks: Iterable[str] = ()) -> Path:
+    """A CSV led by the schema version row and ``header``, then ``rows``,
+    then the text ``blocks``; the csv module writes a float as its repr, so
+    values round-trip exactly."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
@@ -132,6 +188,7 @@ def _write_csv(path: str | Path, header: list[str], rows: Iterable[Sequence]) ->
         writer.writerow(["schema_version", REPORT_SCHEMA_VERSION])
         writer.writerow(header)
         writer.writerows(rows)
+        fh.writelines(blocks)
     return path
 
 

@@ -515,6 +515,26 @@ def test_passes_match_update_in_chunks(monkeypatch, block, kwargs, clamped, bin_
     assert modes == {"lags", "targets", "update"}
 
 
+@pytest.mark.parametrize("seed, window_ms, bin_ms", [(0, 500.0, 1.0), (8, 500.0, 2.5),
+                                                     (10, 200.0, 1.0)])
+def test_lags_match_the_reference_where_an_eviction_moves_the_ratchet(seed, window_ms,
+                                                                      bin_ms):
+    # an out-of-order arrival adds no jitter sample, but one can fall out of
+    # the window: the ratchet's inputs change, and here so does its lag
+    kwargs = {"window_ms": window_ms, "bin_ms": bin_ms, "loss_cost_ms": 100.0}
+    packets = bursty_packets(np.random.default_rng(seed), 3000)
+    ref = ReferenceEstimator(**kwargs)
+    want, moved = [], 0
+    for p in packets:
+        before = ref.disorder, ref.n_jitter_samples, ref.jitter_lag_ms
+        want.append(ref.update(p.ts, p.arrival))
+        moved += (before[0] and ref.disorder and not ref.last_in_order
+                  and ref.n_jitter_samples < before[1] and ref.jitter_lag_ms != before[2])
+    assert moved
+    ts, ta = np.array([p.ts for p in packets]), np.array([p.arrival for p in packets])
+    assert JitterEstimator(**kwargs).lags(ts, ta).tolist() == want
+
+
 def test_empty_pass_changes_nothing():
     est = JitterEstimator()
     est.update(0.0, 50.0)

@@ -1,12 +1,15 @@
 """Report math and serialization."""
 
+import csv
+import dataclasses
+import io
 import json
 
 import numpy as np
 import pytest
 
 from relaysim import JitterConfig, SessionConfig, compute_cdf, percentile_nearest_rank
-from relaysim.reports import build_report, write_summary_csv
+from relaysim.reports import CSV_BLOCK, REPORT_SCHEMA_VERSION, build_report, write_summary_csv
 
 
 def test_percentile_nearest_rank():
@@ -93,3 +96,60 @@ def test_to_dict_is_an_independent_copy():
     d["path_changes"][0][1] = 7
     d["cdf"][0][0] = -1.0
     assert rep.to_json() == before
+
+
+# ------------------------------------------------- the writers against json and csv
+#
+# The writers format the row lists in bulk; the reference is what they
+# replace: one indented json.dumps of to_dict, and csv.writer rows.
+
+def _reference_json(rep):
+    return json.dumps(rep.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
+def _reference_cdf_csv(rep):
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["schema_version", REPORT_SCHEMA_VERSION])
+    writer.writerow(["latency_ms", "cumulative_fraction"])
+    writer.writerows(rep.cdf)
+    return buf.getvalue().encode()
+
+
+def _many_rows(n):
+    rng = np.random.default_rng(n)
+    values = np.unique(rng.gamma(4.0, 40.0, n) + rng.random(n) * 1e-3)
+    cdf = list(zip(values.tolist(), (np.arange(1, values.size + 1) / values.size).tolist()))
+    changes = [(float(t), int(a), int(b)) for t, a, b in
+               zip(np.cumsum(rng.random(n) * 1e4), rng.integers(0, 17, n), rng.integers(0, 17, n))]
+    return cdf, changes
+
+
+_NAN, _INF = float("nan"), float("inf")
+ROW_CASES = {
+    "empty": ([], []),
+    "one row": ([(150.25, 1.0)], [(61000.0, 0, 3)]),
+    "a full block": _many_rows(CSV_BLOCK),
+    "5000 rows": _many_rows(5000),
+    "nan and inf": ([(_NAN, 0.5), (-_INF, _NAN), (_INF, 1.0)], [(_INF, 0, 1), (_NAN, 1, 0)]),
+    "numpy floats and ints": ([(np.float64(0.1), 1), (2, np.float64(1e-07)),
+                               (np.float64(1e16), np.float64(-0.0))],
+                              [(np.float64(100.5), 2, 0), (7, 0, 2)]),
+}
+NAME_CASES = {
+    "plain": ("e0", "u0"),
+    "awkward": ('e"0\\\n', "ü→ [[1.0,0.5],[2.0,1.0]], [\n      1.0"),
+}
+
+
+@pytest.mark.parametrize("names", sorted(NAME_CASES))
+@pytest.mark.parametrize("rows", sorted(ROW_CASES))
+def test_writers_equal_json_dumps_and_csv_writer(tmp_path, rows, names):
+    cdf, changes = ROW_CASES[rows]
+    endpoint, user = NAME_CASES[names]
+    rep = dataclasses.replace(_report(), cdf=list(cdf), path_changes=list(changes),
+                              endpoint=endpoint, user=user, method=user)
+    want = _reference_json(rep)
+    assert rep.to_json() == want
+    assert rep.write_json(tmp_path / "r.json").read_bytes() == want.encode()
+    assert rep.write_cdf_csv(tmp_path / "c.csv").read_bytes() == _reference_cdf_csv(rep)

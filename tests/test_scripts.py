@@ -113,3 +113,24 @@ def test_bench_jitter_plays_the_sessions_arrival_stream():
         assert [FATES[code] for code in fate.tolist()] == [rec.fate for rec in records]
         assert [None if out != out else out for out in to.tolist()] == [rec.to for rec in records]
         assert "dropped_late" in [rec.fate for rec in records]
+
+
+def test_bench_reports_times_every_writer(capsys):
+    bench = _load("bench_reports")
+    assert bench.main(["--packets", "1500", "--rows", "5000", "--repeats", "1"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["case", "cdf_rows", "json_mb"] + [f"{c}_s" for c in bench.COLUMNS]
+    assert [row.split()[0] for row in rows] == ["session", "cdf"]
+    assert rows[1].split()[1] == "5000"
+    for row in rows:
+        assert all(float(x) > 0 for x in row.split()[1:])
+
+
+def test_bench_reports_fails_on_a_changed_byte(monkeypatch, capsys):
+    bench = _load("bench_reports")
+    to_json = bench.MetricsReport.to_json
+    monkeypatch.setattr(bench.MetricsReport, "to_json", lambda self: to_json(self) + " ")
+    assert bench.main(["--packets", "1500", "--rows", "50", "--repeats", "1"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"differs from the reference writer: {case}: {name}"
+        for case in ("session", "cdf") for name in ("to_json", "write_json")]
