@@ -515,23 +515,35 @@ def test_passes_match_update_in_chunks(monkeypatch, block, kwargs, clamped, bin_
     assert modes == {"lags", "targets", "update"}
 
 
-@pytest.mark.parametrize("seed, window_ms, bin_ms", [(0, 500.0, 1.0), (8, 500.0, 2.5),
-                                                     (10, 200.0, 1.0)])
-def test_lags_match_the_reference_where_an_eviction_moves_the_ratchet(seed, window_ms,
-                                                                      bin_ms):
-    # an out-of-order arrival adds no jitter sample, but one can fall out of
-    # the window: the ratchet's inputs change, and here so does its lag
-    kwargs = {"window_ms": window_ms, "bin_ms": bin_ms, "loss_cost_ms": 100.0}
-    packets = bursty_packets(np.random.default_rng(seed), 3000)
+# (seed, packets, whole-ms arrivals, estimator kwargs) of a stream with an
+# out-of-order arrival in an episode whose ratchet call moves the lag
+RATCHET_CASES = {
+    "after an eviction": (0, 3000, False,
+                          {"window_ms": 500.0, "bin_ms": 1.0, "loss_cost_ms": 100.0}),
+    "right after a raise": (23, 2000, True, {"window_ms": 500.0, "bin_ms": 2.5,
+                                             "percentile": 0.5, "loss_cost_ms": 30.0}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RATCHET_CASES))
+def test_lags_match_the_reference_where_the_ratchet_moves_without_a_sample(case):
+    # the pass reuses the lag at an arrival that leaves the histogram as it
+    # was, and only after a ratchet call that kept its lag: here the ratchet
+    # moves at an out-of-order arrival after one sample left the window, or
+    # with the histogram unchanged but right after a call that raised it
+    seed, n, whole_ms, kwargs = RATCHET_CASES[case]
+    stream = _gapped_stream(seed, n, n, 0.0, whole_ms)
     ref = ReferenceEstimator(**kwargs)
-    want, moved = [], 0
-    for p in packets:
-        before = ref.disorder, ref.n_jitter_samples, ref.jitter_lag_ms
-        want.append(ref.update(p.ts, p.arrival))
-        moved += (before[0] and ref.disorder and not ref.last_in_order
-                  and ref.n_jitter_samples < before[1] and ref.jitter_lag_ms != before[2])
-    assert moved
-    ts, ta = np.array([p.ts for p in packets]), np.array([p.arrival for p in packets])
+    want, reached, raised = [], False, False
+    for ts, ta in stream:
+        lag, samples = ref.jitter_lag_ms, ref.n_jitter_samples
+        want.append(ref.update(ts, ta))
+        if ref.disorder and not ref.last_in_order and ref.jitter_lag_ms != lag:
+            reached |= (ref.n_jitter_samples < samples if case == "after an eviction"
+                        else ref.n_jitter_samples == samples and raised)
+        raised = ref.disorder and ref.jitter_lag_ms > lag
+    assert reached
+    ts, ta = (np.array(col) for col in zip(*stream))
     assert JitterEstimator(**kwargs).lags(ts, ta).tolist() == want
 
 
