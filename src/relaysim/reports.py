@@ -10,19 +10,30 @@ json's C encoder (``_compact``), the one ``json.dumps`` uses when there is
 no indent. It writes a float as ``float.__repr__`` (numpy float scalars
 included) and NaN and the infinities as ``NaN``, ``Infinity`` and
 ``-Infinity``, as the pure-Python encoder behind ``indent=2`` does, and an
-int as ``int.__repr__``. A number's text holds no bracket or comma, so:
+int as ``int.__repr__``. The text is kept ``CSV_BLOCK`` rows a string
+without the outer brackets (``_row_text``). A number's text holds no
+bracket or comma, so:
 
 * ``to_json`` gives the indented layout of the rows by ``str.replace`` on
-  the compact text. Every other field goes through ``json.dumps(...,
+  the joined text. Every other field goes through ``json.dumps(...,
   indent=2, sort_keys=True)`` on its own and is moved one level in by
   replacing each newline, which json never writes inside a string. The
   result equals ``json.dumps(self.to_dict(), sort_keys=True, indent=2)``
   plus a newline, byte for byte.
-* ``write_cdf_csv`` writes the CDF body ``CSV_BLOCK`` rows per string, as
-  the compact text with its brackets turned into line ends and NaN and the
-  infinities spelled as ``str`` spells them (``nan``, ``inf``, ``-inf``).
-  ``csv.writer`` writes ``str`` of each number, which for a float is its
-  repr, and never quotes one, so the bytes equal its rows.
+* ``write_cdf_csv`` writes the CDF body one block a string, with ``],[``
+  turned into line ends and NaN and the infinities spelled as ``str``
+  spells them (``nan``, ``inf``, ``-inf``). ``csv.writer`` writes ``str``
+  of each number, which for a float is its repr, and never quotes one, so
+  the bytes equal its rows.
+
+Both writers read one formatting of the ``cdf`` rows: the first call of
+either formats them, and the report keeps the text (36 bytes a row on a
+600k-row CDF) in a private attribute that is not a field, so ``to_dict``,
+``==`` and ``repr`` do not see it. It is keyed on the identity of the
+``cdf`` list, which it holds: a report whose ``cdf`` is reassigned, or a
+``dataclasses.replace`` copy, formats its new rows, and a pickled or
+deep-copied report keeps a key to its own copy of the list. Rows changed
+in place after a write are not seen; nothing in the package does that.
 """
 
 from __future__ import annotations
@@ -115,6 +126,9 @@ class MetricsReport:
     config: dict = field(default_factory=dict)
     cdf: list[tuple[float, float]] = field(default_factory=list)
 
+    # (the cdf list it was formatted from, its _row_text); not a field
+    _cdf_text = None
+
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["path_changes"] = [list(row) for row in self.path_changes]
@@ -132,7 +146,8 @@ class MetricsReport:
             parts.append(f'{sep}  "{name}": ')
             sep = ",\n"
             if name in ROW_FIELDS and value:
-                parts += ("[\n    [\n      ", _row_lines(value), "\n    ]\n  ]")
+                blocks = self._cdf_blocks() if name == "cdf" else _row_text(value)
+                parts += ("[\n    [\n      ", _row_lines(blocks), "\n    ]\n  ]")
             else:
                 parts.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  "))
         parts.append("\n}\n")
@@ -146,20 +161,32 @@ class MetricsReport:
 
     def write_cdf_csv(self, path: str | Path) -> Path:
         return _write_csv(path, ["latency_ms", "cumulative_fraction"], (),
-                          _csv_blocks(self.cdf))
+                          _csv_blocks(self._cdf_blocks()))
+
+    def _cdf_blocks(self) -> list[str]:
+        """``_row_text(self.cdf)``, formatted once per ``cdf`` list."""
+        if self._cdf_text is None or self._cdf_text[0] is not self.cdf:
+            self._cdf_text = (self.cdf, _row_text(self.cdf))
+        return self._cdf_text[1]
 
 
-def _row_lines(rows: Sequence[Sequence[float]]) -> str:
+def _row_text(rows: Sequence[Sequence[float]]) -> list[str]:
+    """The rows' compact json text, ``CSV_BLOCK`` rows a string, each
+    without its outer brackets."""
+    return [_compact(rows[lo:lo + CSV_BLOCK])[2:-2] for lo in range(0, len(rows), CSV_BLOCK)]
+
+
+def _row_lines(blocks: list[str]) -> str:
     """A nonempty row list's text in an ``indent=2`` dump, one level in,
     without its outer brackets and their first and last line ends."""
-    text = _compact(rows)[2:-2].replace(",", ",\n      ")
+    text = "],[".join(blocks).replace(",", ",\n      ")
     return text.replace("],\n      [", "\n    ],\n    [\n      ")
 
 
-def _csv_blocks(rows: Sequence[Sequence[float]]) -> Iterator[str]:
-    """``csv.writer``'s text of rows of numbers, ``CSV_BLOCK`` rows a string."""
-    for lo in range(0, len(rows), CSV_BLOCK):
-        text = _compact(rows[lo:lo + CSV_BLOCK])[2:-2].replace("],[", "\r\n")
+def _csv_blocks(blocks: Iterable[str]) -> Iterator[str]:
+    """``csv.writer``'s text of rows of numbers from their ``_row_text``."""
+    for text in blocks:
+        text = text.replace("],[", "\r\n")
         yield text.replace("NaN", "nan").replace("Infinity", "inf") + "\r\n"
 
 

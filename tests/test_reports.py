@@ -1,12 +1,16 @@
 """Report math and serialization."""
 
+import copy
 import csv
 import dataclasses
 import io
 import json
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaysim import JitterConfig, SessionConfig, compute_cdf, percentile_nearest_rank
 from relaysim.reports import CSV_BLOCK, REPORT_SCHEMA_VERSION, build_report, write_summary_csv
@@ -153,3 +157,115 @@ def test_writers_equal_json_dumps_and_csv_writer(tmp_path, rows, names):
     assert rep.to_json() == want
     assert rep.write_json(tmp_path / "r.json").read_bytes() == want.encode()
     assert rep.write_cdf_csv(tmp_path / "c.csv").read_bytes() == _reference_cdf_csv(rep)
+
+
+# ------------------------------------------------- one formatting of the CDF rows
+#
+# The first call of either writer formats the cdf rows, and both writers read
+# that text until cdf is another list. Each test below still compares the
+# written bytes with the reference writers.
+
+def _case_report(rows, names):
+    cdf, changes = ROW_CASES[rows]
+    endpoint, user = NAME_CASES[names]
+    return dataclasses.replace(_report(), cdf=list(cdf), path_changes=list(changes),
+                               endpoint=endpoint, user=user, method=user)
+
+
+def _assert_writes_reference(rep, tmp_path, order=("json", "csv")):
+    want_json, want_csv = _reference_json(rep), _reference_cdf_csv(rep)
+    for writer in order:
+        if writer == "json":
+            assert rep.to_json() == want_json
+            assert rep.write_json(tmp_path / "r.json").read_bytes() == want_json.encode()
+        else:
+            assert rep.write_cdf_csv(tmp_path / "c.csv").read_bytes() == want_csv
+
+
+WRITE_ORDERS = {"csv first": ("csv", "json"), "json twice": ("json", "json", "csv")}
+
+
+@pytest.mark.parametrize("order", sorted(WRITE_ORDERS))
+@pytest.mark.parametrize("names", sorted(NAME_CASES))
+@pytest.mark.parametrize("rows", sorted(ROW_CASES))
+def test_writers_equal_the_reference_in_any_order(tmp_path, rows, names, order):
+    _assert_writes_reference(_case_report(rows, names), tmp_path, WRITE_ORDERS[order])
+
+
+# rows equal in value that print differently: a cache read by value is wrong
+EQUAL_ROWS = {
+    "an int for a float": ([(1.0, 1.0)] * 3, [(1, 1.0)] * 3),
+    "negative zero": ([(0.0, 0.5), (2.5, 1.0)], [(-0.0, 0.5), (2.5, 1.0)]),
+}
+
+
+@pytest.mark.parametrize("how", ["reassigned", "replaced"])
+@pytest.mark.parametrize("rows", sorted(EQUAL_ROWS))
+def test_a_new_cdf_list_is_formatted_again(tmp_path, rows, how):
+    before, after = EQUAL_ROWS[rows]
+    assert before == after
+    rep = dataclasses.replace(_report(), cdf=list(before))
+    _assert_writes_reference(rep, tmp_path)
+    written_csv = _reference_cdf_csv(rep)
+    if how == "reassigned":
+        rep.cdf = list(after)
+    else:
+        rep = dataclasses.replace(rep, cdf=list(after))
+    assert _reference_cdf_csv(rep) != written_csv
+    _assert_writes_reference(rep, tmp_path, ("csv", "json"))
+
+
+@pytest.mark.parametrize("copy_of", ["pickle", "deepcopy"])
+def test_a_written_report_equals_and_copies_as_an_unwritten_one(tmp_path, copy_of):
+    written, unwritten = _case_report("5000 rows", "awkward"), _case_report("5000 rows", "awkward")
+    _assert_writes_reference(written, tmp_path)
+    assert written == unwritten
+    assert repr(written) == repr(unwritten)
+    assert written.to_dict() == unwritten.to_dict()
+    if copy_of == "pickle":
+        twin = pickle.loads(pickle.dumps(written))
+    else:
+        twin = copy.deepcopy(written)
+    assert twin == unwritten
+    _assert_writes_reference(twin, tmp_path, ("csv", "json"))
+
+
+_SPECIAL = [0.0, -0.0, _NAN, _INF, -_INF, 0, 1, -7, np.float64(-0.0), np.float64(_NAN),
+            np.float64(_INF), 5e-324, 1e16, 1.7976931348623157e308]
+
+
+@st.composite
+def _cdf_rows(draw):
+    """Up to two CSV blocks and a bit of rows: Python floats, ints, numpy
+    floats and the special values, with some drawn floats up front."""
+    n = draw(st.integers(0, 2 * CSV_BLOCK + 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.gamma(2.0, 50.0, 2 * n) * 10.0 ** rng.integers(-8, 9, 2 * n)
+    kinds = rng.integers(0, 4, 2 * n)
+    picks = rng.integers(0, len(_SPECIAL), 2 * n)
+    numbers = [float(v) if k == 0 else int(v) if k == 1 else np.float64(v) if k == 2
+               else _SPECIAL[p] for v, k, p in zip(values.tolist(), kinds.tolist(), picks.tolist())]
+    drawn = draw(st.lists(st.floats() | st.integers(-10**20, 10**20), max_size=6))
+    numbers[:len(drawn)] = drawn[:len(numbers)]
+    return list(zip(numbers[0::2], numbers[1::2]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), rows=_cdf_rows())
+def test_writers_equal_the_reference_through_calls_and_reassignments(tmp_path_factory, data, rows):
+    tmp_path = tmp_path_factory.mktemp("writes")
+    rep = dataclasses.replace(_report(), cdf=rows)
+    want_json, want_csv = _reference_json(rep), _reference_cdf_csv(rep)
+    for step in data.draw(st.lists(st.sampled_from(
+            ["to_json", "write_json", "write_cdf_csv", "new rows", "as floats"]),
+            min_size=1, max_size=8)):
+        if step == "to_json":
+            assert rep.to_json() == want_json
+        elif step == "write_json":
+            assert rep.write_json(tmp_path / "r.json").read_bytes() == want_json.encode()
+        elif step == "write_cdf_csv":
+            assert rep.write_cdf_csv(tmp_path / "c.csv").read_bytes() == want_csv
+        else:
+            rep.cdf = (data.draw(_cdf_rows()) if step == "new rows"
+                       else [(float(a), float(b)) for a, b in rep.cdf])
+            want_json, want_csv = _reference_json(rep), _reference_cdf_csv(rep)
