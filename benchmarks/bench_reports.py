@@ -16,9 +16,10 @@ sort_keys=True, indent=2)`` written as text (``ref_json``) and
 ``csv.writer`` rows behind the same two header rows (``ref_cdf_csv``). A
 report keeps its CDF's text once a writer has formatted it, so every call
 is timed on a fresh ``dataclasses.replace`` copy: a first call. Every figure
-is the fastest of ``--repeats`` runs, in seconds. The run exits 1 if any
-written byte differs from the reference's, in a writer's own column or in
-``json_then_csv``.
+is the fastest of ``--repeats`` runs, in seconds to four significant digits,
+so that a sub-millisecond writer does not print as zero. The run exits 1 if
+any written byte differs from the reference's, in a writer's own column or
+in ``json_then_csv``.
 
     PYTHONPATH=src python benchmarks/bench_reports.py [--packets 20000] [--rows 600000] [--repeats 3]
 """
@@ -127,7 +128,7 @@ def main(argv=None) -> int:
             best, differ = measure(report, args.repeats, Path(tmp))
             json_mb = (Path(tmp) / "report.json").stat().st_size / 1e6
             print(f"{case:8} {len(report.cdf):8d} {json_mb:8.2f} "
-                  + " ".join(f"{best[c]:12.4f}" for c in COLUMNS))
+                  + " ".join(f"{best[c]:12.4g}" for c in COLUMNS))
             failed += [f"{case}: {name}" for name in differ]
     for line in failed:
         print(f"differs from the reference writer: {line}", file=sys.stderr)

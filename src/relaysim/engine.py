@@ -31,16 +31,23 @@ latency rounds away (Ta == Ts) arrives after every event queued for its Ta,
 as it would if generated at its tick. While the router picks paths of its own
 (UCB1's forced round, until ``follows_plan``), blocks are one packet long.
 A session without a router would queue nothing but arrivals, all on one
-path, so it is played from its sorted arrival schedule instead:
-every Ta is computed at once, and the jitter manager's whole-stream ``play``
+path, so every Ta is computed at once instead.
+
+Every session keeps seq-indexed numpy columns, not per-packet objects: the
+routed loop writes each block's Ta and path id as it generates the block. A
+session whose feedback reads nothing the jitter manager decides, one without
+a router or one rewarded at transmit (UCB1's Ta - Ts), is played after its
+loop from the final arrival schedule: the manager's whole-stream ``play``
 takes the arrivals in (Ta, seq) order in one call and writes each packet's
-To and fate code into seq-indexed numpy columns. The report's counts and
-latencies, and the conservation and emission-order checks, are read off
-those columns, and ``SessionResult.records`` is built from them only when
-it is read. Either way records and reports equal those of one event queue that
-generates packet by packet (``tests/engine_reference.py``), runs are
-deterministic and reports are byte-identical for identical (config, topology,
-seed).
+To and fate code into the columns. A session rewarded end to end (VCRoute)
+sends feedback as each packet plays out, so its loop hands every arrival to
+the manager's ``on_arrival`` and writes To and fate as they come. The
+report's counts and latencies, and the conservation and emission-order
+checks, are read off the columns, and ``SessionResult.records`` is built
+from them only when it is read. Records and reports equal those of one
+event queue that generates packet by packet (``tests/engine_reference.py``),
+runs are deterministic and reports are byte-identical for identical
+(config, topology, seed).
 
 The session ends at its last arrival, and there the jitter manager flushes
 what it still holds: flushed packets count as delivered with To = that end
@@ -68,7 +75,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ValidationError
 from .jitter import (DELIVERED, DROPPED_LATE, FATES, FLUSHED, IN_FLIGHT, JITTER_KINDS,
-                     JitterConfig, build_jitter_manager)
+                     JitterConfig, _Arrival, build_jitter_manager)
 from .paths import (RelayPath, enumerate_paths, path_latency, prune_topk, required_links,
                     warmup_stats)
 from .reports import MetricsReport, build_report
@@ -78,7 +85,7 @@ from .traces import Topology
 EV_FEEDBACK, EV_CONTROL = 1, 2  # queued event kinds; an arrival ranks before both
 
 ARRIVAL_BLOCK = 256  # packets generated at once on an adopted plan
-RECORD_BLOCK = 2048  # records built at once from a feedback-free session's columns
+RECORD_BLOCK = 2048  # records built at once from a session's columns
 _TA = itemgetter(0)
 
 ROUTER_KINDS = ("direct", "via_ucb1", "vcroute_ts")
@@ -139,12 +146,12 @@ class PacketRecord:
 class SessionResult:
     """A session's report and its per-packet records.
 
-    A feedback-free session passes ``records=None`` and keeps its records as
-    seq-indexed columns ``(ts, ta, to, fate, path_id)``: ``to`` is NaN where
-    no packet played out, and ``fate`` holds codes into ``FATES``. The list is
-    built the first time ``records`` is read, and the columns are let go
-    then. The CLI and ``run_matrix`` read only the report, so they never
-    build it."""
+    ``run_session`` passes ``records=None`` and keeps its records as
+    seq-indexed columns ``(ts, ta, to, fate, path_id)``, routed sessions as
+    well as feedback-free ones: ``to`` is NaN where no packet played out,
+    and ``fate`` holds codes into ``FATES``. The list is built the first
+    time ``records`` is read, and the columns are let go then. The CLI and
+    ``run_matrix`` read only the report, so they never build it."""
 
     report: MetricsReport
     records: list[PacketRecord] | None
@@ -153,7 +160,7 @@ class SessionResult:
 
 def _get_records(result: SessionResult) -> list[PacketRecord]:
     if result._records is None:
-        ts, ta, to, fate, path_id = result._columns
+        ts, ta, to, fate, path = result._columns
         # a block at a time, so that the lists tolist() makes stay small:
         # whole-column lists raised the peak RSS of a process reading two
         # 20k-packet sessions' records by about 0.8 MB
@@ -164,7 +171,7 @@ def _get_records(result: SessionResult) -> list[PacketRecord]:
             for i in np.flatnonzero(np.isnan(to[lo:hi])).tolist():
                 outs[i] = None  # not played out
             records[lo:hi] = map(PacketRecord, range(lo, lo + len(outs)), ts[lo:hi].tolist(),
-                                 ta[lo:hi].tolist(), outs, repeat(path_id),
+                                 ta[lo:hi].tolist(), outs, path[lo:hi].tolist(),
                                  map(FATES.__getitem__, fate[lo:hi].tolist()))
         result._records = records
         result._columns = None
@@ -236,33 +243,23 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
 
     path_changes: list[tuple[float, int, int]] = []
     overhead_sum = 0.0
+    # seq-indexed columns: To (NaN until played out) and the fate code
+    to = np.full(n, np.nan)
+    fate = np.full(n, IN_FLIGHT, np.int8)
+    # a transmit reward, ta - ts, reads nothing the manager decides, so such a
+    # session, like one without feedback, is played from its final schedule
+    play_after = router is None or router.needs_feedback == "transmit"
 
     if router is None:
-        # only arrivals, all on the initial path: the manager plays them in
-        # (ta, seq) order, the order the event queue would pop them in, into
-        # seq-indexed columns, which stay columns until the records are read
+        # only arrivals, all on the initial path
         ta = ticks + path_latency(topology, all_paths[initial_path], ticks)
-        to = np.full(n, np.nan)
-        fate = np.full(n, IN_FLIGHT, np.int8)
-        end_time = float(ta.max()) if n else t0
-        jm.play(np.argsort(ta, kind="stable"), ticks, ta, to, fate)
-        for em in jm.flush(end_time):
-            to[em.seq] = em.out
-            fate[em.seq] = FLUSHED
-        records = None
-        # the report's counts and latencies, and the packets that break
-        # conservation or emission order, read off the columns
-        played = fate >= DELIVERED
-        latencies = to[played] - ticks[played]
-        lost = np.flatnonzero(fate == IN_FLIGHT)
-        early = np.flatnonzero(played & (to < ta))
-        dropped_late = int(np.count_nonzero(fate == DROPPED_LATE))
-        tail_flushed = int(np.count_nonzero(fate == FLUSHED))
+        path = np.full(n, initial_path, np.int32)
     else:
         direct_fwd = topology.trace(cfg.endpoint, cfg.user)
         direct_rev = topology.trace(cfg.user, cfg.endpoint)
         on_arrival = jm.on_arrival
-        transmit = router.needs_feedback == "transmit"
+        ta = np.empty(n)
+        path = np.empty(n, np.int32)
 
         # plan_path is the last path selected; len(path_changes) numbers the plans
         plan_path = active_path = initial_path
@@ -271,15 +268,11 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
         heap: list[tuple[float, int, int, int, float]] = []  # feedback and control
         ctr = 0
         gen_times = ticks.tolist()
-        # filled block by block: one list, never resized, so its buffer does
-        # not move through a heap that the blocks' small arrays fragment
-        records = [None] * n
-        gen = 0  # packets generated so far, records[:gen]
-        # (ta, record, feedback time if sent at ta) of every generated packet
-        # not yet arrived, from pending[pos] on, in (ta, seq) order
-        pending: list[tuple[float, PacketRecord, float]] = []
+        gen = 0  # packets generated so far, ta[:gen] and path[:gen]
+        # (ta, seq, feedback time if sent at ta, path id) of every generated
+        # packet not yet arrived, from pending[pos] on, in (ta, seq) order
+        pending: list[tuple[float, int, float, int]] = []
         pos = 0
-        end_time = t0
         inf = math.inf
         nxt = gen_times[0] if n else inf  # the tick of packet gen
 
@@ -289,29 +282,33 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
             # event goes after an arrival at its time, but before a packet
             # arriving at its own tick, which it may yet re-route
             while pos < len(pending):
-                t, rec, fb_at = pending[pos]
-                if t > nxt or t > top or (t == top and t == rec.ts):
+                t, seq, fb_at, pid = pending[pos]
+                ts = gen_times[seq]
+                if t > nxt or t > top or (t == top and t == ts):
                     break
                 pos += 1
-                end_time = t
-                emissions, was_dropped = on_arrival(rec, t)
-                # the transmit reward, or the e2e reward of a dropped packet: it
-                # never plays out, but its lateness at arrival is known and is
-                # the signal that lets the scheduler learn a probed path is
-                # slow; without it the posterior of a bad path never updates
-                # (every probe gets dropped) and exploration is never suppressed
-                if was_dropped:
-                    rec.fate = "dropped_late"
-                if transmit or was_dropped:
-                    heappush(heap, (fb_at, EV_FEEDBACK, ctr, rec.path_id, t - rec.ts))
+                if play_after:  # the transmit reward; play runs after the loop
+                    heappush(heap, (fb_at, EV_FEEDBACK, ctr, pid, t - ts))
                     ctr += 1
-                for em in emissions:
-                    erec = records[em.seq]
-                    erec.to = out = em.out
-                    erec.fate = "delivered"
-                    if not transmit:  # e2e: sent at max(out, t), t as no manager emits later
-                        heappush(heap, (fb_at, EV_FEEDBACK, ctr, erec.path_id, out - erec.ts))
-                        ctr += 1
+                    if fb_at < top:
+                        top = fb_at
+                    continue
+                emissions, was_dropped = on_arrival(_Arrival(seq, ts), t)
+                # the e2e reward of a dropped packet: it never plays out, but
+                # its lateness at arrival is known and is the signal that lets
+                # the scheduler learn a probed path is slow; without it the
+                # posterior of a bad path never updates (every probe gets
+                # dropped) and exploration is never suppressed
+                if was_dropped:
+                    fate[seq] = DROPPED_LATE
+                    heappush(heap, (fb_at, EV_FEEDBACK, ctr, pid, t - ts))
+                    ctr += 1
+                for em_seq, em_ts, _, out in emissions:
+                    to[em_seq] = out
+                    fate[em_seq] = DELIVERED
+                    # sent at max(out, t), which is t, as no manager emits later
+                    heappush(heap, (fb_at, EV_FEEDBACK, ctr, path.item(em_seq), out - em_ts))
+                    ctr += 1
                 if heap:
                     top = heap[0][0]
             if heap and top <= nxt:
@@ -337,7 +334,7 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
                             # again
                             cut = bisect_left(gen_times, t, 0, gen)
                             if cut < gen:
-                                pending = [p for p in pending[pos:] if p[1].seq < cut]
+                                pending = [p for p in pending[pos:] if p[1] < cut]
                                 pos = 0
                                 gen = cut
                                 nxt = gen_times[gen]
@@ -345,22 +342,20 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
                 # the next block on the active path, or one packet at a time
                 # while the router picks paths of its own
                 if router.follows_plan:
-                    path_id = active_path
+                    pid = active_path
                     # ticks from the next queued control message's on may be cut
                     tc = min((ev[0] for ev in heap if ev[1] == EV_CONTROL), default=inf)
                     hi = bisect_left(gen_times, tc, gen, min(gen + ARRIVAL_BLOCK, n))
                 else:
-                    path_id = router.path_for(gen)
+                    pid = router.path_for(gen)
                     hi = gen + 1
                 times = ticks[gen:hi]
-                ta = times + path_latency(topology, all_paths[path_id], times)
-                ta_list = ta.tolist()
-                block = list(map(PacketRecord, range(gen, hi), gen_times[gen:hi], ta_list,
-                                 repeat(None), repeat(path_id), repeat("in_flight")))
-                records[gen:hi] = block
+                ta[gen:hi] = arrive = times + path_latency(topology, all_paths[pid], times)
+                path[gen:hi] = pid
                 # stable: arrivals tied on ta stay in seq order
                 pending = pending[pos:]
-                pending.extend(zip(ta_list, block, (ta + direct_rev.at(ta)).tolist()))
+                pending.extend(zip(arrive.tolist(), range(gen, hi),
+                                   (arrive + direct_rev.at(arrive)).tolist(), repeat(pid)))
                 pending.sort(key=_TA)
                 pos = 0
                 gen = hi
@@ -368,26 +363,21 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
             else:
                 break
 
-        for em in jm.flush(end_time):
-            rec = records[em.seq]
-            rec.to = em.out
-            rec.fate = "flushed"
-        # the report's counts and latencies, and the packets that break
-        # conservation or emission order, read off the records
-        latencies: list[float] = []
-        lost: list[int] = []
-        early: list[int] = []
-        dropped_late = tail_flushed = 0
-        for rec in records:
-            if rec.fate == "dropped_late":
-                dropped_late += 1
-            elif rec.fate == "in_flight":
-                lost.append(rec.seq)
-            else:
-                tail_flushed += rec.fate == "flushed"
-                if rec.to < rec.ta:
-                    early.append(rec.seq)
-                latencies.append(rec.to - rec.ts)
+    if play_after:
+        # the arrivals in (ta, seq) order, the order the event queue pops them in
+        jm.play(np.argsort(ta, kind="stable"), ticks, ta, to, fate)
+    # the session ends at its last arrival
+    for em in jm.flush(float(ta.max()) if n else t0):
+        to[em.seq] = em.out
+        fate[em.seq] = FLUSHED
+    # the report's counts and latencies, and the packets that break
+    # conservation or emission order, read off the columns
+    played = fate >= DELIVERED
+    latencies = to[played] - ticks[played]
+    lost = np.flatnonzero(fate == IN_FLIGHT)
+    early = np.flatnonzero(played & (to < ta))
+    dropped_late = int(np.count_nonzero(fate == DROPPED_LATE))
+    tail_flushed = int(np.count_nonzero(fate == FLUSHED))
 
     # exceptions, so that python -O keeps both checks
     if len(lost):
@@ -406,9 +396,7 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
         candidate_paths=len(all_paths),
         topk_paths=topk_ids,
     )
-    if records is None:
-        return SessionResult(report, None, (ticks, ta, to, fate, initial_path))
-    return SessionResult(report, records)
+    return SessionResult(report, None, (ticks, ta, to, fate, path))
 
 
 def method_kinds(label: str) -> tuple[str, str]:

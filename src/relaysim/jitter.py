@@ -30,14 +30,18 @@ window and its quantile are the same code for both:
 Both managers are event-driven: emissions happen while processing an arrival,
 plus a final flush at session teardown. ``on_arrival(packet, now)`` processes
 one arrival; it takes the arrival time from ``now`` and reads only ``seq`` and
-``ts`` off ``packet``, so a :class:`Packet` and the engine's own per-packet
-record both serve. The engine calls it in routed sessions, where feedback and
-plan changes interleave with arrivals. ``play(order, ts, ta, to, fate)``
-processes a whole arrival schedule held in seq-indexed numpy columns: it
-writes each packet's output time into ``to`` and its fate code (``FATES``)
-into ``fate``. The engine calls it in feedback-free sessions, whose schedule
-is known up front. ``tests/test_jitter.py`` requires both forms to decide
-the same fates and output times and to leave the same state.
+``ts`` off ``packet``, so a :class:`Packet`, a record and the engine's
+``_Arrival`` all serve. ``play(order, ts, ta, to, fate)`` processes a whole
+arrival schedule held in seq-indexed numpy columns: it writes each packet's
+output time into ``to`` and its fate code (``FATES``) into ``fate``. The
+engine calls ``play`` once per session, after its loop, for every session
+whose feedback reads nothing the manager decides: feedback-free ones and
+routed ones rewarded at transmit (``via-bf``, ``via-wm``). ``on_arrival``
+now serves two callers only: routed sessions rewarded end to end
+(``vcr-wm``), whose feedback needs each playout as it happens, and ``play``
+itself without ``update_on_drop``. ``tests/test_jitter.py`` requires both
+forms to decide the same fates and output times and to leave the same
+state.
 
 The watermark states its rule twice, in ``on_arrival`` and in a closed form.
 When the estimator sees every arrival (``update_on_drop``), its lag column
@@ -63,9 +67,8 @@ falls, so that search starts where slot k-1's ended: a recurrence over seq
 order, not a prefix scan over arrival order. Whether an arrival comes too
 late for its slot depends on the same recurrence. The loop takes the
 schedule ``PLAY_BLOCK`` arrivals at a time, so its Python lists stay short
-whatever the session's length. Without ``update_on_drop``, or on an
-estimator stand-in without ``targets``, ``play`` hands each arrival to
-``on_arrival``.
+whatever the session's length. Without ``update_on_drop`` ``play`` hands
+each arrival to ``on_arrival``.
 
 Under ``update_on_drop`` each manager's ``play`` calls one estimator
 method per schedule, ``lags`` or ``targets``, and assigns none of the
@@ -96,15 +99,21 @@ class Packet:
 
 
 class Stamped(Protocol):
-    """What a manager reads off an arrival: a Packet or an engine PacketRecord."""
+    """What a manager reads off an arrival: a Packet, a PacketRecord or an _Arrival."""
 
     seq: int
     ts: float
 
 
-class _Arrival(NamedTuple):
-    seq: int
-    ts: float
+class _Arrival:
+    """The ``(seq, ts)`` that ``play`` and the engine hand to ``on_arrival``:
+    a slotted class, which builds in about half a NamedTuple's time."""
+
+    __slots__ = ("seq", "ts")
+
+    def __init__(self, seq: int, ts: float) -> None:
+        self.seq = seq
+        self.ts = ts
 
 
 class Emission(NamedTuple):
@@ -381,14 +390,12 @@ class PlayoutBuffer:
         every arrival in one pass, and the loop walks the schedule
         ``PLAY_BLOCK`` arrivals at a time, with ``_sweep``'s rule inline,
         writing each block's fates and the manager's state as the block
-        ends. Otherwise, or for an estimator stand-in without ``targets``,
-        each arrival goes to ``on_arrival``."""
-        targets = getattr(self._est, "targets", None)
-        if not self._update_on_drop or targets is None:
+        ends. Otherwise each arrival goes to ``on_arrival``."""
+        if not self._update_on_drop:
             _play_each(self, order, ts, ta, to, fate)
             return
         ts_o, ta_o = ts[order], ta[order]
-        after = targets(ts_o, ta_o)
+        after = self._est.targets(ts_o, ta_o)
         interval = self._interval
         buffer = self._buffer
         target = self._target

@@ -720,9 +720,13 @@ def test_in_flight_packets_interleave_with_the_new_block(monkeypatch):
     order = []
 
     def recording_build(*args):
+        # the arrival order the manager is handed, one on_arrival at a time
+        # or as play's order; a session rewarded at transmit is played after
+        # its loop
         manager = _build(*args)
-        on_arrival = manager.on_arrival
+        on_arrival, play = manager.on_arrival, manager.play
         manager.on_arrival = lambda packet, now: order.append(packet.seq) or on_arrival(packet, now)
+        manager.play = lambda seqs, *columns: order.extend(seqs.tolist()) or play(seqs, *columns)
         return manager
 
     monkeypatch.setattr(engine, "build_jitter_manager", recording_build)

@@ -20,12 +20,14 @@ from wm_reference import WatermarkReference, bursty_packets
 
 
 class FixedEstimator:
-    """Stub pinning lag and target; records every update call."""
+    """Stub pinning lag and target; records every update call and every
+    whole-stream ``targets`` call."""
 
     def __init__(self, lag=0.0, target=0.0):
         self.lag = lag
         self.target = target
         self.calls = []
+        self.passes = []
 
     def update(self, ts, arrival):
         self.calls.append((ts, arrival))
@@ -33,6 +35,10 @@ class FixedEstimator:
 
     def transit_target(self):
         return self.target
+
+    def targets(self, ts, ta):
+        self.passes.append((ts.tolist(), ta.tolist()))
+        return np.full(len(ts), self.target)
 
     @property
     def lag_ms(self):
@@ -433,6 +439,19 @@ def test_buffer_drop_feed_flag():
         buf.on_arrival(Packet(1, 10.0, 90.0), 90.0)  # late, dropped
     assert len(feeding.calls) == 2
     assert len(skipping.calls) == 1
+
+    # play: one targets pass over every arrival under the flag; without it
+    # each arrival goes to on_arrival, whose update skips the late one
+    order, ts, ta = _columns([Packet(0, 0.0, 5.0), Packet(1, 10.0, 90.0)])
+    for feed in (True, False):
+        est = FixedEstimator(target=20.0)
+        to, fate = _outputs(2)
+        PlayoutBuffer(est, interval_ms=10.0, update_on_drop=feed).play(order, ts, ta, to, fate)
+        if feed:
+            assert est.passes == [([0.0, 10.0], [5.0, 90.0])] and est.calls == []
+        else:
+            assert est.passes == [] and est.calls == [(0.0, 5.0)]
+        assert _fates(fate) == ["in_flight", "dropped_late"]
 
 
 def test_buffer_flush_in_seq_order_nondecreasing_out():

@@ -2,7 +2,10 @@
 
 A session without a router (one path kept) hands its sorted arrival schedule
 to the jitter manager's whole-stream pass; a routed one generates its packets
-in blocks between plan adoptions and hands them over one arrival at a time.
+in blocks between plan adoptions. One rewarded end to end hands them over one
+arrival at a time; one rewarded at transmit hands its final schedule to the
+whole-stream pass after its loop, which without ``update_on_drop`` hands
+each arrival to ``on_arrival`` in turn.
 For drawn link traces (constant, Gaussian and spike regimes), cadences and
 jitter managers, every session must conserve its packets, emit no packet
 before it arrives, play its packets out in seq order, pass relaybench's
@@ -16,7 +19,7 @@ equal itself run with a one-arm bandit, which takes feedback, and a watermark
 session's arrivals played in uneven chunks must give its output times and
 fates again, with a watermark that never falls. A routed session run again
 must give the same report bytes, and its watermark, if it has one, must never
-fall from one arrival to the next.
+fall from one ``on_arrival`` or ``play`` call to the next.
 """
 
 import sys
@@ -202,6 +205,7 @@ def routed_sessions(draw):
         "method": draw(st.sampled_from(sorted(METHODS) + ["vcroute_ts+buffer"])),
         "prune": draw(st.booleans()),
         "c": draw(st.sampled_from([1.0, 2000.0])),
+        "update_on_drop": draw(st.booleans()),
     }
 
 
@@ -221,21 +225,22 @@ def _relay_topology(s):
 
 
 def _watermark_checked(build, checked):
-    """``build_jitter_manager``, whose watermark reorderers assert at each
-    ``on_arrival`` that the watermark has not fallen, and append the
-    watermark to ``checked``."""
+    """``build_jitter_manager``, whose watermark reorderers assert after each
+    ``on_arrival`` and each ``play`` call that the watermark has not fallen,
+    and append the watermark to ``checked``."""
     def built(cfg, interval_ms):
         jm = build(cfg, interval_ms)
         if isinstance(jm, WatermarkReorderer):
-            on_arrival = jm.on_arrival
+            def checking(step):
+                def call(*args):
+                    result = step(*args)
+                    assert not checked or jm.watermark >= checked[-1]
+                    checked.append(jm.watermark)
+                    return result
+                return call
 
-            def arrive(rec, now):
-                result = on_arrival(rec, now)
-                assert not checked or jm.watermark >= checked[-1]
-                checked.append(jm.watermark)
-                return result
-
-            jm.on_arrival = arrive
+            jm.on_arrival = checking(jm.on_arrival)
+            jm.play = checking(jm.play)
         return jm
     return built
 
@@ -246,7 +251,8 @@ def test_routed_session_properties(s):
     topo = _relay_topology(s)
     template = SessionConfig(endpoint="e0", user="u0", packet_count=s["packets"],
                              interval_ms=s["interval"], warmup_ms=WARMUP, seed=s["seed"],
-                             router=RouterConfig(c=s["c"], prune=s["prune"]))
+                             router=RouterConfig(c=s["c"], prune=s["prune"]),
+                             jitter=JitterConfig(update_on_drop=s["update_on_drop"]))
     cfg = method_config(template, s["method"])
     res = run_session(topo, cfg, method=s["method"])
     rep = res.report
@@ -268,6 +274,18 @@ def test_routed_session_properties(s):
                            _watermark_checked(engine.build_jitter_manager, checked)):
         repeat = run_session(topo, cfg, method=s["method"])
     assert repeat.report.to_json() == rep.to_json()
-    # a session pruned to one path takes no router, and play, not on_arrival
-    on_arrival = cfg.jitter.kind == "watermark" and len(rep.topk_paths) > 1
-    assert len(checked) == (cfg.packet_count if on_arrival else 0)
+    # a watermark session rewarded end to end is checked at every arrival;
+    # one rewarded at transmit, or pruned to one path and so without a
+    # router, is checked once, at the play call after its loop
+    watermark = cfg.jitter.kind == "watermark"
+    e2e = len(rep.topk_paths) > 1 and cfg.router.kind == "vcroute_ts"
+    # (and, without update_on_drop, at each on_arrival that play hands an
+    # arrival to)
+    if not watermark:
+        assert len(checked) == 0
+    elif e2e:
+        assert len(checked) == cfg.packet_count
+    elif cfg.jitter.update_on_drop:
+        assert len(checked) == 1
+    else:
+        assert len(checked) == 1 + cfg.packet_count
