@@ -276,11 +276,10 @@ def test_routed_session_properties(s):
     assert repeat.report.to_json() == rep.to_json()
     # a watermark session rewarded end to end is checked at every arrival;
     # one rewarded at transmit, or pruned to one path and so without a
-    # router, is checked once, at the play call after its loop
+    # router, at the play call after its loop, and without update_on_drop
+    # also at each arrival that play hands to on_arrival
     watermark = cfg.jitter.kind == "watermark"
     e2e = len(rep.topk_paths) > 1 and cfg.router.kind == "vcroute_ts"
-    # (and, without update_on_drop, at each on_arrival that play hands an
-    # arrival to)
     if not watermark:
         assert len(checked) == 0
     elif e2e:
