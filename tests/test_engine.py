@@ -132,13 +132,13 @@ def test_event_at_a_tick_goes_before_generation():
     assert paths[:9] == [0, 1, 0, 1, 0, 1, 0, 1, 1]
 
 
-def _script_router(monkeypatch, picks):
-    """Route both engines' UCB1 sessions through a router that takes transmit
-    feedback and returns ``picks`` from its successive selections (the last
-    one from then on)."""
+def _script_router(monkeypatch, picks, feedback="transmit"):
+    """Route both engines' UCB1 sessions through a router that takes
+    ``feedback`` and returns ``picks`` from its successive selections (the
+    last one from then on)."""
 
     class Scripted:
-        needs_feedback = "transmit"
+        needs_feedback = feedback
         follows_plan = True
 
         def __init__(self, path_ids, c=1.0):
@@ -708,35 +708,57 @@ def test_adoption_cuts_the_generated_block(fwd, first, monkeypatch):
     _assert_equals_oracle(topo, cfg, None)
 
 
-def test_in_flight_packets_interleave_with_the_new_block(monkeypatch):
+def _assert_in_flight_packets_interleave(monkeypatch, feedback, via, interleaved):
     # the direct path is 200 ms, e0->r0->u0 20 ms. The first five selections
-    # pick the direct path, adopted at +230; the sixth picks the detour back,
-    # adopted at +280. Packets 23-27 are on the direct path when the block
-    # from 28 is generated again; they arrive at +430..+470 among the new
-    # block's packets 41-45, with which they tie, and ties go by seq.
-    _script_router(monkeypatch, [0] * 5 + [1])
+    # pick the direct path and the sixth the detour back. Five packets are
+    # on the direct path when the block after them is generated again; they
+    # arrive among that block's packets, with which they tie, and ties go by
+    # seq (``interleaved``). The manager is handed every arrival through
+    # ``via`` alone.
+    _script_router(monkeypatch, [0] * 5 + [1], feedback)
     topo = _relay_topology({("e0", "u0"): 200.0, ("u0", "e0"): 10.0,
                             ("e0", "r0"): 10.0, ("r0", "u0"): 10.0})
-    order = []
+    handed = {"on_arrival": [], "play": []}
 
     def recording_build(*args):
         # the arrival order the manager is handed, one on_arrival at a time
-        # or as play's order; a session rewarded at transmit is played after
-        # its loop
+        # or as play's order
         manager = _build(*args)
         on_arrival, play = manager.on_arrival, manager.play
-        manager.on_arrival = lambda packet, now: order.append(packet.seq) or on_arrival(packet, now)
-        manager.play = lambda seqs, *columns: order.extend(seqs.tolist()) or play(seqs, *columns)
+        manager.on_arrival = lambda packet, now: (handed["on_arrival"].append(packet.seq)
+                                                  or on_arrival(packet, now))
+        manager.play = lambda seqs, *columns: (handed["play"].extend(seqs.tolist())
+                                               or play(seqs, *columns))
         return manager
 
     monkeypatch.setattr(engine, "build_jitter_manager", recording_build)
     cfg = _scripted_cfg()
     res = run_session(topo, cfg)
-    assert [rec.path_id for rec in res.records] == [1] * 23 + [0] * 5 + [1] * 72
+    first = interleaved[1]  # the first packet on the direct path
+    assert [rec.path_id for rec in res.records] == [1] * first + [0] * 5 + [1] * (95 - first)
+    order = handed[via]
+    assert len(order) == sum(map(len, handed.values()))
     assert order == sorted(range(100), key=lambda seq: (res.records[seq].ta, seq))
-    i = order.index(23)
-    assert order[i - 1:i + 10] == [40, 23, 41, 24, 42, 25, 43, 26, 44, 27, 45]
+    i = order.index(first)
+    assert order[i - 1:i + 10] == interleaved
     _assert_equals_oracle(topo, cfg, None)
+
+
+def test_in_flight_packets_interleave_with_the_new_block(monkeypatch):
+    # rewarded at transmit, the plans land at +230 and +280, packets 23-27
+    # arrive at +430..+470, and the session is played after its loop in
+    # (ta, seq) order
+    _assert_in_flight_packets_interleave(monkeypatch, "transmit", "play",
+                                         [40, 23, 41, 24, 42, 25, 43, 26, 44, 27, 45])
+
+
+def test_in_flight_packets_reach_on_arrival_in_merge_order(monkeypatch):
+    # rewarded end to end, feedback waits for the play-out, so the plans
+    # cut the stream one packet later and packets 24-28 take the direct
+    # path. Each arrival is handed to on_arrival as the loop's pending merge
+    # releases it, so that merge and its tie by seq are what order it
+    _assert_in_flight_packets_interleave(monkeypatch, "e2e", "on_arrival",
+                                         [41, 24, 42, 25, 43, 26, 44, 27, 45, 28, 46])
 
 
 @pytest.mark.parametrize("jitter", ["watermark", "buffer"])

@@ -134,15 +134,3 @@ def test_bench_reports_fails_on_a_changed_byte(monkeypatch, capsys):
     assert capsys.readouterr().err.splitlines() == [
         f"differs from the reference writer: {case}: {name}"
         for case in ("session", "cdf") for name in ("to_json", "write_json")]
-
-
-def test_bench_routed_times_every_method(capsys):
-    bench = _load("bench_routed")
-    assert bench.main(["--packets", "1500", "--repeats", "1"]) == 0
-    header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["method", "packets"] + list(bench.COLUMNS)
-    assert [row.split()[:2] for row in rows] == [[m, "1500"] for m in bench.METHODS]
-    for row in rows:
-        rate, collections, pause, rss = (float(x) for x in row.split()[2:])
-        assert rate > 0 and collections >= 0 and pause >= 0 and rss > 0
-

@@ -14,12 +14,12 @@ manager decide every fate and output time again), and equal the same session
 played through one event queue by ``tests/engine_reference.py``. Its arrival
 stream through a fresh estimator of its jitter config must give the lags (the
 watermark's) or transit targets (the buffer's) of
-``tests/estimator_reference.py``. A feedback-free session must also
-equal itself run with a one-arm bandit, which takes feedback, and a watermark
-session's arrivals played in uneven chunks must give its output times and
-fates again, with a watermark that never falls. A routed session run again
-must give the same report bytes, and its watermark, if it has one, must never
-fall from one ``on_arrival`` or ``play`` call to the next.
+``tests/estimator_reference.py``. A watermark session's arrivals played in
+uneven chunks must give its output times and fates again, with a watermark
+that never falls from one arrival to the next. A feedback-free session must
+also equal itself run with a one-arm bandit, which takes feedback. A routed
+session run again must give the same report bytes, and its watermark, if it
+has one, must never fall from one ``on_arrival`` or ``play`` call to the next.
 """
 
 import sys
@@ -267,8 +267,12 @@ def test_routed_session_properties(s):
     assert oracle.records == res.records
     assert oracle.report.to_json() == rep.to_json()
     _assert_estimator_matches_reference(res.records, cfg.jitter)
+    if cfg.jitter.kind == "watermark":
+        # a session played after its loop reaches the watermark in one
+        # play call; this checks it at every arrival
+        _assert_watermark_rises_across_chunks(res.records, cfg, s["seed"])
 
-    # the same session again, with a watermark checked at every arrival
+    # the same session again, with the watermark checked at every call
     checked = []
     with mock.patch.object(engine, "build_jitter_manager",
                            _watermark_checked(engine.build_jitter_manager, checked)):
