@@ -9,6 +9,8 @@ Three subcommands:
   to run experiment manifest.
 * ``run``: execute the session x method matrix described by an experiment
   manifest and write per-cell JSON reports, CDF CSVs, and a summary CSV.
+  ``--jobs`` worker processes load the topology's trace files, then run the
+  cells.
 
 Experiment manifest (JSON, schema_version 1)::
 
@@ -228,9 +230,11 @@ def _load_experiment(path: Path) -> dict:
     return doc
 
 
-def _experiment_topology(doc: dict, manifest_dir: Path) -> Topology:
+def _experiment_topology(doc: dict, manifest_dir: Path, jobs: int = 1) -> Topology:
+    """The manifest's topology: its trace files loaded by ``jobs`` processes,
+    or the synthetic one generated here."""
     if "topology" in doc:
-        return load_topology(manifest_dir / doc["topology"])
+        return load_topology(manifest_dir / doc["topology"], jobs)
     syn = dict(_object("synthetic", doc["synthetic"]))
     relays, duration_ms, step_ms = (
         _typed("synthetic", key, syn.pop(key, default), default)
@@ -363,11 +367,12 @@ def _print_matrix(labels: list[str], method_mean: dict, method_loss: dict,
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        return _usage_error("--jobs must be >= 1")
     manifest_path = Path(args.manifest)
     doc = _load_experiment(manifest_path)
     manifest_dir = manifest_path.parent
     out_dir = _resolve_out_dir(args.out, doc.get("output_dir"), manifest_dir)
-    topology = _experiment_topology(doc, manifest_dir)
     pairs = doc["pairs"]
     labels = _resolve_methods(doc, args)
     sessions = [_template_config(doc, args, e, u) for e, u in pairs]
@@ -380,8 +385,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     jobs = args.jobs
     if jobs is None:
         jobs = max(1, min(len(work), os.cpu_count() or 1))
-    if jobs < 1:
-        return _usage_error("--jobs must be >= 1")
+    # the cheap checks above come first: the load is the costly step
+    topology = _experiment_topology(doc, manifest_dir, jobs)
 
     if jobs == 1:
         _set_cell_topology(topology)
@@ -474,7 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--window-ms", type=float)
     p_run.add_argument("--confidence", type=float)
     p_run.add_argument("--jobs", type=int,
-                       help="parallel worker processes (default: min(cells, CPUs))")
+                       help="parallel worker processes for the trace load and the cells "
+                            "(default: min(cells, CPUs))")
     p_run.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV})")
     p_run.set_defaults(func=cmd_run)
     return parser

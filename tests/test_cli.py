@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from relaysim import METHODS, SessionConfig, Topology, load_topology, run_matrix
-from relaysim import cli
+from relaysim import cli, traces
 from relaysim.cli import main
 
 
@@ -156,10 +156,31 @@ def test_run_writes_full_matrix(synth_dir, tmp_path, capsys):
 
 
 def test_run_parallel_matches_serial(synth_dir, tmp_path):
+    # two workers load the traces and run the cells: every file written is
+    # the serial run's, byte for byte
     serial, parallel = tmp_path / "s", tmp_path / "p"
     assert _run(synth_dir, serial, "--jobs", "1") == 0
     assert _run(synth_dir, parallel, "--jobs", "2") == 0
-    assert (serial / "summary.csv").read_bytes() == (parallel / "summary.csv").read_bytes()
+    names = sorted(p.name for p in serial.iterdir())
+    assert names == sorted(["manifest.json", "effective_manifest.json", "summary.csv"]
+                           + [f"s0_{m}{ext}" for m in METHODS for ext in (".json", "_cdf.csv")])
+    assert sorted(p.name for p in parallel.iterdir()) == names
+    for name in names:
+        assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
+
+
+def test_run_loads_the_topology_with_its_jobs(synth_dir, tmp_path, monkeypatch):
+    loads, load = [], cli.load_topology
+
+    def counted(path, jobs):
+        loads.append(jobs)
+        return load(path, jobs)
+
+    monkeypatch.setattr(cli, "load_topology", counted)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    assert _run(synth_dir, tmp_path / "flag", "--jobs", "2", "--methods", "drt-bf") == 0
+    assert _run(synth_dir, tmp_path / "default") == 0
+    assert loads == [2, 3]  # the flag, else min(cells, CPUs), as for the cells
 
 
 def test_run_methods_subset(synth_dir, tmp_path):
@@ -482,5 +503,10 @@ def test_run_manifest_sections_cast_like_the_dataclasses(tmp_path):
                                 "update_on_drop": True}
 
 
-def test_run_jobs_usage_error(synth_dir, tmp_path):
+def test_run_jobs_usage_error(synth_dir, tmp_path, monkeypatch, capsys):
+    # the flag is checked before the costly step: no trace file is read
+    read = []
+    monkeypatch.setattr(traces, "ingest_trace", lambda *args, **kwargs: read.append(args))
     assert _run(synth_dir, tmp_path / "o", "--jobs", "0") == 2
+    assert "error: --jobs must be >= 1" in capsys.readouterr().err
+    assert read == [] and not (tmp_path / "o").exists()

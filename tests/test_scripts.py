@@ -134,3 +134,29 @@ def test_bench_reports_fails_on_a_changed_byte(monkeypatch, capsys):
     assert capsys.readouterr().err.splitlines() == [
         f"differs from the reference writer: {case}: {name}"
         for case in ("session", "cdf") for name in ("to_json", "write_json")]
+
+
+def test_bench_ingest_times_every_read(capsys):
+    bench = _load("bench_ingest")
+    assert bench.main(["--durations", "2", "--jobs", "1", "2", "--repeats", "1"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["duration_s", "case", "files", "rows", "best_s", "rows_per_s"]
+    assert [row.split()[:4] for row in rows] == [
+        ["2", "columnar", "1", "200"], ["2", "row-loop", "1", "200"],
+        ["2", "load-j1", "22", "4400"], ["2", "load-j2", "22", "4400"]]
+    for row in rows:
+        assert all(float(x) > 0 for x in row.split()[4:])
+
+
+def test_bench_ingest_fails_on_a_changed_array(monkeypatch, capsys):
+    bench = _load("bench_ingest")
+    read_rows = bench.traces._read_rows
+
+    def shifted(path):
+        link, ts, lat = read_rows(path)
+        return link, ts, lat + 1.0
+
+    monkeypatch.setattr(bench.traces, "_read_rows", shifted)
+    assert bench.main(["--durations", "2", "--jobs", "1", "--repeats", "1"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "2 s: the row loop's arrays differ from the columnar read's"]

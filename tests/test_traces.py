@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from relaysim import (
     generate_synthetic,
     ingest_trace,
     load_topology,
+    required_links,
     save_topology,
 )
 from relaysim import traces
@@ -472,6 +477,94 @@ def test_load_topology_names_a_value_that_is_not_a_string(tmp_path, section, key
     with pytest.raises(ValidationError) as exc:
         load_topology(manifest)
     assert str(exc.value) == message
+
+
+def _mesh_manifest(tmp_path):
+    """A saved eight-link topology; one file is read by the row loop, one is rtt."""
+    links = required_links("e0", "u0", ["r0", "r1"], include_reverse=True)
+    topo = generate_synthetic(SyntheticTraceSpec(seed=3), links, 2000.0, 10.0,
+                              roles={"e0": "endpoint", "u0": "user"})
+    manifest = save_topology(topo, tmp_path / "topology.json")
+    doc = json.loads(manifest.read_text())
+    quoted, src = tmp_path / doc["traces"][1]["file"], doc["traces"][1]["src"]
+    quoted.write_text(quoted.read_text().replace(f",{src},", f',"{src}",', 1))
+    doc["traces"][2]["unit"] = "rtt"
+    manifest.write_text(json.dumps(doc))
+    return manifest, doc
+
+
+def test_load_topology_is_the_same_at_any_jobs(tmp_path):
+    manifest, doc = _mesh_manifest(tmp_path)
+    assert traces._read_columns(tmp_path / doc["traces"][1]["file"]) is None
+
+    def read(topology):
+        return topology.nodes, [(link, t.timestamps_ms.tobytes(), t.latencies_ms.tobytes())
+                                for link, t in topology.traces.items()]
+
+    serial = read(load_topology(manifest))
+    assert [link for link, *_ in serial[1]] == [(t["src"], t["dst"]) for t in doc["traces"]]
+    for jobs in (1, 2, 3):
+        assert read(load_topology(manifest, jobs)) == serial
+
+
+def _bad_row_then_missing_file(tmp_path, doc):
+    first = tmp_path / doc["traces"][0]["file"]
+    first.write_text(first.read_text() + "99999,e0,r0,oops\r\n")
+    doc["traces"][-1]["file"] = "traces/gone.csv"
+    return TraceParseError, f"{first.name} line 202: could not convert string to float: 'oops'"
+
+
+def _link_disagrees_then_bad_bytes(tmp_path, doc):
+    a, b = doc["traces"][1], doc["traces"][2]
+    a["file"], b["file"] = b["file"], a["file"]
+    (tmp_path / doc["traces"][4]["file"]).write_bytes(b"\xff")
+    return ValidationError, (f"{Path(a['file']).name}: manifest says {a['src']}->{a['dst']}, "
+                             f"file contains {b['src']}->{b['dst']}")
+
+
+def _repeated_link(tmp_path, doc):
+    doc["traces"].append(dict(doc["traces"][3]))
+    src, dst = doc["traces"][3]["src"], doc["traces"][3]["dst"]
+    return ValidationError, f"topology.json: duplicate link {src}->{dst}"
+
+
+def _unknown_unit(tmp_path, doc):
+    doc["traces"][3]["unit"] = "two-way"
+    return ValidationError, "unknown unit 'two-way'"
+
+
+def _bytes_not_utf8(tmp_path, doc):
+    path = tmp_path / doc["traces"][4]["file"]
+    path.write_bytes(b"timestamp_ms,src_node,dst_node,latency_ms\n0,e0,r0,\xff\n")
+    return TraceParseError, (f"{path.name}: 'utf-8' codec can't decode byte 0xff "
+                             "in position 50: invalid start byte")
+
+
+@pytest.mark.parametrize("breakage", [_bad_row_then_missing_file, _link_disagrees_then_bad_bytes,
+                                      _repeated_link, _unknown_unit, _bytes_not_utf8],
+                         ids=lambda f: f.__name__.strip("_"))
+def test_load_topology_raises_the_serial_error_at_any_jobs(tmp_path, breakage):
+    # every file before the bad one is read and checked first, in manifest
+    # order, so the first error is the same however the files are spread
+    manifest, doc = _mesh_manifest(tmp_path)
+    kind, message = breakage(tmp_path, doc)
+    manifest.write_text(json.dumps(doc))
+    for jobs in (1, 2):
+        with pytest.raises(Exception) as exc:
+            load_topology(manifest, jobs)
+        assert (type(exc.value), str(exc.value)) == (kind, message)
+
+
+def test_import_leaves_the_process_pool_out():
+    # the pool's modules cost a process about 1.3 MB; only a parallel load
+    # imports them
+    path = [str(Path(traces.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = ("import sys, relaysim; print(sorted(m for m in sys.modules if m == 'multiprocessing'"
+            " or m.startswith(('multiprocessing.', 'concurrent.futures.process'))))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_trace_summary_fields():
