@@ -230,6 +230,9 @@ class TransitEstimator:
         initial_lag_ms: float = 0.0,
         max_lag_ms: float = 10000.0,
     ) -> None:
+        params = (window_ms, bin_ms, percentile, loss_cost_ms, initial_lag_ms, max_lag_ms)
+        if not all(map(math.isfinite, params)):
+            raise ValidationError("estimator parameters must be finite")
         if window_ms <= 0 or bin_ms <= 0 or max_lag_ms <= 0:
             raise ValidationError("window_ms, bin_ms, max_lag_ms must be positive")
         if not (0 < percentile <= 1):

@@ -10,7 +10,7 @@ Three subcommands:
 * ``run``: execute the session x method matrix described by an experiment
   manifest and write per-cell JSON reports, CDF CSVs, and a summary CSV.
   ``--jobs`` worker processes load the topology's trace files, then run the
-  cells.
+  cells, with no more workers than cells.
 
 Experiment manifest (JSON, schema_version 1)::
 
@@ -30,14 +30,15 @@ Experiment manifest (JSON, schema_version 1)::
         "router": {"c": 1.0, "confidence": 0.95, "prune": true},
         "jitter": {"window_ms": 2000.0, "bin_ms": 1.0, "percentile": 0.95,
                    "loss_cost_ms": 100.0, "initial_lag_ms": 0.0,
-                   "max_lag_ms": 10000.0, "update_on_drop": true}
+                   "max_lag_ms": 10000.0}
       },
       "output_dir": "results"             # optional
     }
 
-Exactly one of "topology"/"synthetic" must be present. Flags override
-manifest fields. Output directory precedence: --out flag, then the manifest
-field, then $RELAYSIM_OUT_DIR. Results are written only after the whole
+Exactly one of "topology"/"synthetic" must be present. An unknown key, and
+a NaN or Infinity, are validation errors. Flags override manifest fields.
+Output directory precedence: --out flag, then the manifest field, then
+$RELAYSIM_OUT_DIR. Results are written only after the whole
 matrix has completed, so a failed run leaves no partial output.
 
 Exit codes: 0 ok, 2 usage, 3 validation, 4 runtime.
@@ -50,7 +51,6 @@ import json
 import os
 import shutil
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
@@ -206,9 +206,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 # --------------------------------------------------------------------- run
 
+def _not_a_number(name: str):
+    """``json.loads``' hook for NaN, Infinity and -Infinity, which JSON lacks."""
+    raise ValidationError(f"{name} is not a valid manifest number")
+
+
 def _load_experiment(path: Path) -> dict:
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(), parse_constant=_not_a_number)
     except FileNotFoundError:
         raise ValidationError(f"manifest not found: {path}") from None
     except json.JSONDecodeError as exc:
@@ -388,15 +393,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     # the cheap checks above come first: the load is the costly step
     topology = _experiment_topology(doc, manifest_dir, jobs)
 
-    if jobs == 1:
+    workers = min(jobs, len(work))
+    if workers == 1:
         _set_cell_topology(topology)
         try:
             cells = dict(map(_run_cell, work))
         finally:
             _set_cell_topology(None)
     else:
+        # imported here, as the load's pool is: a serial run does not need it
+        from concurrent.futures import ProcessPoolExecutor
+
         # each worker gets the topology once, not with every cell
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_set_cell_topology,
+        with ProcessPoolExecutor(max_workers=workers, initializer=_set_cell_topology,
                                  initargs=(topology,)) as pool:
             cells = dict(pool.map(_run_cell, work))
 

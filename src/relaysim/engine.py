@@ -127,8 +127,9 @@ class SessionConfig:
     def __post_init__(self) -> None:
         if self.packet_count < 0:
             raise ValidationError("packet_count cannot be negative")
-        if self.interval_ms <= 0 or self.warmup_ms <= 0:
-            raise ValidationError("interval_ms and warmup_ms must be positive")
+        # a chained comparison: NaN fails it as well as infinity
+        if not (0 < self.interval_ms < math.inf and 0 < self.warmup_ms < math.inf):
+            raise ValidationError("interval_ms and warmup_ms must be finite and positive")
 
 
 @dataclass

@@ -13,19 +13,19 @@ window and its quantile are the same code for both:
     watermark wm = max(wm, p.ts - lag); every pending packet with ts < wm is
     emitted immediately (sorted by ts), so nobody waits for a missing
     predecessor. A packet arriving with ts < wm is dropped as late. The drop
-    never touches the watermark or the pending queue, but by default the
-    estimator still measures the dropped arrival (``update_on_drop``): a late
-    packet's transit is exactly the reorder-depth evidence the lag needs
-    while a reorder run is in progress, and the estimator forgets it once it
-    leaves the depth hold.
+    never touches the watermark or the pending queue, but the estimator
+    still measures the dropped arrival: a late packet's transit is exactly
+    the reorder-depth evidence the lag needs while a reorder run is in
+    progress, and the estimator forgets it once it leaves the depth hold.
 
 ``PlayoutBuffer``
     In-order processing with an adaptive playout schedule. A packet plays at
     ts + target_delay (target = windowed transit quantile), strictly in
     sequence order; a missing packet blocks successors until its own deadline
     passes, and a packet arriving after its deadline, or for a slot already
-    passed, is dropped. The target changes only when the estimator is
-    updated, so the buffer reads it once after each update and keeps it.
+    passed, is dropped. The estimator measures every arrival, a dropped one
+    too, as the watermark's does. The target changes only when the estimator
+    is updated, so the buffer reads it once after each update and keeps it.
 
 Both managers are event-driven: emissions happen while processing an arrival,
 plus a final flush at session teardown. ``on_arrival(packet, now)`` processes
@@ -37,16 +37,16 @@ output time into ``to`` and its fate code (``FATES``) into ``fate``. The
 engine calls ``play`` once per session, after its loop, for every session
 whose feedback reads nothing the manager decides: feedback-free ones and
 routed ones rewarded at transmit (``via-bf``, ``via-wm``). ``on_arrival``
-now serves two callers only: routed sessions rewarded end to end
-(``vcr-wm``), whose feedback needs each playout as it happens, and ``play``
-itself without ``update_on_drop``. ``tests/test_jitter.py`` requires both
+serves routed sessions rewarded end to end (``vcr-wm``), whose feedback
+needs each playout as it happens, and replays of a finished session's
+arrivals (relaybench's replay gate). ``tests/test_jitter.py`` requires both
 forms to decide the same fates and output times and to leave the same
 state.
 
 The watermark states its rule twice, in ``on_arrival`` and in a closed form.
-When the estimator sees every arrival (``update_on_drop``), its lag column
-depends on the arrival stream alone, so ``play`` takes it from one
-whole-stream pass, ``JitterEstimator.lags``. Every lag is nonnegative, so a
+The estimator sees every arrival, so its lag column depends on the arrival
+stream alone, and ``play`` takes it from one whole-stream pass,
+``JitterEstimator.lags``. Every lag is nonnegative, so a
 dropped arrival's ``ts - lag`` is already below the watermark. So, in
 arrival order, the watermark is ``maximum.accumulate(ts - lag)`` from the
 one before the schedule; an arrival is dropped when its ``ts`` is below the
@@ -54,12 +54,11 @@ previous watermark; and an accepted packet, or one pending from before, is
 played out at the arrival time of the first arrival whose watermark exceeds
 its ``ts`` (``searchsorted(wm, ts, "right")``), or stays pending for the
 flush. This is MillWheel's lateness rule against a low watermark (Akidau et
-al., VLDB 2013) in array form. Without ``update_on_drop`` the lags depend on
-the fates, and ``play`` hands each arrival to ``on_arrival``.
+al., VLDB 2013) in array form.
 
 The playout buffer has no such form, so it states its rule in ``on_arrival``
-and again in ``play``'s loop. Its target column is fate-free under
-``update_on_drop`` too, and ``play`` takes it from one pass,
+and again in ``play``'s loop. Its target column is fate-free too, and
+``play`` takes it from one pass,
 ``TransitEstimator.targets``, but its sweep walks seq order: slot k is
 released at the first arrival, from the one that released slot k-1 on, at
 which the current target puts its deadline behind it. The target rises and
@@ -67,12 +66,10 @@ falls, so that search starts where slot k-1's ended: a recurrence over seq
 order, not a prefix scan over arrival order. Whether an arrival comes too
 late for its slot depends on the same recurrence. The loop takes the
 schedule ``PLAY_BLOCK`` arrivals at a time, so its Python lists stay short
-whatever the session's length. Without ``update_on_drop`` ``play`` hands
-each arrival to ``on_arrival``.
+whatever the session's length.
 
-Under ``update_on_drop`` each manager's ``play`` calls one estimator
-method per schedule, ``lags`` or ``targets``, and assigns none of the
-estimator's attributes.
+Each manager's ``play`` calls one estimator method per schedule, ``lags`` or
+``targets``, and assigns none of the estimator's attributes.
 """
 
 from __future__ import annotations
@@ -106,8 +103,8 @@ class Stamped(Protocol):
 
 
 class _Arrival:
-    """The ``(seq, ts)`` that ``play`` and the engine hand to ``on_arrival``:
-    a slotted class, which builds in about half a NamedTuple's time."""
+    """The ``(seq, ts)`` that the engine hands to ``on_arrival``: a slotted
+    class, which builds in about half a NamedTuple's time."""
 
     __slots__ = ("seq", "ts")
 
@@ -144,7 +141,6 @@ class JitterConfig:
     loss_cost_ms: float = 100.0
     initial_lag_ms: float = 0.0
     max_lag_ms: float = 10000.0
-    update_on_drop: bool = True  # late arrivals still feed the estimator
 
     def __post_init__(self) -> None:
         if self.kind not in JITTER_KINDS:
@@ -165,29 +161,11 @@ class JitterConfig:
         )
 
 
-def _play_each(manager, order: np.ndarray, ts: np.ndarray, ta: np.ndarray,
-               to: np.ndarray, fate: np.ndarray) -> None:
-    """``play`` by handing each arrival to the manager's ``on_arrival``."""
-    on_arrival = manager.on_arrival
-    played, outs, late = [], [], []
-    for seq, t, now in zip(order.tolist(), ts[order].tolist(), ta[order].tolist()):
-        emissions, dropped = on_arrival(_Arrival(seq, t), now)
-        if dropped:
-            late.append(seq)
-        for em in emissions:
-            played.append(em.seq)
-            outs.append(em.out)
-    to[played] = outs
-    fate[played] = DELIVERED
-    fate[late] = DROPPED_LATE
-
-
 class WatermarkReorderer:
     """Watermark-driven out-of-order emission."""
 
-    def __init__(self, estimator: JitterEstimator, update_on_drop: bool = True) -> None:
+    def __init__(self, estimator: JitterEstimator) -> None:
         self._est = estimator
-        self._update_on_drop = update_on_drop
         self._wm = float("-inf")
         self._pending: list[tuple[float, int, float]] = []  # (ts, seq, arrival)
         self.dropped_count = 0
@@ -211,11 +189,10 @@ class WatermarkReorderer:
         ts = packet.ts
         if ts < self._wm:
             # late: the watermark already passed this timestamp. The drop
-            # leaves wm and the queue untouched, but the estimator may still
-            # measure the arrival (its transit measures the depth of the
+            # leaves wm and the queue untouched, but the estimator still
+            # measures the arrival (its transit measures the depth of the
             # current reorder run, evidence the lag cannot get elsewhere).
-            if self._update_on_drop:
-                self._est.update(ts, now)
+            self._est.update(ts, now)
             self.dropped_count += 1
             return [], True
         lag = self._est.update(ts, now)
@@ -239,10 +216,6 @@ class WatermarkReorderer:
         ``fate[seq] = DROPPED_LATE``. What is still pending stays for
         ``flush``, and the manager ends in the state the same ``on_arrival``
         calls would leave, up to the layout of its pending heap."""
-        if not self._update_on_drop:
-            # the estimator skips late arrivals: each lag depends on the fates
-            _play_each(self, order, ts, ta, to, fate)
-            return
         if not len(order):
             return
         ts_o, ta_o = ts[order], ta[order]
@@ -292,17 +265,11 @@ class PlayoutBuffer:
     slots that have not arrived (ts inferred from the slot index).
     """
 
-    def __init__(
-        self,
-        estimator: TransitEstimator,
-        interval_ms: float,
-        update_on_drop: bool = True,
-    ) -> None:
+    def __init__(self, estimator: TransitEstimator, interval_ms: float) -> None:
         if interval_ms <= 0:
             raise ValueError("interval_ms must be positive")
         self._est = estimator
         self._target = estimator.transit_target()  # as of the last update
-        self._update_on_drop = update_on_drop
         self._interval = interval_ms
         self._next_seq = 0
         self._buffer: dict[int, tuple[float, float]] = {}  # seq -> (ts, arrival)
@@ -332,18 +299,14 @@ class PlayoutBuffer:
         # drop decisions use the pre-arrival target, mirroring the watermark
         # manager's check against the pre-arrival wm
         target = self._target
-        if self._update_on_drop:
-            self._est.update(ts, now)
-            self._target = self._est.transit_target()
+        self._est.update(ts, now)
+        self._target = self._est.transit_target()
         if seq < self._next_seq:
             self.dropped_count += 1
             return [], True
         if not cold and now > ts + target:
             self.dropped_count += 1
             return [], True
-        if not self._update_on_drop:
-            self._est.update(ts, now)
-            self._target = self._est.transit_target()
         if seq in self._buffer:
             raise ValueError(f"duplicate seq {seq}")
         self._buffer[seq] = (ts, now)
@@ -385,15 +348,11 @@ class PlayoutBuffer:
              to: np.ndarray, fate: np.ndarray) -> None:
         """Process a whole arrival schedule, as ``on_arrival`` would one by one.
 
-        The columns are those of :meth:`WatermarkReorderer.play`. Under
-        ``update_on_drop`` the estimator's ``targets`` gives the target after
-        every arrival in one pass, and the loop walks the schedule
-        ``PLAY_BLOCK`` arrivals at a time, with ``_sweep``'s rule inline,
-        writing each block's fates and the manager's state as the block
-        ends. Otherwise each arrival goes to ``on_arrival``."""
-        if not self._update_on_drop:
-            _play_each(self, order, ts, ta, to, fate)
-            return
+        The columns are those of :meth:`WatermarkReorderer.play`. The
+        estimator's ``targets`` gives the target after every arrival in one
+        pass, and the loop walks the schedule ``PLAY_BLOCK`` arrivals at a
+        time, with ``_sweep``'s rule inline, writing each block's fates and
+        the manager's state as the block ends."""
         ts_o, ta_o = ts[order], ta[order]
         after = self._est.targets(ts_o, ta_o)
         interval = self._interval
@@ -466,5 +425,5 @@ class PlayoutBuffer:
 def build_jitter_manager(cfg: JitterConfig, interval_ms: float):
     est = cfg.make_estimator()
     if cfg.kind == "watermark":
-        return WatermarkReorderer(est, update_on_drop=cfg.update_on_drop)
-    return PlayoutBuffer(est, interval_ms, update_on_drop=cfg.update_on_drop)
+        return WatermarkReorderer(est)
+    return PlayoutBuffer(est, interval_ms)

@@ -128,9 +128,8 @@ def test_c04_watermark_matches_bruteforce_reference():
     for seed in range(200):
         rng = np.random.default_rng(seed)
         packets = bursty_packets(rng, 1000)
-        feed = bool(seed % 2)
-        wm = WatermarkReorderer(JitterEstimator(), update_on_drop=feed)
-        ref = WatermarkReference(JitterEstimator(), update_on_drop=feed)
+        wm = WatermarkReorderer(JitterEstimator())
+        ref = WatermarkReference(JitterEstimator())
         got, got_drops = [], []
         for p in packets:
             emissions, dropped = wm.on_arrival(p, p.arrival)

@@ -1,5 +1,6 @@
 """End-to-end CLI pipeline: synth, validate, run."""
 
+import concurrent.futures
 import json
 import re
 
@@ -246,24 +247,33 @@ def test_run_pool_gets_topology_once(synth_dir, tmp_path, monkeypatch):
     seen = {}
 
     class InlinePool:
-        """Runs the pool's initializer and cells in this process."""
+        """Runs a pool's initializer and maps in this process: the cell pool's,
+        and the trace load's, which has no initializer."""
 
-        def __init__(self, max_workers, initializer, initargs):
-            seen["workers"] = max_workers
-            initializer(*initargs)
+        def __init__(self, max_workers, initializer=None, initargs=()):
+            self.cells = initializer is not None
+            if self.cells:
+                seen["workers"] = max_workers
+                initializer(*initargs)
+            else:
+                seen["load_workers"] = max_workers
 
         def __enter__(self):
             return self
 
         def __exit__(self, *exc):
-            cli._set_cell_topology(None)
+            if self.cells:
+                cli._set_cell_topology(None)
 
-        def map(self, fn, jobs):
-            jobs = list(jobs)
+        def map(self, fn, *iterables):
+            if not self.cells:
+                return map(fn, *iterables)
+            jobs = list(iterables[0])
             seen["jobs"] = jobs
             return map(fn, jobs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    # both pools are imported where they start, from concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     assert _run(synth_dir, tmp_path / "res") == 0
     assert seen["workers"] == 3  # min(cells, CPUs), not min(pairs, CPUs)
@@ -271,6 +281,18 @@ def test_run_pool_gets_topology_once(synth_dir, tmp_path, monkeypatch):
     assert not any(isinstance(x, Topology) for job in seen["jobs"] for x in job)
     assert _run(synth_dir, tmp_path / "serial", "--methods", "drt-bf") == 0
     assert seen["workers"] == 3  # one cell runs serially, without a pool
+    assert cli._cell_topology is None
+    # more jobs than cells: the cells get one worker each, and the load one
+    # per trace file
+    files = len(load_topology(synth_dir / "topology.json").traces)
+    seen.clear()
+    assert _run(synth_dir, tmp_path / "eight", "--jobs", "8") == 0
+    assert seen["workers"] == len(METHODS) and len(seen["jobs"]) == len(METHODS)
+    assert seen["load_workers"] == files < 8
+    # one cell starts no cell pool, whatever --jobs says; the load keeps --jobs
+    seen.clear()
+    assert _run(synth_dir, tmp_path / "one", "--jobs", "4", "--methods", "drt-bf") == 0
+    assert seen == {"load_workers": min(4, files)} and files > 1
     assert cli._cell_topology is None
 
 
@@ -331,21 +353,25 @@ def test_run_manifest_errors(tmp_path, capsys):
     assert attempt({**base, "methods": ["bogus"]}) == 3
     assert attempt({**base, "defaults": {"packet_count": 10}}) == 3
     assert "error:" in capsys.readouterr().err
+    # update_on_drop is a retired jitter key: late arrivals always feed the estimator
     for section, bad in (("router", "kind"), ("jitter", "kind"), ("router", "window_ms"),
-                         ("jitter", "bogus")):
+                         ("jitter", "bogus"), ("jitter", "update_on_drop")):
         defaults = {**base["defaults"], section: {bad: 1}}
         assert attempt({**base, "defaults": defaults}) == 3
         assert f"unknown {section} keys ['{bad}']" in capsys.readouterr().err
     synthetic = {**base["synthetic"], "mean": 150.0}
     assert attempt({**base, "synthetic": synthetic}) == 3
     assert "unknown synthetic keys ['mean']" in capsys.readouterr().err
+    # json.dumps writes NaN and Infinity, which JSON itself lacks
+    for value, name in ((float("nan"), "NaN"), (float("inf"), "Infinity"),
+                        (-float("inf"), "-Infinity")):
+        assert attempt({**base, "defaults": {**base["defaults"], "warmup_ms": value}}) == 3
+        assert f"error: {name} is not a valid manifest number\n" in capsys.readouterr().err
     # a value of the wrong JSON type is named by its section and key, not cast
     for defaults, message in (
             ({"router": {"prune": "false"}},
              "router key 'prune' must be true or false, not \"false\""),
             ({"router": {"prune": 0}}, "router key 'prune' must be true or false, not 0"),
-            ({"jitter": {"update_on_drop": "no"}},
-             "jitter key 'update_on_drop' must be true or false, not \"no\""),
             ({"seed": 3.7}, "defaults key 'seed' must be an integer, not 3.7"),
             ({"packets": 500.9}, "defaults key 'packets' must be an integer, not 500.9"),
             ({"packets": True}, "defaults key 'packets' must be an integer, not true"),
@@ -440,9 +466,14 @@ def test_run_topology_manifest_errors_are_validation_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, jobs", [(("--percentile", "1.5"), "1"),
-                                        (("--window-ms", "-5"), "2")])
+                                        (("--window-ms", "-5"), "2"),
+                                        (("--window-ms", "nan"), "1"),
+                                        (("--window-ms", "inf"), "2"),
+                                        (("--interval-ms", "nan"), "1"),
+                                        (("--interval-ms", "inf"), "2")])
 def test_run_bad_jitter_flags_are_validation_errors(synth_dir, tmp_path, capsys, flag, jobs):
-    # the estimator rejects them when a cell starts, in this process or a worker
+    # the estimator rejects them when a cell starts, in this process or a
+    # worker; SessionConfig rejects a cadence that is not finite and positive
     res = tmp_path / "res"
     assert _run(synth_dir, res, "--jobs", jobs, "--methods", "drt-wm,drt-bf", *flag) == 3
     assert "error:" in capsys.readouterr().err
@@ -499,8 +530,7 @@ def test_run_manifest_sections_cast_like_the_dataclasses(tmp_path):
                                 "prune": False}
     assert config["jitter"] == {"kind": "watermark", "window_ms": 2000.0, "bin_ms": 1.0,
                                 "percentile": 0.9, "loss_cost_ms": 100.0,
-                                "initial_lag_ms": 0.0, "max_lag_ms": 900.0,
-                                "update_on_drop": True}
+                                "initial_lag_ms": 0.0, "max_lag_ms": 900.0}
 
 
 def test_run_jobs_usage_error(synth_dir, tmp_path, monkeypatch, capsys):

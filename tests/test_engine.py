@@ -5,7 +5,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -279,7 +279,7 @@ def test_report_config_echo():
     assert rep.method == "direct+watermark"
     assert rep.router_kind == "direct"
     assert rep.jitter_kind == "watermark"
-    assert rep.config["jitter"]["update_on_drop"] is True
+    assert list(rep.config["jitter"]) == [f.name for f in fields(JitterConfig)]
     assert rep.config["router"]["kind"] == "direct"
     assert rep.estimator_implementation == "python"
     assert rep.feedback_delay_model == "reverse-direct-oneway"
@@ -288,8 +288,7 @@ def test_report_config_echo():
         endpoint="e0", user="u0", packet_count=20, warmup_ms=WARMUP,
         router=RouterConfig(c=2.5, confidence=0.9, prune=False),
         jitter=JitterConfig(window_ms=1500.0, bin_ms=2.0, percentile=0.9,
-                            loss_cost_ms=50.0, initial_lag_ms=5.0, max_lag_ms=900.0,
-                            update_on_drop=False))
+                            loss_cost_ms=50.0, initial_lag_ms=5.0, max_lag_ms=900.0))
     cell = cell_config(template, 0, 1, "direct+buffer")
     echo = run_session(constant_pair_topology(), cell).report.config
     assert RouterConfig(**echo["router"]) == cell.router
@@ -354,8 +353,11 @@ def test_missing_links_are_listed_sorted_and_once():
 def test_session_config_validation():
     with pytest.raises(ValidationError):
         SessionConfig(endpoint="e0", user="u0", packet_count=-1)
-    with pytest.raises(ValidationError):
-        SessionConfig(endpoint="e0", user="u0", interval_ms=0.0)
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="finite and positive"):
+            SessionConfig(endpoint="e0", user="u0", interval_ms=bad)
+        with pytest.raises(ValidationError, match="finite and positive"):
+            SessionConfig(endpoint="e0", user="u0", warmup_ms=bad)
     with pytest.raises(ValidationError):
         RouterConfig(kind="ospf")
 
@@ -388,11 +390,11 @@ def test_seed_changes_ts_run():
 # every record's (seq, ts, ta, to, path_id, fate) on one small unpruned
 # hetero session; a change to the session loop must keep them bit for bit
 GOLDEN_DIGESTS = {
-    "drt-bf": "d7940746957653528c010f9100ac29bf40e65d17249c887885e5e88910466ce1",
-    "drt-wm": "c682db9516bd1dbd5d0eac58993a4027ce29b84cabcea7e58a0441f94599ac42",
-    "vcr-wm": "e104c97e1c9b4b7112f930f975a8256dcc90202d467c8a38af2df3a914a8f36d",
-    "via-bf": "0a9e7152e1be5405d7675258fb95bedc4199c3dd067f71c71b60c6162dd2ec62",
-    "via-wm": "d358aff9798f33644aeac519198d25c0977c78d359a2bb2e77e39a7c5afb288d",
+    "drt-bf": "7abb946adc241ecb168e9c3d88f9d1f37a72e2ca61b0cf5efef32c9440d8f1b9",
+    "drt-wm": "c28f9ab7483d970f46c9c9fe7828a62e3e9ba606a470dc4d49ceaa7a2f5c8b32",
+    "vcr-wm": "2f4e92eae8ce080366e7e4a1125ae5b00c912d44d6d87a6a14329edf5356ef46",
+    "via-bf": "dbf973cbe9cf4b88fda0587c7275cda62e7c4c7a4a4bbd452cd774c916d4a5cc",
+    "via-wm": "9934328d0dccfc3aa13e80542910ca76bd97eefcabdc3e90cdb186df4e024a28",
 }
 
 
@@ -415,12 +417,12 @@ def test_golden_digests(method):
 # on the golden scenario, and vcr-wm pruned at a 20/3 ms cadence with a loss
 # threshold, so loss_threshold_exceeded is not null
 FILE_DIGESTS = {
-    "drt-bf": "4eb02606cbd2d7db5d0fee972dee51b7a9d265f04b573cfe2824ad34639d3b51",
-    "drt-wm": "e62b5ea972b740698ae2724aa0e470d2c800f1d5f361503d701cdd08d0516deb",
-    "vcr-wm": "9e19b0e5b745087ad390700b9f8b64e70fe781a2f295ff9209e969d9819bf500",
-    "via-bf": "06a2bd9df8fcb9c526613726497f7b86fdbec05d97e561aab1e23eafb0c4e37e",
-    "via-wm": "0658743b8c240ec87599370207dc77bc3fe443b813a381f5d22834abb83b4a05",
-    "vcr-wm-20/3ms": "2d12f7b3313c06e6c74e54a3860a6c658ffe4afc9748b78268983928caa0bf47",
+    "drt-bf": "4bcfa43f5b71ba931c778f27c4932d1b33dcad836edc787791430050426111a4",
+    "drt-wm": "951ce230da4e6e4131b6161483d821d3e91a3456ebfdb0c564a073b27cfed7b2",
+    "vcr-wm": "9869309bd858c930361137a44e2ef03c90b9461f08bca817cdc5f7eed242dd15",
+    "via-bf": "f1703e79340b7129f158b8c53d7a6a6751749078da0b6a6db3c6b6fd8b5abcc1",
+    "via-wm": "0ffc0bcef9b85f6ad3125d8194bf896077cf7d273ca08fe198b77d3de087d157",
+    "vcr-wm-20/3ms": "9765cb7f18140ab45c078a188ec1a40796a691f3a176731ea4b28c121b977c27",
 }
 
 

@@ -271,6 +271,15 @@ def test_update_validation():
         {"loss_cost_ms": -1.0},
         {"initial_lag_ms": -1.0},
         {"max_lag_ms": 0.0},
+        {"window_ms": float("nan")},
+        {"window_ms": float("inf")},
+        {"bin_ms": float("nan")},
+        {"percentile": float("nan")},
+        {"loss_cost_ms": float("nan")},
+        {"loss_cost_ms": float("inf")},
+        {"initial_lag_ms": float("nan")},
+        {"initial_lag_ms": float("inf")},
+        {"max_lag_ms": float("inf")},
     ],
 )
 def test_constructor_validation(kwargs):

@@ -73,7 +73,7 @@ def test_watermark_never_retreats():
 
 def test_late_packet_dropped_without_state_change():
     est = FixedEstimator(lag=10.0)
-    wm = WatermarkReorderer(est, update_on_drop=True)
+    wm = WatermarkReorderer(est)
     wm.on_arrival(Packet(0, 40.0, 41.0), 41.0)
     wm.on_arrival(Packet(1, 45.0, 50.0), 50.0)
     calls_before = len(est.calls)
@@ -83,16 +83,6 @@ def test_late_packet_dropped_without_state_change():
     assert wm.pending_count == 2      # untouched
     assert wm.dropped_count == 1
     assert len(est.calls) == calls_before + 1  # but the estimator measured it
-
-
-def test_late_packet_can_skip_the_estimator():
-    est = FixedEstimator(lag=10.0)
-    wm = WatermarkReorderer(est, update_on_drop=False)
-    wm.on_arrival(Packet(0, 40.0, 41.0), 41.0)
-    calls_before = len(est.calls)
-    _, dropped = wm.on_arrival(Packet(1, 5.0, 50.0), 50.0)
-    assert dropped
-    assert len(est.calls) == calls_before
 
 
 def test_emission_boundary_is_strict():
@@ -146,23 +136,22 @@ def test_zero_jitter_stream_emits_at_next_arrival():
 
 def test_watermark_matches_reference_on_bursty_streams():
     for seed in (1, 2, 3):
-        for feed_drops in (True, False):
-            packets = bursty_packets(np.random.default_rng(seed), 1500)
-            mgr = WatermarkReorderer(JitterEstimator(), update_on_drop=feed_drops)
-            ref = WatermarkReference(JitterEstimator(), update_on_drop=feed_drops)
-            got = []
-            drops = []
-            for p in packets:
-                emissions, dropped = mgr.on_arrival(p, p.arrival)
-                if dropped:
-                    drops.append(p.seq)
-                got.extend((e.seq, e.out) for e in emissions)
-                ref.arrival(p)
-            end = packets[-1].arrival
-            got.extend((e.seq, e.out) for e in mgr.flush(end))
-            ref.flush(end)
-            assert got == ref.emissions
-            assert drops == ref.drops
+        packets = bursty_packets(np.random.default_rng(seed), 1500)
+        mgr = WatermarkReorderer(JitterEstimator())
+        ref = WatermarkReference(JitterEstimator())
+        got = []
+        drops = []
+        for p in packets:
+            emissions, dropped = mgr.on_arrival(p, p.arrival)
+            if dropped:
+                drops.append(p.seq)
+            got.extend((e.seq, e.out) for e in emissions)
+            ref.arrival(p)
+        end = packets[-1].arrival
+        got.extend((e.seq, e.out) for e in mgr.flush(end))
+        ref.flush(end)
+        assert got == ref.emissions
+        assert drops == ref.drops
 
 
 def _columns(packets):
@@ -235,31 +224,36 @@ def _play_against_on_arrival(build, packets, split):
     return _times(to), _fates(fate)
 
 
-def _bursty_streams():
-    streams = [bursty_packets(np.random.default_rng(seed), 1500) for seed in (1, 2, 3)]
-    # whole-ms arrivals: deadlines and watermarks tie with arrival times
-    streams.append([Packet(p.seq, p.ts, float(round(p.arrival)))
-                    for p in bursty_packets(np.random.default_rng(4), 1500)])
-    return streams
+def _whole_ms(packets):
+    """The stream with its arrivals rounded to whole ms: deadlines and
+    watermarks tie with arrival times."""
+    return [Packet(p.seq, p.ts, float(round(p.arrival))) for p in packets]
 
 
-@pytest.mark.parametrize("feed", [True, False])
+def _bursty_streams(whole_ms):
+    """The bursty streams of seeds 1-3, or seed 4's with whole-ms arrivals."""
+    if whole_ms:
+        return [_whole_ms(bursty_packets(np.random.default_rng(4), 1500))]
+    return [bursty_packets(np.random.default_rng(seed), 1500) for seed in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("whole_ms", [True, False])
 @pytest.mark.parametrize("kind", ["watermark", "buffer"])
-def test_play_equals_on_arrival(kind, feed):
-    cfg = JitterConfig(kind=kind, update_on_drop=feed)
-    for packets in _bursty_streams():
+def test_play_equals_on_arrival(kind, whole_ms):
+    cfg = JitterConfig(kind=kind)
+    for packets in _bursty_streams(whole_ms):
         _, fate = _play_against_on_arrival(lambda: build_jitter_manager(cfg, 10.0),
                                            packets, len(packets) // 2)
         assert "dropped_late" in fate and "in_flight" in fate
 
 
-@pytest.mark.parametrize("feed", [True, False])
+@pytest.mark.parametrize("whole_ms", [True, False])
 @pytest.mark.parametrize("kind", ["watermark", "buffer"])
-def test_no_output_time_after_the_arrival_being_processed(kind, feed):
+def test_no_output_time_after_the_arrival_being_processed(kind, whole_ms):
     # the engine sends a packet's end-to-end feedback at the arrival that
     # plays it out, which is its playout time only if no manager emits later
-    cfg = JitterConfig(kind=kind, update_on_drop=feed)
-    for packets in _bursty_streams():
+    cfg = JitterConfig(kind=kind)
+    for packets in _bursty_streams(whole_ms):
         stepped = build_jitter_manager(cfg, 10.0)
         emitted = 0
         for p in packets:
@@ -280,14 +274,15 @@ def test_no_output_time_after_the_arrival_being_processed(kind, feed):
         assert np.count_nonzero(~np.isnan(to)) == emitted > 0
 
 
-@pytest.mark.parametrize("feed", [True, False])
-def test_buffer_play_on_a_jitter_estimator_advances_its_lag(feed):
+@pytest.mark.parametrize("whole_ms", [True, False])
+def test_buffer_play_on_a_jitter_estimator_advances_its_lag(whole_ms):
     # a buffer reads only the transit target, but a JitterEstimator handed
     # to it must end where on_arrival leaves it, its lag state included
     packets = bursty_packets(np.random.default_rng(6), 1500)
+    if whole_ms:
+        packets = _whole_ms(packets)
     _play_against_on_arrival(
-        lambda: PlayoutBuffer(JitterEstimator(), interval_ms=10.0, update_on_drop=feed),
-        packets, 1000)
+        lambda: PlayoutBuffer(JitterEstimator(), interval_ms=10.0), packets, 1000)
 
 
 def test_buffer_play_missing_slot_boundary_is_strict():
@@ -302,21 +297,20 @@ def test_buffer_play_missing_slot_boundary_is_strict():
 
 def test_watermark_play_matches_reference_on_bursty_streams():
     for seed in (1, 2, 3):
-        for feed_drops in (True, False):
-            packets = bursty_packets(np.random.default_rng(seed), 1500)
-            order, ts, ta = _columns(packets)
-            mgr = WatermarkReorderer(JitterEstimator(), update_on_drop=feed_drops)
-            ref = WatermarkReference(JitterEstimator(), update_on_drop=feed_drops)
-            to, fate = _outputs(len(ts))
-            mgr.play(order, ts, ta, to, fate)
-            for p in packets:
-                ref.arrival(p)
-            end = packets[-1].arrival
-            for em in mgr.flush(end):
-                to[em.seq], fate[em.seq] = em.out, FATES.index("flushed")
-            ref.flush(end)
-            _assert_matches_reference(order, to, _fates(fate), ref)
-            assert mgr.dropped_count == len(ref.drops) > 0
+        packets = bursty_packets(np.random.default_rng(seed), 1500)
+        order, ts, ta = _columns(packets)
+        mgr = WatermarkReorderer(JitterEstimator())
+        ref = WatermarkReference(JitterEstimator())
+        to, fate = _outputs(len(ts))
+        mgr.play(order, ts, ta, to, fate)
+        for p in packets:
+            ref.arrival(p)
+        end = packets[-1].arrival
+        for em in mgr.flush(end):
+            to[em.seq], fate[em.seq] = em.out, FATES.index("flushed")
+        ref.flush(end)
+        _assert_matches_reference(order, to, _fates(fate), ref)
+        assert mgr.dropped_count == len(ref.drops) > 0
 
 
 def _assert_matches_reference(order, to, fate, ref):
@@ -326,49 +320,49 @@ def _assert_matches_reference(order, to, fate, ref):
     assert [seq for seq in order if fate[seq] == "dropped_late"] == ref.drops
 
 
-def _tied_streams():
-    """A 20/3 ms cadence, where ``ts - lag`` lands on another packet's ts up
-    to float rounding (ROADMAP item 8), and whole-ms arrivals, where lags,
-    watermarks and arrival times tie outright."""
-    yield "20/3 ms", bursty_packets(np.random.default_rng(8), 3000, interval_ms=20 / 3)
-    yield "whole ms", [Packet(p.seq, p.ts, float(round(p.arrival)))
-                       for p in bursty_packets(np.random.default_rng(9), 3000)]
+def _tied_stream(whole_ms):
+    """Whole-ms arrivals, where lags, watermarks and arrival times tie
+    outright, or a 20/3 ms cadence, where ``ts - lag`` lands on another
+    packet's ts up to float rounding (ROADMAP item 8)."""
+    if whole_ms:
+        return "whole ms", _whole_ms(bursty_packets(np.random.default_rng(9), 3000))
+    return "20/3 ms", bursty_packets(np.random.default_rng(8), 3000, interval_ms=20 / 3)
 
 
-@pytest.mark.parametrize("feed", [True, False])
-def test_watermark_play_in_chunks_matches_reference(feed):
+@pytest.mark.parametrize("whole_ms", [True, False])
+def test_watermark_play_in_chunks_matches_reference(whole_ms):
     # play in uneven chunks, so the closed form starts from a watermark and a
     # pending heap it inherits: after every chunk each fate, output time and
     # the state equal on_arrival's, and the whole run equals the reference
-    for name, packets in _tied_streams():
-        order, ts, ta = _columns(packets)
-        rng = np.random.default_rng(len(name))
-        played = WatermarkReorderer(JitterEstimator(), update_on_drop=feed)
-        stepped = WatermarkReorderer(JitterEstimator(), update_on_drop=feed)
-        ref = WatermarkReference(JitterEstimator(), update_on_drop=feed)
-        got, want = _outputs(len(ts)), _outputs(len(ts))
-        lo = ties = 0
-        while lo < len(packets):  # chunks of 1 to 59 arrivals
-            hi = min(lo + int(rng.integers(1, 60)), len(packets))
-            played.play(order[lo:hi], ts, ta, *got)
-            for p in packets[lo:hi]:
-                _step(stepped, [p], *want)
-                ref.arrival(p)
-                # a packet held with its ts on the watermark, up to rounding
-                ties += any(abs(held[0] - stepped.watermark) < 1e-6
-                            for held in stepped._pending)
-            _assert_columns_equal(got, want)
-            assert _state(played) == _state(stepped), (name, lo)
-            lo = hi
-        end = packets[-1].arrival
-        flushed = played.flush(end)
-        assert flushed == stepped.flush(end) and flushed
-        for em in flushed:
-            got[0][em.seq], got[1][em.seq] = em.out, FATES.index("flushed")
-        ref.flush(end)
-        _assert_matches_reference(order, got[0], _fates(got[1]), ref)
-        assert played.dropped_count == len(ref.drops) > 0
-        assert ties > 0, name  # the streams reach the strict boundary
+    name, packets = _tied_stream(whole_ms)
+    order, ts, ta = _columns(packets)
+    rng = np.random.default_rng(len(name))
+    played = WatermarkReorderer(JitterEstimator())
+    stepped = WatermarkReorderer(JitterEstimator())
+    ref = WatermarkReference(JitterEstimator())
+    got, want = _outputs(len(ts)), _outputs(len(ts))
+    lo = ties = 0
+    while lo < len(packets):  # chunks of 1 to 59 arrivals
+        hi = min(lo + int(rng.integers(1, 60)), len(packets))
+        played.play(order[lo:hi], ts, ta, *got)
+        for p in packets[lo:hi]:
+            _step(stepped, [p], *want)
+            ref.arrival(p)
+            # a packet held with its ts on the watermark, up to rounding
+            ties += any(abs(held[0] - stepped.watermark) < 1e-6
+                        for held in stepped._pending)
+        _assert_columns_equal(got, want)
+        assert _state(played) == _state(stepped), lo
+        lo = hi
+    end = packets[-1].arrival
+    flushed = played.flush(end)
+    assert flushed == stepped.flush(end) and flushed
+    for em in flushed:
+        got[0][em.seq], got[1][em.seq] = em.out, FATES.index("flushed")
+    ref.flush(end)
+    _assert_matches_reference(order, got[0], _fates(got[1]), ref)
+    assert played.dropped_count == len(ref.drops) > 0
+    assert ties > 0  # the stream reaches the strict boundary
 
 
 # ------------------------------------------------------------------- buffer
@@ -430,28 +424,20 @@ def test_buffer_duplicate_seq_rejected():
 
 
 def test_buffer_drop_feed_flag():
-    feeding = FixedEstimator(target=20.0)
-    skipping = FixedEstimator(target=20.0)
-    fed = PlayoutBuffer(feeding, interval_ms=10.0, update_on_drop=True)
-    skp = PlayoutBuffer(skipping, interval_ms=10.0, update_on_drop=False)
-    for buf in (fed, skp):
-        buf.on_arrival(Packet(0, 0.0, 5.0), 5.0)
-        buf.on_arrival(Packet(1, 10.0, 90.0), 90.0)  # late, dropped
-    assert len(feeding.calls) == 2
-    assert len(skipping.calls) == 1
+    # a dropped straggler still feeds the estimator
+    est = FixedEstimator(target=20.0)
+    buf = PlayoutBuffer(est, interval_ms=10.0)
+    buf.on_arrival(Packet(0, 0.0, 5.0), 5.0)
+    _, dropped = buf.on_arrival(Packet(1, 10.0, 90.0), 90.0)  # late
+    assert dropped and est.calls == [(0.0, 5.0), (10.0, 90.0)]
 
-    # play: one targets pass over every arrival under the flag; without it
-    # each arrival goes to on_arrival, whose update skips the late one
+    # play: one targets pass over every arrival, the late one included
     order, ts, ta = _columns([Packet(0, 0.0, 5.0), Packet(1, 10.0, 90.0)])
-    for feed in (True, False):
-        est = FixedEstimator(target=20.0)
-        to, fate = _outputs(2)
-        PlayoutBuffer(est, interval_ms=10.0, update_on_drop=feed).play(order, ts, ta, to, fate)
-        if feed:
-            assert est.passes == [([0.0, 10.0], [5.0, 90.0])] and est.calls == []
-        else:
-            assert est.passes == [] and est.calls == [(0.0, 5.0)]
-        assert _fates(fate) == ["in_flight", "dropped_late"]
+    est = FixedEstimator(target=20.0)
+    to, fate = _outputs(2)
+    PlayoutBuffer(est, interval_ms=10.0).play(order, ts, ta, to, fate)
+    assert est.passes == [([0.0, 10.0], [5.0, 90.0])] and est.calls == []
+    assert _fates(fate) == ["in_flight", "dropped_late"]
 
 
 def test_buffer_flush_in_seq_order_nondecreasing_out():
@@ -464,17 +450,19 @@ def test_buffer_flush_in_seq_order_nondecreasing_out():
     assert buf.pending_count == 0
 
 
-@pytest.mark.parametrize("feed", [True, False])
+@pytest.mark.parametrize("whole_ms", [True, False])
 @pytest.mark.parametrize("seed", [50, 51, 52])
-def test_buffer_on_transit_estimator_matches_full_estimator(seed, feed):
+def test_buffer_on_transit_estimator_matches_full_estimator(seed, whole_ms):
     # the buffer keeps the target its estimator gave after the last update.
     # On a transit-only estimator every step must equal the same buffer on
     # the full estimator, and the kept target must equal the full
     # estimator's, read fresh after every arrival, dropped ones included
     packets = bursty_packets(np.random.default_rng(seed), 2000)
+    if whole_ms:
+        packets = _whole_ms(packets)
     full_est = JitterEstimator()
-    lean = PlayoutBuffer(TransitEstimator(), interval_ms=10.0, update_on_drop=feed)
-    full = PlayoutBuffer(full_est, interval_ms=10.0, update_on_drop=feed)
+    lean = PlayoutBuffer(TransitEstimator(), interval_ms=10.0)
+    full = PlayoutBuffer(full_est, interval_ms=10.0)
     for p in packets:
         assert lean.on_arrival(p, p.arrival) == full.on_arrival(p, p.arrival)
         assert lean.target_delay_ms == full.target_delay_ms == full_est.transit_target()
@@ -523,19 +511,14 @@ def check_invariants(manager, packets, is_buffer):
 @pytest.mark.parametrize("seed", [10, 11, 12, 13, 14])
 def test_fuzz_invariants_watermark(seed):
     packets = bursty_packets(np.random.default_rng(seed), 800)
-    for feed in (True, False):
-        check_invariants(
-            WatermarkReorderer(JitterEstimator(), update_on_drop=feed),
-            packets, is_buffer=False)
+    check_invariants(WatermarkReorderer(JitterEstimator()), packets, is_buffer=False)
 
 
 @pytest.mark.parametrize("seed", [20, 21, 22, 23, 24])
 def test_fuzz_invariants_buffer(seed):
     packets = bursty_packets(np.random.default_rng(seed), 800)
-    for feed in (True, False):
-        check_invariants(
-            PlayoutBuffer(JitterEstimator(), interval_ms=10.0, update_on_drop=feed),
-            packets, is_buffer=True)
+    check_invariants(PlayoutBuffer(JitterEstimator(), interval_ms=10.0), packets,
+                     is_buffer=True)
 
 
 def _sparse_bursty(rng, n, interval=10.0, base=50.0):
@@ -609,20 +592,16 @@ def test_config_initial_lag_reaches_estimator():
 
 
 def test_config_drop_feed_changes_lag_evolution():
-    def run(update_on_drop):
-        mgr = build_jitter_manager(
-            JitterConfig(update_on_drop=update_on_drop), interval_ms=10.0)
-        for i in range(20):
-            ts = i * 10.0
-            mgr.on_arrival(Packet(i, ts, ts + 50.0), ts + 50.0)
-        # deep straggler: far below the watermark, dropped on arrival
-        mgr.on_arrival(Packet(99, 0.0, 260.0), 260.0)
-        mgr.on_arrival(Packet(20, 200.0, 265.0), 265.0)
-        return mgr.lag_ms
-
-    # the dropped straggler's transit (260 ms) is reorder-depth evidence:
-    # with the feed on, the next arrival's 65 ms transit sits 195 ms under
-    # it and the lag covers that depth; with it off the stream still looks
-    # clean (19 zero jitter samples and one of 15: the 95% quantile is 0)
-    assert run(True) == 195.0
-    assert run(False) == 0.0
+    mgr = build_jitter_manager(JitterConfig(), interval_ms=10.0)
+    for i in range(20):
+        ts = i * 10.0
+        mgr.on_arrival(Packet(i, ts, ts + 50.0), ts + 50.0)
+    assert mgr.lag_ms == 0.0  # a clean stream
+    # deep straggler: far below the watermark, dropped on arrival
+    _, dropped = mgr.on_arrival(Packet(99, 0.0, 260.0), 260.0)
+    assert dropped
+    mgr.on_arrival(Packet(20, 200.0, 265.0), 265.0)
+    # the dropped straggler's transit (260 ms) is reorder-depth evidence: the
+    # next arrival's 65 ms transit sits 195 ms under it and the lag covers
+    # that depth
+    assert mgr.lag_ms == 195.0

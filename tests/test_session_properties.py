@@ -4,8 +4,7 @@ A session without a router (one path kept) hands its sorted arrival schedule
 to the jitter manager's whole-stream pass; a routed one generates its packets
 in blocks between plan adoptions. One rewarded end to end hands them over one
 arrival at a time; one rewarded at transmit hands its final schedule to the
-whole-stream pass after its loop, which without ``update_on_drop`` hands
-each arrival to ``on_arrival`` in turn.
+whole-stream pass after its loop.
 For drawn link traces (constant, Gaussian and spike regimes), cadences and
 jitter managers, every session must conserve its packets, emit no packet
 before it arrives, play its packets out in seq order, pass relaybench's
@@ -66,7 +65,6 @@ def direct_sessions(draw):
         "interval": draw(st.sampled_from([10.0, 20 / 3, 5.0, 20.0])),
         "packets": draw(st.integers(1, 300)),
         "jitter": draw(st.sampled_from(["watermark", "buffer"])),
-        "update_on_drop": draw(st.booleans()),
     }
 
 
@@ -110,26 +108,26 @@ def _assert_played_in_seq_order(records):
 @given(s=direct_sessions())
 @example(s={"regime": "regime-switching-spikes", "mean": 150.0, "std": 30.0,
             "trace_step": 100.0, "seed": 1, "interval": 20 / 3, "packets": 300,
-            "jitter": "buffer", "update_on_drop": True})
+            "jitter": "buffer"})
 @example(s={"regime": "regime-switching-spikes", "mean": 150.0, "std": 30.0,
             "trace_step": 100.0, "seed": 1, "interval": 20 / 3, "packets": 300,
-            "jitter": "watermark", "update_on_drop": True})
-# one packet; a constant link at a non-dyadic cadence; and a buffer that
-# measures accepted arrivals only, whose cold first arrival is seq 9
+            "jitter": "watermark"})
+# one packet; a constant link at a non-dyadic cadence; and a buffer on a
+# link that reorders so much that its cold first arrival is seq 9
 @example(s={"regime": "stationary-gaussian", "mean": 50.0, "std": 20.0,
             "trace_step": 10.0, "seed": 5, "interval": 10.0, "packets": 1,
-            "jitter": "buffer", "update_on_drop": True})
+            "jitter": "buffer"})
 @example(s={"regime": "constant", "mean": 37.0, "std": 1.0,
             "trace_step": 1.0, "seed": 0, "interval": 20 / 3, "packets": 300,
-            "jitter": "watermark", "update_on_drop": True})
+            "jitter": "watermark"})
 @example(s={"regime": "stationary-gaussian", "mean": 150.0, "std": 60.0,
             "trace_step": 1.0, "seed": 0, "interval": 5.0, "packets": 300,
-            "jitter": "buffer", "update_on_drop": False})
+            "jitter": "buffer"})
 def test_feedback_free_session_properties(s):
     topo = _topology(s)
     cfg = SessionConfig(endpoint="e0", user="u0", packet_count=s["packets"],
                         interval_ms=s["interval"], warmup_ms=WARMUP, seed=s["seed"],
-                        jitter=JitterConfig(kind=s["jitter"], update_on_drop=s["update_on_drop"]))
+                        jitter=JitterConfig(kind=s["jitter"]))
     res = run_session(topo, cfg)
     rep = res.report
     assert rep.delivered + rep.dropped_late == cfg.packet_count
@@ -205,7 +203,6 @@ def routed_sessions(draw):
         "method": draw(st.sampled_from(sorted(METHODS) + ["vcroute_ts+buffer"])),
         "prune": draw(st.booleans()),
         "c": draw(st.sampled_from([1.0, 2000.0])),
-        "update_on_drop": draw(st.booleans()),
     }
 
 
@@ -251,8 +248,7 @@ def test_routed_session_properties(s):
     topo = _relay_topology(s)
     template = SessionConfig(endpoint="e0", user="u0", packet_count=s["packets"],
                              interval_ms=s["interval"], warmup_ms=WARMUP, seed=s["seed"],
-                             router=RouterConfig(c=s["c"], prune=s["prune"]),
-                             jitter=JitterConfig(update_on_drop=s["update_on_drop"]))
+                             router=RouterConfig(c=s["c"], prune=s["prune"]))
     cfg = method_config(template, s["method"])
     res = run_session(topo, cfg, method=s["method"])
     rep = res.report
@@ -280,15 +276,12 @@ def test_routed_session_properties(s):
     assert repeat.report.to_json() == rep.to_json()
     # a watermark session rewarded end to end is checked at every arrival;
     # one rewarded at transmit, or pruned to one path and so without a
-    # router, at the play call after its loop, and without update_on_drop
-    # also at each arrival that play hands to on_arrival
+    # router, at the play call after its loop
     watermark = cfg.jitter.kind == "watermark"
     e2e = len(rep.topk_paths) > 1 and cfg.router.kind == "vcroute_ts"
     if not watermark:
         assert len(checked) == 0
     elif e2e:
         assert len(checked) == cfg.packet_count
-    elif cfg.jitter.update_on_drop:
-        assert len(checked) == 1
     else:
-        assert len(checked) == 1 + cfg.packet_count
+        assert len(checked) == 1

@@ -556,11 +556,12 @@ def test_load_topology_raises_the_serial_error_at_any_jobs(tmp_path, breakage):
 
 
 def test_import_leaves_the_process_pool_out():
-    # the pool's modules cost a process about 1.3 MB; only a parallel load
-    # imports them
+    # the pool's modules cost a process about 1.3 MB; only a parallel load or
+    # cell run imports them, so validate, synth and a serial run do without
     path = [str(Path(traces.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    code = ("import sys, relaysim; print(sorted(m for m in sys.modules if m == 'multiprocessing'"
+    code = ("import sys, relaysim, relaysim.cli; print(sorted(m for m in sys.modules"
+            " if m == 'multiprocessing'"
             " or m.startswith(('multiprocessing.', 'concurrent.futures.process'))))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -12,9 +12,8 @@ from relaysim import JitterEstimator, Packet
 
 
 class WatermarkReference:
-    def __init__(self, estimator: JitterEstimator, update_on_drop: bool = True) -> None:
+    def __init__(self, estimator: JitterEstimator) -> None:
         self.est = estimator
-        self.update_on_drop = update_on_drop
         self.wm = float("-inf")
         self.pending: list[Packet] = []
         self.drops: list[int] = []
@@ -23,8 +22,8 @@ class WatermarkReference:
     def arrival(self, pkt: Packet) -> None:
         now = pkt.arrival
         if pkt.ts < self.wm:
-            if self.update_on_drop:
-                self.est.update(pkt.ts, now)
+            # a late arrival still feeds the estimator
+            self.est.update(pkt.ts, now)
             self.drops.append(pkt.seq)
             return
         lag = self.est.update(pkt.ts, now)
