@@ -8,18 +8,18 @@ Two reports:
 * ``cdf``: a report built from ``--rows`` distinct latencies, so its CDF
   has that many rows, the size a default 600k-packet session can reach.
 
-For each it times ``to_json``, ``write_json``, ``write_cdf_csv``,
-``write_json`` then ``write_cdf_csv`` (``json_then_csv``, what ``relaysim
-run`` and relaybench write per session) and ``write_summary_csv`` (of the
-one report), then the writers they replace: ``json.dumps(report.to_dict(),
-sort_keys=True, indent=2)`` written as text (``ref_json``) and
-``csv.writer`` rows behind the same two header rows (``ref_cdf_csv``). A
-report keeps its CDF's text once a writer has formatted it, so every call
-is timed on a fresh ``dataclasses.replace`` copy: a first call. Every figure
-is the fastest of ``--repeats`` runs, in seconds to four significant digits,
-so that a sub-millisecond writer does not print as zero. The run exits 1 if
-any written byte differs from the reference's, in a writer's own column or
-in ``json_then_csv``.
+For each it prints the CDF's rows and the JSON report's size in bytes
+(which holds no CDF), then times ``to_json``, ``write_json``,
+``write_cdf_csv``, ``write_json`` then ``write_cdf_csv``
+(``json_then_csv``, what ``relaysim run`` and relaybench write per
+session) and ``write_summary_csv`` (of the one report), then the reference
+writers: ``json.dumps(report.to_dict(), sort_keys=True, indent=2)``
+written as text (``ref_json``) and ``csv.writer`` rows behind the same two
+header rows (``ref_cdf_csv``), which ``write_cdf_csv`` replaces. Every
+figure is the fastest of ``--repeats`` runs, in seconds to four
+significant digits, so that a sub-millisecond writer does not print as
+zero. The run exits 1 if any written byte differs from the reference's, in
+a writer's own column or in ``json_then_csv``.
 
     PYTHONPATH=src python benchmarks/bench_reports.py [--packets 20000] [--rows 600000] [--repeats 3]
 """
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 import tempfile
@@ -77,8 +76,8 @@ def _reference_csv(header: list, rows, path: Path) -> Path:
 
 
 def measure(report: MetricsReport, repeats: int, out: Path) -> tuple[dict, list[str]]:
-    """The fastest of ``repeats`` first calls of every column, and the names
-    of the writers whose bytes differ from the reference's."""
+    """The fastest of ``repeats`` calls of every column, and the names of
+    the writers whose bytes differ from the reference's."""
     summary_rows = [[getattr(report, k) for k in SUMMARY_FIELDS]]
     calls = {
         "to_json": lambda r: r.to_json(),
@@ -94,14 +93,13 @@ def measure(report: MetricsReport, repeats: int, out: Path) -> tuple[dict, list[
     best = dict.fromkeys(COLUMNS, float("inf"))
     for _ in range(repeats):
         for name in COLUMNS:
-            fresh = dataclasses.replace(report)
             t0 = time.perf_counter()
-            calls[name](fresh)
+            calls[name](report)
             best[name] = min(best[name], time.perf_counter() - t0)
     ref_json = (out / "ref.json").read_bytes()
     ref_csv = (out / "ref_cdf.csv").read_bytes()
     ref_summary = _reference_csv(SUMMARY_FIELDS, summary_rows, out / "ref_summary.csv")
-    got = {"to_json": [dataclasses.replace(report).to_json().encode()],
+    got = {"to_json": [report.to_json().encode()],
            "write_json": [(out / "report.json").read_bytes(), (out / "pair.json").read_bytes()],
            "write_cdf_csv": [(out / "cdf.csv").read_bytes(), (out / "pair_cdf.csv").read_bytes()],
            "write_summary_csv": [(out / "summary.csv").read_bytes()]}
@@ -120,14 +118,14 @@ def main(argv=None) -> int:
 
     reports = {"session": session_report(args.packets, args.seed),
                "cdf": cdf_report(args.rows, args.seed)}
-    print(f"{'case':8} {'cdf_rows':>8} {'json_mb':>8} "
+    print(f"{'case':8} {'cdf_rows':>8} {'json_bytes':>10} "
           + " ".join(f"{c + '_s':>12}" for c in COLUMNS))
     failed = []
     with tempfile.TemporaryDirectory() as tmp:
         for case, report in reports.items():
             best, differ = measure(report, args.repeats, Path(tmp))
-            json_mb = (Path(tmp) / "report.json").stat().st_size / 1e6
-            print(f"{case:8} {len(report.cdf):8d} {json_mb:8.2f} "
+            json_bytes = (Path(tmp) / "report.json").stat().st_size
+            print(f"{case:8} {len(report.cdf):8d} {json_bytes:10d} "
                   + " ".join(f"{best[c]:12.4g}" for c in COLUMNS))
             failed += [f"{case}: {name}" for name in differ]
     for line in failed:

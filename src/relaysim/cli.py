@@ -159,6 +159,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def _synthetic_topology(relays: int, duration_ms: float, step_ms: float,
                         spec: SyntheticTraceSpec) -> Topology:
+    if relays < 0:
+        raise ValidationError(f"relays cannot be negative, not {relays}")
     relay_names = [f"r{i}" for i in range(relays)]
     links = required_links("e0", "u0", relay_names, include_reverse=True)
     roles = {"e0": "endpoint", "u0": "user"}
@@ -166,12 +168,6 @@ def _synthetic_topology(relays: int, duration_ms: float, step_ms: float,
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    if args.duration_ms <= 0:
-        return _usage_error("--duration-ms must be positive")
-    if args.step_ms <= 0:
-        return _usage_error("--step-ms must be positive")
-    if args.relays < 0:
-        return _usage_error("--relays cannot be negative")
     try:
         spec = SyntheticTraceSpec(
             mean_range=tuple(args.mean_range),
@@ -179,13 +175,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
             regime=args.regime,
             seed=args.seed,
         )
-    except ValidationError as exc:
-        return _usage_error(str(exc))
-    try:
         out_dir = _resolve_out_dir(args.out, None, None)
+        topology = _synthetic_topology(args.relays, args.duration_ms, args.step_ms, spec)
     except ValidationError as exc:
         return _usage_error(str(exc))
-    topology = _synthetic_topology(args.relays, args.duration_ms, args.step_ms, spec)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = save_topology(topology, out_dir / "topology.json")
     experiment = {

@@ -110,6 +110,11 @@ class RouterConfig:
     def __post_init__(self) -> None:
         if self.kind not in ROUTER_KINDS:
             raise ValidationError(f"unknown router kind {self.kind!r}")
+        # chained comparisons: NaN fails them as well as infinity
+        if not 0 <= self.c < math.inf:
+            raise ValidationError(f"router c must be finite and nonnegative, not {self.c!r}")
+        if not 0 < self.confidence < 1:
+            raise ValidationError(f"router confidence must be in (0, 1), not {self.confidence!r}")
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """The windowed estimators (``_estimator_py``) under their public names.
 
-``IMPLEMENTATION`` is a constant kept for report schema 1, whose reports
-carry it as ``estimator_implementation``.
+``IMPLEMENTATION`` names the one implementation. Reports no longer carry
+it (schema 2); it stays because relaybench imports it.
 """
 
 from ._estimator_py import JitterEstimator, TransitEstimator

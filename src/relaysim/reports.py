@@ -1,39 +1,23 @@
 """Session metrics: loss, latency distribution, plan churn, overhead.
 
 A report is derived from a session's packet records and its config alone.
-Reports serialize to JSON (full, including the CDF) and to CSV (summary row
-plus a separate CDF table). Serialization is deterministic: identical inputs
-produce byte-identical files. ``to_dict`` returns a copy sharing nothing.
+Reports serialize to JSON (every field but the CDF, ``to_dict``) and to
+CSV (a summary row per report, and each report's exact CDF, one row per
+distinct latency). Serialization is deterministic: identical inputs produce
+byte-identical files. ``to_dict`` returns a copy sharing nothing.
 
-The two row lists, ``cdf`` and ``path_changes``, are formatted in bulk by
-json's C encoder (``_compact``), the one ``json.dumps`` uses when there is
-no indent. It writes a float as ``float.__repr__`` (numpy float scalars
-included) and NaN and the infinities as ``NaN``, ``Infinity`` and
-``-Infinity``, as the pure-Python encoder behind ``indent=2`` does, and an
-int as ``int.__repr__``. The text is kept ``CSV_BLOCK`` rows a string
-without the outer brackets (``_row_text``). A number's text holds no
-bracket or comma, so:
+Schema 2 writes the CDF once, to its CSV: the JSON keeps the exact mean,
+percentiles and maximum, and drops the CDF, ``control_messages`` (always
+``plan_update_count``) and ``estimator_implementation`` (always
+``"python"``), which schema 1 carried.
 
-* ``to_json`` gives the indented layout of the rows by ``str.replace`` on
-  the joined text. Every other field goes through ``json.dumps(...,
-  indent=2, sort_keys=True)`` on its own and is moved one level in by
-  replacing each newline, which json never writes inside a string. The
-  result equals ``json.dumps(self.to_dict(), sort_keys=True, indent=2)``
-  plus a newline, byte for byte.
-* ``write_cdf_csv`` writes the CDF body one block a string, with ``],[``
-  turned into line ends and NaN and the infinities spelled as ``str``
-  spells them (``nan``, ``inf``, ``-inf``). ``csv.writer`` writes ``str``
-  of each number, which for a float is its repr, and never quotes one, so
-  the bytes equal its rows.
-
-Both writers read one formatting of the ``cdf`` rows: the first call of
-either formats them, and the report keeps the text (36 bytes a row on a
-600k-row CDF) in a private attribute that is not a field, so ``to_dict``,
-``==`` and ``repr`` do not see it. It is keyed on the identity of the
-``cdf`` list, which it holds: a report whose ``cdf`` is reassigned, or a
-``dataclasses.replace`` copy, formats its new rows, and a pickled or
-deep-copied report keeps a key to its own copy of the list. Rows changed
-in place after a write are not seen; nothing in the package does that.
+``write_cdf_csv`` formats the rows in bulk, ``CSV_BLOCK`` rows a string, by
+json's C encoder (``_compact``). It writes a float as ``float.__repr__``
+(numpy float scalars included), an int as ``int.__repr__``, and NaN and the
+infinities as ``NaN``, ``Infinity`` and ``-Infinity``, which are respelled
+as ``str`` spells them (``nan``, ``inf``, ``-inf``). ``csv.writer`` writes
+``str`` of each number, which for a float is its repr, and never quotes
+one, so the bytes equal its rows.
 """
 
 from __future__ import annotations
@@ -47,17 +31,12 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .estimator import IMPLEMENTATION
-
 if TYPE_CHECKING:
     from .engine import SessionConfig
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 PERCENTILE_KEYS = (0.10, 0.50, 0.90, 0.99)
-
-# the report's row lists, formatted in bulk
-ROW_FIELDS = ("cdf", "path_changes")
 
 # CDF CSV rows per written string: bounds the writer's temporaries
 CSV_BLOCK = 4096
@@ -114,44 +93,26 @@ class MetricsReport:
     latency_max_ms: float
     plan_update_count: int
     path_changes: list[tuple[float, int, int]]
-    control_messages: int
     overhead_per_packet_ms: float
     candidate_paths: int
     topk_paths: list[int]
     feedback_delay_model: str
     control_delay_model: str
-    estimator_implementation: str
     loss_threshold: float | None
     loss_threshold_exceeded: bool | None
     config: dict = field(default_factory=dict)
     cdf: list[tuple[float, float]] = field(default_factory=list)
 
-    # (the cdf list it was formatted from, its _row_text); not a field
-    _cdf_text = None
-
     def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        """Every field but ``cdf``, which only the CDF CSV holds."""
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "cdf"}
         d["path_changes"] = [list(row) for row in self.path_changes]
-        d["cdf"] = [list(row) for row in self.cdf]
         d["topk_paths"] = list(self.topk_paths)
         d["config"] = {name: dict(section) for name, section in self.config.items()}
         return d
 
     def to_json(self) -> str:
-        """``json.dumps(self.to_dict(), sort_keys=True, indent=2)`` and a
-        newline, with the row lists formatted in bulk."""
-        parts, sep = [], "{\n"
-        for name in sorted(f.name for f in fields(self)):
-            value = getattr(self, name)
-            parts.append(f'{sep}  "{name}": ')
-            sep = ",\n"
-            if name in ROW_FIELDS and value:
-                blocks = self._cdf_blocks() if name == "cdf" else _row_text(value)
-                parts += ("[\n    [\n      ", _row_lines(blocks), "\n    ]\n  ]")
-            else:
-                parts.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  "))
-        parts.append("\n}\n")
-        return "".join(parts)
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def write_json(self, path: str | Path) -> Path:
         path = Path(path)
@@ -161,26 +122,14 @@ class MetricsReport:
 
     def write_cdf_csv(self, path: str | Path) -> Path:
         return _write_csv(path, ["latency_ms", "cumulative_fraction"], (),
-                          _csv_blocks(self._cdf_blocks()))
-
-    def _cdf_blocks(self) -> list[str]:
-        """``_row_text(self.cdf)``, formatted once per ``cdf`` list."""
-        if self._cdf_text is None or self._cdf_text[0] is not self.cdf:
-            self._cdf_text = (self.cdf, _row_text(self.cdf))
-        return self._cdf_text[1]
+                          _csv_blocks(_row_text(self.cdf)))
 
 
-def _row_text(rows: Sequence[Sequence[float]]) -> list[str]:
+def _row_text(rows: Sequence[Sequence[float]]) -> Iterator[str]:
     """The rows' compact json text, ``CSV_BLOCK`` rows a string, each
     without its outer brackets."""
-    return [_compact(rows[lo:lo + CSV_BLOCK])[2:-2] for lo in range(0, len(rows), CSV_BLOCK)]
-
-
-def _row_lines(blocks: list[str]) -> str:
-    """A nonempty row list's text in an ``indent=2`` dump, one level in,
-    without its outer brackets and their first and last line ends."""
-    text = "],[".join(blocks).replace(",", ",\n      ")
-    return text.replace("],\n      [", "\n    ],\n    [\n      ")
+    for lo in range(0, len(rows), CSV_BLOCK):
+        yield _compact(rows[lo:lo + CSV_BLOCK])[2:-2]
 
 
 def _csv_blocks(blocks: Iterable[str]) -> Iterator[str]:
@@ -265,13 +214,11 @@ def build_report(
         latency_max_ms=lat_max,
         plan_update_count=len(path_changes),
         path_changes=path_changes,
-        control_messages=len(path_changes),
         overhead_per_packet_ms=overhead_sum_ms / n if n > 0 else 0.0,
         candidate_paths=candidate_paths,
         topk_paths=list(topk_paths),
         feedback_delay_model="reverse-direct-oneway",
         control_delay_model="forward-direct-oneway",
-        estimator_implementation=IMPLEMENTATION,
         loss_threshold=cfg.loss_threshold,
         loss_threshold_exceeded=(loss_rate > cfg.loss_threshold
                                  if cfg.loss_threshold is not None else None),

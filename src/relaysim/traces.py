@@ -40,6 +40,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -53,6 +54,7 @@ from .errors import TraceParseError, ValidationError
 ROLES = ("endpoint", "relay", "user")
 
 MANIFEST_SCHEMA_VERSION = 1
+TRACE_DIR = "traces"  # where save_topology writes the trace files, beside the manifest
 
 # Spike regime constants: per-sample burst start probability, multiplicative
 # factor range, and geometric burst duration (mean, in samples).
@@ -387,8 +389,9 @@ def generate_synthetic(
     """
     if not links:
         raise ValidationError("links must be non-empty")
-    if duration_ms <= 0 or step_ms <= 0:
-        raise ValidationError("duration_ms and step_ms must be positive")
+    # a chained comparison: NaN fails it as well as infinity
+    if not (0 < duration_ms < math.inf and 0 < step_ms < math.inf):
+        raise ValidationError("duration_ms and step_ms must be finite and positive")
     seen = set()
     for link in links:
         if link in seen:
@@ -413,13 +416,14 @@ def generate_synthetic(
     return Topology(nodes, traces)
 
 
-def save_topology(topology: Topology, manifest_path: str | Path, trace_dir: str | None = "traces") -> Path:
-    """Write every trace to CSV plus a manifest JSON referencing them."""
+def save_topology(topology: Topology, manifest_path: str | Path) -> Path:
+    """Write every trace to CSV under ``TRACE_DIR`` next to the manifest,
+    plus a manifest JSON referencing them."""
     manifest_path = Path(manifest_path)
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
     entries = []
     for (src, dst), trace in sorted(topology.traces.items()):
-        rel = f"{src}__{dst}.csv" if not trace_dir else f"{trace_dir}/{src}__{dst}.csv"
+        rel = f"{TRACE_DIR}/{src}__{dst}.csv"
         write_trace_csv(trace, manifest_path.parent / rel)
         entries.append({"src": src, "dst": dst, "file": rel, "unit": "one-way"})
     doc = {

@@ -61,6 +61,13 @@ def test_synth_usage_errors(tmp_path, capsys):
     assert main(["synth", "--relays", "-1", "--out", str(tmp_path)]) == 2
     assert main(["synth"]) == 2  # no --out, no $RELAYSIM_OUT_DIR
     assert "error:" in capsys.readouterr().err
+    # generate_synthetic checks them, before numpy sizes the time grid
+    for flag in ("--duration-ms", "--step-ms"):
+        for value in ("nan", "inf", "-inf"):
+            assert main(["synth", f"{flag}={value}", "--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err == (
+                "error: duration_ms and step_ms must be finite and positive\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_synth_env_out_dir(tmp_path, monkeypatch):
@@ -381,6 +388,8 @@ def test_run_manifest_errors(tmp_path, capsys):
             ({"jitter": {"max_lag_ms": None}},
              "jitter key 'max_lag_ms' must be a number, not null"),
             ({"router": {"c": True}}, "router key 'c' must be a number, not true"),
+            ({"router": {"c": -5.0}}, "router c must be finite and nonnegative, not -5.0"),
+            ({"router": {"confidence": 1}}, "router confidence must be in (0, 1), not 1.0"),
             ({"loss_threshold": "0.1"}, "defaults key 'loss_threshold' must be a number, not \"0.1\""),
             ({"loss_threshold": True}, "defaults key 'loss_threshold' must be a number, not true")):
         assert attempt({**base, "defaults": {**base["defaults"], **defaults}}) == 3
@@ -395,11 +404,28 @@ def test_run_manifest_errors(tmp_path, capsys):
              "synthetic key 'std_choices' must be a list of numbers, not [10.0, true]"),
             ({"seed": 1.5}, "synthetic key 'seed' must be an integer, not 1.5"),
             ({"relays": 2.0}, "synthetic key 'relays' must be an integer, not 2.0"),
+            ({"relays": -3}, "relays cannot be negative, not -3"),
             ({"step_ms": "100"}, "synthetic key 'step_ms' must be a number, not \"100\""),
             ({"mean_range": [100.0, 150.0, 200.0]},
              "mean_range must be [low, high] with 0 < low < high")):
         assert attempt({**base, "synthetic": {**base["synthetic"], **synthetic}}) == 3
         assert f"error: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_bad_router_flag_is_rejected_before_the_load(tmp_path, capsys):
+    # the manifest's topology file does not exist: RouterConfig rejects the
+    # flag before the load would find that out
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"schema_version": 1, "topology": "missing.json",
+                                "pairs": [["e0", "u0"]], "methods": ["drt-wm"]}))
+    for confidence in ("1.5", "1", "0", "nan", "-inf"):
+        assert main(["run", str(path), "--out", str(tmp_path / "o"),
+                     f"--confidence={confidence}"]) == 3
+        assert capsys.readouterr().err == (
+            f"error: router confidence must be in (0, 1), not {float(confidence)!r}\n")
+    assert main(["run", str(path), "--out", str(tmp_path / "o"), "--confidence=0.5"]) == 3
+    assert "manifest not found" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -119,7 +119,7 @@ def test_bench_reports_times_every_writer(capsys):
     bench = _load("bench_reports")
     assert bench.main(["--packets", "1500", "--rows", "5000", "--repeats", "1"]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["case", "cdf_rows", "json_mb"] + [f"{c}_s" for c in bench.COLUMNS]
+    assert header.split() == ["case", "cdf_rows", "json_bytes"] + [f"{c}_s" for c in bench.COLUMNS]
     assert [row.split()[0] for row in rows] == ["session", "cdf"]
     assert rows[1].split()[1] == "5000"
     for row in rows:

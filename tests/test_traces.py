@@ -378,6 +378,11 @@ def test_generate_synthetic_validation():
         generate_synthetic(spec, [("a", "b"), ("a", "b")], 1000.0, 10.0)
     with pytest.raises(ValidationError):
         generate_synthetic(spec, [("a", "b")], 0.0, 10.0)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValidationError, match="finite and positive"):
+            generate_synthetic(spec, [("a", "b")], bad, 10.0)
+        with pytest.raises(ValidationError, match="finite and positive"):
+            generate_synthetic(spec, [("a", "b")], 1000.0, bad)
 
 
 def test_generate_synthetic_roles_and_defaults():
