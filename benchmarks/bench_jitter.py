@@ -19,9 +19,10 @@ manager of each method's jitter config, it times:
   A feedback-free session builds its records only then, so this is the
   work a session that reads them pays on top of ``session``.
 
-Every figure is the fastest of ``--repeats`` runs, in seconds. The run
-fails if ``play`` and the ``on_arrival`` loop decide any fate or output time
-differently, or if the pass's column differs from the per-call outputs.
+Every figure is the fastest of ``--repeats`` runs, in seconds, to four
+significant digits. The run fails if ``play`` and the ``on_arrival`` loop
+decide any fate or output time differently, or if the pass's column differs
+from the per-call outputs.
 
     PYTHONPATH=src python benchmarks/bench_jitter.py [--packets 20000,600000] [--repeats 3]
 """
@@ -177,7 +178,7 @@ def main(argv=None) -> int:
     for packets in (int(p) for p in args.packets.split(",")):
         for method in METHODS:
             best = measure(method, packets, args.seed, args.repeats)
-            print(f"{method:8} {packets:8d} " + " ".join(f"{best[c]:12.4f}" for c in COLUMNS))
+            print(f"{method:8} {packets:8d} " + " ".join(f"{best[c]:12.4g}" for c in COLUMNS))
     return 0
 
 

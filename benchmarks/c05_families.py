@@ -66,8 +66,9 @@ class JitterLagOnly(JitterEstimator):
         return self.jitter_lag_ms
 
     def lags(self, ts, ta):
-        # the inherited pass would return the full lag
-        return self._lag_columns(ts, ta)[0]
+        # the inherited pass would return the full lag: this rule's update
+        # per arrival instead
+        return np.fromiter(map(self.update, ts, ta), float, len(ts))
 
 
 class JitterLagOnlyConfig(JitterConfig):

@@ -135,6 +135,9 @@ class SessionConfig:
         # a chained comparison: NaN fails it as well as infinity
         if not (0 < self.interval_ms < math.inf and 0 < self.warmup_ms < math.inf):
             raise ValidationError("interval_ms and warmup_ms must be finite and positive")
+        if self.loss_threshold is not None and not 0 <= self.loss_threshold <= 1:
+            raise ValidationError(
+                f"loss_threshold must be null or in [0, 1], not {self.loss_threshold!r}")
 
 
 @dataclass

@@ -1,11 +1,12 @@
-"""The windowed estimators (``_estimator_py``) under their public names.
+"""The windowed estimators under their public names: a re-export of the
+compiled ``relaysim._estimator``, their one implementation.
 
-``IMPLEMENTATION`` names the one implementation. Reports no longer carry
-it (schema 2); it stays because relaybench imports it.
+``IMPLEMENTATION`` names it. Reports no longer carry it (schema 2); it stays
+because relaybench imports it.
 """
 
-from ._estimator_py import JitterEstimator, TransitEstimator
+from ._estimator import JitterEstimator, TransitEstimator
 
-IMPLEMENTATION = "python"
+IMPLEMENTATION = "compiled"
 
 __all__ = ["JitterEstimator", "TransitEstimator", "IMPLEMENTATION"]

@@ -3,7 +3,7 @@
 The estimator as it was written before its quantiles became incremental:
 numpy histograms, an ``np.cumsum`` per query, ``searchsorted`` for the
 quantiles and a full cost array with ``argmin`` for the episode ratchet. The
-equivalence tests feed it and ``relaysim._estimator_py.JitterEstimator`` the
+equivalence tests feed it and the compiled ``relaysim.JitterEstimator`` the
 same arrival streams and require every output to be equal, bit for bit.
 """
 

@@ -429,6 +429,20 @@ def test_run_bad_router_flag_is_rejected_before_the_load(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_run_bad_loss_threshold_is_rejected_before_the_load(tmp_path, capsys):
+    # out of [0, 1], or infinite as json reads 1e400: rejected before the
+    # load would find that the topology file does not exist
+    path = tmp_path / "m.json"
+    for value, shown in (("1e400", "inf"), ("-0.5", "-0.5"), ("2.0", "2.0")):
+        path.write_text('{"schema_version": 1, "topology": "missing.json", '
+                        '"pairs": [["e0", "u0"]], "methods": ["drt-wm"], '
+                        f'"defaults": {{"loss_threshold": {value}}}}}')
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            f"error: loss_threshold must be null or in [0, 1], not {shown}\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_manifest_sections_of_the_wrong_type(tmp_path, capsys):
     # a section that is not a JSON object, or a method list that is not a
     # list of strings, is named as such, not converted or iterated

@@ -356,6 +356,11 @@ def test_session_config_validation():
             SessionConfig(endpoint="e0", user="u0", interval_ms=bad)
         with pytest.raises(ValidationError, match="finite and positive"):
             SessionConfig(endpoint="e0", user="u0", warmup_ms=bad)
+    for bad in (float("inf"), float("nan"), -0.5, 2.0):
+        with pytest.raises(ValidationError, match=r"loss_threshold must be null or in \[0, 1\]"):
+            SessionConfig(endpoint="e0", user="u0", loss_threshold=bad)
+    for edge in (None, 0.0, 1.0):
+        assert SessionConfig(endpoint="e0", user="u0", loss_threshold=edge).loss_threshold == edge
     with pytest.raises(ValidationError):
         RouterConfig(kind="ospf")
     for c in (-5.0, float("nan"), float("inf")):

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-from collections import deque
 
 import numpy as np
 import pytest
@@ -321,8 +320,8 @@ def _mixed_stream(n, seed):
 # one must keep the same transit target and window.
 
 def _assert_matches_reference(stream, **kwargs):
-    est = _estimator_py.JitterEstimator(**kwargs)
-    transit = _estimator_py.TransitEstimator(**kwargs)
+    est = JitterEstimator(**kwargs)
+    transit = TransitEstimator(**kwargs)
     ref = ReferenceEstimator(**kwargs)
     for ts, arrival in stream:
         lag = ref.update(ts, arrival)
@@ -394,7 +393,7 @@ def _episode(jitters, straggler_ts, **kwargs):
     return _assert_matches_reference(stream, window_ms=1e9, percentile=0.5, **kwargs)
 
 
-def test_cost_argmin_past_the_lag():
+def test_ratchet_moves_past_the_lag():
     # jitter {0, 0, 30, 30}: the median holds the lag at 0 until the
     # straggler; then cost(0) = 100 * 2/4 = 50 > cost(30) = 30 + 0
     est = _episode([0.0, 0.0, 30.0, 30.0], 35.0, loss_cost_ms=100.0)
@@ -402,7 +401,7 @@ def test_cost_argmin_past_the_lag():
     assert est.jitter_lag_ms == 30.0
 
 
-def test_cost_argmin_tie_keeps_the_lag():
+def test_ratchet_tie_keeps_the_lag():
     # jitter {0, 0, 50, 50}: cost(50) = 50 + 0 ties cost(0) = 100 * 2/4, and
     # the first minimum, under the lag, wins
     est = _episode([0.0, 0.0, 50.0, 50.0], 35.0, loss_cost_ms=100.0)
@@ -419,18 +418,24 @@ def test_cost_argmin_tie_keeps_the_lag():
 # ``lags`` and ``targets`` must equal per-call ``update`` (and
 # ``transit_target``) at every arrival, and leave the same state: against the
 # reference for every observable, and against a twin driven call by call for
-# every slot, the quantile pointers and window deques included.
-
-def _slots(est):
-    """Every slot an estimator carries from one arrival to the next."""
-    names = [name for cls in type(est).__mro__ for name in getattr(cls, "__slots__", ())]
-    return {name: (list(value) if isinstance(value, deque) else value)
-            for name in names for value in [getattr(est, name)]}
-
+# every observable and every later output, since both are driven on over the
+# rest of the same stream.
 
 def _observed(est):
-    return (est.lag_ms, est.jitter_lag_ms, est.reorder_depth_ms, est.disorder,
-            est.last_in_order, est.n_window, est.n_jitter_samples)
+    """Everything an estimator shows of its state without changing it."""
+    if isinstance(est, (JitterEstimator, ReferenceEstimator)):
+        return (est.lag_ms, est.jitter_lag_ms, est.reorder_depth_ms, est.disorder,
+                est.last_in_order, est.n_window, est.n_jitter_samples)
+    return (est.n_window,)
+
+
+def _drive_on(est, twin, stream):
+    """Drive two estimators over the same arrivals, call by call: every
+    output, observable and transit target must agree."""
+    for ts, ta in stream:
+        assert est.update(ts, ta) == twin.update(ts, ta)
+        assert est.transit_target() == twin.transit_target()
+        assert _observed(est) == _observed(twin)
 
 
 def _gapped_stream(seed, n, gap_at, gap_ms, whole_ms):
@@ -444,11 +449,11 @@ def _gapped_stream(seed, n, gap_at, gap_ms, whole_ms):
             for i, (ts, ta) in enumerate(stream)]
 
 
-def _splits(stream, marks, window_ms, rng):
-    """Chunk ends: random ones (1-arrival chunks among them) plus a few at
-    each case the pass must carry across a split. ``marks`` flags, per
-    case, the arrivals after which the reference was in that case. Returns
-    the ends and the cases the stream reaches."""
+def _splits(stream, marks, window_ms, rng, longest):
+    """Chunk ends: random ones (1-arrival chunks among them, none longer than
+    ``longest``) plus a few at each case a pass must carry across a split.
+    ``marks`` flags, per case, the arrivals after which the reference was in
+    that case. Returns the ends and the cases the stream reaches."""
     cases = {case: [i + 1 for i, hit in enumerate(flags) if hit]
              for case, flags in marks.items()}
     cases["before an emptied window"] = [i for i in range(1, len(stream))
@@ -457,12 +462,12 @@ def _splits(stream, marks, window_ms, rng):
     ends = {len(stream)} | {int(rng.choice(at)) for at in cases.values() for _ in range(3)}
     lo = 0
     while lo < len(stream):
-        lo += int(rng.choice([1, 1, 2, 5, 17, 60, 300]))
+        lo += min(int(rng.choice([1, 1, 2, 5, 17, 60, 300])), longest)
         ends.add(min(lo, len(stream)))
     return sorted(ends), set(cases)
 
 
-@pytest.mark.parametrize("block", [_estimator_py.PASS_BLOCK, 7])
+@pytest.mark.parametrize("longest", [4096, 7])
 @pytest.mark.parametrize("kwargs, clamped", [
     ({"window_ms": 500.0, "percentile": 1.0, "loss_cost_ms": 400.0, "max_lag_ms": 50.0,
       "initial_lag_ms": 80.0}, True),
@@ -470,8 +475,7 @@ def _splits(stream, marks, window_ms, rng):
 ], ids=["clamped", "default-max"])
 @pytest.mark.parametrize("whole_ms", [False, True])
 @pytest.mark.parametrize("bin_ms", [1.0, 2.5])
-def test_passes_match_update_in_chunks(monkeypatch, block, kwargs, clamped, bin_ms, whole_ms):
-    monkeypatch.setattr(_estimator_py, "PASS_BLOCK", block)
+def test_passes_match_update_in_chunks(longest, kwargs, clamped, bin_ms, whole_ms):
     kwargs = {**kwargs, "bin_ms": bin_ms}
     stream = _gapped_stream(21, 2500, 1200, 2 * kwargs["window_ms"], whole_ms)
     last_edge = int(kwargs.get("max_lag_ms", 10000.0) / bin_ms) * bin_ms
@@ -485,8 +489,8 @@ def test_passes_match_update_in_chunks(monkeypatch, block, kwargs, clamped, bin_
         marks["in an open episode"].append(ref.disorder)
         marks["at the lag clamp"].append(ref.lag_ms == ref.max_lag_ms)
         marks["at the last-bin clamp"].append(ref.reorder_depth_ms == last_edge)
-    rng = np.random.default_rng(int(bin_ms * 10) + block)
-    ends, cases = _splits(stream, marks, kwargs["window_ms"], rng)
+    rng = np.random.default_rng(int(bin_ms * 10) + longest)
+    ends, cases = _splits(stream, marks, kwargs["window_ms"], rng, longest)
     assert {"in an open episode", "before an emptied window"} <= cases
     assert clamped == ({"at the lag clamp", "at the last-bin clamp"} <= cases)
     est, twin = JitterEstimator(**kwargs), JitterEstimator(**kwargs)
@@ -507,16 +511,13 @@ def test_passes_match_update_in_chunks(monkeypatch, block, kwargs, clamped, bin_
             want = want_lags if mode == "lags" else want_targets
             assert column.tolist() == want[lo:hi], (mode, lo)
             assert transit.targets(ts, ta).tolist() == want_targets[lo:hi]
-        for t, a in stream[lo:hi]:
-            twin.update(t, a)
-            transit_twin.update(t, a)
-            if mode != "update":
-                transit_twin.transit_target()
-                if mode == "targets":
-                    twin.transit_target()
-        assert _slots(est) == _slots(twin), (mode, lo)
-        assert _slots(transit) == _slots(transit_twin), (mode, lo)
-        assert _observed(est) == ref_states[hi - 1]
+        for i in range(lo, hi):
+            assert twin.update(*stream[i]) == want_lags[i]
+            transit_twin.update(*stream[i])
+        # est goes on from the state this chunk left, so every later chunk
+        # also checks that state against the twin's
+        assert _observed(est) == _observed(twin) == ref_states[hi - 1], mode
+        assert _observed(transit) == _observed(transit_twin)
         assert est.transit_target() == twin.transit_target() == want_targets[hi - 1]
         assert transit.transit_target() == transit_twin.transit_target() == want_targets[hi - 1]
         assert transit.n_window == est.n_window
@@ -536,10 +537,9 @@ RATCHET_CASES = {
 
 @pytest.mark.parametrize("case", sorted(RATCHET_CASES))
 def test_lags_match_the_reference_where_the_ratchet_moves_without_a_sample(case):
-    # the pass reuses the lag at an arrival that leaves the histogram as it
-    # was, and only after a ratchet call that kept its lag: here the ratchet
-    # moves at an out-of-order arrival after one sample left the window, or
-    # with the histogram unchanged but right after a call that raised it
+    # two places where the ratchet moves though no sample was added: at an
+    # out-of-order arrival after one sample left the window, and with the
+    # histogram unchanged but right after a call that raised it
     seed, n, whole_ms, kwargs = RATCHET_CASES[case]
     stream = _gapped_stream(seed, n, n, 0.0, whole_ms)
     ref = ReferenceEstimator(**kwargs)
@@ -556,20 +556,37 @@ def test_lags_match_the_reference_where_the_ratchet_moves_without_a_sample(case)
     assert JitterEstimator(**kwargs).lags(ts, ta).tolist() == want
 
 
+# a stream that moves every part of the state: jitter samples, a reorder
+# run that opens an episode and deepens the hold, then an orderly stretch
+LATER = [(20.0, 121.0), (40.0, 125.0), (30.0, 126.0), (50.0, 140.0), (60.0, 300.0),
+         (70.0, 301.0)] + [(80.0 + 10 * i, 310.0 + 10 * i) for i in range(30)]
+
+
+def _fed(cls):
+    est = cls()
+    est.update(0.0, 100.0)
+    est.update(10.0, 110.0)
+    return est
+
+
 def test_empty_pass_changes_nothing():
     est = JitterEstimator()
     est.update(0.0, 50.0)
-    before = _slots(est)
+    before = _observed(est)
     assert est.lags([], []).size == 0 and est.targets([], []).size == 0
-    assert _slots(est) == before
+    assert _observed(est) == before
+    twin = JitterEstimator()
+    twin.update(0.0, 50.0)
+    _drive_on(est, twin, LATER)
+
+
+INF, NAN = math.inf, math.nan
 
 
 @pytest.mark.parametrize("cls", [JitterEstimator, TransitEstimator])
 def test_pass_rejects_what_update_rejects_before_any_state_change(cls):
-    est = cls()
-    est.update(0.0, 100.0)
-    est.update(10.0, 110.0)
-    before = _slots(est)
+    est = _fed(cls)
+    before = _observed(est), est.transit_target()
     passes = [est.targets] + ([est.lags] if cls is JitterEstimator else [])
     bad = [
         # (ts, ta, what update raises at the first bad arrival)
@@ -577,16 +594,32 @@ def test_pass_rejects_what_update_rejects_before_any_state_change(cls):
         ([20.0], [105.0], RuntimeError),  # behind the newest arrival before the pass
         ([20.0, 30.0, 40.0, 60.0], [120.0, 130.0, 125.0, 50.0], RuntimeError),
         ([20.0, 30.0, 40.0], [120.0, 130.0, 35.0], ValueError),  # both: ts checked first
+        # a non-finite ts or arrival, even one a window's length on
+        ([20.0], [INF], ValueError),
+        ([20.0, 30.0], [120.0, NAN], ValueError),
+        ([INF], [130.0], ValueError),
+        ([20.0, NAN], [120.0, 130.0], ValueError),
+        ([-INF], [120.0], ValueError),
+        ([20.0, 30.0], [5000.0, INF], ValueError),
     ]
     for run in passes:
         for ts, ta, error in bad:
             with pytest.raises(error):
                 run(np.array(ts), np.array(ta))
-            assert _slots(est) == before
+            assert (_observed(est), est.transit_target()) == before
     for ts, ta, error in bad:
-        twin = cls()
-        twin.update(0.0, 100.0)
-        twin.update(10.0, 110.0)
+        twin = _fed(cls)
+        good = 0
         with pytest.raises(error):
             for t, a in zip(ts, ta):
                 twin.update(t, a)
+                good += 1
+        # update raised before changing anything: the twin is in the state
+        # of the arrivals before the bad one
+        prefix = _fed(cls)
+        for t, a in zip(ts[:good], ta[:good]):
+            prefix.update(t, a)
+        assert _observed(twin) == _observed(prefix)
+        if not good:
+            _drive_on(twin, prefix, LATER)
+    _drive_on(est, _fed(cls), LATER)
