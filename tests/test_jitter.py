@@ -15,7 +15,8 @@ from relaysim import (
     WatermarkReorderer,
     build_jitter_manager,
 )
-from relaysim.jitter import FATES
+from relaysim.jitter import FATES, PLAY_BLOCK
+from buffer_reference import BufferReference
 from wm_reference import WatermarkReference, bursty_packets
 
 
@@ -469,6 +470,156 @@ def test_buffer_on_transit_estimator_matches_full_estimator(seed, whole_ms):
     end = packets[-1].arrival
     assert lean.flush(end) == full.flush(end)
     assert lean.dropped_count == full.dropped_count > 0
+
+
+def _estimator_state(est):
+    """What an estimator shows of its state: the target a buffer reads, the
+    window, and a ``JitterEstimator``'s lag state."""
+    return (est.transit_target(), est.n_window, getattr(est, "lag_ms", None),
+            getattr(est, "n_jitter_samples", None))
+
+
+def _buffer_state(buf):
+    return (buf._target, buf._ts_base, buf._next_seq, buf._max_seen, buf._last_out,
+            buf._buffer, buf.dropped_count, _estimator_state(buf._est))
+
+
+def _reference_state(ref):
+    return (ref.target, ref.ts_base, ref.next_seq, ref.max_seen, ref.last_out,
+            ref.held, len(ref.drops), _estimator_state(ref.est))
+
+
+def _oracle_streams():
+    """(interval, packets): the bursty streams of seeds 1-3, seed 4's with
+    whole-ms arrivals, and a 20/3 ms cadence, whose inferred slot ts land on
+    deadlines up to float rounding."""
+    streams = [(10.0, bursty_packets(np.random.default_rng(seed), 1500))
+               for seed in (1, 2, 3)]
+    streams.append((10.0, _whole_ms(bursty_packets(np.random.default_rng(4), 1500))))
+    streams.append((20 / 3, bursty_packets(np.random.default_rng(8), 3000, interval_ms=20 / 3)))
+    return streams
+
+
+def _reference_columns(emissions, drops, to, fate, code="delivered"):
+    for em in emissions:
+        to[em.seq], fate[em.seq] = em.out, FATES.index(code)
+    fate[drops] = FATES.index("dropped_late")
+
+
+@pytest.mark.parametrize("est_cls", [TransitEstimator, JitterEstimator])
+def test_buffer_on_arrival_matches_reference(est_cls):
+    # every emission, drop and state after each arrival, and the flush
+    for interval, packets in _oracle_streams():
+        buf = PlayoutBuffer(est_cls(), interval_ms=interval)
+        ref = BufferReference(est_cls(), interval)
+        for p in packets:
+            assert buf.on_arrival(p, p.arrival) == ref.arrival(p)
+            assert _buffer_state(buf) == _reference_state(ref)
+        end = packets[-1].arrival
+        flushed = buf.flush(end)
+        assert flushed == ref.flush(end) and flushed
+        assert _buffer_state(buf) == _reference_state(ref)
+        assert buf.dropped_count > 0
+
+
+def _chunk_ends(chunking, n, rng):
+    if chunking == "one arrival":
+        return list(range(1, n + 1))
+    if chunking == "uneven":  # chunks of 1 to 59 arrivals
+        return np.minimum(np.cumsum(rng.integers(1, 60, n)), n)[:n].tolist()
+    return [n]
+
+
+@pytest.mark.parametrize("chunking", ["one call", "uneven", "one arrival",
+                                      "longer than a block"])
+@pytest.mark.parametrize("est_cls", [TransitEstimator, JitterEstimator])
+def test_buffer_play_matches_reference(est_cls, chunking):
+    # play the schedule in chunks: after every chunk each fate, output time,
+    # the dropped count and the state equal the reference's, and so does
+    # the flush
+    streams = _oracle_streams()
+    if chunking == "longer than a block":
+        streams = [(10.0, bursty_packets(np.random.default_rng(5), 2 * PLAY_BLOCK + 777))]
+    for interval, packets in streams:
+        order, ts, ta = _columns(packets)
+        buf = PlayoutBuffer(est_cls(), interval_ms=interval)
+        ref = BufferReference(est_cls(), interval)
+        got, want = _outputs(len(ts)), _outputs(len(ts))
+        lo = 0
+        for hi in dict.fromkeys(_chunk_ends(chunking, len(packets),
+                                            np.random.default_rng(len(packets)))):
+            buf.play(order[lo:hi], ts, ta, *got)
+            for p in packets[lo:hi]:
+                emissions, dropped = ref.arrival(p)
+                _reference_columns(emissions, [p.seq] if dropped else [], *want)
+            _assert_columns_equal(got, want)
+            assert _buffer_state(buf) == _reference_state(ref), lo
+            lo = hi
+        assert lo == len(packets)
+        end = packets[-1].arrival
+        flushed = buf.flush(end)
+        assert flushed == ref.flush(end) and flushed
+        assert _buffer_state(buf) == _reference_state(ref)
+        assert buf.dropped_count == len(ref.drops) > 0
+
+
+class ScriptedEstimator:
+    """Stub that gives the target after the k-th arrival from a script, per
+    call or as one pass; records how many arrivals it was fed."""
+
+    def __init__(self, script):
+        self.script = script
+        self.fed = 0
+
+    def update(self, ts, arrival):
+        self.fed += 1
+
+    def transit_target(self):
+        return self.script[self.fed - 1] if self.fed else 0.0
+
+    def targets(self, ts, ta):
+        self.fed += len(ts)
+        return np.array(self.script[self.fed - len(ts):self.fed])
+
+
+# seq 0 holds to 50; seq 1 comes after its deadline and is dropped; seq 2
+# lands, plays seq 0 out and passes seq 1's slot; seq 2 comes again, at the
+# same time, while it is held; seq 3 comes after
+_DUPLICATE = [Packet(0, 0.0, 5.0), Packet(1, 10.0, 61.0), Packet(2, 20.0, 62.0),
+              Packet(2, 20.0, 62.0), Packet(3, 30.0, 63.0)]
+_SCRIPT = [50.0, 50.0, 50.0, 55.0, 60.0]
+
+
+def _assert_left_at_the_duplicate(buf, to, fate):
+    assert _times(to) == [50.0, None, None, None]
+    assert _fates(fate) == ["delivered", "dropped_late", "in_flight", "in_flight"]
+    # the duplicate moved the target, and nothing else
+    assert (buf._target, buf._ts_base, buf._next_seq, buf._max_seen,
+            buf._last_out, buf._buffer, buf.dropped_count) == (
+        55.0, 0.0, 2, 2, 50.0, {2: (20.0, 62.0)}, 1)
+
+
+def test_buffer_duplicate_seq_mid_block_through_play():
+    _, ts, ta = _columns([p for i, p in enumerate(_DUPLICATE) if i != 3])
+    order = np.array([p.seq for p in _DUPLICATE])
+    est = ScriptedEstimator(_SCRIPT)
+    buf = PlayoutBuffer(est, interval_ms=10.0)
+    to, fate = _outputs(len(ts))
+    with pytest.raises(ValueError, match=r"^duplicate seq 2$"):
+        buf.play(order, ts, ta, to, fate)
+    _assert_left_at_the_duplicate(buf, to, fate)
+    assert est.fed == len(_DUPLICATE)  # one pass over the whole schedule
+
+
+def test_buffer_duplicate_seq_mid_block_through_on_arrival():
+    est = ScriptedEstimator(_SCRIPT)
+    buf = PlayoutBuffer(est, interval_ms=10.0)
+    to, fate = _outputs(4)
+    _step(buf, _DUPLICATE[:3], to, fate)
+    with pytest.raises(ValueError, match=r"^duplicate seq 2$"):
+        buf.on_arrival(_DUPLICATE[3], _DUPLICATE[3].arrival)
+    _assert_left_at_the_duplicate(buf, to, fate)
+    assert est.fed == 4  # the duplicate fed the estimator
 
 
 # ------------------------------------------------- shared invariants (fuzz)
