@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from relaysim.estimator import JitterEstimator, TransitEstimator
+from relaysim._estimator import JitterEstimator, TransitEstimator
 
 
 def bursty_stream(rng, n, interval_ms=10.0, base_ms=50.0):

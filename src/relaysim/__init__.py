@@ -23,7 +23,8 @@ from .errors import (
     TraceParseError,
     ValidationError,
 )
-from .estimator import IMPLEMENTATION, JitterEstimator, TransitEstimator
+from ._estimator import JitterEstimator, TransitEstimator
+from .estimator import IMPLEMENTATION
 from .jitter import (
     Emission,
     JitterConfig,

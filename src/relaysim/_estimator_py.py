@@ -1,10 +1,10 @@
 """The compiled estimators (``relaysim._estimator``) under this module's old
 name, with ``DISORDER_GUARD_MS``.
 
-A re-export shim, and no implementation: relaybench imports
-``JitterEstimator`` and ``DISORDER_GUARD_MS`` from here, and
-``tests/estimator_reference.py`` the constant. It goes when relaybench stops
-importing it.
+A re-export shim, and no implementation, kept for relaybench alone:
+``relaybench/gates.py`` imports ``JitterEstimator`` from it. The library,
+its tests and its scripts import ``relaysim._estimator`` or the package. It
+goes when relaybench stops importing it.
 """
 
 from ._estimator import DISORDER_GUARD_MS, JitterEstimator, TransitEstimator

@@ -2,11 +2,11 @@
 
 Two managers, each on its own windowed estimator per stream, differ in
 ordering discipline and in what they measure. The watermark reads the lag of
-a :class:`~relaysim.estimator.JitterEstimator`; the playout buffer reads only
-the transit quantile, which a :class:`~relaysim.estimator.TransitEstimator`
-keeps without the jitter histogram, reorder depth and episode ratchet behind
-the lag. ``JitterEstimator`` extends ``TransitEstimator``, so the transit
-window and its quantile are the same code for both:
+a :class:`~relaysim.JitterEstimator`; the playout buffer reads only the
+transit quantile, which a :class:`~relaysim.TransitEstimator` keeps without
+the jitter histogram, reorder depth and episode ratchet behind the lag.
+``JitterEstimator`` extends ``TransitEstimator``, so the transit window and
+its quantile are the same code for both:
 
 ``WatermarkReorderer``
     Out-of-order processing. Each accepted arrival advances a monotone low
@@ -56,17 +56,21 @@ its ``ts`` (``searchsorted(wm, ts, "right")``), or stays pending for the
 flush. This is MillWheel's lateness rule against a low watermark (Akidau et
 al., VLDB 2013) in array form.
 
-The playout buffer has no such form, so it states its rule in ``on_arrival``
-and again in ``play``'s loop. Its target column is fate-free too, and
-``play`` takes it from one pass,
-``TransitEstimator.targets``, but its sweep walks seq order: slot k is
-released at the first arrival, from the one that released slot k-1 on, at
-which the current target puts its deadline behind it. The target rises and
-falls, so that search starts where slot k-1's ended: a recurrence over seq
-order, not a prefix scan over arrival order. Whether an arrival comes too
-late for its slot depends on the same recurrence. The loop takes the
-schedule ``PLAY_BLOCK`` arrivals at a time, so its Python lists stay short
-whatever the session's length.
+The playout buffer has no such form. Its target column is fate-free too,
+and ``play`` takes it from one pass, ``TransitEstimator.targets``, but its
+sweep walks seq order: slot k is released at the first arrival, from the one
+that released slot k-1 on, at which the current target puts its deadline
+behind it. The target rises and falls, so that search starts where slot
+k-1's ended: a recurrence over seq order, not a prefix scan over arrival
+order. Whether an arrival comes too late for its slot depends on the same
+recurrence. So the buffer states its rule once, as one step over arrivals in
+order, each with the target after it (``PlayoutBuffer._step``): adaptive
+playout after Ramjee et al. (INFOCOM 1994), played strictly in seq order.
+``play`` runs the step ``PLAY_BLOCK`` arrivals at a time, so its Python
+lists stay short whatever the session's length; ``on_arrival`` updates the
+estimator and runs the step on its one arrival. ``tests/buffer_reference.py``
+holds the rule as it was written per arrival, and both forms are checked
+against it.
 
 Each manager's ``play`` calls one estimator method per schedule, ``lags`` or
 ``targets``, and assigns none of the estimator's attributes.
@@ -81,7 +85,7 @@ from typing import NamedTuple, Protocol
 import numpy as np
 
 from .errors import ValidationError
-from .estimator import JitterEstimator, TransitEstimator
+from ._estimator import JitterEstimator, TransitEstimator
 
 
 @dataclass(frozen=True)
@@ -258,6 +262,20 @@ class WatermarkReorderer:
         return out
 
 
+class _Released(list):
+    """The ``played`` list that ``PlayoutBuffer.on_arrival`` hands its step:
+    it takes each released seq as ``(seq, ts, arrival)``, read off the buffer
+    that still holds it, so that no copy of the buffer is needed."""
+
+    __slots__ = ("_buffer",)
+
+    def __init__(self, buffer: dict[int, tuple[float, float]]) -> None:
+        self._buffer = buffer  # list.__new__ made the list, empty
+
+    def append(self, seq: int) -> None:
+        list.append(self, (seq, *self._buffer[seq]))
+
+
 class PlayoutBuffer:
     """In-order playout with an adaptive target delay.
 
@@ -291,58 +309,10 @@ class PlayoutBuffer:
 
         ``now`` is the arrival time; ``packet`` supplies ``seq`` and ``ts``."""
         seq, ts = packet.seq, packet.ts
-        cold = self._ts_base is None  # first arrival seeds the estimate, never late
-        if cold:
-            self._ts_base = ts - seq * self._interval
-        if seq > self._max_seen:
-            self._max_seen = seq
-        # drop decisions use the pre-arrival target, mirroring the watermark
-        # manager's check against the pre-arrival wm
-        target = self._target
         self._est.update(ts, now)
-        self._target = self._est.transit_target()
-        if seq < self._next_seq:
-            self.dropped_count += 1
-            return [], True
-        if not cold and now > ts + target:
-            self.dropped_count += 1
-            return [], True
-        if seq in self._buffer:
-            raise ValueError(f"duplicate seq {seq}")
-        self._buffer[seq] = (ts, now)
-        return self._sweep(now), False
-
-    def _sweep(self, now: float) -> list[Emission]:
-        target = self._target
-        out: list[Emission] = []
-        while True:
-            held = self._buffer.get(self._next_seq)
-            if held is not None:
-                ts, arrival = held
-                deadline = ts + target
-                if deadline > now:
-                    break  # holds until its scheduled playout time
-                t_out = deadline
-                if arrival > t_out:
-                    t_out = arrival
-                if self._last_out > t_out:
-                    t_out = self._last_out
-                out.append(Emission(self._next_seq, ts, arrival, t_out))
-                self._last_out = t_out
-                del self._buffer[self._next_seq]
-                self._next_seq += 1
-            elif self._next_seq <= self._max_seen:
-                # missing slot: blocks successors until its own deadline passes
-                # (strict, matching the late-arrival drop rule); its ts is
-                # inferred from the base the first arrival set
-                slot_ts = self._ts_base + self._next_seq * self._interval
-                if now > slot_ts + target:
-                    self._next_seq += 1
-                else:
-                    break
-            else:
-                break
-        return out
+        released, outs, dropped = _Released(self._buffer), [], []
+        self._step(((seq, ts, now, self._est.transit_target()),), released, outs, dropped)
+        return [Emission(s, t, a, out) for (s, t, a), out in zip(released, outs)], bool(dropped)
 
     def play(self, order: np.ndarray, ts: np.ndarray, ta: np.ndarray,
              to: np.ndarray, fate: np.ndarray) -> None:
@@ -350,11 +320,39 @@ class PlayoutBuffer:
 
         The columns are those of :meth:`WatermarkReorderer.play`. The
         estimator's ``targets`` gives the target after every arrival in one
-        pass, and the loop walks the schedule ``PLAY_BLOCK`` arrivals at a
-        time, with ``_sweep``'s rule inline, writing each block's fates and
-        the manager's state as the block ends."""
+        pass. The buffer's step then takes the schedule ``PLAY_BLOCK``
+        arrivals at a time, and each block's output times and fates are
+        written as the block ends, also when a duplicate seq raises in it."""
         ts_o, ta_o = ts[order], ta[order]
         after = self._est.targets(ts_o, ta_o)
+        for lo in range(0, len(order), PLAY_BLOCK):
+            hi = lo + PLAY_BLOCK
+            played, outs, dropped = [], [], []
+            try:
+                self._step(zip(order[lo:hi].tolist(), ts_o[lo:hi].tolist(),
+                               ta_o[lo:hi].tolist(), after[lo:hi].tolist()),
+                           played, outs, dropped)
+            finally:
+                to[played] = outs
+                fate[played] = DELIVERED
+                fate[dropped] = DROPPED_LATE
+
+    def _step(self, arrivals, played: list, outs: list, dropped: list) -> None:
+        """The buffer's rule, over ``(seq, ts, arrival, target)`` in arrival
+        order, the target being the estimator's after that arrival.
+
+        An arrival is dropped if its slot has passed, or if it comes after
+        its deadline, ts plus the target before it (the first arrival is
+        never late). Otherwise it is held, and slots are then released in
+        seq order while their deadlines are behind the arrival time: a held
+        packet plays at the latest of its deadline, its arrival and the last
+        output time; a missing slot, its ts inferred from the cadence, blocks
+        its successors until its own deadline strictly passes.
+
+        Appends each released seq to ``played``, while the buffer still
+        holds it, and its output time to ``outs``; appends each dropped seq
+        to ``dropped``. The caller passes the three in empty. The state is
+        written back also when a duplicate seq raises."""
         interval = self._interval
         buffer = self._buffer
         target = self._target
@@ -362,54 +360,47 @@ class PlayoutBuffer:
         next_seq = self._next_seq
         max_seen = self._max_seen
         last_out = self._last_out
-        for lo in range(0, len(order), PLAY_BLOCK):
-            hi = lo + PLAY_BLOCK
-            played, outs, dropped = [], [], []
-            try:
-                for seq, t, now, new in zip(order[lo:hi].tolist(), ts_o[lo:hi].tolist(),
-                                            ta_o[lo:hi].tolist(), after[lo:hi].tolist()):
-                    cold = ts_base is None
-                    if cold:
-                        ts_base = t - seq * interval
-                    if seq > max_seen:
-                        max_seen = seq
-                    late = not cold and now > t + target  # the pre-arrival target
-                    target = new
-                    if seq < next_seq or late:
-                        dropped.append(seq)
-                        continue
-                    if seq in buffer:
-                        raise ValueError(f"duplicate seq {seq}")
-                    buffer[seq] = (t, now)
-                    while True:
-                        held = buffer.get(next_seq)
-                        if held is not None:
-                            t_out = held[0] + target
-                            if t_out > now:
-                                break
-                            if held[1] > t_out:
-                                t_out = held[1]
-                            if last_out > t_out:
-                                t_out = last_out
-                            played.append(next_seq)
-                            outs.append(t_out)
-                            last_out = t_out
-                            del buffer[next_seq]
-                            next_seq += 1
-                        elif next_seq <= max_seen and now > ts_base + next_seq * interval + target:
-                            next_seq += 1
-                        else:
+        try:
+            for seq, t, now, new in arrivals:
+                cold = ts_base is None
+                if cold:
+                    ts_base = t - seq * interval
+                if seq > max_seen:
+                    max_seen = seq
+                late = not cold and now > t + target  # the pre-arrival target
+                target = new
+                if seq < next_seq or late:
+                    dropped.append(seq)
+                    continue
+                if seq in buffer:
+                    raise ValueError(f"duplicate seq {seq}")
+                buffer[seq] = (t, now)
+                while True:
+                    held = buffer.get(next_seq)
+                    if held is not None:
+                        t_out = held[0] + target
+                        if t_out > now:
                             break
-            finally:
-                self._target = target
-                self._ts_base = ts_base
-                self._next_seq = next_seq
-                self._max_seen = max_seen
-                self._last_out = last_out
-                self.dropped_count += len(dropped)
-                to[played] = outs
-                fate[played] = DELIVERED
-                fate[dropped] = DROPPED_LATE
+                        if held[1] > t_out:
+                            t_out = held[1]
+                        if last_out > t_out:
+                            t_out = last_out
+                        played.append(next_seq)
+                        outs.append(t_out)
+                        last_out = t_out
+                        del buffer[next_seq]
+                        next_seq += 1
+                    elif next_seq <= max_seen and now > ts_base + next_seq * interval + target:
+                        next_seq += 1
+                    else:
+                        break
+        finally:
+            self._target = target
+            self._ts_base = ts_base
+            self._next_seq = next_seq
+            self._max_seen = max_seen
+            self._last_out = last_out
+            self.dropped_count += len(dropped)
 
     def flush(self, end_time: float) -> list[Emission]:
         """Emit everything still buffered, in sequence order, at end_time."""

@@ -13,7 +13,7 @@ from collections import deque
 
 import numpy as np
 
-from relaysim._estimator_py import DISORDER_GUARD_MS
+from relaysim._estimator import DISORDER_GUARD_MS
 
 
 class ReferenceEstimator:

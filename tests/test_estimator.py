@@ -8,7 +8,7 @@ import pytest
 
 from relaysim import (JitterConfig, JitterEstimator, TransitEstimator, ValidationError,
                       build_jitter_manager)
-from relaysim import _estimator_py
+from relaysim._estimator import DISORDER_GUARD_MS
 
 from estimator_reference import ReferenceEstimator
 from wm_reference import bursty_packets
@@ -192,7 +192,7 @@ def test_reorder_depth_lower_bin_edge_and_clamp():
 
 
 def test_guard_is_a_shared_constant():
-    assert _estimator_py.DISORDER_GUARD_MS == 100.0
+    assert DISORDER_GUARD_MS == 100.0
 
 
 def test_lag_never_falls_while_disordered():
@@ -219,7 +219,7 @@ def test_lag_never_falls_while_disordered():
             episodes += not was_disordered
         prev = est.jitter_lag_ms
         seen.append((ta, ta - ts))
-        deepest = max(tr for a, tr in seen if a >= ta - _estimator_py.DISORDER_GUARD_MS)
+        deepest = max(tr for a, tr in seen if a >= ta - DISORDER_GUARD_MS)
         assert est.reorder_depth_ms == float(int(deepest - (ta - ts)))
         assert lag == max(est.jitter_lag_ms, est.reorder_depth_ms)
     assert episodes >= 6

@@ -324,7 +324,7 @@ def _assert_matches_reference(order, to, fate, ref):
 def _tied_stream(whole_ms):
     """Whole-ms arrivals, where lags, watermarks and arrival times tie
     outright, or a 20/3 ms cadence, where ``ts - lag`` lands on another
-    packet's ts up to float rounding (ROADMAP item 8)."""
+    packet's ts up to float rounding (ROADMAP item 11)."""
     if whole_ms:
         return "whole ms", _whole_ms(bursty_packets(np.random.default_rng(9), 3000))
     return "20/3 ms", bursty_packets(np.random.default_rng(8), 3000, interval_ms=20 / 3)
@@ -523,10 +523,11 @@ def test_buffer_on_arrival_matches_reference(est_cls):
 
 
 def _chunk_ends(chunking, n, rng):
+    """Where each chunk of an n-arrival schedule ends."""
     if chunking == "one arrival":
         return list(range(1, n + 1))
     if chunking == "uneven":  # chunks of 1 to 59 arrivals
-        return np.minimum(np.cumsum(rng.integers(1, 60, n)), n)[:n].tolist()
+        return sorted({min(end, n) for end in np.cumsum(rng.integers(1, 60, n)).tolist()})
     return [n]
 
 
@@ -546,8 +547,7 @@ def test_buffer_play_matches_reference(est_cls, chunking):
         ref = BufferReference(est_cls(), interval)
         got, want = _outputs(len(ts)), _outputs(len(ts))
         lo = 0
-        for hi in dict.fromkeys(_chunk_ends(chunking, len(packets),
-                                            np.random.default_rng(len(packets)))):
+        for hi in _chunk_ends(chunking, len(packets), np.random.default_rng(len(packets))):
             buf.play(order[lo:hi], ts, ta, *got)
             for p in packets[lo:hi]:
                 emissions, dropped = ref.arrival(p)
