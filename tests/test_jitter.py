@@ -500,12 +500,6 @@ def _oracle_streams():
     return streams
 
 
-def _reference_columns(emissions, drops, to, fate, code="delivered"):
-    for em in emissions:
-        to[em.seq], fate[em.seq] = em.out, FATES.index(code)
-    fate[drops] = FATES.index("dropped_late")
-
-
 @pytest.mark.parametrize("est_cls", [TransitEstimator, JitterEstimator])
 def test_buffer_on_arrival_matches_reference(est_cls):
     # every emission, drop and state after each arrival, and the flush
@@ -551,7 +545,10 @@ def test_buffer_play_matches_reference(est_cls, chunking):
             buf.play(order[lo:hi], ts, ta, *got)
             for p in packets[lo:hi]:
                 emissions, dropped = ref.arrival(p)
-                _reference_columns(emissions, [p.seq] if dropped else [], *want)
+                if dropped:
+                    want[1][p.seq] = FATES.index("dropped_late")
+                for em in emissions:
+                    want[0][em.seq], want[1][em.seq] = em.out, FATES.index("delivered")
             _assert_columns_equal(got, want)
             assert _buffer_state(buf) == _reference_state(ref), lo
             lo = hi
