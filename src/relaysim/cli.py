@@ -10,18 +10,14 @@ Three subcommands:
 * ``run``: execute the session x method matrix described by an experiment
   manifest and write per-cell JSON reports, CDF CSVs, and a summary CSV.
   ``--jobs`` worker processes load the topology's trace files, then run the
-  cells, with no more workers than cells.
+  cells, with no more workers than cells; both start through
+  ``traces._mapper``.
 
 Experiment manifest (JSON, schema_version 1)::
 
     {
       "schema_version": 1,
-      "topology": "topology.json",        # path relative to the manifest, OR
-      "synthetic": {                      # generate on the fly instead
-        "relays": 4, "duration_ms": 700000.0, "step_ms": 10.0, "seed": 0,
-        "mean_range": [100.0, 200.0], "std_choices": [10.0, 20.0, 30.0],
-        "regime": "stationary-gaussian"
-      },
+      "topology": "topology.json",        # path relative to the manifest
       "pairs": [["e0", "u0"]],            # directed endpoint -> user streams
       "methods": ["drt-bf", "drt-wm", "via-bf", "via-wm", "vcr-wm"],  # or router+jitter
       "defaults": {                       # all keys optional
@@ -35,8 +31,10 @@ Experiment manifest (JSON, schema_version 1)::
       "output_dir": "results"             # optional
     }
 
-Exactly one of "topology"/"synthetic" must be present. An unknown key, and
-a NaN or Infinity, are validation errors. Flags override manifest fields.
+"topology" is required: write one with ``relaysim synth`` or
+``traces.save_topology``. An unknown key at any level, a value of the wrong
+JSON type, and a NaN or Infinity are validation errors, raised before the
+topology is loaded. Flags override manifest fields.
 Output directory precedence: --out flag, then the manifest field, then
 $RELAYSIM_OUT_DIR. Results are written only after the whole
 matrix has completed, so a failed run leaves no partial output.
@@ -71,6 +69,7 @@ from .traces import (
     REGIMES,
     SyntheticTraceSpec,
     Topology,
+    _mapper,
     generate_synthetic,
     ingest_trace,
     load_topology,
@@ -86,14 +85,12 @@ EXIT_RUNTIME = 4
 OUT_DIR_ENV = "RELAYSIM_OUT_DIR"
 EXPERIMENT_SCHEMA_VERSION = 1
 
+_MANIFEST_KEYS = {"schema_version", "topology", "pairs", "methods", "defaults",
+                  "output_dir"}
 _DEFAULT_KEYS = {"packets", "interval_ms", "warmup_ms", "seed",
                  "loss_threshold", "router", "jitter"}
 
 RUN_PACKETS = 60_000  # the run default; SessionConfig.packet_count is 600_000
-
-SYNTH_RELAYS = 4
-SYNTH_DURATION_MS = 700_000.0
-SYNTH_STEP_MS = 10.0
 
 
 def _usage_error(message: str) -> int:
@@ -216,8 +213,12 @@ def _load_experiment(path: Path) -> dict:
         raise ValidationError(
             f"unsupported experiment schema_version {doc.get('schema_version')!r}"
         )
-    if ("topology" in doc) == ("synthetic" in doc):
-        raise ValidationError("exactly one of 'topology'/'synthetic' is required")
+    unknown = set(doc) - _MANIFEST_KEYS
+    if unknown:
+        raise ValidationError(f"unknown manifest keys {sorted(unknown)}")
+    _typed("manifest", "topology", doc.get("topology"), "")
+    if "output_dir" in doc:
+        _typed("manifest", "output_dir", doc["output_dir"], "")
     pairs = doc.get("pairs")
     if not isinstance(pairs, list) or not pairs:
         raise ValidationError(f"pairs must be a non-empty list, not {json.dumps(pairs)}")
@@ -229,17 +230,8 @@ def _load_experiment(path: Path) -> dict:
 
 
 def _experiment_topology(doc: dict, manifest_dir: Path, jobs: int = 1) -> Topology:
-    """The manifest's topology: its trace files loaded by ``jobs`` processes,
-    or the synthetic one generated here."""
-    if "topology" in doc:
-        return load_topology(manifest_dir / doc["topology"], jobs)
-    syn = dict(_object("synthetic", doc["synthetic"]))
-    relays, duration_ms, step_ms = (
-        _typed("synthetic", key, syn.pop(key, default), default)
-        for key, default in (("relays", SYNTH_RELAYS), ("duration_ms", SYNTH_DURATION_MS),
-                             ("step_ms", SYNTH_STEP_MS)))
-    spec = _section(SyntheticTraceSpec, "synthetic", syn, {})
-    return _synthetic_topology(relays, duration_ms, step_ms, spec)
+    """The manifest's topology, its trace files loaded by ``jobs`` processes."""
+    return load_topology(manifest_dir / doc["topology"], jobs)
 
 
 def _pick(section: str, key: str, flag, given: dict, default):
@@ -255,17 +247,15 @@ _JSON_TYPES = {
     int: ({int}, "an integer"),
     float: ({int, float}, "a number"),
     str: ({str}, "a string"),
-    tuple: ({list}, "a list of numbers"),
 }
 
 
 def _typed(section: str, key: str, value, default):
     """A manifest value of the JSON type of the field's default, cast to it
-    (an integer to a float, a list to a tuple); any other type is a
-    validation error that names the section and key."""
+    (an integer to a float); any other type is a validation error that names
+    the section and key."""
     types, kind = _JSON_TYPES[type(default)]
-    if type(value) not in types or (
-            type(value) is list and not {type(v) for v in value} <= _JSON_TYPES[float][0]):
+    if type(value) not in types:
         raise ValidationError(f"{section} key {key!r} must be {kind}, not {json.dumps(value)}")
     return type(default)(value)
 
@@ -278,7 +268,7 @@ def _object(section: str, value) -> dict:
 
 
 def _section(cls, name: str, given: dict, flags: dict):
-    """Build a RouterConfig/JitterConfig/SyntheticTraceSpec from a manifest section.
+    """Build a RouterConfig/JitterConfig from a manifest section.
 
     Its keys, defaults and types are the dataclass fields, all but ``kind``.
     """
@@ -386,21 +376,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     # the cheap checks above come first: the load is the costly step
     topology = _experiment_topology(doc, manifest_dir, jobs)
 
-    workers = min(jobs, len(work))
-    if workers == 1:
-        _set_cell_topology(topology)
-        try:
-            cells = dict(map(_run_cell, work))
-        finally:
-            _set_cell_topology(None)
-    else:
-        # imported here, as the load's pool is: a serial run does not need it
-        from concurrent.futures import ProcessPoolExecutor
-
-        # each worker gets the topology once, not with every cell
-        with ProcessPoolExecutor(max_workers=workers, initializer=_set_cell_topology,
-                                 initargs=(topology,)) as pool:
-            cells = dict(pool.map(_run_cell, work))
+    # each worker gets the topology once, not with every cell; a serial run
+    # sets it here, and clears it after
+    try:
+        with _mapper(min(jobs, len(work)), _set_cell_topology, (topology,)) as mapped:
+            cells = dict(mapped(_run_cell, work))
+    finally:
+        _set_cell_topology(None)
 
     matrix = summarize_cells(cells, len(sessions), labels)
 
@@ -458,9 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.set_defaults(func=cmd_validate)
 
     p_syn = sub.add_parser("synth", help="generate a synthetic topology")
-    p_syn.add_argument("--relays", type=int, default=SYNTH_RELAYS)
-    p_syn.add_argument("--duration-ms", type=float, default=SYNTH_DURATION_MS)
-    p_syn.add_argument("--step-ms", type=float, default=SYNTH_STEP_MS)
+    p_syn.add_argument("--relays", type=int, default=4)
+    p_syn.add_argument("--duration-ms", type=float, default=700_000.0)
+    p_syn.add_argument("--step-ms", type=float, default=10.0)
     p_syn.add_argument("--seed", type=int, default=SyntheticTraceSpec.seed)
     p_syn.add_argument("--regime", choices=REGIMES, default=SyntheticTraceSpec.regime)
     p_syn.add_argument("--mean-range", type=float, nargs=2,

@@ -107,13 +107,8 @@ class LatencyTrace:
         return f"LatencyTrace({self.src}->{self.dst}, n={len(self)})"
 
     def sample(self, t_ms: float) -> float:
-        """Zero-order-hold lookup at time t_ms."""
-        # the array method: np.searchsorted's dispatch costs more than the
-        # search on this per-feedback path
-        idx = int(self.timestamps_ms.searchsorted(t_ms, "right")) - 1
-        if idx < 0:
-            idx = 0
-        return float(self.latencies_ms[idx])
+        """Zero-order-hold lookup at time t_ms: ``at`` at one time."""
+        return float(self.at(t_ms))
 
     def at(self, times_ms: np.ndarray) -> np.ndarray:
         """Zero-order-hold lookup at every time in an array."""
@@ -404,7 +399,10 @@ def generate_synthetic(
             if name not in names:
                 names.append(name)
     nodes = [Node(name, roles.get(name, "relay")) for name in sorted(names)]
+    # one grid, shared by every link; read-only, so that no caller can change
+    # one link's timestamps through another
     timestamps = np.arange(0.0, duration_ms, step_ms)
+    timestamps.flags.writeable = False
     traces = {}
     lo, hi = spec.mean_range
     for src, dst in links:
@@ -412,7 +410,7 @@ def generate_synthetic(
         mean = lo + (hi - lo) * rng.random()
         std = float(spec.std_choices[int(rng.integers(len(spec.std_choices)))])
         samples = synth_link_samples(rng, mean, std, timestamps.size, spec.regime)
-        traces[(src, dst)] = LatencyTrace(src, dst, timestamps.copy(), samples)
+        traces[(src, dst)] = LatencyTrace(src, dst, timestamps, samples)
     return Topology(nodes, traces)
 
 
@@ -492,16 +490,20 @@ def load_topology(manifest_path: str | Path, jobs: int = 1) -> Topology:
 
 
 @contextmanager
-def _mapper(workers: int) -> Iterator:
+def _mapper(workers: int, initializer=None, initargs: tuple = ()) -> Iterator:
     """``map``, or a pool's ``map`` over ``workers`` processes when that is
-    more than one. The pool is imported here: its modules cost a process
-    about 1.3 MB that a serial load does not need."""
+    more than one. ``initializer(*initargs)`` runs once in each worker, or
+    here before a serial map. The pool is imported here: its modules cost a
+    process about 1.3 MB that a serial map does not need."""
     if workers < 2:
+        if initializer is not None:
+            initializer(*initargs)
         yield map
         return
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=initializer,
+                             initargs=initargs) as pool:
         yield pool.map
 
 

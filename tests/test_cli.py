@@ -1,13 +1,14 @@
 """End-to-end CLI pipeline: synth, validate, run."""
 
 import concurrent.futures
+import hashlib
 import json
 import re
 
-import numpy as np
 import pytest
 
-from relaysim import METHODS, SessionConfig, Topology, load_topology, run_matrix
+from relaysim import (METHODS, SessionConfig, SyntheticTraceSpec, Topology, load_topology,
+                      run_matrix, save_topology)
 from relaysim import cli, traces
 from relaysim.cli import main
 
@@ -56,11 +57,35 @@ def test_synth_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+# sha256 over each file's relative name and bytes, in name order, of
+# `synth --relays 1 --duration-ms 3000 --step-ms 10 --seed 5` per regime
+SYNTH_DIGESTS = {
+    "stationary-gaussian": "0f84acb42ee999c12f12a3e9887b0d59039ec99465f885908edeea2b03fb794d",
+    "regime-switching-spikes": "b690936937060a2a425f36ef3a418805b9a7faace43303374a0a0cb54aab0aa2",
+}
+
+
+def test_synth_files_keep_their_bytes(tmp_path):
+    for regime, expected in SYNTH_DIGESTS.items():
+        out = tmp_path / regime
+        assert main(["synth", "--relays", "1", "--duration-ms", "3000", "--step-ms", "10",
+                     "--seed", "5", "--regime", regime, "--out", str(out)]) == 0
+        digest = hashlib.sha256()
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            digest.update(str(path.relative_to(out)).encode() + b"\0" + path.read_bytes())
+        assert digest.hexdigest() == expected, regime
+
+
 def test_synth_usage_errors(tmp_path, capsys):
     assert main(["synth", "--duration-ms", "0", "--out", str(tmp_path)]) == 2
     assert main(["synth", "--relays", "-1", "--out", str(tmp_path)]) == 2
     assert main(["synth"]) == 2  # no --out, no $RELAYSIM_OUT_DIR
     assert "error:" in capsys.readouterr().err
+    for flags, message in ((["--relays", "-3"], "relays cannot be negative, not -3"),
+                           (["--mean-range", "200", "100"],
+                            "mean_range must be [low, high] with 0 < low < high")):
+        assert main(["synth", *flags, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
     # generate_synthetic checks them, before numpy sizes the time grid
     for flag in ("--duration-ms", "--step-ms"):
         for value in ("nan", "inf", "-inf"):
@@ -164,17 +189,19 @@ def test_run_writes_full_matrix(synth_dir, tmp_path, capsys):
 
 
 def test_run_parallel_matches_serial(synth_dir, tmp_path):
-    # two workers load the traces and run the cells: every file written is
-    # the serial run's, byte for byte
-    serial, parallel = tmp_path / "s", tmp_path / "p"
+    # two workers, and one per cell (8 asked for, 5 cells), load the traces
+    # and run the cells: every file written is the serial run's, byte for byte
+    serial = tmp_path / "s"
     assert _run(synth_dir, serial, "--jobs", "1") == 0
-    assert _run(synth_dir, parallel, "--jobs", "2") == 0
     names = sorted(p.name for p in serial.iterdir())
     assert names == sorted(["manifest.json", "effective_manifest.json", "summary.csv"]
                            + [f"s0_{m}{ext}" for m in METHODS for ext in (".json", "_cdf.csv")])
-    assert sorted(p.name for p in parallel.iterdir()) == names
-    for name in names:
-        assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
+    for jobs in ("2", "8"):
+        parallel = tmp_path / f"p{jobs}"
+        assert _run(synth_dir, parallel, "--jobs", jobs) == 0
+        assert sorted(p.name for p in parallel.iterdir()) == names
+        for name in names:
+            assert (serial / name).read_bytes() == (parallel / name).read_bytes(), (jobs, name)
 
 
 def test_run_loads_the_topology_with_its_jobs(synth_dir, tmp_path, monkeypatch):
@@ -311,24 +338,14 @@ def test_run_seed_flag_overrides(synth_dir, tmp_path):
     assert (a / "summary.csv").read_bytes() != (b / "summary.csv").read_bytes()
 
 
-def test_run_inline_synthetic_topology(tmp_path):
-    manifest = tmp_path / "exp.json"
-    manifest.write_text(json.dumps({
-        "schema_version": 1,
-        "synthetic": {"relays": 0, "duration_ms": 15000.0, "step_ms": 100.0,
-                      "seed": 3},
-        "pairs": [["e0", "u0"]],
-        "methods": ["drt-wm"],
-        "defaults": {"packets": 50, "warmup_ms": 10000.0},
-        "output_dir": "results",
-    }))
-    assert main(["run", str(manifest), "--jobs", "1"]) == 0
-    rep = json.loads((tmp_path / "results" / "s0_drt-wm.json").read_text())
-    assert rep["warmup_ms"] == 10000.0
-    assert rep["delivered"] + rep["dropped_late"] == 50
+@pytest.fixture(scope="module")
+def small_topology(tmp_path_factory):
+    """A saved direct-only topology (e0, u0 and both links), 62 s at 100 ms."""
+    path = tmp_path_factory.mktemp("small") / "topology.json"
+    return save_topology(cli._synthetic_topology(0, 62000.0, 100.0, SyntheticTraceSpec()), path)
 
 
-def test_run_manifest_errors(tmp_path, capsys):
+def test_run_manifest_errors(small_topology, tmp_path, capsys):
     def attempt(doc):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
@@ -337,11 +354,16 @@ def test_run_manifest_errors(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")]) == 3
     assert attempt({"schema_version": 2}) == 3
-    base = {"schema_version": 1,
-            "synthetic": {"relays": 0, "duration_ms": 15000.0, "step_ms": 100.0},
+    base = {"schema_version": 1, "topology": str(small_topology),
             "pairs": [["e0", "u0"]], "methods": ["drt-wm"],
             "defaults": {"packets": 10, "warmup_ms": 5000.0}}
-    assert attempt({**base, "topology": "t.json"}) == 3  # both sources
+    # a topology is named only by its file: an inline synthetic section is an
+    # unknown key, beside a topology or in its place
+    synthetic = {"relays": 0, "duration_ms": 15000.0, "step_ms": 100.0}
+    for doc in ({**base, "synthetic": synthetic},
+                {**{k: v for k, v in base.items() if k != "topology"}, "synthetic": synthetic}):
+        assert attempt(doc) == 3
+        assert "error: unknown manifest keys ['synthetic']\n" in capsys.readouterr().err
     assert attempt({**base, "pairs": []}) == 3
     assert attempt({**base, "pairs": [["e0", "e0"]]}) == 3
     # a pair is a list of two different node names, and pairs a list of them
@@ -366,9 +388,6 @@ def test_run_manifest_errors(tmp_path, capsys):
         defaults = {**base["defaults"], section: {bad: 1}}
         assert attempt({**base, "defaults": defaults}) == 3
         assert f"unknown {section} keys ['{bad}']" in capsys.readouterr().err
-    synthetic = {**base["synthetic"], "mean": 150.0}
-    assert attempt({**base, "synthetic": synthetic}) == 3
-    assert "unknown synthetic keys ['mean']" in capsys.readouterr().err
     # json.dumps writes NaN and Infinity, which JSON itself lacks
     for value, name in ((float("nan"), "NaN"), (float("inf"), "Infinity"),
                         (-float("inf"), "-Infinity")):
@@ -394,22 +413,32 @@ def test_run_manifest_errors(tmp_path, capsys):
             ({"loss_threshold": True}, "defaults key 'loss_threshold' must be a number, not true")):
         assert attempt({**base, "defaults": {**base["defaults"], **defaults}}) == 3
         assert f"error: {message}\n" in capsys.readouterr().err
-    for synthetic, message in (
-            ({"regime": 5}, "synthetic key 'regime' must be a string, not 5"),
-            ({"mean_range": [100, "200"]},
-             "synthetic key 'mean_range' must be a list of numbers, not [100, \"200\"]"),
-            ({"std_choices": 10.0},
-             "synthetic key 'std_choices' must be a list of numbers, not 10.0"),
-            ({"std_choices": [10.0, True]},
-             "synthetic key 'std_choices' must be a list of numbers, not [10.0, true]"),
-            ({"seed": 1.5}, "synthetic key 'seed' must be an integer, not 1.5"),
-            ({"relays": 2.0}, "synthetic key 'relays' must be an integer, not 2.0"),
-            ({"relays": -3}, "relays cannot be negative, not -3"),
-            ({"step_ms": "100"}, "synthetic key 'step_ms' must be a number, not \"100\""),
-            ({"mean_range": [100.0, 150.0, 200.0]},
-             "mean_range must be [low, high] with 0 < low < high")):
-        assert attempt({**base, "synthetic": {**base["synthetic"], **synthetic}}) == 3
-        assert f"error: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_top_level_keys_are_checked_before_the_load(tmp_path, capsys):
+    # the manifest's topology file does not exist: an unknown key, or a
+    # topology or output_dir that is not a string, is rejected before the
+    # load would find that out, whether or not --out is given
+    path = tmp_path / "m.json"
+    base = {"schema_version": 1, "topology": "missing.json",
+            "pairs": [["e0", "u0"]], "methods": ["drt-wm"]}
+    for doc, message in (
+            ({**base, "bogus": 1}, "unknown manifest keys ['bogus']"),
+            ({**base, "synthetic": {"relays": 0}, "zz": None},
+             "unknown manifest keys ['synthetic', 'zz']"),
+            ({**base, "topology": 5}, "manifest key 'topology' must be a string, not 5"),
+            ({**base, "topology": ["t.json"]},
+             "manifest key 'topology' must be a string, not [\"t.json\"]"),
+            ({key: value for key, value in base.items() if key != "topology"},
+             "manifest key 'topology' must be a string, not null"),
+            ({**base, "output_dir": 5}, "manifest key 'output_dir' must be a string, not 5"),
+            ({**base, "output_dir": ["o"]},
+             "manifest key 'output_dir' must be a string, not [\"o\"]")):
+        path.write_text(json.dumps(doc))
+        for out in (["--out", str(tmp_path / "o")], []):
+            assert main(["run", str(path), *out]) == 3
+            assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -443,12 +472,12 @@ def test_run_bad_loss_threshold_is_rejected_before_the_load(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_run_manifest_sections_of_the_wrong_type(tmp_path, capsys):
-    # a section that is not a JSON object, or a method list that is not a
-    # list of strings, is named as such, not converted or iterated
+def test_run_manifest_sections_of_the_wrong_type(small_topology, tmp_path, capsys):
+    # a section that is not a JSON object, a topology that is not a file name,
+    # or a method list that is not a list of strings, is named as such, not
+    # converted or iterated
     path = tmp_path / "m.json"
-    base = {"schema_version": 1,
-            "synthetic": {"relays": 0, "duration_ms": 15000.0, "step_ms": 100.0},
+    base = {"schema_version": 1, "topology": str(small_topology),
             "pairs": [["e0", "u0"]], "methods": ["drt-wm"],
             "defaults": {"packets": 10, "warmup_ms": 5000.0}}
     for doc, message in (
@@ -456,7 +485,8 @@ def test_run_manifest_sections_of_the_wrong_type(tmp_path, capsys):
             ({**base, "defaults": None}, "defaults must be an object, not null"),
             ({**base, "defaults": {"router": [1]}}, "router must be an object, not [1]"),
             ({**base, "defaults": {"jitter": "x"}}, "jitter must be an object, not \"x\""),
-            ({**base, "synthetic": [1]}, "synthetic must be an object, not [1]"),
+            ({**base, "topology": {"file": "t.json"}},
+             "manifest key 'topology' must be a string, not {\"file\": \"t.json\"}"),
             ({**base, "methods": "drt-wm"}, "methods must be a list of strings, not \"drt-wm\""),
             ({**base, "methods": [["drt-wm"]]},
              "methods must be a list of strings, not [[\"drt-wm\"]]"),
@@ -520,11 +550,10 @@ def test_run_bad_jitter_flags_are_validation_errors(synth_dir, tmp_path, capsys,
     assert not res.exists()
 
 
-def test_manifest_without_defaults_takes_session_config_defaults(tmp_path):
+def test_manifest_without_defaults_takes_session_config_defaults(small_topology, tmp_path):
     manifest = tmp_path / "exp.json"
     manifest.write_text(json.dumps({
-        "schema_version": 1,
-        "synthetic": {"relays": 0, "duration_ms": 62000.0, "step_ms": 100.0},
+        "schema_version": 1, "topology": str(small_topology),
         "pairs": [["e0", "u0"]], "methods": ["drt-wm"],
     }))
     assert main(["run", str(manifest), "--packets", "50", "--out", str(tmp_path / "o")]) == 0
@@ -537,32 +566,18 @@ def test_manifest_without_defaults_takes_session_config_defaults(tmp_path):
     assert cli._template_config({}, args, "e0", "u0").packet_count == cli.RUN_PACKETS
 
 
-def test_manifest_synthetic_defaults_match_synth(tmp_path):
-    # no trace-spec keys beyond the seed: both take SyntheticTraceSpec's
-    # defaults, so the traces are the ones `relaysim synth` writes
-    assert _synth(tmp_path, seed=5) == 0
-    written = load_topology(tmp_path / "topology.json")
-    doc = {"synthetic": {"relays": 1, "duration_ms": 150000.0, "step_ms": 10.0, "seed": 5}}
-    inline = cli._experiment_topology(doc, tmp_path)
-    assert inline.nodes == written.nodes
-    assert inline.traces.keys() == written.traces.keys()
-    for link, trace in inline.traces.items():
-        assert np.array_equal(trace.timestamps_ms, written.traces[link].timestamps_ms)
-        assert np.array_equal(trace.latencies_ms, written.traces[link].latencies_ms)
-
-
-def test_run_manifest_sections_cast_like_the_dataclasses(tmp_path):
+def test_run_manifest_sections_cast_like_the_dataclasses(small_topology, tmp_path):
+    # output_dir is resolved against the manifest's directory
     manifest = tmp_path / "exp.json"
     manifest.write_text(json.dumps({
-        "schema_version": 1,
-        "synthetic": {"relays": 0, "duration_ms": 15000.0, "step_ms": 100.0},
+        "schema_version": 1, "topology": str(small_topology),
         "pairs": [["e0", "u0"]], "methods": ["drt-wm"],
         "defaults": {"packets": 20, "warmup_ms": 5000.0,
                      "router": {"c": 2, "prune": False},
                      "jitter": {"window_ms": 2000, "max_lag_ms": 900}},
+        "output_dir": "o",
     }))
-    assert main(["run", str(manifest), "--out", str(tmp_path / "o"),
-                 "--percentile", "0.9"]) == 0
+    assert main(["run", str(manifest), "--percentile", "0.9"]) == 0
     text = (tmp_path / "o" / "s0_drt-wm.json").read_text()
     assert '"window_ms": 2000.0' in text
     config = json.loads(text)["config"]

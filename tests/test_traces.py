@@ -370,6 +370,17 @@ def test_generate_synthetic_seed_changes_traces():
                               t2.trace("a", "b").latencies_ms)
 
 
+def test_generate_synthetic_links_share_one_read_only_grid():
+    links = [("a", "b"), ("b", "a"), ("a", "c")]
+    topo = generate_synthetic(SyntheticTraceSpec(seed=2), links, 5000.0, 10.0)
+    grid = topo.trace("a", "b").timestamps_ms
+    assert all(trace.timestamps_ms is grid for trace in topo.traces.values())
+    assert np.array_equal(grid, np.arange(0.0, 5000.0, 10.0))
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        topo.trace("b", "a").timestamps_ms[0] = 1.0
+
+
 def test_generate_synthetic_validation():
     spec = SyntheticTraceSpec()
     with pytest.raises(ValidationError):
