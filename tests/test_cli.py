@@ -580,7 +580,10 @@ def test_run_manifest_sections_cast_like_the_dataclasses(small_topology, tmp_pat
     assert main(["run", str(manifest), "--percentile", "0.9"]) == 0
     text = (tmp_path / "o" / "s0_drt-wm.json").read_text()
     assert '"window_ms": 2000.0' in text
-    config = json.loads(text)["config"]
+    rep = json.loads(text)
+    assert rep["warmup_ms"] == 5000.0
+    assert rep["delivered"] + rep["dropped_late"] == 20
+    config = rep["config"]
     assert config["router"] == {"kind": "direct", "c": 2.0, "confidence": 0.95,
                                 "prune": False}
     assert config["jitter"] == {"kind": "watermark", "window_ms": 2000.0, "bin_ms": 1.0,
