@@ -209,16 +209,18 @@ def _load_experiment(path: Path) -> dict:
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path.name}: {exc}") from None
     _object("the manifest", doc)
-    if doc.get("schema_version") != EXPERIMENT_SCHEMA_VERSION:
-        raise ValidationError(
-            f"unsupported experiment schema_version {doc.get('schema_version')!r}"
-        )
+    version = doc.get("schema_version")
+    if type(version) is not int or version != EXPERIMENT_SCHEMA_VERSION:
+        raise ValidationError(f"unsupported experiment schema_version {version!r}")
     unknown = set(doc) - _MANIFEST_KEYS
     if unknown:
         raise ValidationError(f"unknown manifest keys {sorted(unknown)}")
     _typed("manifest", "topology", doc.get("topology"), "")
     if "output_dir" in doc:
         _typed("manifest", "output_dir", doc["output_dir"], "")
+    labels = doc.get("methods", [])
+    if type(labels) is not list or any(type(label) is not str for label in labels):
+        raise ValidationError(f"methods must be a list of strings, not {json.dumps(labels)}")
     pairs = doc.get("pairs")
     if not isinstance(pairs, list) or not pairs:
         raise ValidationError(f"pairs must be a non-empty list, not {json.dumps(pairs)}")
@@ -311,8 +313,6 @@ def _resolve_methods(doc: dict, args: argparse.Namespace) -> list[str]:
         labels = [m.strip() for m in args.methods.split(",") if m.strip()]
     else:
         labels = doc.get("methods", list(METHODS))
-        if type(labels) is not list or any(type(label) is not str for label in labels):
-            raise ValidationError(f"methods must be a list of strings, not {json.dumps(labels)}")
     if not labels:
         raise ValidationError("method list is empty")
     check_method_labels(labels)

@@ -312,11 +312,11 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
                     fate[seq] = DROPPED_LATE
                     heappush(heap, (fb_at, EV_FEEDBACK, ctr, pid, t - ts))
                     ctr += 1
-                for em_seq, em_ts, _, out in emissions:
+                for em_seq, out in emissions:
                     to[em_seq] = out
                     fate[em_seq] = DELIVERED
                     # sent at max(out, t), which is t, as no manager emits later
-                    heappush(heap, (fb_at, EV_FEEDBACK, ctr, path.item(em_seq), out - em_ts))
+                    heappush(heap, (fb_at, EV_FEEDBACK, ctr, path.item(em_seq), out - gen_times[em_seq]))
                     ctr += 1
                 if heap:
                     top = heap[0][0]

@@ -28,8 +28,9 @@ its quantile are the same code for both:
     is updated, so the buffer reads it once after each update and keeps it.
 
 Both managers are event-driven: emissions happen while processing an arrival,
-plus a final flush at session teardown. ``on_arrival(packet, now)`` processes
-one arrival; it takes the arrival time from ``now`` and reads only ``seq`` and
+plus a final flush at session teardown. An emission is ``(seq, out)``: which
+packet plays out, and when. ``on_arrival(packet, now)`` processes one
+arrival; it takes the arrival time from ``now`` and reads only ``seq`` and
 ``ts`` off ``packet``, so a :class:`Packet`, a record and the engine's
 ``_Arrival`` all serve. ``play(order, ts, ta, to, fate)`` processes a whole
 arrival schedule held in seq-indexed numpy columns: it writes each packet's
@@ -100,7 +101,9 @@ class Packet:
 
 
 class Stamped(Protocol):
-    """What a manager reads off an arrival: a Packet, a PacketRecord or an _Arrival."""
+    """What a manager reads off an arrival: a Packet, a PacketRecord or an
+    _Arrival. Its emissions give back the seq alone, so a caller that needs
+    the ts keeps it by seq."""
 
     seq: int
     ts: float
@@ -119,8 +122,6 @@ class _Arrival:
 
 class Emission(NamedTuple):
     seq: int
-    ts: float
-    arrival: float
     out: float  # emission (playout hand-off) time, ms
 
 
@@ -171,7 +172,7 @@ class WatermarkReorderer:
     def __init__(self, estimator: JitterEstimator) -> None:
         self._est = estimator
         self._wm = float("-inf")
-        self._pending: list[tuple[float, int, float]] = []  # (ts, seq, arrival)
+        self._pending: list[tuple[float, int]] = []  # a heap of (ts, seq)
         self.dropped_count = 0
 
     @property
@@ -203,11 +204,10 @@ class WatermarkReorderer:
         wm = ts - lag
         if wm > self._wm:
             self._wm = wm
-        heappush(self._pending, (ts, packet.seq, now))
+        heappush(self._pending, (ts, packet.seq))
         out: list[Emission] = []
         while self._pending and self._pending[0][0] < self._wm:
-            ts, seq, arrival = heappop(self._pending)
-            out.append(Emission(seq, ts, arrival, now))
+            out.append(Emission(heappop(self._pending)[1], now))
         return out, False
 
     def play(self, order: np.ndarray, ts: np.ndarray, ta: np.ndarray,
@@ -235,12 +235,11 @@ class WatermarkReorderer:
         # each arrival is judged against the watermark before it
         late = ts_o < marks[:-1]
         kept = ~late
-        # (ts, seq, arrival) of every packet held: pending ones, then this
-        # schedule's accepted ones
-        held = np.array(self._pending, dtype=np.float64).reshape(-1, 3)
+        # (ts, seq) of every packet held: pending ones, then this schedule's
+        # accepted ones
+        held = np.array(self._pending, dtype=np.float64).reshape(-1, 2)
         held_ts = np.concatenate((held[:, 0], ts_o[kept]))
         held_seq = np.concatenate((held[:, 1].astype(order.dtype), order[kept]))
-        held_ta = np.concatenate((held[:, 2], ta_o[kept]))
         at = np.searchsorted(wm, held_ts, "right")
         out = at < len(wm)
         to[held_seq[out]] = ta_o[at[out]]
@@ -248,32 +247,15 @@ class WatermarkReorderer:
         fate[order[late]] = DROPPED_LATE
         stay = ~out
         # sorted, so a heap: flush and on_arrival pop the (ts, seq) minimum
-        self._pending = sorted(zip(held_ts[stay].tolist(), held_seq[stay].tolist(),
-                                   held_ta[stay].tolist()))
+        self._pending = sorted(zip(held_ts[stay].tolist(), held_seq[stay].tolist()))
         self._wm = float(wm[-1])
         self.dropped_count += int(np.count_nonzero(late))
 
     def flush(self, end_time: float) -> list[Emission]:
         """Emit everything still pending, in ts order, at end_time."""
-        out: list[Emission] = []
-        while self._pending:
-            ts, seq, arrival = heappop(self._pending)
-            out.append(Emission(seq, ts, arrival, end_time))
+        out = [Emission(seq, end_time) for _, seq in sorted(self._pending)]
+        self._pending = []
         return out
-
-
-class _Released(list):
-    """The ``played`` list that ``PlayoutBuffer.on_arrival`` hands its step:
-    it takes each released seq as ``(seq, ts, arrival)``, read off the buffer
-    that still holds it, so that no copy of the buffer is needed."""
-
-    __slots__ = ("_buffer",)
-
-    def __init__(self, buffer: dict[int, tuple[float, float]]) -> None:
-        self._buffer = buffer  # list.__new__ made the list, empty
-
-    def append(self, seq: int) -> None:
-        list.append(self, (seq, *self._buffer[seq]))
 
 
 class PlayoutBuffer:
@@ -310,9 +292,9 @@ class PlayoutBuffer:
         ``now`` is the arrival time; ``packet`` supplies ``seq`` and ``ts``."""
         seq, ts = packet.seq, packet.ts
         self._est.update(ts, now)
-        released, outs, dropped = _Released(self._buffer), [], []
-        self._step(((seq, ts, now, self._est.transit_target()),), released, outs, dropped)
-        return [Emission(s, t, a, out) for (s, t, a), out in zip(released, outs)], bool(dropped)
+        played, outs, dropped = [], [], []
+        self._step(((seq, ts, now, self._est.transit_target()),), played, outs, dropped)
+        return list(map(Emission, played, outs)), bool(dropped)
 
     def play(self, order: np.ndarray, ts: np.ndarray, ta: np.ndarray,
              to: np.ndarray, fate: np.ndarray) -> None:
@@ -349,10 +331,10 @@ class PlayoutBuffer:
         output time; a missing slot, its ts inferred from the cadence, blocks
         its successors until its own deadline strictly passes.
 
-        Appends each released seq to ``played``, while the buffer still
-        holds it, and its output time to ``outs``; appends each dropped seq
-        to ``dropped``. The caller passes the three in empty. The state is
-        written back also when a duplicate seq raises."""
+        Appends each released seq to ``played`` and its output time to
+        ``outs``; appends each dropped seq to ``dropped``. The caller passes
+        the three in empty. The state is written back also when a duplicate
+        seq raises."""
         interval = self._interval
         buffer = self._buffer
         target = self._target
@@ -403,12 +385,12 @@ class PlayoutBuffer:
             self.dropped_count += len(dropped)
 
     def flush(self, end_time: float) -> list[Emission]:
-        """Emit everything still buffered, in sequence order, at end_time."""
-        out: list[Emission] = []
-        for seq, (ts, arrival) in sorted(self._buffer.items()):
-            t_out = end_time if end_time > self._last_out else self._last_out
-            out.append(Emission(seq, ts, arrival, t_out))
-            self._last_out = t_out
+        """Emit everything still buffered, in sequence order, at end_time or
+        the last output time, whichever is later."""
+        if not self._buffer:
+            return []
+        t_out = self._last_out = max(self._last_out, end_time)
+        out = [Emission(seq, t_out) for seq in sorted(self._buffer)]
         self._buffer.clear()
         return out
 

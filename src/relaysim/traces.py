@@ -452,7 +452,7 @@ def load_topology(manifest_path: str | Path, jobs: int = 1) -> Topology:
     if not isinstance(doc, dict):
         raise ValidationError(f"{manifest_path.name}: manifest must be a JSON object")
     version = doc.get("schema_version")
-    if version != MANIFEST_SCHEMA_VERSION:
+    if type(version) is not int or version != MANIFEST_SCHEMA_VERSION:
         raise ValidationError(f"unsupported manifest schema_version {version!r}")
     nodes = [Node(*_manifest_entry(manifest_path, "node", i, entry, ("name", "role")))
              for i, entry in enumerate(doc.get("nodes", []))]

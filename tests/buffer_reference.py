@@ -58,7 +58,7 @@ class BufferReference:
                 if ts + self.target > now:
                     break  # holds until its scheduled playout time
                 t_out = max(ts + self.target, arrival, self.last_out)
-                out.append(Emission(self.next_seq, ts, arrival, t_out))
+                out.append(Emission(self.next_seq, t_out))
                 self.last_out = t_out
                 del self.held[self.next_seq]
                 self.next_seq += 1
@@ -78,9 +78,8 @@ class BufferReference:
         """Play out everything still held, in sequence order, at end_time."""
         out: list[Emission] = []
         for seq in sorted(self.held):
-            ts, arrival = self.held[seq]
             self.last_out = max(end_time, self.last_out)
-            out.append(Emission(seq, ts, arrival, self.last_out))
+            out.append(Emission(seq, self.last_out))
         self.held = {}
         self.emissions.extend(out)
         return out

@@ -277,6 +277,7 @@ def test_c09_conservation_and_determinism(hetero_matrix):
     arrivals = 0
     for seed in range(25):
         packets = bursty_packets(np.random.default_rng(300 + seed), 2000)
+        by_seq = {p.seq: p for p in packets}
         for manager in (WatermarkReorderer(JitterEstimator()),
                         PlayoutBuffer(JitterEstimator(), 10.0)):
             is_wm = isinstance(manager, WatermarkReorderer)
@@ -288,7 +289,7 @@ def test_c09_conservation_and_determinism(hetero_matrix):
                 if is_wm:
                     assert manager.watermark >= floor
                     floor = manager.watermark
-                    ts_batch = [e.ts for e in emissions]
+                    ts_batch = [by_seq[e.seq].ts for e in emissions]
                     assert ts_batch == sorted(ts_batch)
                 emitted.extend(emissions)
             emitted.extend(manager.flush(packets[-1].arrival))
@@ -297,7 +298,7 @@ def test_c09_conservation_and_determinism(hetero_matrix):
             assert len(seqs) + dropped == len(packets)
             outs = [e.out for e in emitted]
             assert outs == sorted(outs)
-            assert all(e.out >= e.arrival for e in emitted)
+            assert all(e.out >= by_seq[e.seq].arrival for e in emitted)
     elapsed = time.perf_counter() - t0
     print(f"criterion 9: {arrivals} fuzz arrivals, zero violations, "
           f"byte-identical rerun, {elapsed:.1f}s")

@@ -442,6 +442,27 @@ def test_run_top_level_keys_are_checked_before_the_load(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_run_checks_the_manifest_whatever_the_flags(small_topology, tmp_path, capsys):
+    # --methods overrides the manifest's methods, which must still be a list
+    # of strings; schema_version is the integer 1, and true and 1.0 only
+    # equal it in Python
+    path = tmp_path / "m.json"
+    base = {"schema_version": 1, "topology": str(small_topology),
+            "pairs": [["e0", "u0"]], "methods": ["drt-wm"],
+            "defaults": {"packets": 10, "warmup_ms": 5000.0}}
+    for doc, flags, message in (
+            ({**base, "methods": 5}, ["--methods", "drt-bf"],
+             "methods must be a list of strings, not 5"),
+            ({**base, "methods": ["drt-wm", 5]}, ["--methods", "drt-bf"],
+             "methods must be a list of strings, not [\"drt-wm\", 5]"),
+            ({**base, "schema_version": True}, [], "unsupported experiment schema_version True"),
+            ({**base, "schema_version": 1.0}, [], "unsupported experiment schema_version 1.0")):
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--out", str(tmp_path / "o"), *flags]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_bad_router_flag_is_rejected_before_the_load(tmp_path, capsys):
     # the manifest's topology file does not exist: RouterConfig rejects the
     # flag before the load would find that out

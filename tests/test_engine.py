@@ -201,10 +201,12 @@ def _early_build(*args):
     in ``on_arrival`` and in the whole-stream ``play`` alike."""
     manager = _build(*args)
     on_arrival, play = manager.on_arrival, manager.play
+    arrival = {}  # seq -> arrival time
 
     def early(packet, now):
+        arrival[packet.seq] = now
         emissions, dropped = on_arrival(packet, now)
-        return [em._replace(out=em.arrival - 1.0) for em in emissions], dropped
+        return [em._replace(out=arrival[em.seq] - 1.0) for em in emissions], dropped
 
     def early_play(order, ts, ta, to, fate):
         play(order, ts, ta, to, fate)
@@ -217,12 +219,16 @@ def _early_build(*args):
 
 
 def _fault_sessions():
-    """One direct session, played by ``play``, and one routed session, played
-    by ``on_arrival``: 100 packets over constant 50 ms paths. UCB1 takes
-    feedback, and its detour e0->r0->u0 is as fast as the direct link."""
+    """A direct session and a UCB1 session, both played by ``play`` (UCB1 is
+    rewarded at transmit), and a VCRoute session, played by ``on_arrival``
+    (it is rewarded end to end): 100 packets over constant 50 ms paths. The
+    routers take feedback, and the detour e0->r0->u0 is as fast as the
+    direct link."""
     routed = _relay_topology({("e0", "u0"): 50.0, ("u0", "e0"): 40.0,
                               ("e0", "r0"): 25.0, ("r0", "u0"): 25.0})
-    return [(constant_pair_topology(), _direct_cfg("watermark")), (routed, _scripted_cfg())]
+    vcroute = replace(_scripted_cfg(), router=RouterConfig(kind="vcroute_ts", prune=False))
+    return [(constant_pair_topology(), _direct_cfg("watermark")), (routed, _scripted_cfg()),
+            (routed, vcroute)]
 
 
 def test_lost_packet_raises(monkeypatch):
@@ -267,9 +273,9 @@ for build in (t._leaky_build, t._early_build):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines() == [
         "1 packets neither played out nor dropped, first seq 99",
-    ] * 2 + [
+    ] * 3 + [
         "99 packets emitted before arrival, first seq 0",
-    ] * 2
+    ] * 3
 
 
 def test_report_config_echo():

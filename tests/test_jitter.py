@@ -109,10 +109,12 @@ def test_reordered_packets_emit_in_ts_order():
 
 def test_flush_emits_pending_in_ts_order_once():
     wm = WatermarkReorderer(FixedEstimator(lag=100.0))
-    wm.on_arrival(Packet(0, 5.0, 10.0), 10.0)
-    wm.on_arrival(Packet(1, 3.0, 12.0), 12.0)
+    packets = [Packet(0, 5.0, 10.0), Packet(1, 3.0, 12.0)]
+    for p in packets:
+        wm.on_arrival(p, p.arrival)
+    ts_of = {p.seq: p.ts for p in packets}
     out = wm.flush(50.0)
-    assert [(e.seq, e.ts, e.out) for e in out] == [(1, 3.0, 50.0), (0, 5.0, 50.0)]
+    assert [(e.seq, ts_of[e.seq], e.out) for e in out] == [(1, 3.0, 50.0), (0, 5.0, 50.0)]
     assert wm.flush(60.0) == []
     assert wm.pending_count == 0
 
@@ -451,6 +453,17 @@ def test_buffer_flush_in_seq_order_nondecreasing_out():
     assert buf.pending_count == 0
 
 
+def test_buffer_flush_before_the_last_output_plays_at_it():
+    # output times never run backwards: a flush called before the last
+    # output time plays the held packets at that time
+    buf = PlayoutBuffer(FixedEstimator(target=20.0), interval_ms=10.0)
+    buf.on_arrival(Packet(0, 0.0, 1.0), 1.0)
+    emissions, _ = buf.on_arrival(Packet(2, 20.0, 22.0), 22.0)
+    assert emissions == [(0, 20.0)]
+    assert buf.flush(15.0) == [(2, 20.0)]
+    assert buf.flush(10.0) == []
+
+
 @pytest.mark.parametrize("whole_ms", [True, False])
 @pytest.mark.parametrize("seed", [50, 51, 52])
 def test_buffer_on_transit_estimator_matches_full_estimator(seed, whole_ms):
@@ -622,6 +635,7 @@ def test_buffer_duplicate_seq_mid_block_through_on_arrival():
 # ------------------------------------------------- shared invariants (fuzz)
 
 def _drive(manager, packets, is_buffer):
+    ts_of = {p.seq: p.ts for p in packets}
     emitted = []
     drops = []
     wm_floor = float("-inf")
@@ -632,7 +646,7 @@ def _drive(manager, packets, is_buffer):
         if not is_buffer:
             assert manager.watermark >= wm_floor
             wm_floor = manager.watermark
-            batch_ts = [e.ts for e in emissions]
+            batch_ts = [ts_of[e.seq] for e in emissions]
             assert batch_ts == sorted(batch_ts)
         emitted.extend(emissions)
     end = packets[-1].arrival
@@ -650,8 +664,9 @@ def check_invariants(manager, packets, is_buffer):
     # hand-off times never run backwards, and nothing plays before it arrives
     outs = [e.out for e in emitted]
     assert outs == sorted(outs)
+    arrival_of = {p.seq: p.arrival for p in packets}
     for e in emitted:
-        assert e.out >= e.arrival
+        assert e.out >= arrival_of[e.seq]
     if is_buffer:
         assert seqs == sorted(seqs)  # in-order discipline end to end
 

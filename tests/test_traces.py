@@ -452,6 +452,18 @@ def _saved_manifest(tmp_path):
     return manifest, json.loads(manifest.read_text())
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1"], ids=["true", "float", "string"])
+def test_load_topology_wants_the_integer_schema_version(tmp_path, version):
+    # true and 1.0 equal 1 in Python, but are not the JSON integer 1
+    manifest, doc = _saved_manifest(tmp_path)
+    load_topology(manifest)
+    doc["schema_version"] = version
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError,
+                       match=f"^unsupported manifest schema_version {version!r}$"):
+        load_topology(manifest)
+
+
 def test_load_topology_rejects_a_repeated_link(tmp_path):
     manifest, doc = _saved_manifest(tmp_path)
     doc["traces"].append(dict(doc["traces"][0]))
