@@ -308,14 +308,15 @@ def _template_config(doc: dict, args: argparse.Namespace, endpoint: str, user: s
 
 
 def _resolve_methods(doc: dict, args: argparse.Namespace) -> list[str]:
-    """Method labels to run, checked by ``engine.check_method_labels``."""
+    """Method labels to run, checked by ``engine.check_method_labels``. The
+    manifest's own labels are checked also when ``--methods`` replaces them."""
+    labels = doc.get("methods", list(METHODS))
+    check_method_labels(labels)
     if args.methods:
         labels = [m.strip() for m in args.methods.split(",") if m.strip()]
-    else:
-        labels = doc.get("methods", list(METHODS))
+        check_method_labels(labels)
     if not labels:
         raise ValidationError("method list is empty")
-    check_method_labels(labels)
     return labels
 
 

@@ -64,14 +64,18 @@ that released slot k-1 on, at which the current target puts its deadline
 behind it. The target rises and falls, so that search starts where slot
 k-1's ended: a recurrence over seq order, not a prefix scan over arrival
 order. Whether an arrival comes too late for its slot depends on the same
-recurrence. So the buffer states its rule once, as one step over arrivals in
-order, each with the target after it (``PlayoutBuffer._step``): adaptive
-playout after Ramjee et al. (INFOCOM 1994), played strictly in seq order.
-``play`` runs the step ``PLAY_BLOCK`` arrivals at a time, so its Python
-lists stay short whatever the session's length; ``on_arrival`` updates the
-estimator and runs the step on its one arrival. ``tests/buffer_reference.py``
-holds the rule as it was written per arrival, and both forms are checked
-against it.
+recurrence. So the buffer states its rule once, as one compiled step over
+arrivals in order, each with the target after it
+(``relaysim._estimator.buffer_step``): adaptive playout after Ramjee et al.
+(INFOCOM 1994), played strictly in seq order. ``play`` hands the step the
+whole schedule and its target column in one call, and the step writes
+output times and fates straight into the columns; ``on_arrival`` updates
+the estimator and hands the step its one arrival, and gets back what it
+releases. The step reads the buffer's state off the ``PlayoutBuffer`` and
+writes it back as it returns, also when a duplicate seq raises; between
+calls the held packets are a dict of seq -> (ts, arrival).
+``tests/buffer_reference.py`` holds the rule as it was written per arrival,
+and both forms are checked against it.
 
 Each manager's ``play`` calls one estimator method per schedule, ``lags`` or
 ``targets``, and assigns none of the estimator's attributes.
@@ -86,7 +90,7 @@ from typing import NamedTuple, Protocol
 import numpy as np
 
 from .errors import ValidationError
-from ._estimator import JitterEstimator, TransitEstimator
+from ._estimator import JitterEstimator, TransitEstimator, buffer_step
 
 
 @dataclass(frozen=True)
@@ -131,11 +135,6 @@ JITTER_KINDS = ("watermark", "buffer")
 # code indexes FATES, and a packet has played out when its code >= DELIVERED
 FATES = ("in_flight", "dropped_late", "delivered", "flushed")
 IN_FLIGHT, DROPPED_LATE, DELIVERED, FLUSHED = range(len(FATES))
-
-# arrivals per block of ``PlayoutBuffer.play``'s loop: bounds its Python
-# lists, whatever the schedule's length
-PLAY_BLOCK = 4096
-
 
 @dataclass
 class JitterConfig:
@@ -290,99 +289,25 @@ class PlayoutBuffer:
         """Process one arrival; returns (emissions, dropped_this_packet).
 
         ``now`` is the arrival time; ``packet`` supplies ``seq`` and ``ts``."""
-        seq, ts = packet.seq, packet.ts
+        ts = packet.ts
         self._est.update(ts, now)
-        played, outs, dropped = [], [], []
-        self._step(((seq, ts, now, self._est.transit_target()),), played, outs, dropped)
-        return list(map(Emission, played, outs)), bool(dropped)
+        dropped = self.dropped_count
+        released = buffer_step(self, packet.seq, ts, now, self._est.transit_target(), None, None)
+        return list(map(Emission._make, released)), self.dropped_count > dropped
 
     def play(self, order: np.ndarray, ts: np.ndarray, ta: np.ndarray,
              to: np.ndarray, fate: np.ndarray) -> None:
         """Process a whole arrival schedule, as ``on_arrival`` would one by one.
 
-        The columns are those of :meth:`WatermarkReorderer.play`. The
-        estimator's ``targets`` gives the target after every arrival in one
-        pass. The buffer's step then takes the schedule ``PLAY_BLOCK``
-        arrivals at a time, and each block's output times and fates are
-        written as the block ends, also when a duplicate seq raises in it."""
+        The columns are those of :meth:`WatermarkReorderer.play`, C-contiguous:
+        ``order`` int64, ``to`` float64 and ``fate`` int8. The estimator's
+        ``targets`` gives the target after every arrival in one pass, and
+        the buffer's step then takes the whole schedule in one call. A bad
+        column, or a seq outside ``to``, raises before the step writes
+        anything; a duplicate seq raises where it comes, and what the step
+        wrote before it stays."""
         ts_o, ta_o = ts[order], ta[order]
-        after = self._est.targets(ts_o, ta_o)
-        for lo in range(0, len(order), PLAY_BLOCK):
-            hi = lo + PLAY_BLOCK
-            played, outs, dropped = [], [], []
-            try:
-                self._step(zip(order[lo:hi].tolist(), ts_o[lo:hi].tolist(),
-                               ta_o[lo:hi].tolist(), after[lo:hi].tolist()),
-                           played, outs, dropped)
-            finally:
-                to[played] = outs
-                fate[played] = DELIVERED
-                fate[dropped] = DROPPED_LATE
-
-    def _step(self, arrivals, played: list, outs: list, dropped: list) -> None:
-        """The buffer's rule, over ``(seq, ts, arrival, target)`` in arrival
-        order, the target being the estimator's after that arrival.
-
-        An arrival is dropped if its slot has passed, or if it comes after
-        its deadline, ts plus the target before it (the first arrival is
-        never late). Otherwise it is held, and slots are then released in
-        seq order while their deadlines are behind the arrival time: a held
-        packet plays at the latest of its deadline, its arrival and the last
-        output time; a missing slot, its ts inferred from the cadence, blocks
-        its successors until its own deadline strictly passes.
-
-        Appends each released seq to ``played`` and its output time to
-        ``outs``; appends each dropped seq to ``dropped``. The caller passes
-        the three in empty. The state is written back also when a duplicate
-        seq raises."""
-        interval = self._interval
-        buffer = self._buffer
-        target = self._target
-        ts_base = self._ts_base
-        next_seq = self._next_seq
-        max_seen = self._max_seen
-        last_out = self._last_out
-        try:
-            for seq, t, now, new in arrivals:
-                cold = ts_base is None
-                if cold:
-                    ts_base = t - seq * interval
-                if seq > max_seen:
-                    max_seen = seq
-                late = not cold and now > t + target  # the pre-arrival target
-                target = new
-                if seq < next_seq or late:
-                    dropped.append(seq)
-                    continue
-                if seq in buffer:
-                    raise ValueError(f"duplicate seq {seq}")
-                buffer[seq] = (t, now)
-                while True:
-                    held = buffer.get(next_seq)
-                    if held is not None:
-                        t_out = held[0] + target
-                        if t_out > now:
-                            break
-                        if held[1] > t_out:
-                            t_out = held[1]
-                        if last_out > t_out:
-                            t_out = last_out
-                        played.append(next_seq)
-                        outs.append(t_out)
-                        last_out = t_out
-                        del buffer[next_seq]
-                        next_seq += 1
-                    elif next_seq <= max_seen and now > ts_base + next_seq * interval + target:
-                        next_seq += 1
-                    else:
-                        break
-        finally:
-            self._target = target
-            self._ts_base = ts_base
-            self._next_seq = next_seq
-            self._max_seen = max_seen
-            self._last_out = last_out
-            self.dropped_count += len(dropped)
+        buffer_step(self, order, ts_o, ta_o, self._est.targets(ts_o, ta_o), to, fate)
 
     def flush(self, end_time: float) -> list[Emission]:
         """Emit everything still buffered, in sequence order, at end_time or

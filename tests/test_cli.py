@@ -461,6 +461,20 @@ def test_run_checks_the_manifest_methods_under_the_flag(small_topology, tmp_path
     assert not (tmp_path / "o").exists()
 
 
+def test_run_checks_the_manifest_method_labels_under_the_flag(small_topology, tmp_path, capsys):
+    # --methods overrides the manifest's methods, whose labels must still be
+    # known and distinct
+    path = tmp_path / "m.json"
+    base = {"schema_version": 1, "topology": str(small_topology),
+            "pairs": [["e0", "u0"]], "defaults": {"packets": 10, "warmup_ms": 5000.0}}
+    for methods, message in ((["bogus"], "unknown method 'bogus'"),
+                             (["drt-wm", "drt-wm"], "method 'drt-wm' given more than once")):
+        path.write_text(json.dumps({**base, "methods": methods}))
+        assert main(["run", str(path), "--out", str(tmp_path / "o"), "--methods", "drt-bf"]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_bad_router_flag_is_rejected_before_the_load(tmp_path, capsys):
     # the manifest's topology file does not exist: RouterConfig rejects the
     # flag before the load would find that out

@@ -15,7 +15,7 @@ from relaysim import (
     WatermarkReorderer,
     build_jitter_manager,
 )
-from relaysim.jitter import FATES, PLAY_BLOCK
+from relaysim.jitter import FATES
 from buffer_reference import BufferReference
 from wm_reference import WatermarkReference, bursty_packets
 
@@ -547,7 +547,7 @@ def test_buffer_play_matches_reference(est_cls, chunking):
     # the flush
     streams = _oracle_streams()
     if chunking == "longer than a block":
-        streams = [(10.0, bursty_packets(np.random.default_rng(5), 2 * PLAY_BLOCK + 777))]
+        streams = [(10.0, bursty_packets(np.random.default_rng(5), 8969))]
     for interval, packets in streams:
         order, ts, ta = _columns(packets)
         buf = PlayoutBuffer(est_cls(), interval_ms=interval)
@@ -630,6 +630,138 @@ def test_buffer_duplicate_seq_mid_block_through_on_arrival():
         buf.on_arrival(_DUPLICATE[3], _DUPLICATE[3].arrival)
     _assert_left_at_the_duplicate(buf, to, fate)
     assert est.fed == 4  # the duplicate fed the estimator
+
+
+# a six-packet schedule that the buffer accepts whole: every arrival is in
+# time, and the first plays out at the fourth
+_CHECKED = [Packet(0, 0.0, 5.0), Packet(2, 20.0, 25.0), Packet(1, 10.0, 30.0),
+            Packet(3, 30.0, 50.0), Packet(5, 50.0, 55.0), Packet(4, 40.0, 60.0)]
+
+
+def _own_state(buf):
+    return (buf._target, buf._ts_base, buf._next_seq, buf._max_seen, buf._last_out,
+            dict(buf._buffer), buf.dropped_count)
+
+
+def _assert_rejected(error, order, to=None, fate=None, held=()):
+    """``play`` of the schedule with one bad column raises ``error`` before
+    the step writes a fate, an output time or any of the buffer's state."""
+    _, ts, ta = _columns(_CHECKED)
+    good_to, good_fate = _outputs(len(ts))
+    to = good_to if to is None else to
+    fate = good_fate if fate is None else fate
+    buf = PlayoutBuffer(FixedEstimator(target=50.0), interval_ms=10.0)
+    for p in held:
+        buf.on_arrival(p, p.arrival)
+    before, to_before, fate_before = _own_state(buf), to.copy(), fate.copy()
+    with pytest.raises(error):
+        buf.play(order, ts, ta, to, fate)
+    assert _own_state(buf) == before
+    assert np.array_equal(to, to_before, equal_nan=True)
+    assert np.array_equal(fate, fate_before)
+
+
+def test_buffer_play_accepts_the_checked_schedule():
+    # the schedule the rejection tests below spoil one column of
+    order, ts, ta = _columns(_CHECKED)
+    to, fate = _outputs(len(ts))
+    buf = PlayoutBuffer(FixedEstimator(target=50.0), interval_ms=10.0)
+    buf.play(order, ts, ta, to, fate)
+    assert _times(to) == [50.0, 60.0, None, None, None, None]
+    assert _fates(fate) == ["delivered"] * 2 + ["in_flight"] * 4
+    assert buf._buffer == {2: (20.0, 25.0), 3: (30.0, 50.0), 4: (40.0, 60.0),
+                           5: (50.0, 55.0)}
+
+
+@pytest.mark.parametrize("seq", [-1, -6, 6])
+def test_buffer_play_rejects_a_seq_outside_the_columns(seq):
+    # a negative seq would index from the end of ts and ta; one past the
+    # end would be written outside to and fate
+    order = np.array([p.seq for p in _CHECKED])
+    order[3] = seq
+    if seq >= 0:  # ts and ta reach it; to and fate do not
+        _, ts, ta = _columns(_CHECKED + [Packet(6, 60.0, 70.0)])
+        buf = PlayoutBuffer(FixedEstimator(target=50.0), interval_ms=10.0)
+        to, fate = _outputs(len(_CHECKED))
+        before = _own_state(buf)
+        with pytest.raises(IndexError, match=r"^seq 6 is out of range"):
+            buf.play(order, ts, ta, to, fate)
+        assert _own_state(buf) == before
+        assert _times(to) == [None] * 6 and _fates(fate) == ["in_flight"] * 6
+    else:
+        _assert_rejected(IndexError, order)
+
+
+def test_buffer_on_arrival_rejects_a_negative_seq():
+    buf = PlayoutBuffer(FixedEstimator(target=50.0), interval_ms=10.0)
+    buf.on_arrival(Packet(1, 10.0, 15.0), 15.0)
+    before = _own_state(buf)
+    with pytest.raises(IndexError):
+        buf.on_arrival(Packet(-1, 0.0, 20.0), 20.0)
+    assert _own_state(buf) == before
+
+
+def test_buffer_play_rejects_a_held_seq_outside_the_columns():
+    # seq 6, held since an on_arrival, would be released into to[6]
+    order = np.array([p.seq for p in _CHECKED])
+    _assert_rejected(IndexError, order, held=[Packet(6, 60.0, 61.0)])
+
+
+@pytest.mark.parametrize("column", ["to float32", "fate int64", "fate uint8", "to short",
+                                    "fate short", "to read-only"])
+def test_buffer_play_rejects_a_bad_output_column(column):
+    order = np.array([p.seq for p in _CHECKED])
+    n = len(_CHECKED)
+    to, fate = {
+        "to float32": (np.full(n, np.nan, np.float32), None),
+        "fate int64": (None, np.zeros(n, np.int64)),
+        "fate uint8": (None, np.zeros(n, np.uint8)),
+        "to short": (np.full(n - 1, np.nan), None),
+        "fate short": (None, np.zeros(n - 1, np.int8)),
+        "to read-only": (np.full(n, np.nan), None),
+    }[column]
+    if column == "to read-only":
+        to.flags.writeable = False
+    error = TypeError if column.split()[1] in ("float32", "int64", "uint8") else ValueError
+    _assert_rejected(error, order, to, fate)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint64, np.float64])
+def test_buffer_play_rejects_an_order_of_another_dtype(dtype):
+    order = np.array([p.seq for p in _CHECKED], dtype)
+    if dtype == np.float64:  # numpy itself refuses to index by it
+        with pytest.raises(IndexError):
+            PlayoutBuffer(FixedEstimator(), 10.0).play(order, *_columns(_CHECKED)[1:],
+                                                       *_outputs(len(_CHECKED)))
+        return
+    _assert_rejected(TypeError, order)
+
+
+@pytest.mark.parametrize("column", ["order", "to", "fate"])
+def test_buffer_play_rejects_a_non_contiguous_column(column):
+    order = np.array([p.seq for p in _CHECKED])
+    n = len(_CHECKED)
+    to, fate = None, None
+    if column == "order":
+        order = np.repeat(order, 2)[::2]
+    elif column == "to":
+        to = np.full(2 * n, np.nan)[::2]
+    else:
+        fate = np.zeros(2 * n, np.int8)[::2]
+    _assert_rejected(ValueError, order, to, fate)
+
+
+def test_buffer_empty_play_is_a_no_op():
+    est = FixedEstimator(target=50.0)
+    buf = PlayoutBuffer(est, interval_ms=10.0)
+    buf.on_arrival(Packet(1, 10.0, 15.0), 15.0)
+    _, ts, ta = _columns(_CHECKED)
+    to, fate = _outputs(len(ts))
+    before = _own_state(buf)
+    buf.play(np.array([], np.int64), ts, ta, to, fate)
+    assert est.passes == [([], [])]  # one targets call, on the empty schedule
+    assert _own_state(buf) == before
+    assert _times(to) == [None] * 6 and _fates(fate) == ["in_flight"] * 6
 
 
 # ------------------------------------------------- shared invariants (fuzz)
