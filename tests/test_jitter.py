@@ -643,11 +643,12 @@ def _own_state(buf):
             dict(buf._buffer), buf.dropped_count)
 
 
-def _assert_rejected(error, order, to=None, fate=None, held=()):
+def _assert_rejected(error, order, to=None, fate=None, held=(), packets=_CHECKED):
     """``play`` of the schedule with one bad column raises ``error`` before
-    the step writes a fate, an output time or any of the buffer's state."""
-    _, ts, ta = _columns(_CHECKED)
-    good_to, good_fate = _outputs(len(ts))
+    the step writes a fate, an output time or any of the buffer's state.
+    ``ts`` and ``ta`` are those of ``packets``."""
+    _, ts, ta = _columns(packets)
+    good_to, good_fate = _outputs(len(_CHECKED))
     to = good_to if to is None else to
     fate = good_fate if fate is None else fate
     buf = PlayoutBuffer(FixedEstimator(target=50.0), interval_ms=10.0)
@@ -679,17 +680,8 @@ def test_buffer_play_rejects_a_seq_outside_the_columns(seq):
     # end would be written outside to and fate
     order = np.array([p.seq for p in _CHECKED])
     order[3] = seq
-    if seq >= 0:  # ts and ta reach it; to and fate do not
-        _, ts, ta = _columns(_CHECKED + [Packet(6, 60.0, 70.0)])
-        buf = PlayoutBuffer(FixedEstimator(target=50.0), interval_ms=10.0)
-        to, fate = _outputs(len(_CHECKED))
-        before = _own_state(buf)
-        with pytest.raises(IndexError, match=r"^seq 6 is out of range"):
-            buf.play(order, ts, ta, to, fate)
-        assert _own_state(buf) == before
-        assert _times(to) == [None] * 6 and _fates(fate) == ["in_flight"] * 6
-    else:
-        _assert_rejected(IndexError, order)
+    # ts and ta reach seq 6; to and fate do not
+    _assert_rejected(IndexError, order, packets=_CHECKED + [Packet(6, 60.0, 70.0)])
 
 
 def test_buffer_on_arrival_rejects_a_negative_seq():
@@ -707,34 +699,29 @@ def test_buffer_play_rejects_a_held_seq_outside_the_columns():
     _assert_rejected(IndexError, order, held=[Packet(6, 60.0, 61.0)])
 
 
-@pytest.mark.parametrize("column", ["to float32", "fate int64", "fate uint8", "to short",
-                                    "fate short", "to read-only"])
-def test_buffer_play_rejects_a_bad_output_column(column):
-    order = np.array([p.seq for p in _CHECKED])
-    n = len(_CHECKED)
-    to, fate = {
-        "to float32": (np.full(n, np.nan, np.float32), None),
-        "fate int64": (None, np.zeros(n, np.int64)),
-        "fate uint8": (None, np.zeros(n, np.uint8)),
-        "to short": (np.full(n - 1, np.nan), None),
-        "fate short": (None, np.zeros(n - 1, np.int8)),
-        "to read-only": (np.full(n, np.nan), None),
-    }[column]
-    if column == "to read-only":
-        to.flags.writeable = False
-    error = TypeError if column.split()[1] in ("float32", "int64", "uint8") else ValueError
-    _assert_rejected(error, order, to, fate)
+def _read_only(column):
+    column.flags.writeable = False
+    return column
 
 
-@pytest.mark.parametrize("dtype", [np.int32, np.uint64, np.float64])
+_N = len(_CHECKED)
+
+
+@pytest.mark.parametrize("to, fate, error", [
+    (np.full(_N, np.nan, np.float32), None, TypeError),
+    (None, np.zeros(_N, np.int64), TypeError),
+    (None, np.zeros(_N, np.uint8), TypeError),
+    (np.full(_N - 1, np.nan), None, ValueError),
+    (None, np.zeros(_N - 1, np.int8), ValueError),
+    (_read_only(np.full(_N, np.nan)), None, ValueError),
+], ids=["to float32", "fate int64", "fate uint8", "to short", "fate short", "to read-only"])
+def test_buffer_play_rejects_a_bad_output_column(to, fate, error):
+    _assert_rejected(error, np.array([p.seq for p in _CHECKED]), to, fate)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint64])
 def test_buffer_play_rejects_an_order_of_another_dtype(dtype):
-    order = np.array([p.seq for p in _CHECKED], dtype)
-    if dtype == np.float64:  # numpy itself refuses to index by it
-        with pytest.raises(IndexError):
-            PlayoutBuffer(FixedEstimator(), 10.0).play(order, *_columns(_CHECKED)[1:],
-                                                       *_outputs(len(_CHECKED)))
-        return
-    _assert_rejected(TypeError, order)
+    _assert_rejected(TypeError, np.array([p.seq for p in _CHECKED], dtype))
 
 
 @pytest.mark.parametrize("column", ["order", "to", "fate"])
