@@ -1,4 +1,4 @@
-/* Windowed jitter/transit estimators and the playout buffer's step,
+/* Windowed jitter/transit estimators and the playout buffer's core,
 compiled against the CPython API.
 
 ``TransitEstimator`` keeps the windowed transit histogram and its quantile;
@@ -76,18 +76,18 @@ stream first and raises what ``update`` would raise at the first bad
 arrival, before any state changes; then it runs the same step as ``update``
 per arrival, so it ends in the state those calls would leave.
 
-The playout buffer's rule lives here too, as ``buffer_step``: the one step
-that ``PlayoutBuffer.play`` runs over a whole schedule and
-``PlayoutBuffer.on_arrival`` over one arrival (``relaysim.jitter`` states
-the rule). Its oracle is ``tests/buffer_reference.py``, the rule written
-per arrival in Python; every fate, output time and state must equal it.
-The step takes the target column, not the estimator, reads its state off
-the ``PlayoutBuffer`` and writes it back as it returns. For the length of a
-call it holds packets in a C table and pulls a packet from the buffer's
-dict only when it looks for that seq, so a buffer played from its first
-arrival makes no Python object per arrival. It checks every column (dtype,
-length, contiguity) and that every seq lies inside the output columns
-before it writes anything.
+The playout buffer's state and rule live here too, as ``PlayoutCore``,
+the base type of ``PlayoutBuffer`` (``relaysim.jitter`` states the rule).
+Its struct holds the buffer's scalars and its held packets, an open
+addressing table keyed by seq that lives as long as the buffer, so the
+buffer's state is in one place and a call runs on it in place. ``_play``
+runs the rule over a whole schedule and ``_arrive`` over one arrival. Its
+oracle is ``tests/buffer_reference.py``, the rule written per arrival in
+Python; every fate, output time and state must equal it. The rule takes
+the target column, or the bound ``targets`` that gives it, never the
+estimator. ``_play`` checks every column (dtype, length, contiguity), and
+that every seq and every held seq lies inside the output columns, before
+it calls ``targets`` or writes anything.
 
 Python's arithmetic, reproduced exactly (the build passes
 ``-ffp-contract=off``, so no multiply-add is fused):
@@ -647,477 +647,6 @@ Estimator_lags(Estimator *self, PyObject *const *args, Py_ssize_t nargs)
     return run_pass(self, args, nargs, 0);
 }
 
-/* --------------------------------------------------------- playout buffer */
-
-/* the codes of ``jitter.FATES`` that the step writes */
-#define FATE_DROPPED_LATE 1
-#define FATE_DELIVERED 2
-
-/* A held packet in the step's table: an open addressing table with linear
-   probing, a seq's home slot its low bits, so the run of seqs a buffer
-   holds lands in consecutive slots. */
-typedef struct {
-    Py_ssize_t seq;  /* -1: empty */
-    double ts, arrival;
-} Slot;
-
-/* The buffer's held packets for the length of one call. Between calls they
-   live in the buffer's ``_buffer`` dict of seq -> (ts, arrival); a call
-   pulls an entry out of the dict into the table the first time it looks
-   for that seq, and puts the table back into the dict when it ends. A
-   buffer played from its first arrival starts with an empty dict, so its
-   whole schedule runs without a dict operation. */
-typedef struct {
-    Slot *slots;
-    Py_ssize_t mask, count;
-    PyObject *dict;     /* the buffer's ``_buffer`` */
-    Py_ssize_t limit;   /* the columns' length: every seq lies below it */
-} Held;
-
-/* the slot that holds ``seq``, else the empty one where it would go */
-static inline Slot *
-held_slot(const Held *h, Py_ssize_t seq)
-{
-    Py_ssize_t i = seq & h->mask;
-    while (h->slots[i].seq >= 0 && h->slots[i].seq != seq)
-        i = (i + 1) & h->mask;
-    return &h->slots[i];
-}
-
-/* room for ``count`` packets at most half full, the table's contents kept */
-static int
-held_reserve(Held *h, Py_ssize_t count)
-{
-    if (h->slots != NULL && 2 * count <= h->mask + 1)
-        return 0;
-    Py_ssize_t cap = 16;
-    while (cap < 2 * count) {
-        if (cap > PY_SSIZE_T_MAX / (Py_ssize_t)(4 * sizeof(Slot))) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        cap *= 2;
-    }
-    Slot *slots = PyMem_New(Slot, cap), *old = h->slots;
-    if (slots == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    for (Py_ssize_t i = 0; i < cap; i++)
-        slots[i].seq = -1;
-    Py_ssize_t old_mask = h->mask;
-    h->slots = slots;
-    h->mask = cap - 1;
-    if (old != NULL) {
-        for (Py_ssize_t i = 0; i <= old_mask; i++)
-            if (old[i].seq >= 0)
-                *held_slot(h, old[i].seq) = old[i];
-        PyMem_Free(old);
-    }
-    return 0;
-}
-
-/* hold a packet whose seq is not held yet */
-static int
-held_add(Held *h, Py_ssize_t seq, double ts, double arrival)
-{
-    if (held_reserve(h, h->count + 1) < 0)
-        return -1;
-    Slot *s = held_slot(h, seq);
-    s->seq = seq;
-    s->ts = ts;
-    s->arrival = arrival;
-    h->count++;
-    return 0;
-}
-
-/* the held packet ``seq``, pulled from the dict if it is there; its slot's
-   seq is -1 if it is held nowhere, and NULL is an error */
-static Slot *
-held_find(Held *h, Py_ssize_t seq)
-{
-    Slot *s = held_slot(h, seq);
-    if (s->seq >= 0 || PyDict_GET_SIZE(h->dict) == 0)
-        return s;
-    PyObject *key = PyLong_FromSsize_t(seq);
-    if (key == NULL)
-        return NULL;
-    PyObject *pair = PyDict_GetItemWithError(h->dict, key);  /* borrowed */
-    if (pair == NULL) {
-        Py_DECREF(key);
-        return PyErr_Occurred() ? NULL : s;
-    }
-    if (!PyTuple_Check(pair) || PyTuple_GET_SIZE(pair) != 2) {
-        PyErr_SetString(PyExc_TypeError, "_buffer must map seq to (ts, arrival)");
-        goto fail;
-    }
-    double ts = PyFloat_AsDouble(PyTuple_GET_ITEM(pair, 0));
-    double arrival = PyFloat_AsDouble(PyTuple_GET_ITEM(pair, 1));
-    if (PyErr_Occurred() || held_add(h, seq, ts, arrival) < 0
-        || PyDict_DelItem(h->dict, key) < 0)
-        goto fail;
-    Py_DECREF(key);
-    return held_slot(h, seq);
-fail:
-    Py_DECREF(key);
-    return NULL;
-}
-
-/* empty a held slot; the rest of its cluster, which may have probed past
-   it, goes back in */
-static void
-held_remove(Held *h, Slot *s)
-{
-    Py_ssize_t i = s - h->slots;
-    h->slots[i].seq = -1;
-    h->count--;
-    for (i = (i + 1) & h->mask; h->slots[i].seq >= 0; i = (i + 1) & h->mask) {
-        Slot moved = h->slots[i];
-        h->slots[i].seq = -1;
-        *held_slot(h, moved.seq) = moved;
-    }
-}
-
-/* the attributes of a ``PlayoutBuffer`` that the step reads and writes */
-static PyObject *str_target, *str_ts_base, *str_next_seq, *str_max_seen, *str_last_out,
-    *str_interval, *str_buffer, *str_dropped_count;
-
-/* the state one call carries */
-typedef struct {
-    double interval, target, ts_base, last_out;
-    int has_base;  /* ts_base is None until the first arrival */
-    Py_ssize_t next_seq, max_seen, drops;
-} BufferState;
-
-static int
-get_double(PyObject *obj, PyObject *name, double *value)
-{
-    PyObject *v = PyObject_GetAttr(obj, name);
-    if (v == NULL)
-        return -1;
-    *value = PyFloat_AsDouble(v);
-    Py_DECREF(v);
-    return *value == -1.0 && PyErr_Occurred() ? -1 : 0;
-}
-
-static int
-get_ssize(PyObject *obj, PyObject *name, Py_ssize_t *value)
-{
-    PyObject *v = PyObject_GetAttr(obj, name);
-    if (v == NULL)
-        return -1;
-    *value = PyLong_AsSsize_t(v);
-    Py_DECREF(v);
-    return *value == -1 && PyErr_Occurred() ? -1 : 0;
-}
-
-static int
-set_new(PyObject *obj, PyObject *name, PyObject *value)
-{
-    if (value == NULL)
-        return -1;
-    int rc = PyObject_SetAttr(obj, name, value);
-    Py_DECREF(value);
-    return rc;
-}
-
-/* the buffer's state, and its dict behind an empty table */
-static int
-load_buffer(PyObject *buf, BufferState *st, Held *held)
-{
-    PyObject *base = PyObject_GetAttr(buf, str_ts_base);
-    if (base == NULL)
-        return -1;
-    st->has_base = base != Py_None;
-    st->ts_base = st->has_base ? PyFloat_AsDouble(base) : 0.0;
-    Py_DECREF(base);
-    if ((st->has_base && st->ts_base == -1.0 && PyErr_Occurred())
-        || get_double(buf, str_interval, &st->interval) < 0
-        || get_double(buf, str_target, &st->target) < 0
-        || get_double(buf, str_last_out, &st->last_out) < 0
-        || get_ssize(buf, str_next_seq, &st->next_seq) < 0
-        || get_ssize(buf, str_max_seen, &st->max_seen) < 0)
-        return -1;
-    st->drops = 0;
-    PyObject *dict = held->dict = PyObject_GetAttr(buf, str_buffer);
-    if (dict == NULL)
-        return -1;
-    if (!PyDict_CheckExact(dict)) {
-        PyErr_SetString(PyExc_TypeError, "_buffer must be a dict");
-        return -1;
-    }
-    /* with columns, every seq held from before must lie inside them too */
-    if (held->limit < PY_SSIZE_T_MAX) {
-        Py_ssize_t pos = 0;
-        PyObject *key, *value;
-        while (PyDict_Next(dict, &pos, &key, &value)) {
-            Py_ssize_t seq = PyLong_AsSsize_t(key);
-            if (seq == -1 && PyErr_Occurred())
-                return -1;
-            if (seq < 0 || seq >= held->limit) {
-                PyErr_Format(PyExc_IndexError,
-                             "held seq %zd is out of range for columns of length %zd",
-                             seq, held->limit);
-                return -1;
-            }
-        }
-    }
-    return held_reserve(held, 0);
-}
-
-/* the held packets back into the buffer's dict, and what changed of the
-   state since ``was`` back to the buffer; an exception already set stays
-   the one raised */
-static int
-store_buffer(PyObject *buf, const BufferState *st, const BufferState *was, const Held *held)
-{
-    PyObject *type, *value, *tb;
-    PyErr_Fetch(&type, &value, &tb);
-    int rc = -1;
-    PyObject *count = NULL;
-    for (Py_ssize_t i = 0; i <= held->mask; i++) {
-        const Slot *s = &held->slots[i];
-        if (s->seq < 0)
-            continue;
-        PyObject *key = PyLong_FromSsize_t(s->seq);
-        PyObject *pair = Py_BuildValue("(dd)", s->ts, s->arrival);
-        int bad = key == NULL || pair == NULL || PyDict_SetItem(held->dict, key, pair) < 0;
-        Py_XDECREF(key);
-        Py_XDECREF(pair);
-        if (bad)
-            goto done;
-    }
-    if (st->drops) {
-        PyObject *drops = PyLong_FromSsize_t(st->drops);
-        if (drops == NULL || (count = PyObject_GetAttr(buf, str_dropped_count)) == NULL) {
-            Py_XDECREF(drops);
-            goto done;
-        }
-        PyObject *total = PyNumber_Add(count, drops);
-        Py_DECREF(drops);
-        if (set_new(buf, str_dropped_count, total) < 0)
-            goto done;
-    }
-    if ((st->target != was->target
-         && set_new(buf, str_target, PyFloat_FromDouble(st->target)) < 0)
-        || (st->has_base != was->has_base
-            && set_new(buf, str_ts_base, PyFloat_FromDouble(st->ts_base)) < 0)
-        || (st->next_seq != was->next_seq
-            && set_new(buf, str_next_seq, PyLong_FromSsize_t(st->next_seq)) < 0)
-        || (st->max_seen != was->max_seen
-            && set_new(buf, str_max_seen, PyLong_FromSsize_t(st->max_seen)) < 0)
-        || (st->last_out != was->last_out
-            && set_new(buf, str_last_out, PyFloat_FromDouble(st->last_out)) < 0))
-        goto done;
-    rc = 0;
-done:
-    Py_XDECREF(count);
-    if (type != NULL) {
-        if (rc < 0)
-            PyErr_Clear();
-        PyErr_Restore(type, value, tb);
-        return -1;
-    }
-    return rc;
-}
-
-/* ``obj`` as a writable C-contiguous 1-d buffer of ``format`` */
-static int
-get_output(PyObject *obj, Py_buffer *view, const char *name, const char *format,
-           Py_ssize_t itemsize, const char *dtype)
-{
-    if (PyObject_GetBuffer(obj, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | PyBUF_WRITABLE) < 0)
-        return -1;
-    if (view->ndim != 1 || view->itemsize != itemsize || view->format == NULL
-        || strcmp(view->format, format) != 0) {
-        PyErr_Format(PyExc_TypeError, "%s must be a 1-d %s column", name, dtype);
-        PyBuffer_Release(view);
-        return -1;
-    }
-    return 0;
-}
-
-/* The buffer's rule over ``n`` arrivals: ``seqs``, ``ts``, ``ta`` and
-   ``after`` in arrival order, ``after`` the estimator's target after each
-   arrival.
-
-   An arrival is dropped if its slot has passed, or if it comes after its
-   deadline, ts plus the target before it (the first arrival is never
-   late). Otherwise it is held, and slots are then released in seq order
-   while their deadlines are behind the arrival time: a held packet plays
-   at the latest of its deadline, its arrival and the last output time; a
-   missing slot, its ts inferred from the cadence, blocks its successors
-   until its own deadline strictly passes.
-
-   A released seq's output time goes into ``to`` and its fate into
-   ``fate``, a dropped one's fate too; without columns, the (seq, out) of
-   each release go into ``released``. */
-static int
-run_buffer(BufferState *st, Held *held, Py_ssize_t n, const Py_ssize_t *seqs,
-           const double *ts, const double *ta, const double *after,
-           double *to, signed char *fate, PyObject *released)
-{
-    for (Py_ssize_t i = 0; i < n; i++) {
-        Py_ssize_t seq = seqs[i];
-        double t = ts[i], now = ta[i];
-        int cold = !st->has_base;
-        if (cold) {
-            st->ts_base = t - (double)seq * st->interval;
-            st->has_base = 1;
-        }
-        if (seq > st->max_seen)
-            st->max_seen = seq;
-        int late = !cold && now > t + st->target;  /* the pre-arrival target */
-        st->target = after[i];
-        if (seq < st->next_seq || late) {
-            st->drops++;
-            if (fate != NULL)
-                fate[seq] = FATE_DROPPED_LATE;
-            continue;
-        }
-        Slot *s = held_find(held, seq);
-        if (s == NULL)
-            return -1;
-        if (s->seq >= 0) {
-            PyErr_Format(PyExc_ValueError, "duplicate seq %zd", seq);
-            return -1;
-        }
-        if (held_add(held, seq, t, now) < 0)
-            return -1;
-        for (;;) {
-            if ((s = held_find(held, st->next_seq)) == NULL)
-                return -1;
-            if (s->seq >= 0) {
-                double t_out = s->ts + st->target;
-                if (t_out > now)
-                    break;
-                if (s->arrival > t_out)
-                    t_out = s->arrival;
-                if (st->last_out > t_out)
-                    t_out = st->last_out;
-                if (to != NULL) {
-                    to[st->next_seq] = t_out;
-                    fate[st->next_seq] = FATE_DELIVERED;
-                }
-                else {
-                    PyObject *pair = Py_BuildValue("(nd)", st->next_seq, t_out);
-                    int bad = pair == NULL || PyList_Append(released, pair) < 0;
-                    Py_XDECREF(pair);
-                    if (bad)
-                        return -1;
-                }
-                st->last_out = t_out;
-                held_remove(held, s);
-                st->next_seq++;
-            }
-            else if (st->next_seq <= st->max_seen
-                     && now > st->ts_base + (double)st->next_seq * st->interval + st->target)
-                st->next_seq++;  /* a missing slot whose deadline has passed */
-            else
-                break;
-        }
-    }
-    return 0;
-}
-
-static PyObject *
-buffer_step(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 7) {
-        PyErr_Format(PyExc_TypeError, "buffer_step() takes 7 arguments (%zd given)", nargs);
-        return NULL;
-    }
-    PyObject *buf = args[0], *released = NULL, *result = NULL;
-    Py_buffer order, ts, ta, after, to, fate;
-    order.obj = ts.obj = ta.obj = after.obj = to.obj = fate.obj = NULL;
-    Held held = {NULL, 0, 0, NULL, PY_SSIZE_T_MAX};
-    /* one arrival: its seq, ts, arrival and target after it */
-    Py_ssize_t seq, n = 1;
-    double one[3];
-    const Py_ssize_t *seqs = &seq;
-    const double *t = &one[0], *a = &one[1], *targets = &one[2];
-    double *to_col = NULL;
-    signed char *fate_col = NULL;
-
-    if (args[5] == Py_None && args[6] == Py_None) {
-        seq = PyNumber_AsSsize_t(args[1], PyExc_OverflowError);
-        if (seq == -1 && PyErr_Occurred())
-            return NULL;
-        for (int k = 0; k < 3; k++) {
-            one[k] = PyFloat_AsDouble(args[2 + k]);
-            if (one[k] == -1.0 && PyErr_Occurred())
-                return NULL;
-        }
-        if ((released = PyList_New(0)) == NULL)
-            return NULL;
-    }
-    else {
-        if (PyObject_GetBuffer(args[1], &order, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
-            return NULL;
-        if (order.ndim != 1 || order.itemsize != 8 || order.format == NULL
-            || (strcmp(order.format, "l") != 0 && strcmp(order.format, "q") != 0)) {
-            PyErr_SetString(PyExc_TypeError, "order must be a 1-d int64 column");
-            goto done;
-        }
-        n = order.shape[0];
-        if (get_column(args[2], &ts) < 0 || get_column(args[3], &ta) < 0
-            || get_column(args[4], &after) < 0)
-            goto done;
-        if (ts.ndim != 1 || ta.ndim != 1 || after.ndim != 1
-            || ts.shape[0] != n || ta.shape[0] != n || after.shape[0] != n) {
-            PyErr_SetString(PyExc_ValueError,
-                            "ts, ta and after must be 1-d columns of order's length");
-            goto done;
-        }
-        if (get_output(args[5], &to, "to", "d", 8, "float64") < 0
-            || get_output(args[6], &fate, "fate", "b", 1, "int8") < 0)
-            goto done;
-        if (to.shape[0] != fate.shape[0]) {
-            PyErr_SetString(PyExc_ValueError, "to and fate must be columns of one length");
-            goto done;
-        }
-        seqs = order.buf;
-        t = ts.buf;
-        a = ta.buf;
-        targets = after.buf;
-        to_col = to.buf;
-        fate_col = fate.buf;
-        held.limit = to.shape[0];
-    }
-    for (Py_ssize_t i = 0; i < n; i++) {
-        if (seqs[i] < 0 || seqs[i] >= held.limit) {
-            PyErr_Format(PyExc_IndexError, "seq %zd is out of range for columns of length %zd",
-                         seqs[i], held.limit);
-            goto done;
-        }
-    }
-    if (n == 0) {
-        result = Py_NewRef(Py_None);
-        goto done;
-    }
-
-    BufferState st;
-    if (load_buffer(buf, &st, &held) < 0)
-        goto done;
-    const BufferState was = st;
-    int rc = run_buffer(&st, &held, n, seqs, t, a, targets, to_col, fate_col, released);
-    /* the state goes back also when a duplicate seq stops the step */
-    if (store_buffer(buf, &st, &was, &held) == 0 && rc == 0)
-        result = Py_NewRef(released != NULL ? released : Py_None);
-
-done:
-    Py_XDECREF(released);
-    Py_XDECREF(held.dict);
-    PyMem_Free(held.slots);
-    PyBuffer_Release(&order);
-    PyBuffer_Release(&ts);
-    PyBuffer_Release(&ta);
-    PyBuffer_Release(&after);
-    PyBuffer_Release(&to);
-    PyBuffer_Release(&fate);
-    return result;
-}
-
 static PyObject *
 get_n_window(Estimator *self, void *closure)
 {
@@ -1233,26 +762,490 @@ static PyTypeObject JitterType = {
     .tp_getset = Jitter_getset,
 };
 
-static PyMethodDef module_methods[] = {
-    {"buffer_step", (PyCFunction)(void (*)(void))buffer_step, METH_FASTCALL,
-     "buffer_step(buffer, order, ts, ta, after, to, fate)\n--\n\n"
-     "The playout buffer's rule over a schedule, from and back to the state\n"
-     "of ``buffer``, a ``PlayoutBuffer``. ``order`` is an int64 column of\n"
-     "seqs in arrival order; ``ts``, ``ta`` and ``after`` (the target after\n"
-     "each arrival) are float64 columns in that order. Writes each release's\n"
-     "output time into ``to`` (float64) and the fates into ``fate`` (int8),\n"
-     "both seq-indexed; with both None, returns the list of (seq, out) of\n"
-     "the releases. Raises before anything changes on a bad column or a seq\n"
-     "outside the columns, and stores the state when a duplicate seq raises."},
+/* --------------------------------------------------------- playout buffer */
+
+/* the codes of ``jitter.FATES`` that the step writes */
+#define FATE_DROPPED_LATE 1
+#define FATE_DELIVERED 2
+
+/* A held packet: an open addressing table with linear probing, a seq's home
+   slot its low bits, so the run of seqs a buffer holds lands in consecutive
+   slots. */
+typedef struct {
+    Py_ssize_t seq;  /* -1: empty */
+    double ts, arrival;
+} Slot;
+
+/* The buffer's held packets, for as long as the buffer lives. ``slots`` is
+   NULL until the first packet and after a flush. */
+typedef struct {
+    Slot *slots;
+    Py_ssize_t mask, count;
+} Held;
+
+/* the slot that holds ``seq``, else the empty one where it would go */
+static inline Slot *
+held_slot(const Held *h, Py_ssize_t seq)
+{
+    Py_ssize_t i = seq & h->mask;
+    while (h->slots[i].seq >= 0 && h->slots[i].seq != seq)
+        i = (i + 1) & h->mask;
+    return &h->slots[i];
+}
+
+/* room for ``count`` packets at most half full, the table's contents kept */
+static int
+held_reserve(Held *h, Py_ssize_t count)
+{
+    if (h->slots != NULL && 2 * count <= h->mask + 1)
+        return 0;
+    Py_ssize_t cap = 16;
+    while (cap < 2 * count) {
+        if (cap > PY_SSIZE_T_MAX / (Py_ssize_t)(4 * sizeof(Slot))) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        cap *= 2;
+    }
+    Slot *slots = PyMem_New(Slot, cap), *old = h->slots;
+    if (slots == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (Py_ssize_t i = 0; i < cap; i++)
+        slots[i].seq = -1;
+    Py_ssize_t old_mask = h->mask;
+    h->slots = slots;
+    h->mask = cap - 1;
+    if (old != NULL) {
+        for (Py_ssize_t i = 0; i <= old_mask; i++)
+            if (old[i].seq >= 0)
+                *held_slot(h, old[i].seq) = old[i];
+        PyMem_Free(old);
+    }
+    return 0;
+}
+
+static void
+held_clear(Held *h)
+{
+    PyMem_Free(h->slots);
+    h->slots = NULL;
+    h->mask = h->count = 0;
+}
+
+/* hold a packet whose seq is not held yet */
+static int
+held_add(Held *h, Py_ssize_t seq, double ts, double arrival)
+{
+    if (held_reserve(h, h->count + 1) < 0)
+        return -1;
+    Slot *s = held_slot(h, seq);
+    s->seq = seq;
+    s->ts = ts;
+    s->arrival = arrival;
+    h->count++;
+    return 0;
+}
+
+/* empty a held slot; the rest of its cluster, which may have probed past
+   it, goes back in */
+static void
+held_remove(Held *h, Slot *s)
+{
+    Py_ssize_t i = s - h->slots;
+    h->slots[i].seq = -1;
+    h->count--;
+    for (i = (i + 1) & h->mask; h->slots[i].seq >= 0; i = (i + 1) & h->mask) {
+        Slot moved = h->slots[i];
+        h->slots[i].seq = -1;
+        *held_slot(h, moved.seq) = moved;
+    }
+}
+
+/* All of a playout buffer's state: what ``PlayoutBuffer`` builds on. */
+typedef struct {
+    PyObject_HEAD
+    double interval, target, ts_base, last_out;
+    int has_base;  /* ts_base is unset until the first arrival */
+    Py_ssize_t next_seq, max_seen, dropped_count;
+    Held held;
+} PlayoutCore;
+
+/* ``seq`` as an index into columns of length ``limit`` */
+static int
+check_seq(Py_ssize_t seq, Py_ssize_t limit, const char *what)
+{
+    if (seq < 0 || seq >= limit) {
+        PyErr_Format(PyExc_IndexError, "%s %zd is out of range for columns of length %zd",
+                     what, seq, limit);
+        return -1;
+    }
+    return 0;
+}
+
+/* every seq of a schedule, and every seq held from before it, inside
+   columns of length ``limit`` */
+static int
+check_seqs(const PlayoutCore *b, const Py_ssize_t *seqs, Py_ssize_t n, Py_ssize_t limit)
+{
+    for (Py_ssize_t i = 0; i < n; i++)
+        if (check_seq(seqs[i], limit, "seq") < 0)
+            return -1;
+    const Held *h = &b->held;
+    for (Py_ssize_t i = 0; n && h->count && i <= h->mask; i++)
+        if (h->slots[i].seq >= 0 && check_seq(h->slots[i].seq, limit, "held seq") < 0)
+            return -1;
+    return 0;
+}
+
+/* The buffer's rule over ``n`` arrivals: ``seqs``, ``ts``, ``ta`` and
+   ``after`` in arrival order, ``after`` the estimator's target after each
+   arrival.
+
+   An arrival is dropped if its slot has passed, or if it comes after its
+   deadline, ts plus the target before it (the first arrival is never
+   late). Otherwise it is held, and slots are then released in seq order
+   while their deadlines are behind the arrival time: a held packet plays
+   at the latest of its deadline, its arrival and the last output time; a
+   missing slot, its ts inferred from the cadence, blocks its successors
+   until its own deadline strictly passes.
+
+   A released seq's output time goes into ``to`` and its fate into
+   ``fate``, a dropped one's fate too; without columns, the (seq, out) of
+   each release go into ``released``. A duplicate seq raises, and the
+   buffer stays as the arrivals before it left it, the target after the
+   duplicate included. */
+static int
+run_buffer(PlayoutCore *b, Py_ssize_t n, const Py_ssize_t *seqs, const double *ts,
+           const double *ta, const double *after, double *to, signed char *fate,
+           PyObject *released)
+{
+    Held *held = &b->held;
+    if (held_reserve(held, 0) < 0)
+        return -1;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        Py_ssize_t seq = seqs[i];
+        double t = ts[i], now = ta[i];
+        int cold = !b->has_base;
+        if (cold) {
+            b->ts_base = t - (double)seq * b->interval;
+            b->has_base = 1;
+        }
+        if (seq > b->max_seen)
+            b->max_seen = seq;
+        int late = !cold && now > t + b->target;  /* the pre-arrival target */
+        b->target = after[i];
+        if (seq < b->next_seq || late) {
+            b->dropped_count++;
+            if (fate != NULL)
+                fate[seq] = FATE_DROPPED_LATE;
+            continue;
+        }
+        if (held_slot(held, seq)->seq >= 0) {
+            PyErr_Format(PyExc_ValueError, "duplicate seq %zd", seq);
+            return -1;
+        }
+        if (held_add(held, seq, t, now) < 0)
+            return -1;
+        for (;;) {
+            Slot *s = held_slot(held, b->next_seq);
+            if (s->seq >= 0) {
+                double t_out = s->ts + b->target;
+                if (t_out > now)
+                    break;
+                if (s->arrival > t_out)
+                    t_out = s->arrival;
+                if (b->last_out > t_out)
+                    t_out = b->last_out;
+                if (to != NULL) {
+                    to[b->next_seq] = t_out;
+                    fate[b->next_seq] = FATE_DELIVERED;
+                }
+                else {
+                    PyObject *pair = Py_BuildValue("(nd)", b->next_seq, t_out);
+                    int bad = pair == NULL || PyList_Append(released, pair) < 0;
+                    Py_XDECREF(pair);
+                    if (bad)
+                        return -1;
+                }
+                b->last_out = t_out;
+                held_remove(held, s);
+                b->next_seq++;
+            }
+            else if (b->next_seq <= b->max_seen
+                     && now > b->ts_base + (double)b->next_seq * b->interval + b->target)
+                b->next_seq++;  /* a missing slot whose deadline has passed */
+            else
+                break;
+        }
+    }
+    return 0;
+}
+
+static void
+PlayoutCore_dealloc(PlayoutCore *self)
+{
+    held_clear(&self->held);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static int
+PlayoutCore_init(PlayoutCore *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"interval_ms", "target", NULL};
+    double interval, target;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "dd", kwlist, &interval, &target))
+        return -1;
+    if (interval <= 0) {
+        PyErr_SetString(PyExc_ValueError, "interval_ms must be positive");
+        return -1;
+    }
+    held_clear(&self->held);
+    self->interval = interval;
+    self->target = target;
+    self->ts_base = 0.0;
+    self->has_base = 0;
+    self->last_out = -INFINITY;
+    self->next_seq = 0;
+    self->max_seen = -1;
+    self->dropped_count = 0;
+    return 0;
+}
+
+/* ``obj`` as a writable C-contiguous 1-d buffer of ``format`` */
+static int
+get_output(PyObject *obj, Py_buffer *view, const char *name, const char *format,
+           Py_ssize_t itemsize, const char *dtype)
+{
+    if (PyObject_GetBuffer(obj, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | PyBUF_WRITABLE) < 0)
+        return -1;
+    if (view->ndim != 1 || view->itemsize != itemsize || view->format == NULL
+        || strcmp(view->format, format) != 0) {
+        PyErr_Format(PyExc_TypeError, "%s must be a 1-d %s column", name, dtype);
+        PyBuffer_Release(view);
+        return -1;
+    }
+    return 0;
+}
+
+static const char SCHEDULE_LENGTHS[] = "ts, ta and after must be 1-d columns of order's length";
+
+static PyObject *
+PlayoutCore_play(PlayoutCore *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 6) {
+        PyErr_Format(PyExc_TypeError, "_play() takes 6 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    PyObject *after_obj = NULL, *result = NULL;
+    Py_buffer order, ts, ta, after, to, fate;
+    order.obj = ts.obj = ta.obj = after.obj = to.obj = fate.obj = NULL;
+    if (PyObject_GetBuffer(args[0], &order, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
+        return NULL;
+    if (order.ndim != 1 || order.itemsize != 8 || order.format == NULL
+        || (strcmp(order.format, "l") != 0 && strcmp(order.format, "q") != 0)) {
+        PyErr_SetString(PyExc_TypeError, "order must be a 1-d int64 column");
+        goto done;
+    }
+    Py_ssize_t n = order.shape[0];
+    const Py_ssize_t *seqs = order.buf;
+    if (get_column(args[1], &ts) < 0 || get_column(args[2], &ta) < 0)
+        goto done;
+    if (ts.ndim != 1 || ta.ndim != 1 || ts.shape[0] != n || ta.shape[0] != n) {
+        PyErr_SetString(PyExc_ValueError, SCHEDULE_LENGTHS);
+        goto done;
+    }
+    if (get_output(args[4], &to, "to", "d", 8, "float64") < 0
+        || get_output(args[5], &fate, "fate", "b", 1, "int8") < 0)
+        goto done;
+    if (to.shape[0] != fate.shape[0]) {
+        PyErr_SetString(PyExc_ValueError, "to and fate must be columns of one length");
+        goto done;
+    }
+    if (check_seqs(self, seqs, n, to.shape[0]) < 0)
+        goto done;
+    /* the estimator sees the schedule only once it is known good; ``targets``
+       runs Python code, so the seqs are checked again after it */
+    after_obj = PyObject_Vectorcall(args[3], args + 1, 2, NULL);
+    if (after_obj == NULL || get_column(after_obj, &after) < 0)
+        goto done;
+    if (after.ndim != 1 || after.shape[0] != n) {
+        PyErr_SetString(PyExc_ValueError, SCHEDULE_LENGTHS);
+        goto done;
+    }
+    if (check_seqs(self, seqs, n, to.shape[0]) == 0
+        && run_buffer(self, n, seqs, ts.buf, ta.buf, after.buf, to.buf, fate.buf, NULL) == 0)
+        result = Py_NewRef(Py_None);
+done:
+    Py_XDECREF(after_obj);
+    PyBuffer_Release(&order);
+    PyBuffer_Release(&ts);
+    PyBuffer_Release(&ta);
+    PyBuffer_Release(&after);
+    PyBuffer_Release(&to);
+    PyBuffer_Release(&fate);
+    return result;
+}
+
+static PyObject *
+PlayoutCore_arrive(PlayoutCore *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 4) {
+        PyErr_Format(PyExc_TypeError, "_arrive() takes 4 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    Py_ssize_t seq = PyNumber_AsSsize_t(args[0], PyExc_OverflowError);
+    if (seq == -1 && PyErr_Occurred())
+        return NULL;
+    double one[3];  /* ts, arrival, and the target after it */
+    for (int k = 0; k < 3; k++) {
+        one[k] = PyFloat_AsDouble(args[1 + k]);
+        if (one[k] == -1.0 && PyErr_Occurred())
+            return NULL;
+    }
+    if (check_seq(seq, PY_SSIZE_T_MAX, "seq") < 0)
+        return NULL;
+    PyObject *released = PyList_New(0);
+    if (released == NULL)
+        return NULL;
+    Py_ssize_t dropped = self->dropped_count;
+    if (run_buffer(self, 1, &seq, &one[0], &one[1], &one[2], NULL, NULL, released) < 0) {
+        Py_DECREF(released);
+        return NULL;
+    }
+    return Py_BuildValue("(NO)", released, self->dropped_count > dropped ? Py_True : Py_False);
+}
+
+static PyObject *
+PlayoutCore_flush(PlayoutCore *self, PyObject *end_time)
+{
+    Held *h = &self->held;
+    PyObject *out = PyList_New(0);
+    if (out == NULL || h->count == 0)
+        return out;
+    double t_out = PyFloat_AsDouble(end_time);
+    if (t_out == -1.0 && PyErr_Occurred())
+        goto fail;
+    if (!(t_out > self->last_out))
+        t_out = self->last_out;
+    for (Py_ssize_t i = 0; i <= h->mask; i++) {
+        if (h->slots[i].seq < 0)
+            continue;
+        PyObject *pair = Py_BuildValue("(nd)", h->slots[i].seq, t_out);
+        int bad = pair == NULL || PyList_Append(out, pair) < 0;
+        Py_XDECREF(pair);
+        if (bad)
+            goto fail;
+    }
+    if (PyList_Sort(out) < 0)  /* by seq: no two are equal */
+        goto fail;
+    self->last_out = t_out;
+    held_clear(h);
+    return out;
+fail:
+    Py_DECREF(out);
+    return NULL;
+}
+
+static PyObject *
+get_ts_base(PlayoutCore *self, void *closure)
+{
+    return self->has_base ? PyFloat_FromDouble(self->ts_base) : Py_NewRef(Py_None);
+}
+
+static PyObject *
+get_pending_count(PlayoutCore *self, void *closure)
+{
+    return PyLong_FromSsize_t(self->held.count);
+}
+
+static PyObject *
+get_held(PlayoutCore *self, void *closure)
+{
+    const Held *h = &self->held;
+    PyObject *dict = PyDict_New();
+    for (Py_ssize_t i = 0; dict != NULL && h->count && i <= h->mask; i++) {
+        const Slot *s = &h->slots[i];
+        if (s->seq < 0)
+            continue;
+        PyObject *key = PyLong_FromSsize_t(s->seq);
+        PyObject *pair = Py_BuildValue("(dd)", s->ts, s->arrival);
+        if (key == NULL || pair == NULL || PyDict_SetItem(dict, key, pair) < 0)
+            Py_CLEAR(dict);
+        Py_XDECREF(key);
+        Py_XDECREF(pair);
+    }
+    return dict;
+}
+
+static PyMemberDef PlayoutCore_members[] = {
+    {"target_delay_ms", T_DOUBLE, offsetof(PlayoutCore, target), READONLY,
+     "The estimator's transit target as of the last arrival."},
+    {"_target", T_DOUBLE, offsetof(PlayoutCore, target), READONLY, NULL},
+    {"_next_seq", T_PYSSIZET, offsetof(PlayoutCore, next_seq), READONLY,
+     "The next slot to play out."},
+    {"_max_seen", T_PYSSIZET, offsetof(PlayoutCore, max_seen), READONLY,
+     "The highest seq that has arrived, -1 before the first."},
+    {"_last_out", T_DOUBLE, offsetof(PlayoutCore, last_out), READONLY,
+     "The last output time."},
+    {"dropped_count", T_PYSSIZET, offsetof(PlayoutCore, dropped_count), READONLY,
+     "Arrivals dropped as late, or for a slot already passed."},
     {NULL},
+};
+
+static PyGetSetDef PlayoutCore_getset[] = {
+    {"_ts_base", (getter)get_ts_base, NULL,
+     "The ts of seq 0, inferred from the first arrival; None before it.", NULL},
+    {"_buffer", (getter)get_held, NULL,
+     "The held packets, as a new dict of seq -> (ts, arrival).", NULL},
+    {"pending_count", (getter)get_pending_count, NULL, "Packets held.", NULL},
+    {NULL},
+};
+
+static PyMethodDef PlayoutCore_methods[] = {
+    {"_play", (PyCFunction)(void (*)(void))PlayoutCore_play, METH_FASTCALL,
+     "_play(order, ts, ta, targets, to, fate)\n--\n\n"
+     "The rule over a schedule. ``order`` is a C-contiguous int64 column of\n"
+     "seqs in arrival order, ``ts`` and ``ta`` float64 columns in that order.\n"
+     "Checks every column, and that every seq and every held seq lies inside\n"
+     "``to`` and ``fate``, then calls ``targets(ts, ta)`` once for the target\n"
+     "after each arrival. Writes each release's output time into ``to``\n"
+     "(float64) and the fates into ``fate`` (int8), both seq-indexed."},
+    {"_arrive", (PyCFunction)(void (*)(void))PlayoutCore_arrive, METH_FASTCALL,
+     "_arrive(seq, ts, arrival, target)\n--\n\n"
+     "The rule over one arrival, ``target`` the estimator's after it:\n"
+     "(the list of (seq, out) released, whether the arrival was dropped)."},
+    {"_flush", (PyCFunction)PlayoutCore_flush, METH_O,
+     "_flush(end_time)\n--\n\n"
+     "Every held packet's (seq, out), in seq order, at ``end_time`` or the\n"
+     "last output time, whichever is later; the buffer is left empty."},
+    {NULL},
+};
+
+static PyTypeObject PlayoutCoreType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "relaysim._estimator.PlayoutCore",
+    .tp_doc = PyDoc_STR(
+        "PlayoutCore(interval_ms, target)\n--\n\n"
+        "The adaptive playout buffer's state and rule: ``interval_ms`` the\n"
+        "sender cadence, ``target`` the estimator's transit target to start\n"
+        "from. ``relaysim.PlayoutBuffer`` extends it with its estimator."),
+    .tp_basicsize = sizeof(PlayoutCore),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE,
+    .tp_new = PyType_GenericNew,
+    .tp_init = (initproc)PlayoutCore_init,
+    .tp_dealloc = (destructor)PlayoutCore_dealloc,
+    .tp_methods = PlayoutCore_methods,
+    .tp_members = PlayoutCore_members,
+    .tp_getset = PlayoutCore_getset,
 };
 
 static struct PyModuleDef estimator_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "relaysim._estimator",
-    .m_doc = "Windowed jitter/transit estimators and the playout buffer's step.",
+    .m_doc = "Windowed jitter/transit estimators and the playout buffer's core.",
     .m_size = -1,
-    .m_methods = module_methods,
 };
 
 PyMODINIT_FUNC
@@ -1270,18 +1263,10 @@ PyInit__estimator(void)
     Py_XDECREF(numpy);
     if (ValidationError == NULL || np_asarray == NULL || np_empty == NULL || np_float64 == NULL)
         return NULL;
-    if ((str_target = PyUnicode_InternFromString("_target")) == NULL
-        || (str_ts_base = PyUnicode_InternFromString("_ts_base")) == NULL
-        || (str_next_seq = PyUnicode_InternFromString("_next_seq")) == NULL
-        || (str_max_seen = PyUnicode_InternFromString("_max_seen")) == NULL
-        || (str_last_out = PyUnicode_InternFromString("_last_out")) == NULL
-        || (str_interval = PyUnicode_InternFromString("_interval")) == NULL
-        || (str_buffer = PyUnicode_InternFromString("_buffer")) == NULL
-        || (str_dropped_count = PyUnicode_InternFromString("dropped_count")) == NULL)
-        return NULL;
 
     JitterType.tp_base = &TransitType;
-    if (PyType_Ready(&TransitType) < 0 || PyType_Ready(&JitterType) < 0)
+    if (PyType_Ready(&TransitType) < 0 || PyType_Ready(&JitterType) < 0
+        || PyType_Ready(&PlayoutCoreType) < 0)
         return NULL;
     PyObject *m = PyModule_Create(&estimator_module);
     if (m == NULL)
@@ -1290,6 +1275,7 @@ PyInit__estimator(void)
     if (guard == NULL
         || PyModule_AddObjectRef(m, "TransitEstimator", (PyObject *)&TransitType) < 0
         || PyModule_AddObjectRef(m, "JitterEstimator", (PyObject *)&JitterType) < 0
+        || PyModule_AddObjectRef(m, "PlayoutCore", (PyObject *)&PlayoutCoreType) < 0
         || PyModule_AddObjectRef(m, "DISORDER_GUARD_MS", guard) < 0) {
         Py_XDECREF(guard);
         Py_DECREF(m);

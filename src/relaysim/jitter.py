@@ -64,16 +64,16 @@ that released slot k-1 on, at which the current target puts its deadline
 behind it. The target rises and falls, so that search starts where slot
 k-1's ended: a recurrence over seq order, not a prefix scan over arrival
 order. Whether an arrival comes too late for its slot depends on the same
-recurrence. So the buffer states its rule once, as one compiled step over
-arrivals in order, each with the target after it
-(``relaysim._estimator.buffer_step``): adaptive playout after Ramjee et al.
-(INFOCOM 1994), played strictly in seq order. ``play`` hands the step the
-whole schedule and its target column in one call, and the step writes
-output times and fates straight into the columns; ``on_arrival`` updates
-the estimator and hands the step its one arrival, and gets back what it
-releases. The step reads the buffer's state off the ``PlayoutBuffer`` and
-writes it back as it returns, also when a duplicate seq raises; between
-calls the held packets are a dict of seq -> (ts, arrival).
+recurrence. So the buffer states its rule once, compiled, in the base type
+it extends (``relaysim._estimator.PlayoutCore``): adaptive playout after
+Ramjee et al. (INFOCOM 1994), played strictly in seq order. The base type
+holds all of the buffer's state, its held packets too, and the rule runs on
+it in place. ``play`` hands it the whole schedule and the estimator's
+bound ``targets``, which it calls once the columns are checked, and it
+writes output times and fates straight into the columns; ``on_arrival``
+updates the estimator and hands it one arrival and the target after it,
+and gets back what it releases. ``_buffer`` is a snapshot of the held
+packets, a new dict of seq -> (ts, arrival) per read.
 ``tests/buffer_reference.py`` holds the rule as it was written per arrival,
 and both forms are checked against it.
 
@@ -90,7 +90,7 @@ from typing import NamedTuple, Protocol
 import numpy as np
 
 from .errors import ValidationError
-from ._estimator import JitterEstimator, TransitEstimator, buffer_step
+from ._estimator import JitterEstimator, PlayoutCore, TransitEstimator
 
 
 @dataclass(frozen=True)
@@ -257,67 +257,46 @@ class WatermarkReorderer:
         return out
 
 
-class PlayoutBuffer:
+class PlayoutBuffer(PlayoutCore):
     """In-order playout with an adaptive target delay.
 
     ``interval_ms`` is the sender cadence; it anchors deadlines for sequence
-    slots that have not arrived (ts inferred from the slot index).
+    slots that have not arrived (ts inferred from the slot index). The state
+    and its read-only views (``target_delay_ms``, ``pending_count``,
+    ``dropped_count``) are the base type's; the estimator is ``_est``.
     """
 
     def __init__(self, estimator: TransitEstimator, interval_ms: float) -> None:
-        if interval_ms <= 0:
-            raise ValueError("interval_ms must be positive")
+        super().__init__(interval_ms, estimator.transit_target())
         self._est = estimator
-        self._target = estimator.transit_target()  # as of the last update
-        self._interval = interval_ms
-        self._next_seq = 0
-        self._buffer: dict[int, tuple[float, float]] = {}  # seq -> (ts, arrival)
-        self._ts_base: float | None = None  # ts of seq 0, learned from arrivals
-        self._max_seen = -1
-        self._last_out = float("-inf")
-        self.dropped_count = 0
-
-    @property
-    def target_delay_ms(self) -> float:
-        return self._target
-
-    @property
-    def pending_count(self) -> int:
-        return len(self._buffer)
 
     def on_arrival(self, packet: Stamped, now: float) -> tuple[list[Emission], bool]:
         """Process one arrival; returns (emissions, dropped_this_packet).
 
         ``now`` is the arrival time; ``packet`` supplies ``seq`` and ``ts``."""
         ts = packet.ts
-        self._est.update(ts, now)
-        dropped = self.dropped_count
-        released = buffer_step(self, packet.seq, ts, now, self._est.transit_target(), None, None)
-        return list(map(Emission._make, released)), self.dropped_count > dropped
+        est = self._est
+        est.update(ts, now)
+        released, dropped = self._arrive(packet.seq, ts, now, est.transit_target())
+        return list(map(Emission._make, released)), dropped
 
     def play(self, order: np.ndarray, ts: np.ndarray, ta: np.ndarray,
              to: np.ndarray, fate: np.ndarray) -> None:
         """Process a whole arrival schedule, as ``on_arrival`` would one by one.
 
         The columns are those of :meth:`WatermarkReorderer.play`, C-contiguous:
-        ``order`` int64, ``to`` float64 and ``fate`` int8. The estimator's
-        ``targets`` gives the target after every arrival in one pass, and
-        the buffer's step then takes the whole schedule in one call. A bad
-        column, or a seq outside ``to``, raises before the step writes
-        anything; a duplicate seq raises where it comes, and what the step
-        wrote before it stays."""
-        ts_o, ta_o = ts[order], ta[order]
-        buffer_step(self, order, ts_o, ta_o, self._est.targets(ts_o, ta_o), to, fate)
+        ``order`` int64, ``to`` float64 and ``fate`` int8. A bad column, or a
+        seq outside ``to``, raises before the estimator sees the schedule or
+        anything is written. Then the estimator's ``targets`` gives the
+        target after every arrival in one pass, and the rule takes the whole
+        schedule in one call. A duplicate seq raises where it comes, and what
+        was written before it stays."""
+        self._play(order, ts[order], ta[order], self._est.targets, to, fate)
 
     def flush(self, end_time: float) -> list[Emission]:
         """Emit everything still buffered, in sequence order, at end_time or
         the last output time, whichever is later."""
-        if not self._buffer:
-            return []
-        t_out = self._last_out = max(self._last_out, end_time)
-        out = [Emission(seq, t_out) for seq in sorted(self._buffer)]
-        self._buffer.clear()
-        return out
+        return list(map(Emission._make, self._flush(end_time)))
 
 
 def build_jitter_manager(cfg: JitterConfig, interval_ms: float):

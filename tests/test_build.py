@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import sysconfig
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,3 +38,14 @@ def test_setup_py_build_compiles_the_one_estimator(tmp_path):
     assert proc.returncode == 0, proc.stderr
     implementation, path = proc.stdout.split()
     assert implementation == "compiled" and Path(path).parent == lib / "relaysim"
+
+
+def test_estimator_source_is_warning_free():
+    # the flags setup.py builds with, plus every common warning as an error,
+    # against the running Python's headers
+    include = sysconfig.get_paths()["include"]
+    proc = subprocess.run(
+        ["gcc", "-fsyntax-only", "-Wall", "-Werror", "-ffp-contract=off", f"-I{include}",
+         str(ROOT / "src" / "relaysim" / "_estimator.c")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

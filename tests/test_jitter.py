@@ -645,18 +645,21 @@ def _own_state(buf):
 
 def _assert_rejected(error, order, to=None, fate=None, held=(), packets=_CHECKED):
     """``play`` of the schedule with one bad column raises ``error`` before
-    the step writes a fate, an output time or any of the buffer's state.
+    the step writes a fate, an output time or any of the buffer's state,
+    and before the estimator's ``targets`` pass sees the schedule.
     ``ts`` and ``ta`` are those of ``packets``."""
     _, ts, ta = _columns(packets)
     good_to, good_fate = _outputs(len(_CHECKED))
     to = good_to if to is None else to
     fate = good_fate if fate is None else fate
-    buf = PlayoutBuffer(FixedEstimator(target=50.0), interval_ms=10.0)
+    est = FixedEstimator(target=50.0)
+    buf = PlayoutBuffer(est, interval_ms=10.0)
     for p in held:
         buf.on_arrival(p, p.arrival)
     before, to_before, fate_before = _own_state(buf), to.copy(), fate.copy()
     with pytest.raises(error):
         buf.play(order, ts, ta, to, fate)
+    assert est.passes == []
     assert _own_state(buf) == before
     assert np.array_equal(to, to_before, equal_nan=True)
     assert np.array_equal(fate, fate_before)
@@ -738,6 +741,38 @@ def test_buffer_play_rejects_a_non_contiguous_column(column):
     _assert_rejected(ValueError, order, to, fate)
 
 
+@pytest.mark.parametrize("spoil", ["order int32", "to float32", "seq outside"])
+def test_buffer_play_retried_after_a_rejection_matches_reference(spoil):
+    # a rejected play leaves the estimator where it was too, so the good
+    # schedule played next on the same buffer and estimator is the schedule
+    # played once
+    order, ts, ta = _columns(_CHECKED)
+    to, fate = _outputs(len(ts))
+    bad_order, bad_to = order, to
+    if spoil == "order int32":
+        bad_order = order.astype(np.int32)
+    elif spoil == "to float32":
+        bad_to = to.astype(np.float32)
+    else:
+        bad_to, fate = _outputs(len(ts) - 1)
+    buf = PlayoutBuffer(TransitEstimator(), interval_ms=10.0)
+    with pytest.raises((TypeError, IndexError)):
+        buf.play(bad_order, ts, ta, bad_to, fate)
+    to, fate = _outputs(len(ts))
+    buf.play(order, ts, ta, to, fate)
+    ref = BufferReference(TransitEstimator(), 10.0)
+    want = _outputs(len(ts))
+    for p in _CHECKED:
+        emissions, dropped = ref.arrival(p)
+        if dropped:
+            want[1][p.seq] = FATES.index("dropped_late")
+        for em in emissions:
+            want[0][em.seq], want[1][em.seq] = em.out, FATES.index("delivered")
+    _assert_columns_equal((to, fate), want)
+    assert _buffer_state(buf) == _reference_state(ref)
+    assert "delivered" in _fates(fate)
+
+
 def test_buffer_empty_play_is_a_no_op():
     est = FixedEstimator(target=50.0)
     buf = PlayoutBuffer(est, interval_ms=10.0)
@@ -749,6 +784,107 @@ def test_buffer_empty_play_is_a_no_op():
     assert est.passes == [([], [])]  # one targets call, on the empty schedule
     assert _own_state(buf) == before
     assert _times(to) == [None] * 6 and _fates(fate) == ["in_flight"] * 6
+
+
+# ------------------------------------------------------- buffer lifetime
+
+def test_buffers_share_no_held_packets_or_state():
+    # each buffer's state is its own: one fed a stream, another fed a
+    # different one, each ends where its own reference does, and feeding
+    # one never moves the other
+    shifted = [Packet(p.seq, p.ts + 3.0, p.arrival + 7.0) for p in _CHECKED]
+    bufs = [PlayoutBuffer(TransitEstimator(), interval_ms=10.0) for _ in range(2)]
+    refs = [BufferReference(TransitEstimator(), 10.0) for _ in range(2)]
+    for p, q in zip(_CHECKED, shifted):
+        other = _own_state(bufs[1])
+        assert bufs[0].on_arrival(p, p.arrival) == refs[0].arrival(p)
+        assert _own_state(bufs[1]) == other
+        other = _own_state(bufs[0])
+        assert bufs[1].on_arrival(q, q.arrival) == refs[1].arrival(q)
+        assert _own_state(bufs[0]) == other
+    for buf, ref in zip(bufs, refs):
+        assert _buffer_state(buf) == _reference_state(ref)
+    assert bufs[0]._buffer != bufs[1]._buffer
+    assert bufs[0].flush(100.0) == refs[0].flush(100.0)
+    assert bufs[1]._buffer == refs[1].held and bufs[1].pending_count > 0
+
+
+def test_dropped_buffers_free_their_held_packets():
+    # a buffer's held packets live in a table of its own; freeing the
+    # buffer must free the table, or the traced size grows by it per buffer
+    import tracemalloc
+
+    def churn(count):
+        for _ in range(count):
+            buf = PlayoutBuffer(FixedEstimator(target=1000.0), interval_ms=10.0)
+            for seq in range(40):  # all held: the table grows past its first size
+                buf.on_arrival(Packet(seq, 10.0 * seq, 10.0 * seq + 1.0), 10.0 * seq + 1.0)
+            assert buf.pending_count == 40
+
+    tracemalloc.start()
+    try:
+        churn(50)
+        before = tracemalloc.get_traced_memory()[0]
+        churn(2000)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # a leaked table of 128 slots is 3 kB a buffer, 6 MB over the churn
+    assert grown < 64 * 1024, grown
+
+
+def test_buffer_snapshot_is_a_copy():
+    buf = PlayoutBuffer(FixedEstimator(target=1000.0), interval_ms=10.0)
+    for p in _CHECKED[:3]:
+        buf.on_arrival(p, p.arrival)
+    snapshot = buf._buffer
+    held = dict(snapshot)
+    assert held == {0: (0.0, 5.0), 1: (10.0, 30.0), 2: (20.0, 25.0)}
+    snapshot.clear()
+    snapshot[7] = (70.0, 71.0)
+    assert buf._buffer == held and buf._buffer is not snapshot
+    assert buf.pending_count == 3
+    assert buf.flush(40.0) == [(0, 40.0), (1, 40.0), (2, 40.0)]
+    assert buf._buffer == {} and held == {0: (0.0, 5.0), 1: (10.0, 30.0), 2: (20.0, 25.0)}
+
+
+class _ForwardingProxy:
+    """Forwards every estimator call, as relaybench's span proxy does: its
+    own ``update`` and ``transit_target``, everything else by lookup."""
+
+    __slots__ = ("_est", "update", "transit_target")
+
+    def __init__(self, est):
+        self._est = est
+        self.update = est.update
+        self.transit_target = est.transit_target
+
+    def __getattr__(self, name):
+        return getattr(self._est, name)
+
+
+def test_buffer_keeps_what_relaybench_patches():
+    # relaybench wraps these by name in the class dict, and replaces a
+    # manager's ``_est`` with a proxy; both must keep working
+    for name in ("on_arrival", "play", "flush"):
+        assert name in vars(PlayoutBuffer)
+    packets = bursty_packets(np.random.default_rng(9), 1500)
+    order, ts, ta = _columns(packets)
+    runs = []
+    for proxied in (False, True):
+        stepped = PlayoutBuffer(TransitEstimator(), interval_ms=10.0)
+        played = PlayoutBuffer(TransitEstimator(), interval_ms=10.0)
+        if proxied:
+            stepped._est = _ForwardingProxy(stepped._est)
+            played._est = _ForwardingProxy(played._est)
+        got = _outputs(len(ts))
+        _step(stepped, packets, *got)
+        to, fate = _outputs(len(ts))
+        played.play(order, ts, ta, to, fate)
+        _assert_columns_equal((to, fate), got)
+        runs.append((_times(to), _fates(fate), _buffer_state(stepped), _buffer_state(played)))
+    assert runs[0] == runs[1]
+    assert "dropped_late" in runs[0][1] and "delivered" in runs[0][1]
 
 
 # ------------------------------------------------- shared invariants (fuzz)
