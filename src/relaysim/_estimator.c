@@ -885,7 +885,8 @@ check_seq(Py_ssize_t seq, Py_ssize_t limit, const char *what)
 }
 
 /* every seq of a schedule, and every seq held from before it, inside
-   columns of length ``limit`` */
+   columns of length ``limit``; an empty schedule releases nothing, so what
+   is held is checked only for a schedule with arrivals in it */
 static int
 check_seqs(const PlayoutCore *b, const Py_ssize_t *seqs, Py_ssize_t n, Py_ssize_t limit)
 {
