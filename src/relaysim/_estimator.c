@@ -647,121 +647,6 @@ Estimator_lags(Estimator *self, PyObject *const *args, Py_ssize_t nargs)
     return run_pass(self, args, nargs, 0);
 }
 
-static PyObject *
-get_n_window(Estimator *self, void *closure)
-{
-    return PyLong_FromSsize_t(self->transit.window.len);
-}
-
-static PyObject *
-get_lag_ms(Estimator *self, void *closure)
-{
-    return PyFloat_FromDouble(self->jitter_lag >= self->depth ? self->jitter_lag : self->depth);
-}
-
-static PyObject *
-get_n_jitter_samples(Estimator *self, void *closure)
-{
-    return PyLong_FromSsize_t(self->jit.window.len);
-}
-
-static PyMemberDef Transit_members[] = {
-    {"window_ms", T_DOUBLE, offsetof(Estimator, window_ms), READONLY, NULL},
-    {"bin_ms", T_DOUBLE, offsetof(Estimator, bin_ms), READONLY, NULL},
-    {"percentile", T_DOUBLE, offsetof(Estimator, percentile), READONLY, NULL},
-    {"loss_cost_ms", T_DOUBLE, offsetof(Estimator, loss_cost_ms), READONLY,
-     "Validated and kept for a shared configuration; only the ratchet reads it."},
-    {"initial_lag_ms", T_DOUBLE, offsetof(Estimator, initial_lag_ms), READONLY, NULL},
-    {"max_lag_ms", T_DOUBLE, offsetof(Estimator, max_lag_ms), READONLY, NULL},
-    {NULL},
-};
-
-static PyGetSetDef Transit_getset[] = {
-    {"n_window", (getter)get_n_window, NULL, "Arrivals in the transit window.", NULL},
-    {NULL},
-};
-
-static PyMemberDef Jitter_members[] = {
-    {"last_in_order", T_BOOL, offsetof(Estimator, last_in_order), READONLY,
-     "True when the last arrival was newer than every one before it."},
-    {"disorder", T_BOOL, offsetof(Estimator, disorder), READONLY,
-     "True while a reordering episode is open."},
-    {"jitter_lag_ms", T_DOUBLE, offsetof(Estimator, jitter_lag), READONLY,
-     "The jitter part of the lag: quantile, or the episode's ratchet."},
-    {"reorder_depth_ms", T_DOUBLE, offsetof(Estimator, depth), READONLY,
-     "The reorder-depth part of the lag at the last update."},
-    {NULL},
-};
-
-static PyGetSetDef Jitter_getset[] = {
-    {"lag_ms", (getter)get_lag_ms, NULL,
-     "The lag at the last update: the larger of the jitter lag and the reorder depth.", NULL},
-    {"n_jitter_samples", (getter)get_n_jitter_samples, NULL,
-     "Jitter samples in the window.", NULL},
-    {NULL},
-};
-
-static PyMethodDef Transit_methods[] = {
-    {"update", (PyCFunction)(void (*)(void))Estimator_update, METH_FASTCALL,
-     "update(ts, arrival)\n--\n\n"
-     "Observe one arrival: evict the samples that left the window and count it.\n"
-     "Returns the transit, ``arrival - ts`` (a JitterEstimator returns its lag)."},
-    {"transit_target", (PyCFunction)Estimator_transit_target, METH_NOARGS,
-     "transit_target()\n--\n\n"
-     "Upper bin edge of the windowed transit quantile at ``percentile``.\n\n"
-     "This is the playout buffer's generation-to-playout delay budget; the\n"
-     "upper edge guarantees the budget covers the quantile sample itself."},
-    {"targets", (PyCFunction)(void (*)(void))Estimator_targets, METH_FASTCALL,
-     "targets(ts, ta)\n--\n\n"
-     "``update`` then ``transit_target`` for each arrival of a stream in\n"
-     "arrival order: the column of targets, and the state those calls would\n"
-     "leave."},
-    {NULL},
-};
-
-static PyMethodDef Jitter_methods[] = {
-    {"lags", (PyCFunction)(void (*)(void))Estimator_lags, METH_FASTCALL,
-     "lags(ts, ta)\n--\n\n"
-     "``update`` for each arrival of a stream in arrival order: the column of\n"
-     "lags it would return, and the state it would leave."},
-    {NULL},
-};
-
-static PyTypeObject TransitType = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "relaysim._estimator.TransitEstimator",
-    .tp_doc = PyDoc_STR(
-        "TransitEstimator(window_ms=2000.0, bin_ms=1.0, percentile=0.95, "
-        "loss_cost_ms=100.0, initial_lag_ms=0.0, max_lag_ms=10000.0)\n--\n\n"
-        "The windowed transit quantile alone: all an adaptive playout buffer\n"
-        "reads. JitterEstimator extends it with the jitter histogram, the\n"
-        "reorder depth and the episode ratchet that the watermark's lag needs."),
-    .tp_basicsize = sizeof(Estimator),
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE,
-    .tp_new = PyType_GenericNew,
-    .tp_init = (initproc)Estimator_init,
-    .tp_dealloc = (destructor)Estimator_dealloc,
-    .tp_methods = Transit_methods,
-    .tp_members = Transit_members,
-    .tp_getset = Transit_getset,
-};
-
-static PyTypeObject JitterType = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "relaysim._estimator.JitterEstimator",
-    .tp_doc = PyDoc_STR(
-        "JitterEstimator(window_ms=2000.0, bin_ms=1.0, percentile=0.95, "
-        "loss_cost_ms=100.0, initial_lag_ms=0.0, max_lag_ms=10000.0)\n--\n\n"
-        "The watermark's lag estimator: the transit window plus the jitter\n"
-        "histogram, the reorder depth and the episode ratchet. ``update``\n"
-        "returns the refreshed lag; ``targets`` advances the jitter state too."),
-    .tp_basicsize = sizeof(Estimator),
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE,
-    .tp_methods = Jitter_methods,
-    .tp_members = Jitter_members,
-    .tp_getset = Jitter_getset,
-};
-
 /* --------------------------------------------------------- playout buffer */
 
 /* the codes of ``jitter.FATES`` that the step writes */
@@ -1240,6 +1125,121 @@ static PyTypeObject PlayoutCoreType = {
     .tp_methods = PlayoutCore_methods,
     .tp_members = PlayoutCore_members,
     .tp_getset = PlayoutCore_getset,
+};
+
+static PyObject *
+get_n_window(Estimator *self, void *closure)
+{
+    return PyLong_FromSsize_t(self->transit.window.len);
+}
+
+static PyObject *
+get_lag_ms(Estimator *self, void *closure)
+{
+    return PyFloat_FromDouble(self->jitter_lag >= self->depth ? self->jitter_lag : self->depth);
+}
+
+static PyObject *
+get_n_jitter_samples(Estimator *self, void *closure)
+{
+    return PyLong_FromSsize_t(self->jit.window.len);
+}
+
+static PyMemberDef Transit_members[] = {
+    {"window_ms", T_DOUBLE, offsetof(Estimator, window_ms), READONLY, NULL},
+    {"bin_ms", T_DOUBLE, offsetof(Estimator, bin_ms), READONLY, NULL},
+    {"percentile", T_DOUBLE, offsetof(Estimator, percentile), READONLY, NULL},
+    {"loss_cost_ms", T_DOUBLE, offsetof(Estimator, loss_cost_ms), READONLY,
+     "Validated and kept for a shared configuration; only the ratchet reads it."},
+    {"initial_lag_ms", T_DOUBLE, offsetof(Estimator, initial_lag_ms), READONLY, NULL},
+    {"max_lag_ms", T_DOUBLE, offsetof(Estimator, max_lag_ms), READONLY, NULL},
+    {NULL},
+};
+
+static PyGetSetDef Transit_getset[] = {
+    {"n_window", (getter)get_n_window, NULL, "Arrivals in the transit window.", NULL},
+    {NULL},
+};
+
+static PyMemberDef Jitter_members[] = {
+    {"last_in_order", T_BOOL, offsetof(Estimator, last_in_order), READONLY,
+     "True when the last arrival was newer than every one before it."},
+    {"disorder", T_BOOL, offsetof(Estimator, disorder), READONLY,
+     "True while a reordering episode is open."},
+    {"jitter_lag_ms", T_DOUBLE, offsetof(Estimator, jitter_lag), READONLY,
+     "The jitter part of the lag: quantile, or the episode's ratchet."},
+    {"reorder_depth_ms", T_DOUBLE, offsetof(Estimator, depth), READONLY,
+     "The reorder-depth part of the lag at the last update."},
+    {NULL},
+};
+
+static PyGetSetDef Jitter_getset[] = {
+    {"lag_ms", (getter)get_lag_ms, NULL,
+     "The lag at the last update: the larger of the jitter lag and the reorder depth.", NULL},
+    {"n_jitter_samples", (getter)get_n_jitter_samples, NULL,
+     "Jitter samples in the window.", NULL},
+    {NULL},
+};
+
+static PyMethodDef Transit_methods[] = {
+    {"update", (PyCFunction)(void (*)(void))Estimator_update, METH_FASTCALL,
+     "update(ts, arrival)\n--\n\n"
+     "Observe one arrival: evict the samples that left the window and count it.\n"
+     "Returns the transit, ``arrival - ts`` (a JitterEstimator returns its lag)."},
+    {"transit_target", (PyCFunction)Estimator_transit_target, METH_NOARGS,
+     "transit_target()\n--\n\n"
+     "Upper bin edge of the windowed transit quantile at ``percentile``.\n\n"
+     "This is the playout buffer's generation-to-playout delay budget; the\n"
+     "upper edge guarantees the budget covers the quantile sample itself."},
+    {"targets", (PyCFunction)(void (*)(void))Estimator_targets, METH_FASTCALL,
+     "targets(ts, ta)\n--\n\n"
+     "``update`` then ``transit_target`` for each arrival of a stream in\n"
+     "arrival order: the column of targets, and the state those calls would\n"
+     "leave."},
+    {NULL},
+};
+
+static PyMethodDef Jitter_methods[] = {
+    {"lags", (PyCFunction)(void (*)(void))Estimator_lags, METH_FASTCALL,
+     "lags(ts, ta)\n--\n\n"
+     "``update`` for each arrival of a stream in arrival order: the column of\n"
+     "lags it would return, and the state it would leave."},
+    {NULL},
+};
+
+static PyTypeObject TransitType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "relaysim._estimator.TransitEstimator",
+    .tp_doc = PyDoc_STR(
+        "TransitEstimator(window_ms=2000.0, bin_ms=1.0, percentile=0.95, "
+        "loss_cost_ms=100.0, initial_lag_ms=0.0, max_lag_ms=10000.0)\n--\n\n"
+        "The windowed transit quantile alone: all an adaptive playout buffer\n"
+        "reads. JitterEstimator extends it with the jitter histogram, the\n"
+        "reorder depth and the episode ratchet that the watermark's lag needs."),
+    .tp_basicsize = sizeof(Estimator),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE,
+    .tp_new = PyType_GenericNew,
+    .tp_init = (initproc)Estimator_init,
+    .tp_dealloc = (destructor)Estimator_dealloc,
+    .tp_methods = Transit_methods,
+    .tp_members = Transit_members,
+    .tp_getset = Transit_getset,
+};
+
+static PyTypeObject JitterType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "relaysim._estimator.JitterEstimator",
+    .tp_doc = PyDoc_STR(
+        "JitterEstimator(window_ms=2000.0, bin_ms=1.0, percentile=0.95, "
+        "loss_cost_ms=100.0, initial_lag_ms=0.0, max_lag_ms=10000.0)\n--\n\n"
+        "The watermark's lag estimator: the transit window plus the jitter\n"
+        "histogram, the reorder depth and the episode ratchet. ``update``\n"
+        "returns the refreshed lag; ``targets`` advances the jitter state too."),
+    .tp_basicsize = sizeof(Estimator),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE,
+    .tp_methods = Jitter_methods,
+    .tp_members = Jitter_members,
+    .tp_getset = Jitter_getset,
 };
 
 static struct PyModuleDef estimator_module = {

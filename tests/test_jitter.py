@@ -1,5 +1,7 @@
 """Watermark reorderer and adaptive playout buffer."""
 
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +20,9 @@ from relaysim import (
 from relaysim.jitter import FATES
 from buffer_reference import BufferReference
 from wm_reference import WatermarkReference, bursty_packets
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "relaybench"))
+import spans  # noqa: E402
 
 
 class FixedEstimator:
@@ -180,12 +185,15 @@ def _times(to):
 
 
 def _state(manager):
-    """Everything a manager carries from one arrival to the next. A pending
-    heap is compared sorted: every pop and ``flush`` take its (ts, seq)
-    minimum, so its layout is not behaviour."""
+    """Everything a manager carries from one arrival to the next: its own
+    attributes and, for a playout buffer, what its C base type holds. A
+    pending heap is compared sorted: every pop and ``flush`` take its
+    (ts, seq) minimum, so its layout is not behaviour."""
     est = manager._est
     own = {k: sorted(v) if k == "_pending" else v
            for k, v in vars(manager).items() if k != "_est"}
+    if isinstance(manager, PlayoutBuffer):
+        own["core"] = _own_state(manager)
     return (own, est.transit_target(), getattr(est, "n_window", None),
             getattr(est, "lag_ms", None))
 
@@ -848,26 +856,15 @@ def test_buffer_snapshot_is_a_copy():
     assert buf._buffer == {} and held == {0: (0.0, 5.0), 1: (10.0, 30.0), 2: (20.0, 25.0)}
 
 
-class _ForwardingProxy:
-    """Forwards every estimator call, as relaybench's span proxy does: its
-    own ``update`` and ``transit_target``, everything else by lookup."""
-
-    __slots__ = ("_est", "update", "transit_target")
-
-    def __init__(self, est):
-        self._est = est
-        self.update = est.update
-        self.transit_target = est.transit_target
-
-    def __getattr__(self, name):
-        return getattr(self._est, name)
-
-
 def test_buffer_keeps_what_relaybench_patches():
     # relaybench wraps these by name in the class dict, and replaces a
     # manager's ``_est`` with a proxy; both must keep working
     for name in ("on_arrival", "play", "flush"):
         assert name in vars(PlayoutBuffer)
+    for module, dotted, _ in spans.ENTRY_POINTS:
+        owner, _, name = dotted.partition(".")
+        if module == "relaysim.jitter" and owner == "PlayoutBuffer":
+            assert name in vars(PlayoutBuffer)
     packets = bursty_packets(np.random.default_rng(9), 1500)
     order, ts, ta = _columns(packets)
     runs = []
@@ -875,8 +872,9 @@ def test_buffer_keeps_what_relaybench_patches():
         stepped = PlayoutBuffer(TransitEstimator(), interval_ms=10.0)
         played = PlayoutBuffer(TransitEstimator(), interval_ms=10.0)
         if proxied:
-            stepped._est = _ForwardingProxy(stepped._est)
-            played._est = _ForwardingProxy(played._est)
+            tracer = spans.Tracer()
+            stepped._est = spans._EstimatorProxy(stepped._est, tracer)
+            played._est = spans._EstimatorProxy(played._est, tracer)
         got = _outputs(len(ts))
         _step(stepped, packets, *got)
         to, fate = _outputs(len(ts))
@@ -884,6 +882,7 @@ def test_buffer_keeps_what_relaybench_patches():
         _assert_columns_equal((to, fate), got)
         runs.append((_times(to), _fates(fate), _buffer_state(stepped), _buffer_state(played)))
     assert runs[0] == runs[1]
+    assert tracer.calls["estimator.update"] == len(packets)  # on_arrival went through the proxy
     assert "dropped_late" in runs[0][1] and "delivered" in runs[0][1]
 
 
