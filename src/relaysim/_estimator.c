@@ -89,6 +89,18 @@ estimator. ``_play`` checks every column (dtype, length, contiguity), and
 that every seq and every held seq lies inside the output columns, before
 it calls ``targets`` or writes anything.
 
+The routed session loop is here as well, as ``route``, which
+``relaysim.engine`` runs for every session with a router; the engine's
+docstring states its rules. Feedback and control messages are C structs
+in a binary heap that pops them as ``heapq`` pops the tuples (time, kind,
+push order), and the packets in flight are a C array in (ta, seq) order,
+into which each new block, sorted stably by ta, is merged. Every layer is
+reached through its Python entry point: the manager's ``on_arrival``, the
+router's ``observe``, ``follows_plan``, ``select`` and ``path_for``, the
+forward trace's ``sample`` and the engine's block function. An exception
+from any of them leaves ``route`` at once, with what it allocated freed.
+``Arrival`` is the compiled ``(seq, ts)`` it hands to ``on_arrival``.
+
 Python's arithmetic, reproduced exactly (the build passes
 ``-ffp-contract=off``, so no multiply-add is fused):
 
@@ -1127,6 +1139,671 @@ static PyTypeObject PlayoutCoreType = {
     .tp_getset = PlayoutCore_getset,
 };
 
+/* ------------------------------------------------------------- arrival */
+
+/* The ``(seq, ts)`` that the routed loop hands to a manager's
+   ``on_arrival``; it holds no object, so the collector never tracks it. */
+typedef struct {
+    PyObject_HEAD
+    Py_ssize_t seq;
+    double ts;
+} Arrival;
+
+static PyTypeObject ArrivalType;
+
+static PyObject *
+Arrival_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"seq", "ts", NULL};
+    Py_ssize_t seq;
+    double ts;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "nd", kwlist, &seq, &ts))
+        return NULL;
+    Arrival *a = PyObject_New(Arrival, type);
+    if (a != NULL) {
+        a->seq = seq;
+        a->ts = ts;
+    }
+    return (PyObject *)a;
+}
+
+static PyMemberDef Arrival_members[] = {
+    {"seq", T_PYSSIZET, offsetof(Arrival, seq), READONLY, NULL},
+    {"ts", T_DOUBLE, offsetof(Arrival, ts), READONLY, NULL},
+    {NULL},
+};
+
+static PyTypeObject ArrivalType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "relaysim._estimator.Arrival",
+    .tp_doc = PyDoc_STR(
+        "Arrival(seq, ts)\n--\n\n"
+        "A packet's seq and generation time, all a jitter manager reads off\n"
+        "an arrival."),
+    .tp_basicsize = sizeof(Arrival),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_new = Arrival_new,
+    .tp_members = Arrival_members,
+};
+
+/* ------------------------------------------------- the routed session loop */
+
+/* queued event kinds; an arrival ranks before both */
+#define EV_FEEDBACK 1
+#define EV_CONTROL 2
+
+static PyObject *str_observe, *str_select, *str_path_for, *str_follows_plan;
+
+/* A feedback or control message, ordered by (t, kind, order) as the tuple
+   ``(t, kind, order, a, b)`` would be. */
+typedef struct {
+    double t;
+    int kind;
+    Py_ssize_t order;  /* push order */
+    Py_ssize_t a;      /* feedback: the path rewarded; control: the plan's number */
+    union {
+        double reward;    /* feedback */
+        Py_ssize_t path;  /* control: the plan's path */
+    };
+} Event;
+
+typedef struct {
+    Event *heap;
+    Py_ssize_t len, cap, pushed, controls;
+} Events;
+
+/* tuple order: the first field that differs decides, by ``<`` */
+static inline int
+event_less(const Event *x, const Event *y)
+{
+    if (x->t != y->t)
+        return x->t < y->t;
+    if (x->kind != y->kind)
+        return x->kind < y->kind;
+    return x->order < y->order;
+}
+
+/* heapq._siftdown: the item at ``pos`` moves up while it is less than its
+   parent */
+static void
+sift_down(Event *heap, Py_ssize_t start, Py_ssize_t pos)
+{
+    Event item = heap[pos];
+    while (pos > start) {
+        Py_ssize_t parent = (pos - 1) >> 1;
+        if (!event_less(&item, &heap[parent]))
+            break;
+        heap[pos] = heap[parent];
+        pos = parent;
+    }
+    heap[pos] = item;
+}
+
+/* heapq.heappush, the event numbered in push order */
+static int
+events_push(Events *q, Event ev)
+{
+    if (q->len == q->cap) {
+        Py_ssize_t cap = q->cap ? 2 * q->cap : 64;
+        Event *heap = PyMem_Realloc(q->heap, cap * sizeof(Event));
+        if (heap == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        q->heap = heap;
+        q->cap = cap;
+    }
+    ev.order = q->pushed++;
+    q->controls += ev.kind == EV_CONTROL;
+    q->heap[q->len] = ev;
+    sift_down(q->heap, 0, q->len++);
+    return 0;
+}
+
+/* heapq.heappop: the last event fills the root's hole after the hole has
+   walked down the smaller children to a leaf */
+static Event
+events_pop(Events *q)
+{
+    Event *heap = q->heap, last = heap[--q->len];
+    if (!q->len) {
+        q->controls -= last.kind == EV_CONTROL;
+        return last;
+    }
+    Event top = heap[0];
+    Py_ssize_t end = q->len, pos = 0, child = 1;
+    while (child < end) {
+        if (child + 1 < end && !event_less(&heap[child], &heap[child + 1]))
+            child++;
+        heap[pos] = heap[child];
+        pos = child;
+        child = 2 * pos + 1;
+    }
+    heap[pos] = last;
+    sift_down(heap, 0, pos);
+    q->controls -= top.kind == EV_CONTROL;
+    return top;
+}
+
+/* the time of the earliest queued control message, inf if none */
+static double
+first_control(const Events *q)
+{
+    double tc = INFINITY;
+    for (Py_ssize_t i = 0; q->controls && i < q->len; i++)
+        if (q->heap[i].kind == EV_CONTROL && q->heap[i].t < tc)
+            tc = q->heap[i].t;
+    return tc;
+}
+
+static inline int
+push_feedback(Events *q, double t, Py_ssize_t pid, double reward)
+{
+    Event ev = {.t = t, .kind = EV_FEEDBACK, .a = pid, .reward = reward};
+    return events_push(q, ev);
+}
+
+/* A generated packet not yet arrived: its arrival, and when its feedback
+   would reach the sender if sent on arrival. */
+typedef struct {
+    double ta, fb;
+    Py_ssize_t seq, pid;
+} Pending;
+
+static int
+reserve_pending(Pending **buf, Py_ssize_t *cap, Py_ssize_t need)
+{
+    if (need <= *cap)
+        return 0;
+    Py_ssize_t c = *cap ? *cap : 64;
+    while (c < need)
+        c *= 2;
+    Pending *p = PyMem_Realloc(*buf, c * sizeof(Pending));
+    if (p == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    *buf = p;
+    *cap = c;
+    return 0;
+}
+
+/* a stable merge by ta: an entry of ``b`` goes first only when it is less */
+static void
+merge_by_ta(const Pending *a, Py_ssize_t na, const Pending *b, Py_ssize_t nb, Pending *out)
+{
+    Py_ssize_t i = 0, j = 0, k = 0;
+    while (i < na && j < nb)
+        out[k++] = b[j].ta < a[i].ta ? b[j++] : a[i++];
+    while (i < na)
+        out[k++] = a[i++];
+    while (j < nb)
+        out[k++] = b[j++];
+}
+
+/* a stable sort of ``x`` by ta, as ``list.sort`` keyed by ta: bottom-up
+   merges between ``x`` and ``scratch``, the result left in ``x`` */
+static void
+sort_by_ta(Pending *x, Pending *scratch, Py_ssize_t n)
+{
+    Py_ssize_t i = 1;
+    while (i < n && !(x[i].ta < x[i - 1].ta))
+        i++;
+    if (i >= n)
+        return;  /* in order already */
+    Pending *src = x, *dst = scratch;
+    for (Py_ssize_t width = 1; width < n; width *= 2) {
+        for (Py_ssize_t lo = 0; lo < n; lo += 2 * width) {
+            Py_ssize_t mid = n - lo < width ? n : lo + width;
+            Py_ssize_t hi = n - mid < width ? n : mid + width;
+            merge_by_ta(src + lo, mid - lo, src + mid, hi - mid, dst + lo);
+        }
+        Pending *swap = src;
+        src = dst;
+        dst = swap;
+    }
+    if (src != x)
+        memcpy(x, src, n * sizeof(Pending));
+}
+
+/* ``bisect.bisect_left(a, x, lo, hi)`` over a float64 column */
+static Py_ssize_t
+bisect_left(const double *a, double x, Py_ssize_t lo, Py_ssize_t hi)
+{
+    while (lo < hi) {
+        Py_ssize_t mid = lo + (hi - lo) / 2;
+        if (a[mid] < x)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/* ``a, b = obj``, as new references */
+static int
+unpack2(PyObject *obj, PyObject **a, PyObject **b)
+{
+    PyObject *items = PySequence_Fast(obj, "cannot unpack a non-iterable object");
+    if (items == NULL)
+        return -1;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(items);
+    if (n == 2) {
+        *a = Py_NewRef(PySequence_Fast_GET_ITEM(items, 0));
+        *b = Py_NewRef(PySequence_Fast_GET_ITEM(items, 1));
+    }
+    else if (n < 2)
+        PyErr_Format(PyExc_ValueError, "not enough values to unpack (expected 2, got %zd)", n);
+    else
+        PyErr_SetString(PyExc_ValueError, "too many values to unpack (expected 2)");
+    Py_DECREF(items);
+    return n == 2 ? 0 : -1;
+}
+
+/* a path id out of what a router returned, which it steals */
+static int
+take_path(PyObject *obj, Py_ssize_t *pid)
+{
+    if (obj == NULL)
+        return -1;
+    *pid = PyNumber_AsSsize_t(obj, PyExc_OverflowError);
+    Py_DECREF(obj);
+    return *pid == -1 && PyErr_Occurred() ? -1 : 0;
+}
+
+static int
+follows_plan(PyObject *router)
+{
+    PyObject *value = PyObject_GetAttr(router, str_follows_plan);
+    if (value == NULL)
+        return -1;
+    int r = PyObject_IsTrue(value);
+    Py_DECREF(value);
+    return r;
+}
+
+/* The state of one routed session's loop; the columns are seq-indexed. */
+typedef struct {
+    PyObject *router, *on_arrival, *block, *sample, *changes;
+    Py_ssize_t n, block_size;
+    const double *ticks;
+    double *ta, *to;
+    signed char *fate;
+    int *path;
+    Events q;
+    /* the packets generated and not yet arrived, from pend[pos] to
+       pend[len], in (ta, seq) order; ``scratch`` holds a new block */
+    Pending *pend, *scratch;
+    Py_ssize_t pos, len, pend_cap, scratch_cap;
+} Loop;
+
+/* ``router.observe(pid, reward)``, then ``follows_plan``, then ``select()``
+   while it holds; a new pick is a plan, sent to the sender over the forward
+   direct link. */
+static int
+feedback(Loop *s, const Event *ev, Py_ssize_t *plan_path, double *overhead)
+{
+    PyObject *pid = PyLong_FromSsize_t(ev->a);
+    PyObject *reward = pid == NULL ? NULL : PyFloat_FromDouble(ev->reward);
+    if (reward == NULL) {
+        Py_XDECREF(pid);
+        return -1;
+    }
+    PyObject *args[3] = {s->router, pid, reward};
+    PyObject *r = PyObject_VectorcallMethod(str_observe, args,
+                                            3 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
+    Py_DECREF(pid);
+    Py_DECREF(reward);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    int follows = follows_plan(s->router);
+    if (follows <= 0)
+        return follows;
+    Py_ssize_t selected;
+    if (take_path(PyObject_VectorcallMethod(str_select, &s->router,
+                                            1 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL),
+                  &selected) < 0)
+        return -1;
+    if (selected == *plan_path)
+        return 0;
+    PyObject *t = PyFloat_FromDouble(ev->t);
+    if (t == NULL)
+        return -1;
+    PyObject *sampled = PyObject_CallOneArg(s->sample, t);
+    Py_DECREF(t);
+    if (sampled == NULL)
+        return -1;
+    double delay = PyFloat_AsDouble(sampled);
+    Py_DECREF(sampled);
+    if (delay == -1.0 && PyErr_Occurred())
+        return -1;
+    *overhead += delay;
+    PyObject *change = Py_BuildValue("(dnn)", ev->t, *plan_path, selected);
+    if (change == NULL || PyList_Append(s->changes, change) < 0) {
+        Py_XDECREF(change);
+        return -1;
+    }
+    Py_DECREF(change);
+    *plan_path = selected;
+    Event control = {.t = ev->t + delay, .kind = EV_CONTROL,
+                     .a = PyList_GET_SIZE(s->changes), .path = selected};
+    return events_push(&s->q, control);
+}
+
+/* An arrival handed to ``on_arrival(Arrival(seq, ts), ta)``. A dropped
+   packet never plays out, so it is rewarded with its lateness at arrival:
+   that is what lets the router learn that a probed path is slow (every
+   probe of a bad path is dropped, so without it the path's posterior never
+   moves and exploration never stops). Each packet played out is rewarded
+   with its output time. Both are sent at max(out, ta), which is ta, as no
+   manager emits later. */
+static int
+hand_over(Loop *s, const Pending *p, double ts)
+{
+    Arrival *arrival = PyObject_New(Arrival, &ArrivalType);
+    if (arrival == NULL)
+        return -1;
+    arrival->seq = p->seq;
+    arrival->ts = ts;
+    PyObject *now = PyFloat_FromDouble(p->ta);
+    if (now == NULL) {
+        Py_DECREF(arrival);
+        return -1;
+    }
+    PyObject *args[2] = {(PyObject *)arrival, now};
+    PyObject *result = PyObject_Vectorcall(s->on_arrival, args, 2, NULL);
+    Py_DECREF(arrival);
+    Py_DECREF(now);
+    if (result == NULL)
+        return -1;
+    PyObject *emissions, *dropped, *it = NULL, *em = NULL, *seq_obj = NULL, *out_obj = NULL;
+    int rc = unpack2(result, &emissions, &dropped);
+    Py_DECREF(result);
+    if (rc < 0)
+        return -1;
+    rc = -1;
+    int was_dropped = PyObject_IsTrue(dropped);
+    if (was_dropped < 0)
+        goto done;
+    if (was_dropped) {
+        s->fate[p->seq] = FATE_DROPPED_LATE;
+        if (push_feedback(&s->q, p->fb, p->pid, p->ta - ts) < 0)
+            goto done;
+    }
+    if ((it = PyObject_GetIter(emissions)) == NULL)
+        goto done;
+    while ((em = PyIter_Next(it)) != NULL) {
+        if (unpack2(em, &seq_obj, &out_obj) < 0)
+            goto done;
+        Py_ssize_t seq = PyNumber_AsSsize_t(seq_obj, PyExc_IndexError);
+        if (seq == -1 && PyErr_Occurred())
+            goto done;
+        double out = PyFloat_AsDouble(out_obj);
+        if (out == -1.0 && PyErr_Occurred())
+            goto done;
+        if (check_seq(seq, s->n, "emitted seq") < 0)
+            goto done;
+        s->to[seq] = out;
+        s->fate[seq] = FATE_DELIVERED;
+        if (push_feedback(&s->q, p->fb, s->path[seq], out - s->ticks[seq]) < 0)
+            goto done;
+        Py_CLEAR(em);
+        Py_CLEAR(seq_obj);
+        Py_CLEAR(out_obj);
+    }
+    if (!PyErr_Occurred())
+        rc = 0;
+done:
+    Py_XDECREF(em);
+    Py_XDECREF(seq_obj);
+    Py_XDECREF(out_obj);
+    Py_XDECREF(it);
+    Py_DECREF(emissions);
+    Py_DECREF(dropped);
+    return rc;
+}
+
+/* Packets ``lo`` to ``hi`` on path ``pid``: ``block(lo, hi, pid)`` gives
+   their arrival times and feedback times, which go into the columns and,
+   sorted stably by ta, are merged into the packets still in flight. */
+static int
+generate(Loop *s, Py_ssize_t lo, Py_ssize_t hi, Py_ssize_t pid)
+{
+    if (pid < INT_MIN || pid > INT_MAX) {
+        PyErr_Format(PyExc_OverflowError, "path id %zd does not fit the int32 path column", pid);
+        return -1;
+    }
+    PyObject *r = PyObject_CallFunction(s->block, "nnn", lo, hi, pid);
+    if (r == NULL)
+        return -1;
+    PyObject *arrive_obj, *fb_obj;
+    int rc = unpack2(r, &arrive_obj, &fb_obj);
+    Py_DECREF(r);
+    if (rc < 0)
+        return -1;
+    Py_buffer arrive, fb;
+    arrive.obj = fb.obj = NULL;
+    Py_ssize_t k = hi - lo, m = s->len - s->pos;
+    rc = -1;
+    if (get_column(arrive_obj, &arrive) < 0 || get_column(fb_obj, &fb) < 0)
+        goto done;
+    if (arrive.ndim != 1 || fb.ndim != 1 || arrive.shape[0] != k || fb.shape[0] != k) {
+        PyErr_SetString(PyExc_ValueError, "block must give two 1-d columns of the block's length");
+        goto done;
+    }
+    if (reserve_pending(&s->pend, &s->pend_cap, m + k) < 0
+        || reserve_pending(&s->scratch, &s->scratch_cap, 2 * k) < 0)
+        goto done;
+    const double *a = arrive.buf, *f = fb.buf;
+    Pending *block = s->scratch;
+    for (Py_ssize_t i = 0; i < k; i++) {
+        s->ta[lo + i] = a[i];
+        s->path[lo + i] = (int)pid;
+        block[i].ta = a[i];
+        block[i].fb = f[i];
+        block[i].seq = lo + i;
+        block[i].pid = pid;
+    }
+    sort_by_ta(block, block + k, k);
+    /* every seq in flight is below lo, so a stable merge by ta, backwards
+       in place, keeps the (ta, seq) order */
+    Pending *pend = s->pend;
+    if (m && s->pos)
+        memmove(pend, pend + s->pos, m * sizeof(Pending));
+    Py_ssize_t i = m - 1, j = k - 1, w = m + k - 1;
+    while (j >= 0)
+        pend[w--] = i >= 0 && block[j].ta < pend[i].ta ? pend[i--] : block[j--];
+    s->pos = 0;
+    s->len = m + k;
+    rc = 0;
+done:
+    PyBuffer_Release(&arrive);
+    PyBuffer_Release(&fb);
+    Py_DECREF(arrive_obj);
+    Py_DECREF(fb_obj);
+    return rc;
+}
+
+/* Whether generated packet ``seq``, the first at or after ``t``, has
+   arrived by ``t``: only a packet arriving at its own tick can, before a
+   plan that lands at that tick is issued (a chain of feedback and control
+   over links whose latency rounds away). One event queue generates it
+   before that plan, so it keeps its path. */
+static int
+arrived_at_tick(const Loop *s, Py_ssize_t seq, double t)
+{
+    if (!(s->ta[seq] == t))
+        return 0;
+    for (Py_ssize_t i = s->pos; i < s->len && s->pend[i].ta <= t; i++)
+        if (s->pend[i].seq == seq)
+            return 0;
+    return 1;
+}
+
+/* The loop itself, on columns already checked. */
+static int
+run_loop(Loop *s, Py_ssize_t initial_path, double *overhead)
+{
+    const double *ticks = s->ticks;
+    Py_ssize_t n = s->n, gen = 0, plan_path = initial_path, active_path = initial_path;
+    Py_ssize_t adopted = 0;
+    double nxt = n ? ticks[0] : INFINITY;  /* the tick of packet gen */
+    for (;;) {
+        double top = s->q.len ? s->q.heap[0].t : INFINITY;
+        /* arrivals, up to the next queued event or the next tick: a queued
+           event goes after an arrival at its time, but before a packet
+           arriving at its own tick, which it may yet re-route */
+        while (s->pos < s->len) {
+            Pending p = s->pend[s->pos];
+            double ts = ticks[p.seq];
+            if (p.ta > nxt || p.ta > top || (p.ta == top && p.ta == ts))
+                break;
+            s->pos++;
+            if (s->on_arrival == Py_None) {  /* the transmit reward; play runs after */
+                if (push_feedback(&s->q, p.fb, p.pid, p.ta - ts) < 0)
+                    return -1;
+                if (p.fb < top)
+                    top = p.fb;
+                continue;
+            }
+            if (hand_over(s, &p, ts) < 0)
+                return -1;
+            if (s->q.len)
+                top = s->q.heap[0].t;
+        }
+        if (s->q.len && top <= nxt) {
+            Event ev = events_pop(&s->q);
+            if (ev.kind == EV_FEEDBACK) {
+                if (feedback(s, &ev, &plan_path, overhead) < 0)
+                    return -1;
+            }
+            else if (ev.a > adopted) {  /* a control message not overtaken */
+                adopted = ev.a;
+                if (ev.path != active_path) {
+                    active_path = ev.path;
+                    /* packets from the tick at ev.t on were generated on the
+                       old path: generate them again, from the first one not
+                       arrived */
+                    Py_ssize_t cut = bisect_left(ticks, ev.t, 0, gen);
+                    if (cut < gen && arrived_at_tick(s, cut, ev.t))
+                        cut++;
+                    if (cut < gen) {
+                        Py_ssize_t kept = 0;
+                        for (Py_ssize_t i = s->pos; i < s->len; i++)
+                            if (s->pend[i].seq < cut)
+                                s->pend[kept++] = s->pend[i];
+                        s->pos = 0;
+                        s->len = kept;
+                        gen = cut;
+                        nxt = ticks[gen];
+                    }
+                }
+            }
+        }
+        else if (gen < n) {
+            /* the next block on the active path, or one packet at a time
+               while the router picks paths of its own */
+            int follows = follows_plan(s->router);
+            if (follows < 0)
+                return -1;
+            Py_ssize_t pid, hi;
+            if (follows) {
+                pid = active_path;
+                /* ticks from the next queued control message's on may be cut */
+                hi = bisect_left(ticks, first_control(&s->q), gen,
+                                 n - gen < s->block_size ? n : gen + s->block_size);
+            }
+            else {
+                PyObject *seq = PyLong_FromSsize_t(gen);
+                if (seq == NULL)
+                    return -1;
+                PyObject *args[2] = {s->router, seq};
+                PyObject *r = PyObject_VectorcallMethod(str_path_for, args,
+                                                        2 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
+                Py_DECREF(seq);
+                if (take_path(r, &pid) < 0)
+                    return -1;
+                hi = gen + 1;
+            }
+            if (generate(s, gen, hi, pid) < 0)
+                return -1;
+            gen = hi;
+            nxt = gen < n ? ticks[gen] : INFINITY;
+        }
+        else
+            return 0;
+    }
+}
+
+static PyObject *
+route(PyObject *module, PyObject *args)
+{
+    Loop s;
+    memset(&s, 0, sizeof(s));
+    PyObject *cols[5];
+    Py_ssize_t initial_path;
+    if (!PyArg_ParseTuple(args, "OOOOOOOOOnn:route", &s.router, &s.on_arrival, &s.block,
+                          &s.sample, &cols[0], &cols[1], &cols[2], &cols[3], &cols[4],
+                          &initial_path, &s.block_size))
+        return NULL;
+    if (s.block_size < 1) {
+        PyErr_SetString(PyExc_ValueError, "block_size must be positive");
+        return NULL;
+    }
+    Py_buffer ticks, ta, to, fate, path;
+    ticks.obj = ta.obj = to.obj = fate.obj = path.obj = NULL;
+    PyObject *result = NULL;
+    double overhead = 0.0;
+    if (get_column(cols[0], &ticks) < 0)
+        goto done;
+    if (get_output(cols[1], &ta, "ta", "d", 8, "float64") < 0
+        || get_output(cols[2], &to, "to", "d", 8, "float64") < 0
+        || get_output(cols[3], &fate, "fate", "b", 1, "int8") < 0
+        || get_output(cols[4], &path, "path", "i", 4, "int32") < 0)
+        goto done;
+    s.n = ticks.ndim == 1 ? ticks.shape[0] : -1;
+    if (s.n < 0 || ta.shape[0] != s.n || to.shape[0] != s.n || fate.shape[0] != s.n
+        || path.shape[0] != s.n) {
+        PyErr_SetString(PyExc_ValueError, "ticks, ta, to, fate and path must be 1-d columns "
+                                          "of one length");
+        goto done;
+    }
+    s.ticks = ticks.buf;
+    s.ta = ta.buf;
+    s.to = to.buf;
+    s.fate = fate.buf;
+    s.path = path.buf;
+    if ((s.changes = PyList_New(0)) == NULL)
+        goto done;
+    if (run_loop(&s, initial_path, &overhead) == 0)
+        result = Py_BuildValue("(Od)", s.changes, overhead);
+done:
+    Py_XDECREF(s.changes);
+    PyMem_Free(s.q.heap);
+    PyMem_Free(s.pend);
+    PyMem_Free(s.scratch);
+    PyBuffer_Release(&ticks);
+    PyBuffer_Release(&ta);
+    PyBuffer_Release(&to);
+    PyBuffer_Release(&fate);
+    PyBuffer_Release(&path);
+    return result;
+}
+
+static PyMethodDef module_methods[] = {
+    {"route", (PyCFunction)route, METH_VARARGS,
+     "route(router, on_arrival, block, sample, ticks, ta, to, fate, path, initial_path,\n"
+     "      block_size)\n--\n\n"
+     "Run a routed session's event loop: ``relaysim.engine`` states its rules.\n"
+     "``on_arrival`` is the manager's, or None for a session rewarded at\n"
+     "transmit; ``block(lo, hi, pid)`` gives the arrival and feedback times of\n"
+     "packets lo to hi on path pid; ``sample(t)`` is the forward direct delay\n"
+     "of a plan sent at t. Writes ``ta``, ``path`` (int32), ``to`` and\n"
+     "``fate`` (int8), seq-indexed, and returns ``(path_changes, overhead)``."},
+    {NULL},
+};
+
 static PyObject *
 get_n_window(Estimator *self, void *closure)
 {
@@ -1245,8 +1922,10 @@ static PyTypeObject JitterType = {
 static struct PyModuleDef estimator_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "relaysim._estimator",
-    .m_doc = "Windowed jitter/transit estimators and the playout buffer's core.",
+    .m_doc = "Windowed jitter/transit estimators, the playout buffer's core and the routed "
+             "session loop.",
     .m_size = -1,
+    .m_methods = module_methods,
 };
 
 PyMODINIT_FUNC
@@ -1264,10 +1943,17 @@ PyInit__estimator(void)
     Py_XDECREF(numpy);
     if (ValidationError == NULL || np_asarray == NULL || np_empty == NULL || np_float64 == NULL)
         return NULL;
+    str_observe = PyUnicode_InternFromString("observe");
+    str_select = PyUnicode_InternFromString("select");
+    str_path_for = PyUnicode_InternFromString("path_for");
+    str_follows_plan = PyUnicode_InternFromString("follows_plan");
+    if (str_observe == NULL || str_select == NULL || str_path_for == NULL
+        || str_follows_plan == NULL)
+        return NULL;
 
     JitterType.tp_base = &TransitType;
     if (PyType_Ready(&TransitType) < 0 || PyType_Ready(&JitterType) < 0
-        || PyType_Ready(&PlayoutCoreType) < 0)
+        || PyType_Ready(&PlayoutCoreType) < 0 || PyType_Ready(&ArrivalType) < 0)
         return NULL;
     PyObject *m = PyModule_Create(&estimator_module);
     if (m == NULL)
@@ -1277,6 +1963,7 @@ PyInit__estimator(void)
         || PyModule_AddObjectRef(m, "TransitEstimator", (PyObject *)&TransitType) < 0
         || PyModule_AddObjectRef(m, "JitterEstimator", (PyObject *)&JitterType) < 0
         || PyModule_AddObjectRef(m, "PlayoutCore", (PyObject *)&PlayoutCoreType) < 0
+        || PyModule_AddObjectRef(m, "Arrival", (PyObject *)&ArrivalType) < 0
         || PyModule_AddObjectRef(m, "DISORDER_GUARD_MS", guard) < 0) {
         Py_XDECREF(guard);
         Py_DECREF(m);

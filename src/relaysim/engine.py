@@ -23,15 +23,32 @@ IEEE TSE 1979). A block's arrival times, and the times its feedback would
 reach the sender if sent on arrival, are computed as arrays, and the block is
 merged into the arrivals still in flight with one stable sort by Ta. Only
 feedback and control messages wait in a heap. An adoption at tc that changes
-the path cuts the packets generated with Ts >= tc, none of which has arrived
-yet, and generates them again from the cut on the new path; while a control
-message is queued, a block ends at its tick, so nothing it may cut is
-generated before it lands. A packet whose
-latency rounds away (Ta == Ts) arrives after every event queued for its Ta,
-as it would if generated at its tick. While the router picks paths of its own
-(UCB1's forced round, until ``follows_plan``), blocks are one packet long.
-A session without a router would queue nothing but arrivals, all on one
-path, so every Ta is computed at once instead.
+the path cuts the packets generated with Ts >= tc that have not arrived, and
+generates them again from the cut on the new path; while a control message
+is queued, a block ends at its tick, so nothing it may cut is generated
+before it lands. A packet whose latency rounds away (Ta == Ts) arrives after
+every event queued for its Ta, as it would if generated at its tick. So it
+is the one packet that can arrive before a plan landing at its tick is
+issued (feedback and control over direct links whose latency rounds away
+too), and it keeps its path: one event queue generates it before that plan.
+While the router picks paths of its own (UCB1's forced round, until
+``follows_plan``), blocks are one packet long. A session without a router
+would queue nothing but arrivals, all on one path, so every Ta is computed
+at once instead.
+
+The routed loop runs compiled, in ``relaysim._estimator.route``: the
+arrivals in flight, the heap and the block, cut and stale-plan rules are C
+structs, and it writes Ta, path id, To and fate into the columns itself. It
+reaches every layer through the same Python entry points as a loop written
+in Python would, in the same order and with the same arguments: the
+manager's ``on_arrival(arrival, Ta)`` for each arrival of a session
+rewarded end to end, with a compiled ``(seq, ts)`` arrival; the router's
+``observe(path_id, reward)``, then its ``follows_plan``, then ``select()``
+for each feedback; ``path_for(seq)`` while it does not follow a plan; the
+forward direct trace's ``sample(t)`` for each plan; and ``run_session``'s
+block function, which looks up ``path_latency`` and the reverse direct
+trace's ``at`` when it is called. An exception from any of them leaves
+``run_session`` as it was raised.
 
 Every session keeps seq-indexed numpy columns, not per-packet objects: the
 routed loop writes each block's Ta and path id as it generates the block. A
@@ -64,29 +81,23 @@ holds, and asks ``path_for`` only while it does not.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from heapq import heappop, heappush
-from itertools import repeat
-from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
+from ._estimator import route
 from .errors import ConfigurationError, ValidationError
 from .jitter import (DELIVERED, DROPPED_LATE, FATES, FLUSHED, IN_FLIGHT, JITTER_KINDS,
-                     JitterConfig, _Arrival, build_jitter_manager)
+                     JitterConfig, build_jitter_manager)
 from .paths import (RelayPath, enumerate_paths, path_latency, prune_topk, required_links,
                     warmup_stats)
 from .reports import MetricsReport, build_report
 from .routing import ThompsonRouter, Ucb1Router, tau0_from_variance
 from .traces import Topology
 
-EV_FEEDBACK, EV_CONTROL = 1, 2  # queued event kinds; an arrival ranks before both
-
 ARRIVAL_BLOCK = 256  # packets generated at once on an adopted plan
 RECORD_BLOCK = 2048  # records built at once from a session's columns
-_TA = itemgetter(0)
 
 ROUTER_KINDS = ("direct", "via_ucb1", "vcroute_ts")
 
@@ -266,111 +277,20 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
     else:
         direct_fwd = topology.trace(cfg.endpoint, cfg.user)
         direct_rev = topology.trace(cfg.user, cfg.endpoint)
-        on_arrival = jm.on_arrival
         ta = np.empty(n)
         path = np.empty(n, np.int32)
 
-        # plan_path is the last path selected; len(path_changes) numbers the plans
-        plan_path = active_path = initial_path
-        adopted_version = 0
+        def block(lo: int, hi: int, pid: int) -> tuple[np.ndarray, np.ndarray]:
+            # the packets' arrival times, and when each one's feedback would
+            # reach the sender if sent on arrival; path_latency is looked up
+            # here, per block
+            times = ticks[lo:hi]
+            arrive = times + path_latency(topology, all_paths[pid], times)
+            return arrive, arrive + direct_rev.at(arrive)
 
-        heap: list[tuple[float, int, int, int, float]] = []  # feedback and control
-        ctr = 0
-        gen_times = ticks.tolist()
-        gen = 0  # packets generated so far, ta[:gen] and path[:gen]
-        # (ta, seq, feedback time if sent at ta, path id) of every generated
-        # packet not yet arrived, from pending[pos] on, in (ta, seq) order
-        pending: list[tuple[float, int, float, int]] = []
-        pos = 0
-        inf = math.inf
-        nxt = gen_times[0] if n else inf  # the tick of packet gen
-
-        while True:
-            top = heap[0][0] if heap else inf
-            # arrivals, up to the next queued event or the next tick: a queued
-            # event goes after an arrival at its time, but before a packet
-            # arriving at its own tick, which it may yet re-route
-            while pos < len(pending):
-                t, seq, fb_at, pid = pending[pos]
-                ts = gen_times[seq]
-                if t > nxt or t > top or (t == top and t == ts):
-                    break
-                pos += 1
-                if play_after:  # the transmit reward; play runs after the loop
-                    heappush(heap, (fb_at, EV_FEEDBACK, ctr, pid, t - ts))
-                    ctr += 1
-                    if fb_at < top:
-                        top = fb_at
-                    continue
-                emissions, was_dropped = on_arrival(_Arrival(seq, ts), t)
-                # the e2e reward of a dropped packet: it never plays out, but
-                # its lateness at arrival is known and is the signal that lets
-                # the scheduler learn a probed path is slow; without it the
-                # posterior of a bad path never updates (every probe gets
-                # dropped) and exploration is never suppressed
-                if was_dropped:
-                    fate[seq] = DROPPED_LATE
-                    heappush(heap, (fb_at, EV_FEEDBACK, ctr, pid, t - ts))
-                    ctr += 1
-                for em_seq, out in emissions:
-                    to[em_seq] = out
-                    fate[em_seq] = DELIVERED
-                    # sent at max(out, t), which is t, as no manager emits later
-                    heappush(heap, (fb_at, EV_FEEDBACK, ctr, path.item(em_seq), out - gen_times[em_seq]))
-                    ctr += 1
-                if heap:
-                    top = heap[0][0]
-            if heap and top <= nxt:
-                t, kind, _, a, b = heappop(heap)
-                if kind == EV_FEEDBACK:
-                    router.observe(a, b)
-                    if router.follows_plan:
-                        selected = router.select()
-                        if selected != plan_path:
-                            delay = direct_fwd.sample(t)
-                            overhead_sum += delay
-                            path_changes.append((t, plan_path, selected))
-                            plan_path = selected
-                            heappush(heap, (t + delay, EV_CONTROL, ctr, len(path_changes), selected))
-                            ctr += 1
-                else:  # EV_CONTROL
-                    if a > adopted_version:
-                        adopted_version = a
-                        if b != active_path:
-                            active_path = b
-                            # packets from the tick at t on were generated on
-                            # the old path and none has arrived: generate them
-                            # again
-                            cut = bisect_left(gen_times, t, 0, gen)
-                            if cut < gen:
-                                pending = [p for p in pending[pos:] if p[1] < cut]
-                                pos = 0
-                                gen = cut
-                                nxt = gen_times[gen]
-            elif gen < n:
-                # the next block on the active path, or one packet at a time
-                # while the router picks paths of its own
-                if router.follows_plan:
-                    pid = active_path
-                    # ticks from the next queued control message's on may be cut
-                    tc = min((ev[0] for ev in heap if ev[1] == EV_CONTROL), default=inf)
-                    hi = bisect_left(gen_times, tc, gen, min(gen + ARRIVAL_BLOCK, n))
-                else:
-                    pid = router.path_for(gen)
-                    hi = gen + 1
-                times = ticks[gen:hi]
-                ta[gen:hi] = arrive = times + path_latency(topology, all_paths[pid], times)
-                path[gen:hi] = pid
-                # stable: arrivals tied on ta stay in seq order
-                pending = pending[pos:]
-                pending.extend(zip(arrive.tolist(), range(gen, hi),
-                                   (arrive + direct_rev.at(arrive)).tolist(), repeat(pid)))
-                pending.sort(key=_TA)
-                pos = 0
-                gen = hi
-                nxt = gen_times[gen] if gen < n else inf
-            else:
-                break
+        path_changes, overhead_sum = route(
+            router, None if play_after else jm.on_arrival, block, direct_fwd.sample,
+            ticks, ta, to, fate, path, initial_path, ARRIVAL_BLOCK)
 
     if play_after:
         # the arrivals in (ta, seq) order, the order the event queue pops them in

@@ -31,8 +31,9 @@ Both managers are event-driven: emissions happen while processing an arrival,
 plus a final flush at session teardown. An emission is ``(seq, out)``: which
 packet plays out, and when. ``on_arrival(packet, now)`` processes one
 arrival; it takes the arrival time from ``now`` and reads only ``seq`` and
-``ts`` off ``packet``, so a :class:`Packet`, a record and the engine's
-``_Arrival`` all serve. ``play(order, ts, ta, to, fate)`` processes a whole
+``ts`` off ``packet``, so a :class:`Packet`, a record and the routed loop's
+``_Arrival`` (``relaysim._estimator.Arrival``, a compiled ``(seq, ts)``) all
+serve. ``play(order, ts, ta, to, fate)`` processes a whole
 arrival schedule held in seq-indexed numpy columns: it writes each packet's
 output time into ``to`` and its fate code (``FATES``) into ``fate``. The
 engine calls ``play`` once per session, after its loop, for every session
@@ -90,7 +91,7 @@ from typing import NamedTuple, Protocol
 import numpy as np
 
 from .errors import ValidationError
-from ._estimator import JitterEstimator, PlayoutCore, TransitEstimator
+from ._estimator import Arrival as _Arrival, JitterEstimator, PlayoutCore, TransitEstimator
 
 
 @dataclass(frozen=True)
@@ -111,17 +112,6 @@ class Stamped(Protocol):
 
     seq: int
     ts: float
-
-
-class _Arrival:
-    """The ``(seq, ts)`` that the engine hands to ``on_arrival``: a slotted
-    class, which builds in about half a NamedTuple's time."""
-
-    __slots__ = ("seq", "ts")
-
-    def __init__(self, seq: int, ts: float) -> None:
-        self.seq = seq
-        self.ts = ts
 
 
 class Emission(NamedTuple):
@@ -206,7 +196,7 @@ class WatermarkReorderer:
         heappush(self._pending, (ts, packet.seq))
         out: list[Emission] = []
         while self._pending and self._pending[0][0] < self._wm:
-            out.append(Emission(heappop(self._pending)[1], now))
+            out.append(Emission._make((heappop(self._pending)[1], now)))
         return out, False
 
     def play(self, order: np.ndarray, ts: np.ndarray, ta: np.ndarray,

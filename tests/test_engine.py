@@ -1,6 +1,7 @@
 """Session engine tests against hand-computed constant-trace oracles."""
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaysim import (
     METHODS,
@@ -795,6 +798,143 @@ def test_arrival_at_its_own_tick_waits_for_a_control_message(jitter, monkeypatch
     assert all(rec.ta == rec.ts for rec in res.records[:5])
     assert all(rec.ta == rec.ts + 30.0 for rec in res.records[5:])
     _assert_equals_oracle(topo, cfg, None)
+
+
+@pytest.mark.parametrize("feedback, first", [("transmit", 1), ("e2e", 2)])
+def test_a_packet_arrived_at_its_tick_keeps_its_path(feedback, first, monkeypatch):
+    # both direct links are 1e-12 ms, which rounds away at WARMUP: packets
+    # on the direct path arrive at their own tick, and so do a feedback and
+    # a plan sent over those links. The first feedback (packet 0's arrival
+    # at transmit; end to end, packet 0's play-out at packet 1's arrival)
+    # issues a plan for e0->r0->u0 that lands at the tick of the packet
+    # whose arrival sent it. That packet arrived before the plan was issued,
+    # so it keeps the direct path, as in one event queue.
+    _script_router(monkeypatch, [1], feedback)
+    topo = _relay_topology({("e0", "u0"): 1e-12, ("u0", "e0"): 1e-12,
+                            ("e0", "r0"): 10.0, ("r0", "u0"): 10.0})
+    cfg = _scripted_cfg()
+    res = run_session(topo, cfg)
+    assert [rec.path_id for rec in res.records] == [0] * first + [1] * (100 - first)
+    assert res.report.plan_update_count == 1
+    _assert_equals_oracle(topo, cfg, None)
+
+
+# ------------------------------------------ generated sessions against the oracle
+
+@st.composite
+def exact_sessions(draw):
+    """A routed session on the direct path plus one or two relays, every
+    link constant or one step (on a tick or between two). Each latency is
+    whole ms, a multiple of a quarter of the cadence, or 1e-12 ms, which
+    rounds away at WARMUP (Ta == Ts), so feedback lands at arrival times,
+    packets arrive at their own tick, and plans tie with ticks."""
+    interval = draw(st.sampled_from([10.0, 20 / 3]))
+    packets = draw(st.integers(1, 400))
+    relays = [f"r{i}" for i in range(draw(st.integers(1, 2)))]
+    nodes = ["e0", "u0"] + relays
+
+    def latency():
+        kind = draw(st.sampled_from(["whole", "quarters", "rounds away"]))
+        if kind == "whole":
+            return float(draw(st.integers(1, 120)))
+        if kind == "quarters":
+            return interval * draw(st.integers(1, 16)) / 4
+        return 1e-12
+
+    traces = {}
+    for link in [(a, b) for a in nodes for b in nodes if a != b]:
+        times, values = [0.0], [latency()]
+        if draw(st.booleans()):
+            times.append(WARMUP + draw(st.integers(0, 2 * packets)) * interval / 2)
+            values.append(latency())
+        traces[link] = LatencyTrace(*link, times, values)
+    topo = Topology([Node("e0", "endpoint"), Node("u0", "user")]
+                    + [Node(r, "relay") for r in relays], traces)
+    method = draw(st.sampled_from(["via-bf", "via-wm", "vcr-wm", "vcroute_ts+buffer"]))
+    cfg = SessionConfig(endpoint="e0", user="u0", packet_count=packets, interval_ms=interval,
+                        warmup_ms=WARMUP, seed=draw(st.integers(0, 2**32 - 1)),
+                        router=RouterConfig(c=draw(st.sampled_from([1.0, 2000.0])), prune=False))
+    return topo, method_config(cfg, method), method
+
+
+@settings(max_examples=300, deadline=None)
+@given(session=exact_sessions())
+def test_generated_routed_sessions_equal_the_oracle(session):
+    try:
+        ref = reference_session(*session)
+    except ValidationError as exc:
+        # a reward of zero (Ta == Ts at transmit, or a drop's): the router
+        # rejects it, and the engine must raise what the oracle raises
+        with pytest.raises(ValidationError) as info:
+            run_session(*session)
+        assert str(info.value) == str(exc)
+        return
+    res = run_session(*session)
+    assert res.records == ref.records
+    assert res.report.to_json() == ref.report.to_json()
+
+
+# ------------------------------------------ exceptions from the loop's callbacks
+
+class _Fault(Exception):
+    """Raised on purpose from a callback of the routed loop."""
+
+
+def _fail_on(n, name, call):
+    """``call``, but its nth call raises ``_Fault``."""
+    calls = itertools.count(1)
+
+    def failing(*args):
+        if next(calls) == n:
+            raise _Fault(f"{name} failed on call {n}")
+        return call(*args)
+
+    return failing
+
+
+def _failing_observe(patch):
+    _script_router(patch, [0, 1], "e2e")
+    patch.setattr(engine.Ucb1Router, "observe", _fail_on(7, "observe", lambda *args: None))
+    return _fault_sessions()[1]
+
+
+def _failing_select(patch):
+    _script_router(patch, [0, 1])
+    patch.setattr(engine.Ucb1Router, "select", _fail_on(3, "select", engine.Ucb1Router.select))
+    return _fault_sessions()[1]
+
+
+def _failing_on_arrival(patch):
+    def build(*args):
+        manager = _build(*args)
+        manager.on_arrival = _fail_on(40, "on_arrival", manager.on_arrival)
+        return manager
+
+    patch.setattr(engine, "build_jitter_manager", build)
+    return _fault_sessions()[2]
+
+
+def _failing_path_latency(patch):
+    patch.setattr(engine, "path_latency", _fail_on(2, "path_latency", engine.path_latency))
+    return _fault_sessions()[2]
+
+
+FAULTS = {"observe": (_failing_observe, 7), "select": (_failing_select, 3),
+          "on_arrival": (_failing_on_arrival, 40), "path_latency": (_failing_path_latency, 2)}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_a_callback_exception_leaves_the_loop_as_raised(fault, monkeypatch):
+    # the exception leaves run_session as it was raised, and the sessions
+    # run next write the report bytes they wrote before it
+    sessions = _fault_sessions()[1:]
+    before = [run_session(topo, cfg).report.to_json() for topo, cfg in sessions]
+    arrange, n = FAULTS[fault]
+    with monkeypatch.context() as patch:
+        with pytest.raises(_Fault) as info:
+            run_session(*arrange(patch))
+    assert info.type is _Fault and str(info.value) == f"{fault} failed on call {n}"
+    assert [run_session(topo, cfg).report.to_json() for topo, cfg in sessions] == before
 
 
 def test_method_config_specializes():

@@ -17,7 +17,7 @@ from relaysim import (
     WatermarkReorderer,
     build_jitter_manager,
 )
-from relaysim.jitter import FATES
+from relaysim.jitter import FATES, JITTER_KINDS, _Arrival
 from buffer_reference import BufferReference
 from wm_reference import WatermarkReference, bursty_packets
 
@@ -55,6 +55,21 @@ def test_packet_validation():
     Packet(0, 10.0, 10.0)  # zero transit is legal
     with pytest.raises(ValueError):
         Packet(0, 10.0, 9.0)
+
+
+def test_the_compiled_arrival_serves_both_managers():
+    # the routed loop hands on_arrival a compiled (seq, ts); each manager
+    # decides from it what it decides from a Packet
+    packets = bursty_packets(np.random.default_rng(4), 800)
+    for kind in JITTER_KINDS:
+        compiled, plain = (build_jitter_manager(JitterConfig(kind=kind), 10.0) for _ in range(2))
+        for p in packets:
+            assert compiled.on_arrival(_Arrival(p.seq, p.ts), p.arrival) == plain.on_arrival(
+                p, p.arrival)
+    arrival = _Arrival(seq=7, ts=2.5)
+    assert (arrival.seq, arrival.ts) == (7, 2.5)
+    with pytest.raises(AttributeError):
+        arrival.ts = 3.0
 
 
 # ---------------------------------------------------------------- watermark

@@ -140,6 +140,15 @@ def _many_rows(n):
     return cdf, changes
 
 
+@pytest.mark.parametrize("count", [0, 1, 20_000])
+def test_to_json_equals_one_indented_dumps(count):
+    # path_changes is formatted by json's C encoder and respaced; an
+    # unpruned 8-relay vcr-wm session makes about 18k changes
+    rep = dataclasses.replace(_report(), path_changes=_many_rows(count)[1] if count else [])
+    assert len(rep.path_changes) == count
+    assert rep.to_json() == json.dumps(rep.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
 _NAN, _INF = float("nan"), float("inf")
 ROW_CASES = {
     "empty": ([], []),

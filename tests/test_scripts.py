@@ -160,3 +160,18 @@ def test_bench_ingest_fails_on_a_changed_array(monkeypatch, capsys):
     assert bench.main(["--durations", "2", "--jobs", "1", "--repeats", "1"]) == 1
     assert capsys.readouterr().err.splitlines() == [
         "2 s: the row loop's arrays differ from the columnar read's"]
+
+
+def test_sanitize_runs_the_loop_callbacks_clean(capsys):
+    # the routed loop's callbacks raising, and a cut at an arrival's own
+    # tick, against the extension built with AddressSanitizer and UBSan
+    sanitize = _load("sanitize")
+    assert sanitize.main(["tests/test_engine.py", "-k", "callback or arrived_at_its_tick"]) == 0
+    assert "6 passed" in capsys.readouterr().out
+
+
+def test_sanitize_reads_a_report_of_either_sanitizer():
+    sanitize = _load("sanitize")
+    assert sanitize.reported("==7==ERROR: AddressSanitizer: heap-buffer-overflow on address")
+    assert sanitize.reported("_estimator.c:9:5: runtime error: signed integer overflow")
+    assert not sanitize.reported("6 passed, 67 deselected in 2.29s")
