@@ -1342,16 +1342,16 @@ merge_by_ta(const Pending *a, Py_ssize_t na, const Pending *b, Py_ssize_t nb, Pe
 }
 
 /* a stable sort of ``x`` by ta, as ``list.sort`` keyed by ta: bottom-up
-   merges between ``x`` and ``scratch``, the result left in ``x`` */
+   merges between ``x`` and ``work``, the result left in ``x`` */
 static void
-sort_by_ta(Pending *x, Pending *scratch, Py_ssize_t n)
+sort_by_ta(Pending *x, Pending *work, Py_ssize_t n)
 {
     Py_ssize_t i = 1;
     while (i < n && !(x[i].ta < x[i - 1].ta))
         i++;
     if (i >= n)
         return;  /* in order already */
-    Pending *src = x, *dst = scratch;
+    Pending *src = x, *dst = work;
     for (Py_ssize_t width = 1; width < n; width *= 2) {
         for (Py_ssize_t lo = 0; lo < n; lo += 2 * width) {
             Py_ssize_t mid = n - lo < width ? n : lo + width;
@@ -1432,9 +1432,9 @@ typedef struct {
     int *path;
     Events q;
     /* the packets generated and not yet arrived, from pend[pos] to
-       pend[len], in (ta, seq) order; ``scratch`` holds a new block */
-    Pending *pend, *scratch;
-    Py_ssize_t pos, len, pend_cap, scratch_cap;
+       pend[len], in (ta, seq) order; ``work`` holds a new block */
+    Pending *pend, *work;
+    Py_ssize_t pos, len, pend_cap, work_cap;
 } Loop;
 
 /* ``router.observe(pid, reward)``, then ``follows_plan``, then ``select()``
@@ -1593,10 +1593,10 @@ generate(Loop *s, Py_ssize_t lo, Py_ssize_t hi, Py_ssize_t pid)
         goto done;
     }
     if (reserve_pending(&s->pend, &s->pend_cap, m + k) < 0
-        || reserve_pending(&s->scratch, &s->scratch_cap, 2 * k) < 0)
+        || reserve_pending(&s->work, &s->work_cap, 2 * k) < 0)
         goto done;
     const double *a = arrive.buf, *f = fb.buf;
-    Pending *block = s->scratch;
+    Pending *block = s->work;
     for (Py_ssize_t i = 0; i < k; i++) {
         s->ta[lo + i] = a[i];
         s->path[lo + i] = (int)pid;
@@ -1782,7 +1782,7 @@ done:
     Py_XDECREF(s.changes);
     PyMem_Free(s.q.heap);
     PyMem_Free(s.pend);
-    PyMem_Free(s.scratch);
+    PyMem_Free(s.work);
     PyBuffer_Release(&ticks);
     PyBuffer_Release(&ta);
     PyBuffer_Release(&to);
