@@ -17,8 +17,8 @@ Usage, from the repository root:
     python benchmarks/sanitize.py [pytest arguments]
 
 Without arguments it runs ``tests/test_estimator.py``,
-``tests/test_jitter.py``, ``tests/test_engine.py`` and
-``relaybench/test_harness.py``.
+``tests/test_jitter.py``, ``tests/test_generated_streams.py``,
+``tests/test_engine.py`` and ``relaybench/test_harness.py``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "relaysim"
-DEFAULT_TESTS = ["tests/test_estimator.py", "tests/test_jitter.py", "tests/test_engine.py",
+DEFAULT_TESTS = ["tests/test_estimator.py", "tests/test_jitter.py",
+                 "tests/test_generated_streams.py", "tests/test_engine.py",
                  "relaybench/test_harness.py"]
 FLAGS = ["-fsanitize=address,undefined", "-fno-sanitize-recover=undefined", "-ffp-contract=off",
          "-g", "-O1", "-fno-omit-frame-pointer"]

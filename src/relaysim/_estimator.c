@@ -91,10 +91,12 @@ it calls ``targets`` or writes anything.
 
 The routed session loop is here as well, as ``route``, which
 ``relaysim.engine`` runs for every session with a router; the engine's
-docstring states its rules. Feedback and control messages are C structs
-in a binary heap that pops them as ``heapq`` pops the tuples (time, kind,
-push order), and the packets in flight are a C array in (ta, seq) order,
-into which each new block, sorted stably by ta, is merged. Every layer is
+docstring states its rules. It runs one event queue: feedback and control
+messages are C structs in a binary heap that pops them as ``heapq`` pops
+the tuples (time, kind, push order), and the packets in flight are a C
+array in (ta, seq) order, which each packet joins as it is generated, at
+its tick, reading its ta from a lookup window that the engine's block
+function fills. Every layer is
 reached through its Python entry point: the manager's ``on_arrival``, the
 router's ``observe``, ``follows_plan``, ``select`` and ``path_for``, the
 forward trace's ``sample`` and the engine's block function. An exception
@@ -1209,7 +1211,7 @@ typedef struct {
 
 typedef struct {
     Event *heap;
-    Py_ssize_t len, cap, pushed, controls;
+    Py_ssize_t len, cap, pushed;
 } Events;
 
 /* tuple order: the first field that differs decides, by ``<`` */
@@ -1254,7 +1256,6 @@ events_push(Events *q, Event ev)
         q->cap = cap;
     }
     ev.order = q->pushed++;
-    q->controls += ev.kind == EV_CONTROL;
     q->heap[q->len] = ev;
     sift_down(q->heap, 0, q->len++);
     return 0;
@@ -1266,10 +1267,8 @@ static Event
 events_pop(Events *q)
 {
     Event *heap = q->heap, last = heap[--q->len];
-    if (!q->len) {
-        q->controls -= last.kind == EV_CONTROL;
+    if (!q->len)
         return last;
-    }
     Event top = heap[0];
     Py_ssize_t end = q->len, pos = 0, child = 1;
     while (child < end) {
@@ -1281,19 +1280,7 @@ events_pop(Events *q)
     }
     heap[pos] = last;
     sift_down(heap, 0, pos);
-    q->controls -= top.kind == EV_CONTROL;
     return top;
-}
-
-/* the time of the earliest queued control message, inf if none */
-static double
-first_control(const Events *q)
-{
-    double tc = INFINITY;
-    for (Py_ssize_t i = 0; q->controls && i < q->len; i++)
-        if (q->heap[i].kind == EV_CONTROL && q->heap[i].t < tc)
-            tc = q->heap[i].t;
-    return tc;
 }
 
 static inline int
@@ -1310,74 +1297,41 @@ typedef struct {
     Py_ssize_t seq, pid;
 } Pending;
 
+/* The packets in flight, ``buf[pos]`` to ``buf[len - 1]``, in (ta, seq)
+   order, the order the event queue pops arrivals in. */
+typedef struct {
+    Pending *buf;
+    Py_ssize_t pos, len, cap;
+} Flight;
+
+/* A packet just generated: its seq is above every seq in flight, so it goes
+   in behind every packet that arrives no later than it does. */
 static int
-reserve_pending(Pending **buf, Py_ssize_t *cap, Py_ssize_t need)
+flight_insert(Flight *f, Pending p)
 {
-    if (need <= *cap)
-        return 0;
-    Py_ssize_t c = *cap ? *cap : 64;
-    while (c < need)
-        c *= 2;
-    Pending *p = PyMem_Realloc(*buf, c * sizeof(Pending));
-    if (p == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    *buf = p;
-    *cap = c;
-    return 0;
-}
-
-/* a stable merge by ta: an entry of ``b`` goes first only when it is less */
-static void
-merge_by_ta(const Pending *a, Py_ssize_t na, const Pending *b, Py_ssize_t nb, Pending *out)
-{
-    Py_ssize_t i = 0, j = 0, k = 0;
-    while (i < na && j < nb)
-        out[k++] = b[j].ta < a[i].ta ? b[j++] : a[i++];
-    while (i < na)
-        out[k++] = a[i++];
-    while (j < nb)
-        out[k++] = b[j++];
-}
-
-/* a stable sort of ``x`` by ta, as ``list.sort`` keyed by ta: bottom-up
-   merges between ``x`` and ``work``, the result left in ``x`` */
-static void
-sort_by_ta(Pending *x, Pending *work, Py_ssize_t n)
-{
-    Py_ssize_t i = 1;
-    while (i < n && !(x[i].ta < x[i - 1].ta))
-        i++;
-    if (i >= n)
-        return;  /* in order already */
-    Pending *src = x, *dst = work;
-    for (Py_ssize_t width = 1; width < n; width *= 2) {
-        for (Py_ssize_t lo = 0; lo < n; lo += 2 * width) {
-            Py_ssize_t mid = n - lo < width ? n : lo + width;
-            Py_ssize_t hi = n - mid < width ? n : mid + width;
-            merge_by_ta(src + lo, mid - lo, src + mid, hi - mid, dst + lo);
+    if (f->len == f->cap) {
+        Py_ssize_t live = f->len - f->pos;
+        if (2 * live >= f->cap) {  /* at least half still in flight: grow */
+            Py_ssize_t cap = f->cap ? 2 * f->cap : 64;
+            Pending *buf = PyMem_Realloc(f->buf, cap * sizeof(Pending));
+            if (buf == NULL) {
+                PyErr_NoMemory();
+                return -1;
+            }
+            f->buf = buf;
+            f->cap = cap;
         }
-        Pending *swap = src;
-        src = dst;
-        dst = swap;
+        else {  /* most have arrived: move the rest to the front */
+            memmove(f->buf, f->buf + f->pos, live * sizeof(Pending));
+            f->pos = 0;
+            f->len = live;
+        }
     }
-    if (src != x)
-        memcpy(x, src, n * sizeof(Pending));
-}
-
-/* ``bisect.bisect_left(a, x, lo, hi)`` over a float64 column */
-static Py_ssize_t
-bisect_left(const double *a, double x, Py_ssize_t lo, Py_ssize_t hi)
-{
-    while (lo < hi) {
-        Py_ssize_t mid = lo + (hi - lo) / 2;
-        if (a[mid] < x)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    return lo;
+    Py_ssize_t i = f->len++;
+    for (; i > f->pos && p.ta < f->buf[i - 1].ta; i--)
+        f->buf[i] = f->buf[i - 1];
+    f->buf[i] = p;
+    return 0;
 }
 
 /* ``a, b = obj``, as new references */
@@ -1430,11 +1384,13 @@ typedef struct {
     double *ta, *to;
     signed char *fate;
     int *path;
+    int follows;  /* ``follows_plan``, read at the start and after each observe */
     Events q;
-    /* the packets generated and not yet arrived, from pend[pos] to
-       pend[len], in (ta, seq) order; ``work`` holds a new block */
-    Pending *pend, *work;
-    Py_ssize_t pos, len, pend_cap, work_cap;
+    Flight flight;
+    /* the lookup window: the arrival and feedback times of packets ``lo``
+       to ``hi`` on path ``pid``, as ``block`` gave them */
+    double *win_ta, *win_fb;
+    Py_ssize_t lo, hi, pid;
 } Loop;
 
 /* ``router.observe(pid, reward)``, then ``follows_plan``, then ``select()``
@@ -1457,9 +1413,8 @@ feedback(Loop *s, const Event *ev, Py_ssize_t *plan_path, double *overhead)
     if (r == NULL)
         return -1;
     Py_DECREF(r);
-    int follows = follows_plan(s->router);
-    if (follows <= 0)
-        return follows;
+    if ((s->follows = follows_plan(s->router)) <= 0)
+        return s->follows;
     Py_ssize_t selected;
     if (take_path(PyObject_VectorcallMethod(str_select, &s->router,
                                             1 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL),
@@ -1564,17 +1519,22 @@ done:
     return rc;
 }
 
-/* Packets ``lo`` to ``hi`` on path ``pid``: ``block(lo, hi, pid)`` gives
-   their arrival times and feedback times, which go into the columns and,
-   sorted stably by ta, are merged into the packets still in flight. */
+/* The lookup window from packet ``gen`` on path ``pid``: ``block(lo, hi,
+   pid)`` gives the arrival times of packets lo to hi and when each one's
+   feedback would reach the sender if sent on arrival. It spans
+   ``block_size`` packets on the adopted path, one while the router picks
+   paths of its own. */
 static int
-generate(Loop *s, Py_ssize_t lo, Py_ssize_t hi, Py_ssize_t pid)
+fill_window(Loop *s, Py_ssize_t gen, Py_ssize_t pid)
 {
     if (pid < INT_MIN || pid > INT_MAX) {
         PyErr_Format(PyExc_OverflowError, "path id %zd does not fit the int32 path column", pid);
         return -1;
     }
-    PyObject *r = PyObject_CallFunction(s->block, "nnn", lo, hi, pid);
+    Py_ssize_t hi = gen + 1;
+    if (s->follows)
+        hi = s->n - gen < s->block_size ? s->n : gen + s->block_size;
+    PyObject *r = PyObject_CallFunction(s->block, "nnn", gen, hi, pid);
     if (r == NULL)
         return -1;
     PyObject *arrive_obj, *fb_obj;
@@ -1584,7 +1544,7 @@ generate(Loop *s, Py_ssize_t lo, Py_ssize_t hi, Py_ssize_t pid)
         return -1;
     Py_buffer arrive, fb;
     arrive.obj = fb.obj = NULL;
-    Py_ssize_t k = hi - lo, m = s->len - s->pos;
+    Py_ssize_t k = hi - gen;
     rc = -1;
     if (get_column(arrive_obj, &arrive) < 0 || get_column(fb_obj, &fb) < 0)
         goto done;
@@ -1592,30 +1552,11 @@ generate(Loop *s, Py_ssize_t lo, Py_ssize_t hi, Py_ssize_t pid)
         PyErr_SetString(PyExc_ValueError, "block must give two 1-d columns of the block's length");
         goto done;
     }
-    if (reserve_pending(&s->pend, &s->pend_cap, m + k) < 0
-        || reserve_pending(&s->work, &s->work_cap, 2 * k) < 0)
-        goto done;
-    const double *a = arrive.buf, *f = fb.buf;
-    Pending *block = s->work;
-    for (Py_ssize_t i = 0; i < k; i++) {
-        s->ta[lo + i] = a[i];
-        s->path[lo + i] = (int)pid;
-        block[i].ta = a[i];
-        block[i].fb = f[i];
-        block[i].seq = lo + i;
-        block[i].pid = pid;
-    }
-    sort_by_ta(block, block + k, k);
-    /* every seq in flight is below lo, so a stable merge by ta, backwards
-       in place, keeps the (ta, seq) order */
-    Pending *pend = s->pend;
-    if (m && s->pos)
-        memmove(pend, pend + s->pos, m * sizeof(Pending));
-    Py_ssize_t i = m - 1, j = k - 1, w = m + k - 1;
-    while (j >= 0)
-        pend[w--] = i >= 0 && block[j].ta < pend[i].ta ? pend[i--] : block[j--];
-    s->pos = 0;
-    s->len = m + k;
+    memcpy(s->win_ta, arrive.buf, k * sizeof(double));
+    memcpy(s->win_fb, fb.buf, k * sizeof(double));
+    s->lo = gen;
+    s->hi = hi;
+    s->pid = pid;
     rc = 0;
 done:
     PyBuffer_Release(&arrive);
@@ -1625,54 +1566,64 @@ done:
     return rc;
 }
 
-/* Whether generated packet ``seq``, the first at or after ``t``, has
-   arrived by ``t``: only a packet arriving at its own tick can, before a
-   plan that lands at that tick is issued (a chain of feedback and control
-   over links whose latency rounds away). One event queue generates it
-   before that plan, so it keeps its path. */
+/* Packet ``gen``, on the adopted path ``pid`` or, while the router picks
+   paths of its own, on ``path_for(gen)``: its Ta and path go into the
+   columns, and it joins the packets in flight. */
 static int
-arrived_at_tick(const Loop *s, Py_ssize_t seq, double t)
+generate(Loop *s, Py_ssize_t gen, Py_ssize_t pid)
 {
-    if (!(s->ta[seq] == t))
-        return 0;
-    for (Py_ssize_t i = s->pos; i < s->len && s->pend[i].ta <= t; i++)
-        if (s->pend[i].seq == seq)
-            return 0;
-    return 1;
+    if (!s->follows) {
+        PyObject *seq = PyLong_FromSsize_t(gen);
+        if (seq == NULL)
+            return -1;
+        PyObject *args[2] = {s->router, seq};
+        PyObject *r = PyObject_VectorcallMethod(str_path_for, args,
+                                                2 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
+        Py_DECREF(seq);
+        if (take_path(r, &pid) < 0)
+            return -1;
+    }
+    if ((pid != s->pid || gen >= s->hi) && fill_window(s, gen, pid) < 0)
+        return -1;
+    Pending p = {.ta = s->win_ta[gen - s->lo], .fb = s->win_fb[gen - s->lo],
+                 .seq = gen, .pid = pid};
+    s->ta[gen] = p.ta;
+    s->path[gen] = (int)pid;
+    return flight_insert(&s->flight, p);
 }
 
-/* The loop itself, on columns already checked. */
+/* The loop itself, on columns already checked: one event queue, whose
+   arrivals are the packets in flight and whose feedback and control
+   messages are in the heap. */
 static int
 run_loop(Loop *s, Py_ssize_t initial_path, double *overhead)
 {
     const double *ticks = s->ticks;
+    Flight *f = &s->flight;
     Py_ssize_t n = s->n, gen = 0, plan_path = initial_path, active_path = initial_path;
     Py_ssize_t adopted = 0;
-    double nxt = n ? ticks[0] : INFINITY;  /* the tick of packet gen */
+    if ((s->follows = follows_plan(s->router)) < 0)
+        return -1;
     for (;;) {
         double top = s->q.len ? s->q.heap[0].t : INFINITY;
-        /* arrivals, up to the next queued event or the next tick: a queued
-           event goes after an arrival at its time, but before a packet
-           arriving at its own tick, which it may yet re-route */
-        while (s->pos < s->len) {
-            Pending p = s->pend[s->pos];
+        double next = f->pos < f->len ? f->buf[f->pos].ta : INFINITY;
+        if (gen < n && ticks[gen] < top && ticks[gen] < next) {
+            /* packet gen at its tick: an arrival or event at the tick goes first */
+            if (generate(s, gen++, active_path) < 0)
+                return -1;
+        }
+        else if (f->pos < f->len && next <= top) {
+            /* an arrival goes before a feedback or control message at its time */
+            Pending p = f->buf[f->pos++];
             double ts = ticks[p.seq];
-            if (p.ta > nxt || p.ta > top || (p.ta == top && p.ta == ts))
-                break;
-            s->pos++;
             if (s->on_arrival == Py_None) {  /* the transmit reward; play runs after */
                 if (push_feedback(&s->q, p.fb, p.pid, p.ta - ts) < 0)
                     return -1;
-                if (p.fb < top)
-                    top = p.fb;
-                continue;
             }
-            if (hand_over(s, &p, ts) < 0)
+            else if (hand_over(s, &p, ts) < 0)
                 return -1;
-            if (s->q.len)
-                top = s->q.heap[0].t;
         }
-        if (s->q.len && top <= nxt) {
+        else if (s->q.len) {
             Event ev = events_pop(&s->q);
             if (ev.kind == EV_FEEDBACK) {
                 if (feedback(s, &ev, &plan_path, overhead) < 0)
@@ -1680,56 +1631,8 @@ run_loop(Loop *s, Py_ssize_t initial_path, double *overhead)
             }
             else if (ev.a > adopted) {  /* a control message not overtaken */
                 adopted = ev.a;
-                if (ev.path != active_path) {
-                    active_path = ev.path;
-                    /* packets from the tick at ev.t on were generated on the
-                       old path: generate them again, from the first one not
-                       arrived */
-                    Py_ssize_t cut = bisect_left(ticks, ev.t, 0, gen);
-                    if (cut < gen && arrived_at_tick(s, cut, ev.t))
-                        cut++;
-                    if (cut < gen) {
-                        Py_ssize_t kept = 0;
-                        for (Py_ssize_t i = s->pos; i < s->len; i++)
-                            if (s->pend[i].seq < cut)
-                                s->pend[kept++] = s->pend[i];
-                        s->pos = 0;
-                        s->len = kept;
-                        gen = cut;
-                        nxt = ticks[gen];
-                    }
-                }
+                active_path = ev.path;  /* for the packets not yet generated */
             }
-        }
-        else if (gen < n) {
-            /* the next block on the active path, or one packet at a time
-               while the router picks paths of its own */
-            int follows = follows_plan(s->router);
-            if (follows < 0)
-                return -1;
-            Py_ssize_t pid, hi;
-            if (follows) {
-                pid = active_path;
-                /* ticks from the next queued control message's on may be cut */
-                hi = bisect_left(ticks, first_control(&s->q), gen,
-                                 n - gen < s->block_size ? n : gen + s->block_size);
-            }
-            else {
-                PyObject *seq = PyLong_FromSsize_t(gen);
-                if (seq == NULL)
-                    return -1;
-                PyObject *args[2] = {s->router, seq};
-                PyObject *r = PyObject_VectorcallMethod(str_path_for, args,
-                                                        2 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-                Py_DECREF(seq);
-                if (take_path(r, &pid) < 0)
-                    return -1;
-                hi = gen + 1;
-            }
-            if (generate(s, gen, hi, pid) < 0)
-                return -1;
-            gen = hi;
-            nxt = gen < n ? ticks[gen] : INFINITY;
         }
         else
             return 0;
@@ -1774,6 +1677,12 @@ route(PyObject *module, PyObject *args)
     s.to = to.buf;
     s.fate = fate.buf;
     s.path = path.buf;
+    Py_ssize_t window = s.n < s.block_size ? s.n : s.block_size;
+    if ((s.win_ta = PyMem_New(double, 2 * window)) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    s.win_fb = s.win_ta + window;
     if ((s.changes = PyList_New(0)) == NULL)
         goto done;
     if (run_loop(&s, initial_path, &overhead) == 0)
@@ -1781,8 +1690,8 @@ route(PyObject *module, PyObject *args)
 done:
     Py_XDECREF(s.changes);
     PyMem_Free(s.q.heap);
-    PyMem_Free(s.pend);
-    PyMem_Free(s.work);
+    PyMem_Free(s.flight.buf);
+    PyMem_Free(s.win_ta);
     PyBuffer_Release(&ticks);
     PyBuffer_Release(&ta);
     PyBuffer_Release(&to);
@@ -1798,7 +1707,8 @@ static PyMethodDef module_methods[] = {
      "Run a routed session's event loop: ``relaysim.engine`` states its rules.\n"
      "``on_arrival`` is the manager's, or None for a session rewarded at\n"
      "transmit; ``block(lo, hi, pid)`` gives the arrival and feedback times of\n"
-     "packets lo to hi on path pid; ``sample(t)`` is the forward direct delay\n"
+     "packets lo to hi on path pid, a lookup window of at most ``block_size``\n"
+     "packets; ``sample(t)`` is the forward direct delay\n"
      "of a plan sent at t. Writes ``ta``, ``path`` (int32), ``to`` and\n"
      "``fate`` (int8), seq-indexed, and returns ``(path_changes, overhead)``."},
     {NULL},

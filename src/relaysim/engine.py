@@ -13,45 +13,38 @@ differs from the last one selected. Plans are numbered in issue order, and
 the sender ignores a plan older than the one it has adopted, so a control
 message overtaken by a newer one changes nothing.
 
-A routed session's events are ordered by (time, kind, push order), with
-kind order arrival < feedback < control; arrivals tied on time go by seq.
-Packet i is generated at its tick Ts once no event is earlier, so an event at
-Ts goes first. A packet's path changes only when the sender adopts a plan, so
-packets are generated ahead of time, ARRIVAL_BLOCK at a time on the adopted
-path: the lookahead of conservative discrete-event simulation (Chandy & Misra,
-IEEE TSE 1979). A block's arrival times, and the times its feedback would
-reach the sender if sent on arrival, are computed as arrays, and the block is
-merged into the arrivals still in flight with one stable sort by Ta. Only
-feedback and control messages wait in a heap. An adoption at tc that changes
-the path cuts the packets generated with Ts >= tc that have not arrived, and
-generates them again from the cut on the new path; while a control message
-is queued, a block ends at its tick, so nothing it may cut is generated
-before it lands. A packet whose latency rounds away (Ta == Ts) arrives after
-every event queued for its Ta, as it would if generated at its tick. So it
-is the one packet that can arrive before a plan landing at its tick is
-issued (feedback and control over direct links whose latency rounds away
-too), and it keeps its path: one event queue generates it before that plan.
-While the router picks paths of its own (UCB1's forced round, until
-``follows_plan``), blocks are one packet long. A session without a router
-would queue nothing but arrivals, all on one path, so every Ta is computed
-at once instead.
+A routed session runs one event queue, ordered by (time, kind, push order)
+with kind order arrival < feedback < control; arrivals tied on time go by
+seq. Packet i is generated at its tick Ts once no arrival or queued event is
+earlier, so an event at Ts goes first. It takes the path the sender adopted
+last, or the router's ``path_for(i)`` while the router picks paths of its
+own (UCB1's forced round, until ``follows_plan``), and its arrival joins the
+queue. An adoption changes the path of the packets not yet generated, and of
+no other. A packet's Ta, and the time its feedback would reach the sender if
+sent on arrival, are read from a lookup window computed as arrays:
+ARRIVAL_BLOCK ticks of one path, or one tick while the router picks paths of
+its own. A window is filled again from the packet that leaves it, by tick or
+by path, and what an adoption leaves of it unread is dropped. A session
+without a router would queue nothing but arrivals, all on one path, so every
+Ta is computed at once instead.
 
 The routed loop runs compiled, in ``relaysim._estimator.route``: the
-arrivals in flight, the heap and the block, cut and stale-plan rules are C
-structs, and it writes Ta, path id, To and fate into the columns itself. It
-reaches every layer through the same Python entry points as a loop written
-in Python would, in the same order and with the same arguments: the
-manager's ``on_arrival(arrival, Ta)`` for each arrival of a session
-rewarded end to end, with a compiled ``(seq, ts)`` arrival; the router's
-``observe(path_id, reward)``, then its ``follows_plan``, then ``select()``
-for each feedback; ``path_for(seq)`` while it does not follow a plan; the
-forward direct trace's ``sample(t)`` for each plan; and ``run_session``'s
-block function, which looks up ``path_latency`` and the reverse direct
-trace's ``at`` when it is called. An exception from any of them leaves
-``run_session`` as it was raised.
+arrivals in flight (an array in (Ta, seq) order), the feedback and control
+heap, the lookup window and the stale-plan rule are C structs, and it writes
+Ta, path id, To and fate into the columns itself. It reaches every layer
+through the same Python entry points as a loop written in Python would, in
+the same order and with the same arguments: the manager's
+``on_arrival(arrival, Ta)`` for each arrival of a session rewarded end to
+end, with a compiled ``(seq, ts)`` arrival; the router's ``follows_plan``
+at the start, then ``observe(path_id, reward)``, ``follows_plan`` and
+``select()`` for each feedback; ``path_for(seq)`` while it does not follow a
+plan; the forward direct trace's ``sample(t)`` for each plan; and
+``run_session``'s block function, which looks up ``path_latency`` and the
+reverse direct trace's ``at`` when it is called. An exception from any of
+them leaves ``run_session`` as it was raised.
 
 Every session keeps seq-indexed numpy columns, not per-packet objects: the
-routed loop writes each block's Ta and path id as it generates the block. A
+routed loop writes each packet's Ta and path id as it generates it. A
 session whose feedback reads nothing the jitter manager decides, one without
 a router or one rewarded at transmit (UCB1's Ta - Ts), is played after its
 loop from the final arrival schedule: the manager's whole-stream ``play``
@@ -96,7 +89,7 @@ from .reports import MetricsReport, build_report
 from .routing import ThompsonRouter, Ucb1Router, tau0_from_variance
 from .traces import Topology
 
-ARRIVAL_BLOCK = 256  # packets generated at once on an adopted plan
+ARRIVAL_BLOCK = 256  # ticks of one path in a routed session's lookup window
 RECORD_BLOCK = 2048  # records built at once from a session's columns
 
 ROUTER_KINDS = ("direct", "via_ucb1", "vcroute_ts")
@@ -283,7 +276,7 @@ def run_session(topology: Topology, cfg: SessionConfig, method: str | None = Non
         def block(lo: int, hi: int, pid: int) -> tuple[np.ndarray, np.ndarray]:
             # the packets' arrival times, and when each one's feedback would
             # reach the sender if sent on arrival; path_latency is looked up
-            # here, per block
+            # here, per lookup window
             times = ticks[lo:hi]
             arrive = times + path_latency(topology, all_paths[pid], times)
             return arrive, arrive + direct_rev.at(arrive)

@@ -1,6 +1,8 @@
 """Path selection policies.
 
-Two bandit routers over candidate paths, both minimizing a latency reward:
+Two bandit routers over candidate paths, both minimizing a latency reward in
+ms, which must be nonnegative and finite (it is 0 where a latency rounds away
+at Ts, so that Ta == Ts):
 
 * ``ThompsonRouter``: Thompson sampling with Gaussian posteriors and known
   observation precision (Agrawal & Goyal, AISTATS 2013). Conjugate update
@@ -114,8 +116,8 @@ class ThompsonRouter:
         self._hot_z: list[float] = []
 
     def observe(self, path_id: int, reward: float) -> None:
-        if not 0.0 < reward < math.inf:  # also false for nan
-            raise ValidationError(f"rewards must be positive and finite, got {reward!r}")
+        if not 0.0 <= reward < math.inf:  # also false for nan
+            raise ValidationError(f"rewards must be nonnegative and finite, got {reward!r}")
         i = self._index[path_id]
         tau = self._tau[i]
         tau0 = self._tau0[i]
@@ -222,8 +224,8 @@ class Ucb1Router:
         return unrewarded[seq % len(unrewarded)]
 
     def observe(self, path_id: int, reward: float) -> None:
-        if not 0.0 < reward < math.inf:  # also false for nan
-            raise ValidationError(f"rewards must be positive and finite, got {reward!r}")
+        if not 0.0 <= reward < math.inf:  # also false for nan
+            raise ValidationError(f"rewards must be nonnegative and finite, got {reward!r}")
         i = self._index[path_id]
         n = self._n[i] + 1
         self._n[i] = n

@@ -1,7 +1,7 @@
 """Reference session loop: every session played through one event queue.
 
-This is the session loop the engine ran before it generated routed packets
-in blocks, kept as an oracle for ``relaysim.engine.run_session``. It takes
+This is the session loop written in Python, one packet and one event at a
+time, kept as an oracle for ``relaysim.engine.run_session``. It takes
 the candidate set and the router from ``plan_session``, as the engine does,
 builds the jitter manager the same way, then plays every packet through a
 single heap of events sorted by (time, kind, push order), with kind order

@@ -58,13 +58,27 @@ def test_conjugate_update_precision_grows_monotonically():
         assert router.arm(0)[1] == prev + tau0
 
 
-@pytest.mark.parametrize("bad", [0.0, -5.0, float("inf"), float("nan")])
+@pytest.mark.parametrize("bad", [-5.0, -0.5e-300, float("inf"), float("nan")])
 def test_conjugate_update_rejects_bad_rewards(bad):
     router = _thompson((0, 100.0, 1.0))
     router.observe(0, 100.0)
     with pytest.raises(ValidationError):
         router.observe(0, bad)
     assert router.arm(0) == (100.0, 2.0, 1.0, 1)  # the rejected reward left no trace
+
+
+def test_both_routers_observe_a_zero_reward():
+    # a latency that rounds away at Ts (Ta == Ts) is a reward of 0
+    thompson = _thompson((0, 100.0, 1.0), (1, 100.0, 1.0))
+    thompson.observe(0, 0.0)
+    assert thompson.arm(0) == (50.0, 2.0, 1.0, 1)
+    assert thompson.select() in (0, 1)
+    ucb1 = Ucb1Router([0, 1])
+    ucb1.observe(0, 0.0)
+    ucb1.observe(1, 0.0)
+    assert ucb1.follows_plan
+    assert ucb1.arm(0) == ucb1.arm(1) == (0.0, 1)
+    assert ucb1.select() == 0
 
 
 def test_posterior_validation():
@@ -201,10 +215,12 @@ def test_thompson_router_state():
         ThompsonRouter([(0, float("nan"), 1.0)], rng)
     with pytest.raises(ValidationError):
         ThompsonRouter([(0, 1.0, 0.0)], rng)
-    for bad in (0.0, float("inf"), float("nan")):
+    for bad in (-1.0, float("inf"), float("nan")):
         with pytest.raises(ValidationError):
             router.observe(0, bad)
     assert router.arm(0) == (100.0, 0.01, 0.01, 0)
+    router.observe(0, 0.0)  # a zero reward is observed
+    assert router.arm(0)[3] == 1
 
 
 def test_ucb1_router_state():

@@ -163,11 +163,22 @@ def test_bench_ingest_fails_on_a_changed_array(monkeypatch, capsys):
 
 
 def test_sanitize_runs_the_loop_callbacks_clean(capsys):
-    # the routed loop's callbacks raising, and a cut at an arrival's own
+    # the routed loop's callbacks raising, and a packet arriving at its own
     # tick, against the extension built with AddressSanitizer and UBSan
     sanitize = _load("sanitize")
     assert sanitize.main(["tests/test_engine.py", "-k", "callback or arrived_at_its_tick"]) == 0
     assert "6 passed" in capsys.readouterr().out
+
+
+def test_sanitize_runs_the_event_queue_clean(capsys):
+    # the in-flight array and the lookup window of the routed loop: the
+    # in-flight interleave tests, the tick tests and the sessions against
+    # the event-queue oracle, against the extension built with
+    # AddressSanitizer and UBSan
+    sanitize = _load("sanitize")
+    assert sanitize.main(["tests/test_engine.py", "-k",
+                          "in_flight or tick or event_queue_oracle"]) == 0
+    assert "18 passed" in capsys.readouterr().out
 
 
 def test_sanitize_reads_a_report_of_either_sanitizer():

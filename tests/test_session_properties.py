@@ -1,10 +1,10 @@
 """Property tests over small sessions, feedback-free and routed.
 
 A session without a router (one path kept) hands its sorted arrival schedule
-to the jitter manager's whole-stream pass; a routed one generates its packets
-in blocks between plan adoptions. One rewarded end to end hands them over one
-arrival at a time; one rewarded at transmit hands its final schedule to the
-whole-stream pass after its loop.
+to the jitter manager's whole-stream pass; a routed one generates each packet
+at its tick, on the path adopted by then. One rewarded end to end hands its
+arrivals over one at a time; one rewarded at transmit hands its final
+schedule to the whole-stream pass after its loop.
 For drawn link traces (constant, Gaussian and spike regimes), cadences and
 jitter managers, every session must conserve its packets, emit no packet
 before it arrives, play its packets out in seq order, pass relaybench's
@@ -199,7 +199,7 @@ def routed_sessions(draw):
         "trace_step": draw(st.sampled_from([1.0, 10.0, 100.0])),
         "seed": draw(st.integers(0, 2**32 - 1)),
         "interval": draw(st.sampled_from([10.0, 20 / 3, 5.0, 20.0])),
-        "packets": draw(st.integers(1, 700)),  # up to three blocks
+        "packets": draw(st.integers(1, 700)),  # up to three lookup windows
         "method": draw(st.sampled_from(sorted(METHODS) + ["vcroute_ts+buffer"])),
         "prune": draw(st.booleans()),
         "c": draw(st.sampled_from([1.0, 2000.0])),
