@@ -91,12 +91,11 @@ it calls ``targets`` or writes anything.
 
 The routed session loop is here as well, as ``route``, which
 ``relaysim.engine`` runs for every session with a router; the engine's
-docstring states its rules. It runs one event queue: feedback and control
-messages are C structs in a binary heap that pops them as ``heapq`` pops
-the tuples (time, kind, push order), and the packets in flight are a C
-array in (ta, seq) order, which each packet joins as it is generated, at
-its tick, reading its ta from a lookup window that the engine's block
-function fills. Every layer is
+docstring states its rules. It runs one event queue: arrivals, feedback
+and control messages are C structs in a binary heap that pops them as
+``heapq`` pops the tuples (time, kind, push order). Each packet's arrival
+joins it as the packet is generated, at its tick, with its ta read from a
+lookup window that the engine's block function fills. Every layer is
 reached through its Python entry point: the manager's ``on_arrival``, the
 router's ``observe``, ``follows_plan``, ``select`` and ``path_for``, the
 forward trace's ``sample`` and the engine's block function. An exception
@@ -1190,20 +1189,24 @@ static PyTypeObject ArrivalType = {
 
 /* ------------------------------------------------- the routed session loop */
 
-/* queued event kinds; an arrival ranks before both */
+/* event kinds, in the order they pop at one time */
+#define EV_ARRIVAL 0
 #define EV_FEEDBACK 1
 #define EV_CONTROL 2
 
 static PyObject *str_observe, *str_select, *str_path_for, *str_follows_plan;
 
-/* A feedback or control message, ordered by (t, kind, order) as the tuple
-   ``(t, kind, order, a, b)`` would be. */
+/* An arrival, feedback or control message, ordered by (t, kind, order) as
+   the tuple ``(t, kind, order, a, b)`` would be. */
 typedef struct {
     double t;
     int kind;
     Py_ssize_t order;  /* push order */
-    Py_ssize_t a;      /* feedback: the path rewarded; control: the plan's number */
+    Py_ssize_t a;      /* arrival: the seq; feedback: the path rewarded;
+                          control: the plan's number */
     union {
+        double fb;        /* arrival: when its feedback would reach the sender
+                             if sent on arrival */
         double reward;    /* feedback */
         Py_ssize_t path;  /* control: the plan's path */
     };
@@ -1290,50 +1293,6 @@ push_feedback(Events *q, double t, Py_ssize_t pid, double reward)
     return events_push(q, ev);
 }
 
-/* A generated packet not yet arrived: its arrival, and when its feedback
-   would reach the sender if sent on arrival. */
-typedef struct {
-    double ta, fb;
-    Py_ssize_t seq, pid;
-} Pending;
-
-/* The packets in flight, ``buf[pos]`` to ``buf[len - 1]``, in (ta, seq)
-   order, the order the event queue pops arrivals in. */
-typedef struct {
-    Pending *buf;
-    Py_ssize_t pos, len, cap;
-} Flight;
-
-/* A packet just generated: its seq is above every seq in flight, so it goes
-   in behind every packet that arrives no later than it does. */
-static int
-flight_insert(Flight *f, Pending p)
-{
-    if (f->len == f->cap) {
-        Py_ssize_t live = f->len - f->pos;
-        if (2 * live >= f->cap) {  /* at least half still in flight: grow */
-            Py_ssize_t cap = f->cap ? 2 * f->cap : 64;
-            Pending *buf = PyMem_Realloc(f->buf, cap * sizeof(Pending));
-            if (buf == NULL) {
-                PyErr_NoMemory();
-                return -1;
-            }
-            f->buf = buf;
-            f->cap = cap;
-        }
-        else {  /* most have arrived: move the rest to the front */
-            memmove(f->buf, f->buf + f->pos, live * sizeof(Pending));
-            f->pos = 0;
-            f->len = live;
-        }
-    }
-    Py_ssize_t i = f->len++;
-    for (; i > f->pos && p.ta < f->buf[i - 1].ta; i--)
-        f->buf[i] = f->buf[i - 1];
-    f->buf[i] = p;
-    return 0;
-}
-
 /* ``a, b = obj``, as new references */
 static int
 unpack2(PyObject *obj, PyObject **a, PyObject **b)
@@ -1386,7 +1345,6 @@ typedef struct {
     int *path;
     int follows;  /* ``follows_plan``, read at the start and after each observe */
     Events q;
-    Flight flight;
     /* the lookup window: the arrival and feedback times of packets ``lo``
        to ``hi`` on path ``pid``, as ``block`` gave them */
     double *win_ta, *win_fb;
@@ -1454,14 +1412,14 @@ feedback(Loop *s, const Event *ev, Py_ssize_t *plan_path, double *overhead)
    with its output time. Both are sent at max(out, ta), which is ta, as no
    manager emits later. */
 static int
-hand_over(Loop *s, const Pending *p, double ts)
+hand_over(Loop *s, const Event *ev)
 {
     Arrival *arrival = PyObject_New(Arrival, &ArrivalType);
     if (arrival == NULL)
         return -1;
-    arrival->seq = p->seq;
-    arrival->ts = ts;
-    PyObject *now = PyFloat_FromDouble(p->ta);
+    arrival->seq = ev->a;
+    arrival->ts = s->ticks[ev->a];
+    PyObject *now = PyFloat_FromDouble(ev->t);
     if (now == NULL) {
         Py_DECREF(arrival);
         return -1;
@@ -1482,8 +1440,8 @@ hand_over(Loop *s, const Pending *p, double ts)
     if (was_dropped < 0)
         goto done;
     if (was_dropped) {
-        s->fate[p->seq] = FATE_DROPPED_LATE;
-        if (push_feedback(&s->q, p->fb, p->pid, p->ta - ts) < 0)
+        s->fate[ev->a] = FATE_DROPPED_LATE;
+        if (push_feedback(&s->q, ev->fb, s->path[ev->a], ev->t - s->ticks[ev->a]) < 0)
             goto done;
     }
     if ((it = PyObject_GetIter(emissions)) == NULL)
@@ -1501,7 +1459,7 @@ hand_over(Loop *s, const Pending *p, double ts)
             goto done;
         s->to[seq] = out;
         s->fate[seq] = FATE_DELIVERED;
-        if (push_feedback(&s->q, p->fb, s->path[seq], out - s->ticks[seq]) < 0)
+        if (push_feedback(&s->q, ev->fb, s->path[seq], out - s->ticks[seq]) < 0)
             goto done;
         Py_CLEAR(em);
         Py_CLEAR(seq_obj);
@@ -1568,7 +1526,7 @@ done:
 
 /* Packet ``gen``, on the adopted path ``pid`` or, while the router picks
    paths of its own, on ``path_for(gen)``: its Ta and path go into the
-   columns, and it joins the packets in flight. */
+   columns, and its arrival joins the queue. */
 static int
 generate(Loop *s, Py_ssize_t gen, Py_ssize_t pid)
 {
@@ -1585,58 +1543,49 @@ generate(Loop *s, Py_ssize_t gen, Py_ssize_t pid)
     }
     if ((pid != s->pid || gen >= s->hi) && fill_window(s, gen, pid) < 0)
         return -1;
-    Pending p = {.ta = s->win_ta[gen - s->lo], .fb = s->win_fb[gen - s->lo],
-                 .seq = gen, .pid = pid};
-    s->ta[gen] = p.ta;
+    Event arrival = {.t = s->win_ta[gen - s->lo], .kind = EV_ARRIVAL, .a = gen,
+                     .fb = s->win_fb[gen - s->lo]};
+    s->ta[gen] = arrival.t;
     s->path[gen] = (int)pid;
-    return flight_insert(&s->flight, p);
+    return events_push(&s->q, arrival);
 }
 
-/* The loop itself, on columns already checked: one event queue, whose
-   arrivals are the packets in flight and whose feedback and control
-   messages are in the heap. */
+/* The loop itself, on columns already checked: packet ``gen`` is generated
+   while its tick is earlier than every queued event, and otherwise the
+   first event pops. */
 static int
 run_loop(Loop *s, Py_ssize_t initial_path, double *overhead)
 {
     const double *ticks = s->ticks;
-    Flight *f = &s->flight;
     Py_ssize_t n = s->n, gen = 0, plan_path = initial_path, active_path = initial_path;
     Py_ssize_t adopted = 0;
     if ((s->follows = follows_plan(s->router)) < 0)
         return -1;
-    for (;;) {
-        double top = s->q.len ? s->q.heap[0].t : INFINITY;
-        double next = f->pos < f->len ? f->buf[f->pos].ta : INFINITY;
-        if (gen < n && ticks[gen] < top && ticks[gen] < next) {
-            /* packet gen at its tick: an arrival or event at the tick goes first */
+    while (gen < n || s->q.len) {
+        if (gen < n && (!s->q.len || ticks[gen] < s->q.heap[0].t)) {
             if (generate(s, gen++, active_path) < 0)
                 return -1;
+            continue;
         }
-        else if (f->pos < f->len && next <= top) {
-            /* an arrival goes before a feedback or control message at its time */
-            Pending p = f->buf[f->pos++];
-            double ts = ticks[p.seq];
+        Event ev = events_pop(&s->q);
+        if (ev.kind == EV_ARRIVAL) {
             if (s->on_arrival == Py_None) {  /* the transmit reward; play runs after */
-                if (push_feedback(&s->q, p.fb, p.pid, p.ta - ts) < 0)
+                if (push_feedback(&s->q, ev.fb, s->path[ev.a], ev.t - ticks[ev.a]) < 0)
                     return -1;
             }
-            else if (hand_over(s, &p, ts) < 0)
+            else if (hand_over(s, &ev) < 0)
                 return -1;
         }
-        else if (s->q.len) {
-            Event ev = events_pop(&s->q);
-            if (ev.kind == EV_FEEDBACK) {
-                if (feedback(s, &ev, &plan_path, overhead) < 0)
-                    return -1;
-            }
-            else if (ev.a > adopted) {  /* a control message not overtaken */
-                adopted = ev.a;
-                active_path = ev.path;  /* for the packets not yet generated */
-            }
+        else if (ev.kind == EV_FEEDBACK) {
+            if (feedback(s, &ev, &plan_path, overhead) < 0)
+                return -1;
         }
-        else
-            return 0;
+        else if (ev.a > adopted) {  /* a control message not overtaken */
+            adopted = ev.a;
+            active_path = ev.path;  /* for the packets not yet generated */
+        }
     }
+    return 0;
 }
 
 static PyObject *
@@ -1690,7 +1639,6 @@ route(PyObject *module, PyObject *args)
 done:
     Py_XDECREF(s.changes);
     PyMem_Free(s.q.heap);
-    PyMem_Free(s.flight.buf);
     PyMem_Free(s.win_ta);
     PyBuffer_Release(&ticks);
     PyBuffer_Release(&ta);
@@ -1704,7 +1652,8 @@ static PyMethodDef module_methods[] = {
     {"route", (PyCFunction)route, METH_VARARGS,
      "route(router, on_arrival, block, sample, ticks, ta, to, fate, path, initial_path,\n"
      "      block_size)\n--\n\n"
-     "Run a routed session's event loop: ``relaysim.engine`` states its rules.\n"
+     "Run a routed session as one event queue of arrivals, feedback and\n"
+     "control messages: ``relaysim.engine`` states its rules.\n"
      "``on_arrival`` is the manager's, or None for a session rewarded at\n"
      "transmit; ``block(lo, hi, pid)`` gives the arrival and feedback times of\n"
      "packets lo to hi on path pid, a lookup window of at most ``block_size``\n"

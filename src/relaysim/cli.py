@@ -33,8 +33,9 @@ Experiment manifest (JSON, schema_version 1)::
 
 "topology" is required: write one with ``relaysim synth`` or
 ``traces.save_topology``. An unknown key at any level, a value of the wrong
-JSON type, and a NaN or Infinity are validation errors, raised before the
-topology is loaded. Flags override manifest fields.
+JSON type, a NaN or Infinity, an estimator parameter out of range and a
+negative seed are validation errors, raised before the topology is loaded.
+Flags override manifest fields.
 Output directory precedence: --out flag, then the manifest field, then
 $RELAYSIM_OUT_DIR. Results are written only after the whole
 matrix has completed, so a failed run leaves no partial output.
@@ -291,6 +292,7 @@ def _template_config(doc: dict, args: argparse.Namespace, endpoint: str, user: s
                       {"confidence": args.confidence})
     jitter = _section(JitterConfig, "jitter", _object("jitter", d.get("jitter", {})),
                       {"window_ms": args.window_ms, "percentile": args.percentile})
+    jitter.make_estimator()  # its own checks, before the topology load
     threshold = d.get("loss_threshold")  # a number, or null for none
     if threshold is not None:
         threshold = _typed("defaults", "loss_threshold", threshold, 0.0)

@@ -28,20 +28,19 @@ by path, and what an adoption leaves of it unread is dropped. A session
 without a router would queue nothing but arrivals, all on one path, so every
 Ta is computed at once instead.
 
-The routed loop runs compiled, in ``relaysim._estimator.route``: the
-arrivals in flight (an array in (Ta, seq) order), the feedback and control
-heap, the lookup window and the stale-plan rule are C structs, and it writes
-Ta, path id, To and fate into the columns itself. It reaches every layer
-through the same Python entry points as a loop written in Python would, in
-the same order and with the same arguments: the manager's
-``on_arrival(arrival, Ta)`` for each arrival of a session rewarded end to
-end, with a compiled ``(seq, ts)`` arrival; the router's ``follows_plan``
-at the start, then ``observe(path_id, reward)``, ``follows_plan`` and
-``select()`` for each feedback; ``path_for(seq)`` while it does not follow a
-plan; the forward direct trace's ``sample(t)`` for each plan; and
-``run_session``'s block function, which looks up ``path_latency`` and the
-reverse direct trace's ``at`` when it is called. An exception from any of
-them leaves ``run_session`` as it was raised.
+The routed loop runs compiled, in ``relaysim._estimator.route``: the one
+heap of arrivals, feedback and control messages, the lookup window and the
+stale-plan rule are C structs, and it writes Ta, path id, To and fate into
+the columns itself. It reaches every layer through the same Python entry
+points as a loop written in Python would, in the same order and with the
+same arguments: the manager's ``on_arrival(arrival, Ta)`` for each arrival
+of a session rewarded end to end, with a compiled ``(seq, ts)`` arrival; the
+router's ``follows_plan`` at the start, then ``observe(path_id, reward)``,
+``follows_plan`` and ``select()`` for each feedback; ``path_for(seq)`` while
+it does not follow a plan; the forward direct trace's ``sample(t)`` for each
+plan; and ``run_session``'s block function, which looks up ``path_latency``
+and the reverse direct trace's ``at`` when it is called. An exception from
+any of them leaves ``run_session`` as it was raised.
 
 Every session keeps seq-indexed numpy columns, not per-packet objects: the
 routed loop writes each packet's Ta and path id as it generates it. A
@@ -136,6 +135,8 @@ class SessionConfig:
     def __post_init__(self) -> None:
         if self.packet_count < 0:
             raise ValidationError("packet_count cannot be negative")
+        if self.seed < 0:
+            raise ValidationError(f"seed cannot be negative, not {self.seed}")
         # a chained comparison: NaN fails it as well as infinity
         if not (0 < self.interval_ms < math.inf and 0 < self.warmup_ms < math.inf):
             raise ValidationError("interval_ms and warmup_ms must be finite and positive")

@@ -218,6 +218,38 @@ def test_run_loads_the_topology_with_its_jobs(synth_dir, tmp_path, monkeypatch):
     assert loads == [2, 3]  # the flag, else min(cells, CPUs), as for the cells
 
 
+@pytest.mark.parametrize("defaults, flags", [
+    ({"jitter": {"percentile": 1.5}}, ()),
+    ({"jitter": {"window_ms": -1}}, ()),
+    ({"jitter": {"bin_ms": 0}}, ()),
+    ({"jitter": {"max_lag_ms": -5}}, ()),
+    ({}, ("--percentile", "0")),
+    ({}, ("--window-ms", "-3")),
+    ({}, ("--seed", "-1")),
+    ({"seed": -1}, ()),
+], ids=["percentile", "window_ms", "bin_ms", "max_lag_ms", "percentile-flag",
+        "window-ms-flag", "seed-flag", "seed"])
+def test_run_rejects_bad_values_before_the_load(synth_dir, tmp_path, monkeypatch, capsys,
+                                                defaults, flags):
+    loads, load = [], cli.load_topology
+
+    def counted(path, jobs):
+        loads.append(jobs)
+        return load(path, jobs)
+
+    monkeypatch.setattr(cli, "load_topology", counted)
+    doc = json.loads((synth_dir / "experiment.json").read_text())
+    doc["topology"] = str(synth_dir / "topology.json")
+    doc["defaults"] = {**doc.get("defaults", {}), **defaults}
+    manifest = tmp_path / "exp.json"
+    manifest.write_text(json.dumps(doc))
+    assert main(["run", str(manifest), "--packets", "300",
+                 "--out", str(tmp_path / "res"), *flags]) == 3
+    assert "error:" in capsys.readouterr().err
+    assert loads == []
+    assert not (tmp_path / "res").exists()
+
+
 def test_run_methods_subset(synth_dir, tmp_path):
     res = tmp_path / "res"
     assert _run(synth_dir, res, "--jobs", "1", "--methods", "drt-bf,drt-wm") == 0

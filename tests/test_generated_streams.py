@@ -16,6 +16,10 @@ from one chunk into the next.
   and every fate, output time and state, and the flush, must equal
   ``tests/buffer_reference.py``'s. A copy of a packet, at its own arrival
   time, raises ``duplicate seq`` while the packet is held, as in the oracle.
+* ``WatermarkReorderer``: each chunk goes through ``play`` or through
+  ``on_arrival`` per arrival, and every emission, drop, the watermark, the
+  pending count, the estimator's observables and the flush must equal
+  ``tests/wm_reference.py``'s.
 """
 
 from contextlib import nullcontext
@@ -25,10 +29,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relaysim import JitterEstimator, Packet, PlayoutBuffer, TransitEstimator
+from relaysim import (JitterEstimator, Packet, PlayoutBuffer, TransitEstimator,
+                      WatermarkReorderer)
 from relaysim.jitter import FATES
 from buffer_reference import BufferReference
 from estimator_reference import ReferenceEstimator
+from wm_reference import WatermarkReference
 
 GAP_MS = 2500.0  # longer than every window drawn below
 DELIVERED, DROPPED = FATES.index("delivered"), FATES.index("dropped_late")
@@ -177,3 +183,49 @@ def test_playout_buffer_equals_the_oracle(stream, est_cls, duplicate, hows):
     end = packets[-1].arrival
     assert buf.flush(end) == ref.flush(end)
     assert _state(buf) == _reference_state(ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stream=streams(),
+       hows=st.lists(st.sampled_from(["play", "on_arrival"]), min_size=13, max_size=13))
+def test_watermark_equals_the_oracle(stream, hows):
+    _, packets, ends = stream
+    n = max(p.seq for p in packets) + 1
+    ts, ta = np.zeros(n), np.zeros(n)
+    for p in packets:
+        ts[p.seq], ta[p.seq] = p.ts, p.arrival
+    wm, ref = WatermarkReorderer(JitterEstimator()), WatermarkReference(ReferenceEstimator())
+    to, fate = np.full(n, np.nan), np.zeros(n, np.int8)
+    want_to, want_fate = to.copy(), fate.copy()
+    lo = 0
+    for hi, how in zip(ends, hows):
+        emitted, dropped = len(ref.emissions), len(ref.drops)
+        for p in packets[lo:hi]:
+            ref.arrival(p)
+        for seq, out in ref.emissions[emitted:]:
+            want_to[seq], want_fate[seq] = out, DELIVERED
+        want_fate[ref.drops[dropped:]] = DROPPED
+        if how == "play":
+            wm.play(np.array([p.seq for p in packets[lo:hi]]), ts, ta, to, fate)
+        else:
+            got = []
+            for p in packets[lo:hi]:
+                emissions, was_dropped = wm.on_arrival(p, p.arrival)
+                if was_dropped:
+                    fate[p.seq] = DROPPED
+                for em in emissions:
+                    to[em.seq], fate[em.seq] = em.out, DELIVERED
+                got += emissions
+            # one arrival's emissions come out in (ts, seq) order
+            assert [tuple(em) for em in got] == ref.emissions[emitted:]
+        assert np.array_equal(to, want_to, equal_nan=True)
+        assert np.array_equal(fate, want_fate)
+        assert (wm.watermark, wm.pending_count, wm.dropped_count) == (
+            ref.wm, len(ref.pending), len(ref.drops))
+        assert _observed(wm._est) == _observed(ref.est)
+        lo = hi
+    end = packets[-1].arrival
+    emitted = len(ref.emissions)
+    ref.flush(end)
+    assert [tuple(em) for em in wm.flush(end)] == ref.emissions[emitted:]
+    assert wm.pending_count == 0

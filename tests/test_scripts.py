@@ -171,7 +171,7 @@ def test_sanitize_runs_the_loop_callbacks_clean(capsys):
 
 
 def test_sanitize_runs_the_event_queue_clean(capsys):
-    # the in-flight array and the lookup window of the routed loop: the
+    # the event heap and the lookup window of the routed loop: the
     # in-flight interleave tests, the tick tests and the sessions against
     # the event-queue oracle, against the extension built with
     # AddressSanitizer and UBSan
